@@ -13,10 +13,14 @@ import json
 from typing import Any
 
 
+# json.dumps with these settings would build a new encoder on every call
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+)
+
+
 def canonical_bytes(payload: Any) -> bytes:
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    return _ENCODER.encode(payload).encode("utf-8")
 
 
 def sha256_hex(data: bytes) -> str:

@@ -159,6 +159,9 @@ def cmd_cycle(state_dir, submissions_dir, baseline_file, year, lam, approvals,
 
 def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
                year: int, lam: str, approvals: str, start: str) -> None:
+    cycle_file = state_dir / f"cycle-{year}.json"
+    if cycle_file.exists():
+        raise KladiaError(f"year {year} is already settled: {cycle_file}")
     baseline = _load_baseline(baseline_file)
     lam_fp = fp.from_str(lam)
     clock = VirtualClock(datetime.fromisoformat(start).replace(tzinfo=timezone.utc))
@@ -171,12 +174,10 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
     params = PolicyParams()
 
     record = oracle.CycleRecord(cycle_year=year, prior_confirmed_g=0)
-    operator_ids = []
-    for sub_file in sorted(submissions_dir.glob("*.json")):
-        data = json.loads(sub_file.read_text())
-        operator_ids.append(data["operator_id"])
-    for sub_file in sorted(submissions_dir.glob("*.json")):
-        data = json.loads(sub_file.read_text())
+    submissions = [json.loads(sub_file.read_text())
+                   for sub_file in sorted(submissions_dir.glob("*.json"))]
+    operator_ids = [data["operator_id"] for data in submissions]
+    for data in submissions:
         payload = oracle.SubmissionPayload(
             debt_ratios={Bloc(k): fp.from_str(v)
                          for k, v in data["debt_ratios"].items()},
@@ -215,7 +216,7 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
     commitment = reporting.commit(report, ledger_anchor=len(state.event_log))
 
     ledger_file.write_text(json.dumps(ledger_mod.to_json_dict(state)))
-    (state_dir / f"cycle-{year}.json").write_text(
+    cycle_file.write_text(
         json.dumps(record.canonical(), sort_keys=True)
     )
     (state_dir / f"report-{year}.kldr").write_bytes(reporting.serialize(report))

@@ -8,7 +8,6 @@ no mint operation and no inverse of burn anywhere on the public surface.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -140,13 +139,17 @@ class LedgerState:
     def clone(self) -> "LedgerState":
         # log entries and policies are never mutated after creation, so they
         # can be shared; containers themselves are copied
+        vesting = self.vesting
         return LedgerState(
             s_max=self.s_max,
             circulating=self.circulating,
             buckets=dict(self.buckets),
             policies=self.policies,
             burned_cumulative=self.burned_cumulative,
-            vesting=copy.copy(self.vesting),
+            vesting=VestingSchedule(
+                vesting.total, vesting.cliff_months, vesting.vest_months,
+                vesting.released_months, vesting.released_total,
+            ),
             month_index=self.month_index,
             annual_factors=self.annual_factors,
             releases_this_month=self.releases_this_month,
@@ -167,8 +170,10 @@ class LedgerState:
         return {
             "s_max": self.s_max,
             "circulating": self.circulating,
-            "buckets": {k.value: v for k, v in sorted(
-                self.buckets.items(), key=lambda kv: kv[0].value)},
+            # ordered by bucket name; `_value_` is the plain attribute behind
+            # the Python-level `Enum.value` property
+            "buckets": dict(sorted(
+                [(k._value_, v) for k, v in self.buckets.items()])),
             "burned_cumulative": self.burned_cumulative,
             "vesting": {
                 "total": self.vesting.total,
@@ -353,15 +358,19 @@ def vest_month(state: LedgerState) -> tuple[LedgerState, int]:
     if state.vesting.released_months >= state.vesting.vest_months:
         raise VestingComplete("all 36 vesting releases done")
     new = state.clone()
-    release_no = new.vesting.released_months + 1
-    amount = new.vesting.monthly_amount(release_no)
-    new.buckets[BucketKind.TEAM_VESTING] -= amount
-    new.circulating += amount
-    new.vesting.released_months = release_no
-    new.vesting.released_total += amount
-    new.check_conservation()
-    new._log("vest_month", {"release_number": release_no, "amount": amount})
-    return new, amount
+    return new, _vest_step(new)
+
+
+def _vest_step(state: LedgerState) -> int:
+    release_no = state.vesting.released_months + 1
+    amount = state.vesting.monthly_amount(release_no)
+    state.buckets[BucketKind.TEAM_VESTING] -= amount
+    state.circulating += amount
+    state.vesting.released_months = release_no
+    state.vesting.released_total += amount
+    state.check_conservation()
+    state._log("vest_month", {"release_number": release_no, "amount": amount})
+    return amount
 
 
 def release_escrow(
@@ -412,11 +421,15 @@ def burn(state: LedgerState, amount: int, fee_pool: int) -> LedgerState:
             f"burn {amount} exceeds circulating {state.circulating}"
         )
     new = state.clone()
-    new.circulating -= amount
-    new.burned_cumulative += amount
-    new.check_conservation()
-    new._log("burn", {"amount": amount})
+    _burn_step(new, amount)
     return new
+
+
+def _burn_step(state: LedgerState, amount: int) -> None:
+    state.circulating -= amount
+    state.burned_cumulative += amount
+    state.check_conservation()
+    state._log("burn", {"amount": amount})
 
 
 def emit_staking(state: LedgerState, rate: int) -> tuple[LedgerState, int]:
@@ -425,6 +438,15 @@ def emit_staking(state: LedgerState, rate: int) -> tuple[LedgerState, int]:
     Emissions count against the annual issuance budget and stop at zero
     once the reserve (or the budget) is exhausted.
     """
+    emission = _staking_emission(state, rate)
+    if emission == 0:
+        return state, 0
+    new = state.clone()
+    _emit_staking_step(new, rate, emission)
+    return new, emission
+
+
+def _staking_emission(state: LedgerState, rate: int) -> int:
     if rate < 0:
         raise ValueError("rate must be nonnegative")
     factors = state.annual_factors
@@ -434,16 +456,15 @@ def emit_staking(state: LedgerState, rate: int) -> tuple[LedgerState, int]:
         else 0
     )
     emission = fp.scale_amount_down(state.buckets[BucketKind.STAKING_RESERVE], rate)
-    emission = min(emission, budget_remaining)
-    if emission == 0:
-        return state, 0
-    new = state.clone()
-    new.buckets[BucketKind.STAKING_RESERVE] -= emission
-    new.circulating += emission
-    new.issuance_used_year += emission
-    new.check_conservation()
-    new._log("emit_staking", {"rate": rate, "emission": emission})
-    return new, emission
+    return min(emission, budget_remaining)
+
+
+def _emit_staking_step(state: LedgerState, rate: int, emission: int) -> None:
+    state.buckets[BucketKind.STAKING_RESERVE] -= emission
+    state.circulating += emission
+    state.issuance_used_year += emission
+    state.check_conservation()
+    state._log("emit_staking", {"rate": rate, "emission": emission})
 
 
 def spend_reserve(
@@ -526,15 +547,15 @@ def relock(
 
 
 def advance_month(
-    state: LedgerState,
-    fees_this_month: int,
-    _corrupt_hook=None,
+    state: LedgerState, fees_this_month: int
 ) -> tuple[LedgerState, dict]:
     """Apply one month of automatic flows in fixed order, atomically.
 
     Order: vesting (if due) -> staking emission -> fee burn -> month
-    counter -> monthly cap reset. Conservation is re-checked after every
-    step; any failure leaves the input state untouched.
+    counter -> monthly cap reset. All steps run on one private copy of the
+    state; each step re-checks conservation and logs its own event, exactly
+    as the public transition of the same name would, so any failure leaves
+    the input state untouched.
     """
     if fees_this_month < 0:
         raise ValueError("fees must be nonnegative")
@@ -542,7 +563,7 @@ def advance_month(
         raise ZeroCap("no active cycle factors; call begin_cycle first")
     factors = state.annual_factors
 
-    working = state
+    working = state.clone()
     summary = {"vested": 0, "emitted": 0, "burned": 0}
 
     in_vesting = (
@@ -550,10 +571,11 @@ def advance_month(
         and working.vesting.released_months < working.vesting.vest_months
     )
     if in_vesting:
-        working, vested = vest_month(working)
-        summary["vested"] = vested
+        summary["vested"] = _vest_step(working)
 
-    working, emitted = emit_staking(working, factors.staking_rate)
+    emitted = _staking_emission(working, factors.staking_rate)
+    if emitted:
+        _emit_staking_step(working, factors.staking_rate, emitted)
     summary["emitted"] = emitted
 
     fee_pool = min(fees_this_month, working.circulating)
@@ -563,15 +585,9 @@ def advance_month(
     dust -= extra * fp.SCALE
     burn_amount = min(burn_amount + extra, fee_pool)
     if burn_amount > 0:
-        working = burn(working, burn_amount, fee_pool)
-    if working is state:
-        working = working.clone()
+        _burn_step(working, burn_amount)
     working.burn_dust = dust
     summary["burned"] = burn_amount
-
-    if _corrupt_hook is not None:
-        _corrupt_hook(working)
-        working.check_conservation()
 
     working.month_index += 1
     working.releases_this_month = 0

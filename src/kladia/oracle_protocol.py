@@ -63,16 +63,20 @@ class SubmissionPayload:
 
     def canonical(self) -> dict:
         return {
-            "debt_ratios": {b.value: fp.to_str(v) for b, v in sorted(
-                self.debt_ratios.items(), key=lambda kv: kv[0].value)},
-            "nominal_gdps": {b.value: fp.to_str(v) for b, v in sorted(
-                self.nominal_gdps.items(), key=lambda kv: kv[0].value)},
+            "debt_ratios": _by_bloc_code(self.debt_ratios),
+            "nominal_gdps": _by_bloc_code(self.nominal_gdps),
             "bdi": fp.to_str(self.bdi),
             "x_norm": fp.to_str(self.x_norm),
             "g": fp.to_str(self.g),
             "vintage_id": self.vintage_id,
             "dataset_hash": self.dataset_hash,
         }
+
+
+def _by_bloc_code(values: dict[Bloc, int]) -> dict[str, str]:
+    # ordered by bloc code; `_value_` is the plain attribute behind the
+    # Python-level `Enum.value` property
+    return dict(sorted([(b._value_, fp.to_str(v)) for b, v in values.items()]))
 
 
 @dataclass(frozen=True)
@@ -162,11 +166,12 @@ def build_payload(
 
 
 def _recompute_check(payload: SubmissionPayload, baseline: BaselineRef, lam: int) -> None:
+    vintage = WeoVintage(payload.vintage_id,
+                         baseline.genesis_vintage.publication_date,
+                         payload.dataset_hash)
     obs = [
         BlocObservation(
-            b, payload.debt_ratios[b], payload.nominal_gdps[b],
-            WeoVintage(payload.vintage_id, baseline.genesis_vintage.publication_date,
-                       payload.dataset_hash),
+            b, payload.debt_ratios[b], payload.nominal_gdps[b], vintage,
             ObservationStatus.OBSERVED,
         )
         for b in ALL_BLOCS

@@ -104,12 +104,12 @@ def build_report(
     )
 
     if median is not None:
+        vintage = WeoVintage(median.vintage_id,
+                             baseline.genesis_vintage.publication_date,
+                             median.dataset_hash)
         obs = [
             BlocObservation(
-                b, median.debt_ratios[b], median.nominal_gdps[b],
-                WeoVintage(median.vintage_id,
-                           baseline.genesis_vintage.publication_date,
-                           median.dataset_hash),
+                b, median.debt_ratios[b], median.nominal_gdps[b], vintage,
                 ObservationStatus.OBSERVED,
             )
             for b in ALL_BLOCS

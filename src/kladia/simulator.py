@@ -23,6 +23,8 @@ from .errors import ScenarioInvalid, ShapeMismatch, ZeroCap
 from .ledger import (
     BucketKind,
     LedgerState,
+    advance_month,
+    begin_cycle,
     genesis,
     release_escrow,
 )
@@ -229,7 +231,7 @@ def run(scenario: Scenario) -> Trace:
             assert record.window.status is oracle.WindowStatus.LAPSED
             # continue under the last confirmed g with the factors already in force
             if state.annual_factors is None:
-                state, params = _start_with_carried_g(state, params, last_g)
+                state, params = begin_cycle(state, params, last_g)
             else:
                 state = _reset_year_budget(state)
         else:
@@ -258,7 +260,7 @@ def run(scenario: Scenario) -> Trace:
                     state, released = release_escrow(state, cap, escrow_signers[:5])
                 except ZeroCap:
                     released = 0
-            state, summary = advance_month_checked(state, fees)
+            state, summary = advance_month(state, fees)
             trace.rows.append(
                 {
                     "month": state.month_index,
@@ -303,24 +305,12 @@ def _unfrozen_baseline() -> BaselineRef:
     return ref
 
 
-def _start_with_carried_g(state: LedgerState, params: PolicyParams, g: int):
-    from .ledger import begin_cycle
-
-    return begin_cycle(state, params, g)
-
-
 def _reset_year_budget(state: LedgerState) -> LedgerState:
     new = state.clone()
     new.issuance_used_year = 0
     new.releases_this_month = 0
     new._log("carry_cycle", {})
     return new
-
-
-def advance_month_checked(state: LedgerState, fees: int):
-    from .ledger import advance_month
-
-    return advance_month(state, fees)
 
 
 def compare(trace_a: Trace, trace_b: Trace) -> list[dict]:

@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -186,6 +188,35 @@ def test_verify_missing_event_log_exit_2(runner, tmp_path):
     ])
     assert result.exit_code == 2
     assert "reconciliation skipped" in result.output
+
+
+def test_cycle_reads_each_submission_once(runner, tmp_path, monkeypatch):
+    reads = Counter()
+    read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads[self.name] += 1
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    result, _, _ = run_cycle(runner, tmp_path)
+    assert result.exit_code == 0, result.output
+    assert [reads[f"{op}.json"] for op in ("op-1", "op-2", "op-3")] == [1, 1, 1]
+
+
+def test_cycle_refuses_settled_year(runner, tmp_path):
+    result, state_dir, base = run_cycle(runner, tmp_path)
+    assert result.exit_code == 0, result.output
+    ledger_before = (state_dir / "ledger.json").read_bytes()
+    result = runner.invoke(main, [
+        "cycle", "--state-dir", str(state_dir), "--submissions-dir",
+        str(tmp_path / "subs-a"), "--baseline-file", str(base),
+        "--year", "2026",
+    ])
+    assert result.exit_code == 1
+    assert "already settled" in result.output
+    assert (state_dir / "ledger.json").read_bytes() == ledger_before
+    assert not (state_dir / ".lock").exists()
 
 
 def test_cycle_respects_lock(runner, tmp_path):

@@ -323,15 +323,18 @@ def test_one_year_accumulation_matches_spreadsheet_oracle():
     assert state.buckets[BucketKind.STAKING_RESERVE] == exp_stake
 
 
-def test_advance_month_atomic_abort_on_injected_violation():
+def test_advance_month_atomic_abort_on_injected_violation(monkeypatch):
     state, _ = fresh_cycle()
     before_hash = state.state_hash()
+    burn_step = lg._burn_step
 
-    def corrupt(working):
+    def corrupt_burn(working, amount):
         working.circulating += 12345  # break conservation mid-transition
+        burn_step(working, amount)
 
+    monkeypatch.setattr(lg, "_burn_step", corrupt_burn)
     with pytest.raises(ConservationViolation):
-        lg.advance_month(state, 1000, _corrupt_hook=corrupt)
+        lg.advance_month(state, 10 ** 9)
     assert state.state_hash() == before_hash
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -137,6 +138,32 @@ def test_cycle_produces_artifacts(runner, tmp_path):
     assert (state_dir / "report-2026.commit").exists()
     cycle = json.loads((state_dir / "cycle-2026.json").read_text())
     assert cycle["status"] == "Executed"
+
+
+# sha256 of each file `kld cycle --year 2026` leaves in a fresh state dir
+CYCLE_FILES = {
+    "cycle-2026.json":
+        "ca62d844ee9e472f2bd7f3c0c19fc88af309d38da5766fcb137fb2a904ee26b8",
+    "ledger.json":
+        "e6d438e49cda624b13e7310aae003c0757cdeee5c4f39e55a3e57c8b0db56f72",
+    "report-2026.commit":
+        "2b39242e7dd74a1b98b58e9e89d15e968909d053a6509eadb5b79ad5a03ce06a",
+    "report-2026.kldr":
+        "4da13fad164db212191c4ff07724458ebf9b0233741c395ca6e1ad043b555f77",
+}
+CYCLE_OUTPUT = (
+    "cycle 2026: Executed, g=0.333333333, state_hash="
+    "668f54b8951e4993223f0d0a46c6158d62117e86407e78701c2bd5dd506f6e42\n"
+)
+
+
+def test_cycle_artifacts_golden(runner, tmp_path):
+    result, state_dir, _ = run_cycle(runner, tmp_path)
+    assert result.exit_code == 0, result.output
+    assert result.output == CYCLE_OUTPUT
+    files = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+             for f in state_dir.iterdir()}
+    assert files == CYCLE_FILES
 
 
 def test_cycle_replay_is_bit_identical(runner, tmp_path):

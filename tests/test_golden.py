@@ -1,24 +1,22 @@
 """Golden determinism fixtures and the composite-month transition check.
 
 The frozen hashes below pin every hashed byte the engine produces for a few
-short seeded scenarios, for one `kld cycle` state directory and for a
-serialized ledger with five years of history. A change that moves any of
-them changes an artifact that third parties replay, so it must be made on
-purpose and the values re-frozen once, with the reason recorded.
+short seeded scenarios and for a serialized ledger with five years of
+history (tests/test_cli.py pins the files of one `kld cycle` state
+directory the same way). A change that moves any of them changes an artifact
+that third parties replay, so it must be made on purpose and the values
+re-frozen once, with the reason recorded.
 """
 
 import hashlib
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from kladia import fixedpoint as fp
 from kladia import ledger as lg
 from kladia import simulator as sim
-from kladia.cli import main
 from kladia.policy import PolicyParams
-from kladia.weo_ingest import ALL_BLOCS
 
 SCENARIOS = {
     "plain": sim.Scenario(seed=11, years=5),
@@ -77,22 +75,6 @@ GOLDEN = {
     ),
 }
 
-# sha256 of each file `kld cycle --year 2026` leaves in a fresh state dir
-CYCLE_FILES = {
-    "cycle-2026.json":
-        "ca62d844ee9e472f2bd7f3c0c19fc88af309d38da5766fcb137fb2a904ee26b8",
-    "ledger.json":
-        "e6d438e49cda624b13e7310aae003c0757cdeee5c4f39e55a3e57c8b0db56f72",
-    "report-2026.commit":
-        "2b39242e7dd74a1b98b58e9e89d15e968909d053a6509eadb5b79ad5a03ce06a",
-    "report-2026.kldr":
-        "4da13fad164db212191c4ff07724458ebf9b0233741c395ca6e1ad043b555f77",
-}
-CYCLE_OUTPUT = (
-    "cycle 2026: Executed, g=0.333333333, state_hash="
-    "668f54b8951e4993223f0d0a46c6158d62117e86407e78701c2bd5dd506f6e42\n"
-)
-
 LEDGER_RUN_STATE_HASH = (
     "5ca1969e921cfc2e5449a5a24bd3bdc591ec95460a8a0f7d29f8516ee7ffee34"
 )
@@ -110,35 +92,6 @@ def test_scenario_golden_hashes(name):
     trace_hash, commitments = GOLDEN[name]
     assert trace.trace_hash() == trace_hash
     assert trace.report_commitments == commitments
-
-
-def test_cycle_artifacts_golden(tmp_path):
-    base = tmp_path / "baseline.json"
-    base.write_text(json.dumps({
-        "bdi_ref": "100.000000000", "vintage_id": "2025-October",
-        "publication_date": "2025-10-15", "dataset_hash": "ab" * 32,
-    }))
-    subs = tmp_path / "subs"
-    subs.mkdir()
-    for op in ("op-1", "op-2", "op-3"):
-        (subs / f"{op}.json").write_text(json.dumps({
-            "operator_id": op,
-            "debt_ratios": {b.value: "150" for b in ALL_BLOCS},
-            "nominal_gdps": {b.value: "2000" for b in ALL_BLOCS},
-            "bdi": "150.000000000", "x_norm": "1.500000000",
-            "g": "0.333333333", "vintage_id": "2026-October",
-            "dataset_hash": "ab" * 32,
-        }))
-    state = tmp_path / "state"
-    result = CliRunner().invoke(main, [
-        "cycle", "--state-dir", str(state), "--submissions-dir", str(subs),
-        "--baseline-file", str(base), "--year", "2026",
-    ])
-    assert result.exit_code == 0, result.output
-    assert result.output == CYCLE_OUTPUT
-    files = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-             for f in state.iterdir()}
-    assert files == CYCLE_FILES
 
 
 def _ledger_run() -> lg.LedgerState:

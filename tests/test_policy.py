@@ -163,12 +163,9 @@ def test_continuity_lipschitz(p, g):
     slope_r = fp.mul(p.gamma, p.effective_r_base())
     assert abs(staking_rate(p, g2) - staking_rate(p, g)) <= \
         fp.scale_amount_down(eps, slope_r) + 1
-    # escrow cap slope: alpha_e * e_base (token units per unit g). The factor
-    # 1 - alpha_e * g is rounded to 9 digits at each g, so a one-ulp step in g
-    # moves it by at most floor(alpha_e * eps / SCALE) + 1 ulps.
-    d_factor = (p.alpha_e * eps) // fp.SCALE + 1
+    # escrow cap slope: alpha_e * e_base (token units per unit g)
     d_cap = abs(escrow_cap(p, g2) - escrow_cap(p, g))
-    assert d_cap <= (p.e_base * d_factor) // fp.SCALE + 1
+    assert d_cap <= (p.e_base * fp.mul(p.alpha_e, eps)) // fp.SCALE + 1
 
 
 @settings(max_examples=200)

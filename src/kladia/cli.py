@@ -213,13 +213,14 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
         record, state.event_log[event_start:], [], baseline
     )
     report["lambda"] = lam
-    commitment = reporting.commit(report, ledger_anchor=len(state.event_log))
+    report_bytes = reporting.serialize(report)
+    commitment = reporting.commit(report_bytes, ledger_anchor=len(state.event_log))
 
     ledger_file.write_text(json.dumps(ledger_mod.to_json_dict(state)))
     cycle_file.write_text(
         json.dumps(record.canonical(), sort_keys=True)
     )
-    (state_dir / f"report-{year}.kldr").write_bytes(reporting.serialize(report))
+    (state_dir / f"report-{year}.kldr").write_bytes(report_bytes)
     (state_dir / f"report-{year}.commit").write_text(
         json.dumps({"content_hash": commitment.content_hash,
                     "reference_link": commitment.reference_link,
@@ -272,9 +273,11 @@ def cmd_report(state_dir, year):
 @click.option("--event-log", type=click.Path(path_type=Path),
               help="ledger state JSON for supply reconciliation")
 @click.option("--baseline-file", type=click.Path(exists=True, path_type=Path))
-@click.option("--lam", default="1.0", show_default=True)
-def cmd_verify(report_file, commit_file, event_log, baseline_file, lam):
-    """Verify a report against its commitment (exit 0 iff clean)."""
+def cmd_verify(report_file, commit_file, event_log, baseline_file):
+    """Verify a report against its commitment (exit 0 iff clean).
+
+    The recomputation uses the report's own lambda.
+    """
     try:
         commit_data = json.loads(commit_file.read_text())
         commitment = reporting.ReportCommitment(
@@ -297,8 +300,7 @@ def cmd_verify(report_file, commit_file, event_log, baseline_file, lam):
         sys.exit(EXIT_INPUT)
 
     ok, problems = reporting.verify(
-        report_file.read_bytes(), commitment, baseline,
-        fp.from_str(lam) if baseline else None, events,
+        report_file.read_bytes(), commitment, baseline, ledger_events=events,
     )
     if skipped_reconciliation:
         click.echo("warning: event log missing; reconciliation skipped", err=True)

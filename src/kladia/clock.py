@@ -2,8 +2,8 @@
 
 Protocol timing (72h challenge windows, 14-day correction deadlines,
 voting periods, timelocks) always reads time from a Clock instance.
-Production uses UTC wall time; tests and the simulator use VirtualClock
-at one-hour granularity.
+The simulator, `kld cycle` and the tests use VirtualClock at one-hour
+granularity.
 """
 
 from __future__ import annotations
@@ -14,13 +14,6 @@ from typing import Protocol
 
 class Clock(Protocol):
     def now(self) -> datetime: ...
-
-
-class SystemClock:
-    """Wall-clock UTC time."""
-
-    def now(self) -> datetime:
-        return datetime.now(timezone.utc)
 
 
 class VirtualClock:

@@ -7,8 +7,8 @@ baseline; the policy factor saturates in [0, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from . import fixedpoint as fp
 from .errors import (
@@ -18,7 +18,8 @@ from .errors import (
     IncompleteBlocSet,
     NonPositiveLambda,
 )
-from .weo_ingest import ALL_BLOCS, Bloc, BlocObservation, WeoVintage
+from .weo_ingest import (ALL_BLOCS, Bloc, BlocObservation, WeoVintage,
+                         check_ranges, kc7_columns)
 
 
 @dataclass
@@ -69,42 +70,6 @@ class RegimeBand:
             raise ValueError("need 0 <= low_max < high_min < 1")
 
 
-def compute_weights(observations: Sequence[BlocObservation]) -> dict[Bloc, int]:
-    """GDP-share weights, half-even at 9 digits, residual on the largest bloc.
-
-    The rounding residual is assigned to the largest-GDP bloc (ties broken
-    by bloc code order) so the weights sum to exactly 1.
-    """
-    by_bloc = {o.bloc: o for o in observations}
-    if set(by_bloc) != set(ALL_BLOCS) or len(observations) != len(ALL_BLOCS):
-        raise IncompleteBlocSet(
-            f"need exactly the KC7 set, got {[o.bloc.value for o in observations]}"
-        )
-    total_gdp = sum(o.nominal_gdp for o in observations)
-    weights = {
-        b: fp.div_half_even(by_bloc[b].nominal_gdp * fp.SCALE, total_gdp)
-        for b in ALL_BLOCS
-    }
-    residual = fp.ONE - sum(weights.values())
-    if residual:
-        largest = max(ALL_BLOCS, key=lambda b: (by_bloc[b].nominal_gdp, -ALL_BLOCS.index(b)))
-        weights[largest] += residual
-    return weights
-
-
-def compute_bdi(
-    observations: Sequence[BlocObservation], weights: Mapping[Bloc, int]
-) -> int:
-    """Weighted average of debt ratios: sum of weights[b] * debt_ratio[b]."""
-    by_bloc = {o.bloc: o for o in observations}
-    if set(by_bloc) != set(weights):
-        raise BlocSetMismatch("observations and weights cover different blocs")
-    acc = 0
-    for bloc in sorted(weights, key=lambda b: b.value):
-        acc += fp.mul(weights[bloc], by_bloc[bloc].debt_ratio)
-    return acc
-
-
 def normalize(bdi: int, baseline: BaselineRef) -> tuple[int, int]:
     """Ratio to baseline and the nonnegative excess over 1."""
     if not baseline.frozen:
@@ -138,6 +103,39 @@ def classify_band(g: int, bands: RegimeBand = RegimeBand()) -> str:
     return Band.MODERATE
 
 
+def index_kernel(
+    debt_ratios: Sequence[int],
+    nominal_gdps: Sequence[int],
+    baseline: BaselineRef,
+    lam: int,
+) -> tuple[tuple[int, ...], int, int, int, int]:
+    """The yearly chain weights -> BDI -> X, x -> g for one KC7 input set.
+
+    Inputs are scaled values in ALL_BLOCS order. Weights are GDP shares,
+    half-even at 9 digits; the rounding residual goes to the largest-GDP
+    bloc (ties to the first in ALL_BLOCS order) so they sum to exactly 1.
+    Each BDI term is rounded by fp.mul. Returns
+    (weights, bdi, x_norm, x_excess, g), weights in ALL_BLOCS order.
+    """
+    if len(nominal_gdps) != len(ALL_BLOCS):
+        raise IncompleteBlocSet(
+            f"need one GDP per KC7 bloc, got {len(nominal_gdps)}"
+        )
+    if len(debt_ratios) != len(nominal_gdps):
+        raise BlocSetMismatch("debt ratios and GDPs cover different blocs")
+    for bloc, debt_ratio, nominal_gdp in zip(ALL_BLOCS, debt_ratios, nominal_gdps):
+        check_ranges(bloc, debt_ratio, nominal_gdp)
+    total_gdp = sum(nominal_gdps)
+    weights = [fp.div_half_even(gdp * fp.SCALE, total_gdp) for gdp in nominal_gdps]
+    residual = fp.ONE - sum(weights)
+    if residual:
+        # index() finds the first maximum, which breaks ties in bloc order
+        weights[nominal_gdps.index(max(nominal_gdps))] += residual
+    bdi = sum(map(fp.mul, weights, debt_ratios))
+    x_norm, x_excess = normalize(bdi, baseline)
+    return tuple(weights), bdi, x_norm, x_excess, policy_factor(x_excess, lam)
+
+
 def derive_index_state(
     cycle_year: int,
     observations: Sequence[BlocObservation],
@@ -145,8 +143,8 @@ def derive_index_state(
     lam: int,
 ) -> DebtIndexState:
     """Full pipeline for one cycle: weights -> BDI -> X, x -> g."""
-    weights = compute_weights(observations)
-    bdi = compute_bdi(observations, weights)
-    x_norm, x_excess = normalize(bdi, baseline)
-    g = policy_factor(x_excess, lam)
-    return DebtIndexState(cycle_year, weights, bdi, x_norm, x_excess, g, lam)
+    weights, bdi, x_norm, x_excess, g = index_kernel(
+        *kc7_columns(observations), baseline, lam
+    )
+    return DebtIndexState(cycle_year, dict(zip(ALL_BLOCS, weights)), bdi,
+                          x_norm, x_excess, g, lam)

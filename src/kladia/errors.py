@@ -177,7 +177,3 @@ class ScenarioInvalid(KladiaError):
 
 class ShapeMismatch(KladiaError):
     pass
-
-
-class ConfigError(KladiaError):
-    pass

@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional
 
 from . import fixedpoint as fp
 from .canonical import content_hash
-from .debt_index import BaselineRef, compute_bdi, compute_weights, normalize, policy_factor
+from .debt_index import BaselineRef, index_kernel, normalize, policy_factor
 from .errors import (
     DuplicateSubmission,
     InconsistentPayload,
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .ledger import LedgerState, begin_cycle
 from .policy import PolicyParams
-from .weo_ingest import ALL_BLOCS, Bloc, BlocObservation, ObservationStatus, WeoVintage
+from .weo_ingest import ALL_BLOCS, Bloc, BlocObservation, WeoVintage, kc7_columns
 
 CHALLENGE_WINDOW = timedelta(hours=72)
 CORRECTION_DEADLINE = timedelta(days=14)
@@ -62,6 +63,14 @@ class SubmissionPayload:
     dataset_hash: str
 
     def canonical(self) -> dict:
+        """The payload as the signed, hashed dict; a fresh copy per call."""
+        view = self._canonical
+        return {**view, "debt_ratios": dict(view["debt_ratios"]),
+                "nominal_gdps": dict(view["nominal_gdps"])}
+
+    @cached_property
+    def _canonical(self) -> dict:
+        # rendered once: a payload is signed as built and never changed
         return {
             "debt_ratios": _by_bloc_code(self.debt_ratios),
             "nominal_gdps": _by_bloc_code(self.nominal_gdps),
@@ -91,6 +100,11 @@ class OracleSubmission:
              ) -> "OracleSubmission":
         sig = content_hash({"operator": operator_id, "payload": payload.canonical()})
         return OracleSubmission(operator_id, payload, timestamp, sig)
+
+    def canonical(self) -> dict:
+        return {"operator": self.operator_id, "signature": self.signature,
+                "timestamp": self.timestamp.isoformat(),
+                "payload": self.payload.canonical()}
 
 
 @dataclass(frozen=True)
@@ -124,12 +138,7 @@ class CycleRecord:
         return {
             "cycle_year": self.cycle_year,
             "prior_confirmed_g": fp.to_str(self.prior_confirmed_g),
-            "submissions": [
-                {"operator": s.operator_id, "signature": s.signature,
-                 "timestamp": s.timestamp.isoformat(),
-                 "payload": s.payload.canonical()}
-                for s in self.submissions
-            ],
+            "submissions": [s.canonical() for s in self.submissions],
             "median": self.median_payload.canonical() if self.median_payload else None,
             "status": self.window.status.value,
             "flags": [
@@ -150,13 +159,11 @@ def build_payload(
     vintage: WeoVintage,
 ) -> SubmissionPayload:
     """Derive a fully consistent payload from raw bloc inputs."""
-    weights = compute_weights(observations)
-    bdi = compute_bdi(observations, weights)
-    x_norm, x_excess = normalize(bdi, baseline)
-    g = policy_factor(x_excess, lam)
+    debt_ratios, nominal_gdps = kc7_columns(observations)
+    _, bdi, x_norm, _, g = index_kernel(debt_ratios, nominal_gdps, baseline, lam)
     return SubmissionPayload(
-        debt_ratios={o.bloc: o.debt_ratio for o in observations},
-        nominal_gdps={o.bloc: o.nominal_gdp for o in observations},
+        debt_ratios=dict(zip(ALL_BLOCS, debt_ratios)),
+        nominal_gdps=dict(zip(ALL_BLOCS, nominal_gdps)),
         bdi=bdi,
         x_norm=x_norm,
         g=g,
@@ -166,20 +173,14 @@ def build_payload(
 
 
 def _recompute_check(payload: SubmissionPayload, baseline: BaselineRef, lam: int) -> None:
-    vintage = WeoVintage(payload.vintage_id,
-                         baseline.genesis_vintage.publication_date,
-                         payload.dataset_hash)
-    obs = [
-        BlocObservation(
-            b, payload.debt_ratios[b], payload.nominal_gdps[b], vintage,
-            ObservationStatus.OBSERVED,
-        )
-        for b in ALL_BLOCS
-    ]
-    weights = compute_weights(obs)
-    bdi = compute_bdi(obs, weights)
-    x_norm, x_excess = normalize(bdi, baseline)
-    g = policy_factor(x_excess, lam)
+    # constructing the vintage validates the payload's vintage id
+    WeoVintage(payload.vintage_id, baseline.genesis_vintage.publication_date,
+               payload.dataset_hash)
+    _, bdi, x_norm, _, g = index_kernel(
+        tuple(payload.debt_ratios[b] for b in ALL_BLOCS),
+        tuple(payload.nominal_gdps[b] for b in ALL_BLOCS),
+        baseline, lam,
+    )
     if (bdi, x_norm, g) != (payload.bdi, payload.x_norm, payload.g):
         raise InconsistentPayload(
             f"recomputed (bdi={fp.to_str(bdi)}, x={fp.to_str(x_norm)}, "

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from . import fixedpoint as fp
 from .canonical import canonical_bytes, sha256_hex
-from .debt_index import BaselineRef, compute_bdi, compute_weights, normalize, policy_factor
+from .debt_index import BaselineRef, index_kernel
 from .errors import IncompleteCycle
 from .oracle_protocol import CycleRecord, WindowStatus
-from .weo_ingest import ALL_BLOCS, Bloc, BlocObservation, ObservationStatus, WeoVintage
+from .weo_ingest import ALL_BLOCS, Bloc
 
 REQUIRED_FIELDS = (
     "cycle_year",
@@ -43,8 +43,6 @@ REQUIRED_FIELDS = (
     "lambda",
 )
 
-ISSUANCE_OPS = ("vest_month", "release_escrow", "emit_staking", "spend_reserve")
-
 
 @dataclass(frozen=True)
 class ReportCommitment:
@@ -53,21 +51,27 @@ class ReportCommitment:
     ledger_anchor: int  # event-log position at commit time
 
 
+# each supply action: the event input that carries its amount, and the
+# sign of that amount in net issuance (issued - burned - relocked)
+SUPPLY_ACTIONS = {
+    "vest_month": ("amount", 1),
+    "release_escrow": ("released", 1),
+    "emit_staking": ("emission", 1),
+    "spend_reserve": ("amount", 1),
+    "burn": ("amount", -1),
+    "relock": ("amount", -1),
+}
+
+
 def _action_amount(event: dict) -> int:
-    inputs = event["inputs"]
-    if event["op"] == "vest_month":
-        return inputs["amount"]
-    if event["op"] == "release_escrow":
-        return inputs["released"]
-    if event["op"] == "emit_staking":
-        return inputs["emission"]
-    if event["op"] == "spend_reserve":
-        return inputs["amount"]
-    if event["op"] == "burn":
-        return inputs["amount"]
-    if event["op"] == "relock":
-        return inputs["amount"]
-    return 0
+    action = SUPPLY_ACTIONS.get(event["op"])
+    return event["inputs"][action[0]] if action else 0
+
+
+def _net_issuance(actions: Iterable[tuple[Any, Any]]) -> int:
+    """Signed sum over (op, amount) pairs; ops that move no supply count 0."""
+    return sum(SUPPLY_ACTIONS[op][1] * amount for op, amount in actions
+               if op in SUPPLY_ACTIONS)
 
 
 def build_report(
@@ -89,7 +93,7 @@ def build_report(
     executed_actions = []
     action_hashes = []
     for pos, event in enumerate(ledger_events):
-        if event["op"] in ISSUANCE_OPS + ("burn", "relock"):
+        if event["op"] in SUPPLY_ACTIONS:
             executed_actions.append(
                 {
                     "op": event["op"],
@@ -104,17 +108,12 @@ def build_report(
     )
 
     if median is not None:
-        vintage = WeoVintage(median.vintage_id,
-                             baseline.genesis_vintage.publication_date,
-                             median.dataset_hash)
-        obs = [
-            BlocObservation(
-                b, median.debt_ratios[b], median.nominal_gdps[b], vintage,
-                ObservationStatus.OBSERVED,
-            )
-            for b in ALL_BLOCS
-        ]
-        weights = compute_weights(obs)
+        # only the weights are reported, and lambda does not move them
+        weights = index_kernel(
+            tuple(median.debt_ratios[b] for b in ALL_BLOCS),
+            tuple(median.nominal_gdps[b] for b in ALL_BLOCS),
+            baseline, fp.ONE,
+        )[0]
         raw_inputs = {
             b.value: {
                 "debt_ratio": fp.to_str(median.debt_ratios[b]),
@@ -126,7 +125,7 @@ def build_report(
             "bdi": fp.to_str(median.bdi),
             "x_norm": fp.to_str(median.x_norm),
             "g": fp.to_str(median.g),
-            "weights": {b.value: fp.to_str(w) for b, w in weights.items()},
+            "weights": {b.value: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)},
             "vintage_id": median.vintage_id,
             "dataset_hash": median.dataset_hash,
         }
@@ -142,11 +141,7 @@ def build_report(
         "cycle_year": cycle_record.cycle_year,
         "x_norm": index_fields["x_norm"],
         "g": fp.to_str(confirmed) if confirmed is not None else None,
-        "oracle_submissions": [
-            {"operator": s.operator_id, "signature": s.signature,
-             "timestamp": s.timestamp.isoformat(), "payload": s.payload.canonical()}
-            for s in cycle_record.submissions
-        ],
+        "oracle_submissions": [s.canonical() for s in cycle_record.submissions],
         "median": median.canonical() if median else None,
         "governance_outcomes": list(governance_log),
         "executed_actions": executed_actions,
@@ -170,21 +165,22 @@ def check_schema(report: dict) -> list[str]:
     return [f for f in REQUIRED_FIELDS if f not in report]
 
 
-def commit(report: dict, reference_link: str = "", ledger_anchor: int = 0
-           ) -> ReportCommitment:
-    """Hash-commit the canonical report bytes."""
+def serialize(report: dict) -> bytes:
+    """Canonical report bytes: what is committed, written and verified."""
     missing = check_schema(report)
     if missing:
         raise IncompleteCycle(f"report missing fields: {missing}")
+    return canonical_bytes(report)
+
+
+def commit(report_bytes: bytes, reference_link: str = "", ledger_anchor: int = 0
+           ) -> ReportCommitment:
+    """Hash-commit serialized report bytes."""
     return ReportCommitment(
-        content_hash=sha256_hex(canonical_bytes(report)),
+        content_hash=sha256_hex(report_bytes),
         reference_link=reference_link,
         ledger_anchor=ledger_anchor,
     )
-
-
-def serialize(report: dict) -> bytes:
-    return canonical_bytes(report)
 
 
 def verify(
@@ -196,7 +192,9 @@ def verify(
 ) -> tuple[bool, list[str]]:
     """Three-way check: hash match, internal recomputation, reconciliation.
 
-    Returns (ok, discrepancy codes); never raises on bad input.
+    The recomputation runs when a baseline is given, under `lam` or, when
+    that is None, the report's own lambda. Returns (ok, discrepancy codes);
+    never raises on bad input.
     """
     discrepancies: list[str] = []
 
@@ -214,26 +212,18 @@ def verify(
 
     if (
         baseline is not None
-        and lam is not None
         and report.get("raw_inputs")
         and report.get("bdi") is not None
         and not report.get("carried_forward", False)
     ):
         try:
-            obs = [
-                BlocObservation(
-                    b,
-                    fp.from_str(report["raw_inputs"][b.value]["debt_ratio"]),
-                    fp.from_str(report["raw_inputs"][b.value]["nominal_gdp"]),
-                    baseline.genesis_vintage,
-                    ObservationStatus.OBSERVED,
-                )
-                for b in ALL_BLOCS
-            ]
-            weights = compute_weights(obs)
-            bdi = compute_bdi(obs, weights)
-            x_norm, x_excess = normalize(bdi, baseline)
-            g = policy_factor(x_excess, lam)
+            raw = [report["raw_inputs"][b.value] for b in ALL_BLOCS]
+            _, bdi, x_norm, _, g = index_kernel(
+                tuple(fp.from_str(r["debt_ratio"]) for r in raw),
+                tuple(fp.from_str(r["nominal_gdp"]) for r in raw),
+                baseline,
+                lam if lam is not None else fp.from_str(report["lambda"]),
+            )
             if (
                 fp.to_str(bdi) != report["bdi"]
                 or fp.to_str(x_norm) != report["x_norm"]
@@ -244,26 +234,11 @@ def verify(
             discrepancies.append("RecomputeMismatch")
 
     if ledger_events is not None:
-        ledger_issued = sum(
-            _action_amount(e) for e in ledger_events if e["op"] in ISSUANCE_OPS
-        )
-        ledger_burned = sum(
-            _action_amount(e) for e in ledger_events if e["op"] == "burn"
-        )
-        ledger_relocked = sum(
-            _action_amount(e) for e in ledger_events if e["op"] == "relock"
-        )
+        ledger_net = _net_issuance((e["op"], _action_amount(e)) for e in ledger_events)
         try:
-            reported = report.get("executed_actions", [])
-            rep_issued = sum(
-                a["amount"] for a in reported if a.get("op") in ISSUANCE_OPS
-            )
-            rep_burned = sum(a["amount"] for a in reported if a.get("op") == "burn")
-            rep_relocked = sum(
-                a["amount"] for a in reported if a.get("op") == "relock"
-            )
-            mismatch = (rep_issued - rep_burned - rep_relocked) != (
-                ledger_issued - ledger_burned - ledger_relocked
+            mismatch = ledger_net != _net_issuance(
+                (a.get("op"), a.get("amount"))
+                for a in report.get("executed_actions", [])
             )
         except (TypeError, KeyError, AttributeError):
             mismatch = True

@@ -282,10 +282,10 @@ def run(scenario: Scenario) -> Trace:
             record, state.event_log[event_start:], governance_log, baseline
         )
         report["lambda"] = fp.to_str(lam)
-        commitment = reporting.commit(report, ledger_anchor=len(state.event_log))
+        report_bytes = reporting.serialize(report)
+        commitment = reporting.commit(report_bytes, ledger_anchor=len(state.event_log))
         ok, problems = reporting.verify(
-            reporting.serialize(report), commitment, baseline, lam,
-            state.event_log[event_start:],
+            report_bytes, commitment, baseline, lam, state.event_log[event_start:],
         )
         if not ok:
             raise AssertionError(f"cycle {year} report failed verification: {problems}")

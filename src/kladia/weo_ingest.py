@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 from . import fixedpoint as fp
 from .canonical import sha256_hex
-from .errors import DuplicateBloc, MalformedFile, NegativeValue, NoPriorValue
+from .errors import (DuplicateBloc, IncompleteBlocSet, MalformedFile,
+                     NegativeValue, NoPriorValue)
 
 DEBT_SERIES = "GGXWDG_NGDP"   # general government gross debt, % of GDP
 GDP_SERIES = "NGDPD"          # nominal GDP, USD
@@ -69,10 +70,32 @@ class BlocObservation:
     status: ObservationStatus
 
     def __post_init__(self):
-        if self.debt_ratio < 0:
-            raise NegativeValue(f"{self.bloc.value}: debt_ratio < 0")
-        if self.nominal_gdp <= 0:
-            raise NegativeValue(f"{self.bloc.value}: nominal_gdp <= 0")
+        check_ranges(self.bloc, self.debt_ratio, self.nominal_gdp)
+
+
+def check_ranges(bloc: Bloc, debt_ratio: int, nominal_gdp: int) -> None:
+    """Reject a negative debt ratio or a non-positive GDP for one bloc."""
+    if debt_ratio < 0:
+        raise NegativeValue(f"{bloc.value}: debt_ratio < 0")
+    if nominal_gdp <= 0:
+        raise NegativeValue(f"{bloc.value}: nominal_gdp <= 0")
+
+
+def kc7_columns(
+    observations: Sequence[BlocObservation],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Debt ratios and GDPs as tuples in ALL_BLOCS order.
+
+    Raises IncompleteBlocSet unless the observations cover the KC7 set
+    exactly once, in any order.
+    """
+    ordered = sorted(observations, key=lambda o: ALL_BLOCS.index(o.bloc))
+    if tuple(o.bloc for o in ordered) != ALL_BLOCS:
+        raise IncompleteBlocSet(
+            f"need exactly the KC7 set, got {[o.bloc.value for o in observations]}"
+        )
+    return (tuple(o.debt_ratio for o in ordered),
+            tuple(o.nominal_gdp for o in ordered))
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,13 @@ def make_observations(vintage, debt=None, gdp=None):
 
 @pytest.fixture
 def baseline(vintage, observations):
-    from kladia.debt_index import compute_bdi, compute_weights
+    from kladia.debt_index import derive_index_state
 
-    weights = compute_weights(observations)
+    unit = BaselineRef(bdi_ref=fp.ONE, genesis_vintage=vintage)
+    unit.freeze()
     ref = BaselineRef(
-        bdi_ref=compute_bdi(observations, weights), genesis_vintage=vintage
+        bdi_ref=derive_index_state(0, observations, unit, fp.ONE).bdi,
+        genesis_vintage=vintage,
     )
     ref.freeze()
     return ref

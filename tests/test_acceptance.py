@@ -334,7 +334,7 @@ def test_criterion_08_report_integrity(vintage, baseline):
 
     record, events = _executed_cycle(vintage, baseline)
     report = reporting.build_report(record, events, [], baseline)
-    commitment = reporting.commit(report)
+    commitment = reporting.commit(reporting.serialize(report))
     ok, problems = reporting.verify(
         reporting.serialize(report), commitment, baseline, LAM, events)
     assert ok, problems
@@ -366,7 +366,7 @@ def test_criterion_08_report_integrity(vintage, baseline):
     # omitting any executed event leaves a supply reconciliation gap
     stripped = dict(report)
     stripped["executed_actions"] = report["executed_actions"][:-1]
-    recommit = reporting.commit(stripped)
+    recommit = reporting.commit(reporting.serialize(stripped))
     ok, problems = reporting.verify(
         reporting.serialize(stripped), recommit, baseline, LAM, events)
     assert not ok and "SupplyReconciliationGap" in problems

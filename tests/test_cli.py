@@ -190,6 +190,32 @@ def test_verify_clean_report_exit_0(runner, tmp_path):
     assert "verified: clean" in result.output
 
 
+def test_verify_uses_the_report_lambda(runner, tmp_path):
+    # BDI 150 over reference 100 under lambda 2: g = 0.5 / (1 + 2 * 0.5) =
+    # 0.25, where lambda 1 would give 1/3; verify takes no lambda flag
+    state_dir = tmp_path / "state"
+    subs = tmp_path / "subs"
+    subs.mkdir()
+    base = tmp_path / "baseline.json"
+    write_baseline(base)
+    for op in ("op-1", "op-2", "op-3"):
+        write_submission(subs / f"{op}.json", op, g="0.250000000")
+    result = runner.invoke(main, [
+        "cycle", "--state-dir", str(state_dir), "--submissions-dir", str(subs),
+        "--baseline-file", str(base), "--year", "2026", "--lam", "2.0",
+    ])
+    assert result.exit_code == 0, result.output
+    assert "g=0.250000000" in result.output
+    result = runner.invoke(main, [
+        "verify", str(state_dir / "report-2026.kldr"),
+        str(state_dir / "report-2026.commit"),
+        "--event-log", str(state_dir / "ledger.json"),
+        "--baseline-file", str(base),
+    ])
+    assert result.exit_code == 0, result.output
+    assert "verified: clean" in result.output
+
+
 def test_verify_tampered_report_exit_1(runner, tmp_path):
     result, state_dir, base = run_cycle(runner, tmp_path)
     assert result.exit_code == 0

@@ -1,3 +1,5 @@
+from datetime import date
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,9 +11,8 @@ from kladia.debt_index import (
     BaselineRef,
     RegimeBand,
     classify_band,
-    compute_bdi,
-    compute_weights,
     derive_index_state,
+    index_kernel,
     normalize,
     policy_factor,
 )
@@ -22,7 +23,7 @@ from kladia.errors import (
     IncompleteBlocSet,
     NonPositiveLambda,
 )
-from kladia.weo_ingest import ALL_BLOCS, Bloc, BlocObservation, ObservationStatus
+from kladia.weo_ingest import ALL_BLOCS, Bloc, WeoVintage, kc7_columns
 
 from conftest import make_observations
 
@@ -45,28 +46,33 @@ def fraction_weights(observations):
     return raw
 
 
-def test_weights_match_rational_oracle(vintage):
+def kernel_weights(observations, baseline):
+    """Weights by bloc, through the index kernel."""
+    return derive_index_state(2026, observations, baseline, fp.ONE).weights
+
+
+def test_weights_match_rational_oracle(vintage, baseline):
     obs = make_observations(vintage)
-    assert compute_weights(obs) == fraction_weights(obs)
+    assert kernel_weights(obs, baseline) == fraction_weights(obs)
 
 
-def test_weights_dominant_pair_ratio(vintage):
+def test_weights_dominant_pair_ratio(vintage, baseline):
     # two large blocs at GDP 20 and 10 dominate; their weights approach 2/3, 1/3
     gdp = {b: "0.000001" for b in ALL_BLOCS}
     gdp[Bloc.US] = "20"
     gdp[Bloc.EA20] = "10"
     obs = make_observations(vintage, gdp=gdp)
-    weights = compute_weights(obs)
+    weights = kernel_weights(obs, baseline)
     assert weights == fraction_weights(obs)
     assert abs(weights[Bloc.US] - fp.div_half_even(2 * fp.SCALE, 3)) <= 1000
     assert abs(weights[Bloc.EA20] - fp.div_half_even(fp.SCALE, 3)) <= 1000
     assert sum(weights.values()) == fp.ONE
 
 
-def test_weights_equal_gdp_residual_on_first_code(vintage):
+def test_weights_equal_gdp_residual_on_first_code(vintage, baseline):
     gdp = {b: "1000" for b in ALL_BLOCS}
     obs = make_observations(vintage, gdp=gdp)
-    weights = compute_weights(obs)
+    weights = kernel_weights(obs, baseline)
     seventh = fp.div_half_even(fp.SCALE, 7)
     assert sum(weights.values()) == fp.ONE
     for b in ALL_BLOCS:
@@ -75,57 +81,101 @@ def test_weights_equal_gdp_residual_on_first_code(vintage):
     assert off in ([], [Bloc.US])  # tie broken on first bloc in code order
 
 
-def test_weights_incomplete_set(vintage, observations):
+def test_weights_incomplete_set(vintage, observations, baseline):
     with pytest.raises(IncompleteBlocSet):
-        compute_weights(observations[:-1])
+        derive_index_state(2026, observations[:-1], baseline, fp.ONE)
+    with pytest.raises(IncompleteBlocSet):
+        derive_index_state(2026, observations + observations[:1], baseline, fp.ONE)
+    debt, gdp = kc7_columns(observations)
+    with pytest.raises(IncompleteBlocSet):
+        index_kernel(debt[:-1], gdp[:-1], baseline, fp.ONE)
 
 
-def test_weights_sum_exactly_one_randomized(vintage):
+def test_weights_sum_exactly_one_randomized(vintage, baseline):
     import random
 
     rng = random.Random(42)
     for _ in range(50):
         gdp = {b: str(rng.randint(1, 10**8)) for b in ALL_BLOCS}
         obs = make_observations(vintage, gdp=gdp)
-        weights = compute_weights(obs)
+        weights = kernel_weights(obs, baseline)
         assert sum(weights.values()) == fp.ONE
         assert weights == fraction_weights(obs)
 
 
-def two_bloc(vintage, ratios, weights):
-    obs = [
-        BlocObservation(Bloc.US, fp.from_str(ratios[0]), fp.ONE, vintage,
-                        ObservationStatus.OBSERVED),
-        BlocObservation(Bloc.EA20, fp.from_str(ratios[1]), fp.ONE, vintage,
-                        ObservationStatus.OBSERVED),
-    ]
-    wmap = {Bloc.US: fp.from_str(weights[0]), Bloc.EA20: fp.from_str(weights[1])}
-    return obs, wmap
-
-
-def test_bdi_weighted_sum_oracle(vintage):
-    # hand oracle via Decimal: 0.666666667*120 + 0.333333333*240 = 159.99999996
-    from decimal import Decimal
-
-    obs, weights = two_bloc(vintage, ("120", "240"),
-                            ("0.666666667", "0.333333333"))
-    bdi = compute_bdi(obs, weights)
+def test_bdi_weighted_sum_oracle(vintage, baseline):
+    # GDPs 20 and 10 on two blocs and 10^-9 elsewhere give weights
+    # 0.666666667, 0.333333333 and 0; hand oracle via Decimal:
+    # 0.666666667*120 + 0.333333333*240 = 159.99999996
+    gdp = {b: "0.000000001" for b in ALL_BLOCS}
+    gdp.update({Bloc.US: "20", Bloc.EA20: "10"})
+    debt = {b: "999" for b in ALL_BLOCS}
+    debt.update({Bloc.US: "120", Bloc.EA20: "240"})
+    state = derive_index_state(
+        2026, make_observations(vintage, debt=debt, gdp=gdp), baseline, fp.ONE)
+    assert state.weights[Bloc.US] == fp.from_str("0.666666667")
+    assert state.weights[Bloc.EA20] == fp.from_str("0.333333333")
     expected = Decimal("0.666666667") * 120 + Decimal("0.333333333") * 240
-    assert bdi == fp.from_str(str(expected))
+    assert state.bdi == fp.from_str(str(expected))
     # and the exact-thirds value is 160: within one part in 10^7
-    assert abs(bdi - fp.from_str("160")) <= 100
+    assert abs(state.bdi - fp.from_str("160")) <= 100
 
 
-def test_bdi_constant_ratios(vintage):
-    obs, weights = two_bloc(vintage, ("100", "100"), ("0.25", "0.75"))
-    assert compute_bdi(obs, weights) == fp.from_str("100")
+def test_bdi_constant_ratios(vintage, baseline):
+    obs = make_observations(vintage, debt={b: "100" for b in ALL_BLOCS})
+    assert derive_index_state(2026, obs, baseline, fp.ONE).bdi == fp.from_str("100")
 
 
-def test_bdi_bloc_set_mismatch(vintage):
-    obs, weights = two_bloc(vintage, ("100", "100"), ("0.5", "0.5"))
-    del weights[Bloc.EA20]
+def test_bdi_bloc_set_mismatch(observations, baseline):
+    debt, gdp = kc7_columns(observations)
     with pytest.raises(BlocSetMismatch):
-        compute_bdi(obs, weights)
+        index_kernel(debt[:-1], gdp, baseline, fp.ONE)
+
+
+def q9(value: Fraction) -> int:
+    """Scaled integer nearest to value, ties to even (round() on a Fraction)."""
+    return round(value * fp.SCALE)
+
+
+def fraction_chain(debt, gdp, bdi_ref, lam):
+    """Independent oracle for the whole chain on exact fractions, from
+    scaled integer inputs to scaled integer outputs."""
+    s = fp.SCALE
+    weights = [q9(Fraction(v, sum(gdp))) for v in gdp]
+    largest = max(range(len(gdp)), key=lambda i: (gdp[i], -i))
+    weights[largest] += s - sum(weights)
+    bdi = sum(q9(Fraction(w * d, s * s)) for w, d in zip(weights, debt))
+    x_norm = q9(Fraction(bdi, bdi_ref))
+    x_excess = max(0, x_norm - s)
+    g = 0
+    if x_excess:
+        g = min(q9(Fraction(x_excess, s + q9(Fraction(lam * x_excess, s * s)))),
+                s - 1)
+    return tuple(weights), bdi, x_norm, x_excess, g
+
+
+KC7 = len(ALL_BLOCS)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(0, 400 * fp.SCALE), min_size=KC7, max_size=KC7),
+    st.lists(st.integers(1, 10**5 * fp.SCALE), min_size=KC7, max_size=KC7),
+    st.lists(st.booleans(), min_size=KC7, max_size=KC7),
+    st.integers(1, 300 * fp.SCALE),
+    st.integers(1, 5 * fp.SCALE),
+)
+def test_kernel_matches_fraction_oracle(debt, gdp, tie_to_max, bdi_ref, lam):
+    # blocs flagged in tie_to_max share the largest GDP, so the residual's
+    # tie-break on bloc order is exercised
+    top = max(gdp)
+    gdp = [top if tie else v for v, tie in zip(gdp, tie_to_max)]
+    baseline = BaselineRef(
+        bdi_ref, WeoVintage("2025-October", date(2025, 10, 15), "ab" * 32))
+    baseline.freeze()
+    result = index_kernel(tuple(debt), tuple(gdp), baseline, lam)
+    assert result == fraction_chain(debt, gdp, bdi_ref, lam)
+    assert sum(result[0]) == fp.ONE
 
 
 def test_normalize_cases(vintage):

@@ -12,6 +12,8 @@ from kladia.errors import (
     DuplicateSubmission,
     InconsistentPayload,
     InsufficientApprovals,
+    MalformedFile,
+    NegativeValue,
     NoSubmissions,
     NotExecutable,
     QuorumNotMet,
@@ -20,7 +22,7 @@ from kladia.errors import (
     WindowClosed,
 )
 from kladia.policy import PolicyParams
-from kladia.weo_ingest import ALL_BLOCS
+from kladia.weo_ingest import Bloc
 
 from conftest import make_observations
 
@@ -77,6 +79,40 @@ def test_submit_rejects_inconsistent_g(vintage, baseline):
     sub = op.OracleSubmission.sign("op-1", tampered, T0)
     with pytest.raises(InconsistentPayload):
         op.submit(fresh_record(), sub, OPERATORS, baseline, LAM)
+
+
+def test_submit_rechecks_vintage_id_and_ranges(vintage, baseline):
+    good = payload_for(vintage, baseline)
+    bad_vintage = replace(good, vintage_id="2026-Smarch")
+    negative = replace(good, debt_ratios={**good.debt_ratios, Bloc.JP: -1})
+    with pytest.raises(MalformedFile):
+        op.submit(fresh_record(), op.OracleSubmission.sign("op-1", bad_vintage, T0),
+                  OPERATORS, baseline, LAM)
+    with pytest.raises(NegativeValue):
+        op.submit(fresh_record(), op.OracleSubmission.sign("op-1", negative, T0),
+                  OPERATORS, baseline, LAM)
+
+
+def test_canonical_view_is_not_shared(vintage, baseline):
+    payload = payload_for(vintage, baseline)
+    sub = op.OracleSubmission.sign("op-1", payload, T0)
+    record = op.submit(fresh_record(), sub, OPERATORS, baseline, LAM)
+    op.aggregate_median(record, baseline, LAM)
+    before = payload.canonical()
+    record_before = record.canonical()
+
+    view = payload.canonical()
+    view["g"] = "0.999999999"
+    view["debt_ratios"]["US"] = "0.000000000"
+    view["nominal_gdps"].clear()
+    view["injected"] = "x"
+    record_view = record.canonical()
+    record_view["submissions"][0]["payload"]["debt_ratios"]["JP"] = "1.0"
+    record_view["median"]["nominal_gdps"]["KR"] = "1.0"
+
+    assert payload.canonical() == before
+    assert op.OracleSubmission.sign("op-1", payload, T0).signature == sub.signature
+    assert record.canonical() == record_before
 
 
 def test_submit_rejects_duplicates(vintage, baseline):

@@ -96,11 +96,22 @@ def test_carried_forward_blocs_disclosed(vintage, baseline):
     assert report["carried_forward_blocs"] == ["KR"]
 
 
+def test_action_amounts_by_op():
+    # each supply op reads its amount from its own input; others count 0
+    inputs = {"amount": 11, "released": 22, "emission": 33}
+    expected = {"vest_month": 11, "release_escrow": 22, "emit_staking": 33,
+                "spend_reserve": 11, "burn": 11, "relock": 11,
+                "begin_cycle": 0}
+    for op_name, amount in expected.items():
+        event = {"op": op_name, "inputs": inputs}
+        assert reporting._action_amount(event) == amount, op_name
+
+
 def test_commit_deterministic(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
     report = reporting.build_report(record, events, [], baseline)
-    c1 = reporting.commit(report)
-    c2 = reporting.commit(report)
+    c1 = reporting.commit(reporting.serialize(report))
+    c2 = reporting.commit(reporting.serialize(report))
     assert c1.content_hash == c2.content_hash
     # independent hashing oracle over the same canonical bytes
     expected = hashlib.sha256(reporting.serialize(report)).hexdigest()
@@ -110,7 +121,7 @@ def test_commit_deterministic(vintage, baseline):
 def test_commit_avalanche(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
     report = reporting.build_report(record, events, [], baseline)
-    commitment = reporting.commit(report)
+    commitment = reporting.commit(reporting.serialize(report))
     data = bytearray(reporting.serialize(report))
     data[10] ^= 0x01
     assert hashlib.sha256(bytes(data)).hexdigest() != commitment.content_hash
@@ -119,7 +130,7 @@ def test_commit_avalanche(vintage, baseline):
 def test_verify_round_trip(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
     report = reporting.build_report(record, events, [], baseline)
-    commitment = reporting.commit(report)
+    commitment = reporting.commit(reporting.serialize(report))
     ok, problems = reporting.verify(
         reporting.serialize(report), commitment, baseline, LAM, events
     )
@@ -129,7 +140,7 @@ def test_verify_round_trip(vintage, baseline):
 def test_verify_detects_edited_g(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
     report = reporting.build_report(record, events, [], baseline)
-    commitment = reporting.commit(report)
+    commitment = reporting.commit(reporting.serialize(report))
     tampered = dict(report)
     tampered["g"] = fp.to_str(fp.from_str("0.123"))
     ok, problems = reporting.verify(
@@ -147,7 +158,7 @@ def test_verify_detects_omitted_burn(vintage, baseline):
         a for a in report["executed_actions"] if a["op"] != "burn"
     ]
     assert len(stripped["executed_actions"]) < len(report["executed_actions"])
-    commitment = reporting.commit(stripped)
+    commitment = reporting.commit(reporting.serialize(stripped))
     ok, problems = reporting.verify(
         reporting.serialize(stripped), commitment, baseline, LAM, events
     )
@@ -155,10 +166,31 @@ def test_verify_detects_omitted_burn(vintage, baseline):
     assert "SupplyReconciliationGap" in problems
 
 
+def test_verify_nets_relock_against_issuance(vintage, baseline):
+    record, state, events = executed_cycle(vintage, baseline, with_actions=False)
+    state, _ = lg.release_escrow(state, 10**9, ESCROW_SIGNERS[:5])
+    state = lg.relock(state, 10**8, lg.BucketKind.ECOSYSTEM_ESCROW, "unused grants")
+    events = events + state.event_log[-2:]
+    report = reporting.build_report(record, events, [], baseline)
+    assert any(a["op"] == "relock" for a in report["executed_actions"])
+    data = reporting.serialize(report)
+    ok, problems = reporting.verify(data, reporting.commit(data), baseline, LAM, events)
+    assert ok, problems
+    # a relock reported as issuance moves net issuance by twice its amount
+    relabeled = dict(report)
+    relabeled["executed_actions"] = [
+        {**a, "op": "vest_month"} if a["op"] == "relock" else a
+        for a in report["executed_actions"]
+    ]
+    data = reporting.serialize(relabeled)
+    ok, problems = reporting.verify(data, reporting.commit(data), baseline, LAM, events)
+    assert problems == ["SupplyReconciliationGap"]
+
+
 def test_single_field_tamper_always_detected(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
     report = reporting.build_report(record, events, [], baseline)
-    commitment = reporting.commit(report)
+    commitment = reporting.commit(reporting.serialize(report))
     rng = random.Random(5)
     serialized = reporting.serialize(report)
     keys = list(report.keys())

@@ -9,6 +9,7 @@ KLADIA_STATE_DIR environment variable.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -141,10 +142,14 @@ def cmd_cycle(state_dir, submissions_dir, baseline_file, year, lam, approvals,
     try:
         state_dir.mkdir(parents=True, exist_ok=True)
         lock = state_dir / ".lock"
-        if lock.exists():
-            raise KladiaError(f"state dir is locked: {lock}")
-        lock.write_text(str(datetime.now(timezone.utc)))
         try:
+            # O_EXCL: checking and creating the lock is one atomic step
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        except FileExistsError:
+            raise KladiaError(f"state dir is locked: {lock}") from None
+        try:
+            with os.fdopen(fd, "w") as held:
+                held.write(str(os.getpid()))
             _run_cycle(state_dir, submissions_dir, baseline_file, year, lam,
                        approvals, start)
         finally:

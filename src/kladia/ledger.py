@@ -8,12 +8,13 @@ no mint operation and no inverse of burn anywhere on the public surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from . import fixedpoint as fp
-from .canonical import content_hash
+from .canonical import content_hash, sha256_hex
 from .errors import (
     AllocationMismatch,
     CliffActive,
@@ -21,6 +22,7 @@ from .errors import (
     CrossBucketRelock,
     InsufficientApprovals,
     InsufficientFeePool,
+    MalformedFile,
     NoMintAfterGenesis,
     RelockExceedsRelease,
     VestingComplete,
@@ -47,6 +49,25 @@ class BucketKind(Enum):
     STAKING_RESERVE = "StakingReserve"
     LIQUIDITY_PARTNERSHIPS = "LiquidityPartnerships"
     LEGAL_TREASURY = "LegalTreasury"
+
+    # safe: members are identity-compared singletons, hash(str) is already
+    # randomized per process, and dicts iterate in insertion order
+    __hash__ = object.__hash__
+
+
+# `snapshot()` as canonical JSON: keys and bucket names sorted, ints as %d,
+# `g_used` as `null` or an int. tests/test_ledger.py pins it against
+# canonical.content_hash(state.snapshot()).
+_BUCKETS_BY_NAME = tuple(sorted(BucketKind, key=lambda k: k.value))
+_bucket_balances = itemgetter(*_BUCKETS_BY_NAME)
+_SNAPSHOT_TEMPLATE = (
+    '{"buckets":{'
+    + ",".join(f'"{k.value}":%d' for k in _BUCKETS_BY_NAME)
+    + '},"burn_dust":%d,"burned_cumulative":%d,"circulating":%d,"g_used":%s,'
+    '"issuance_used_year":%d,"month_index":%d,"releases_this_month":%d,'
+    '"reserve_spend_this_month":%d,"s_max":%d,'
+    '"vesting":{"released_months":%d,"released_total":%d,"total":%d}}'
+)
 
 
 GENESIS_ALLOCATIONS_KLD: dict[BucketKind, int] = {
@@ -189,7 +210,25 @@ class LedgerState:
         }
 
     def state_hash(self) -> str:
-        return content_hash(self.snapshot())
+        """SHA-256 of the canonical JSON of `snapshot()`, rendered directly."""
+        factors = self.annual_factors
+        g_used = None if factors is None else factors.g_used
+        vesting = self.vesting
+        return sha256_hex((_SNAPSHOT_TEMPLATE % (
+            *_bucket_balances(self.buckets),
+            self.burn_dust,
+            self.burned_cumulative,
+            self.circulating,
+            "null" if g_used is None else "%d" % g_used,
+            self.issuance_used_year,
+            self.month_index,
+            self.releases_this_month,
+            self.reserve_spend_this_month,
+            self.s_max,
+            vesting.released_months,
+            vesting.released_total,
+            vesting.total,
+        )).encode())
 
     def check_conservation(self) -> None:
         total = self.circulating + self.locked_total() + self.burned_cumulative
@@ -197,7 +236,7 @@ class LedgerState:
             raise ConservationViolation(
                 f"conservation sum {total} != s_max {self.s_max}"
             )
-        if self.circulating < 0 or any(v < 0 for v in self.buckets.values()):
+        if self.circulating < 0 or min(self.buckets.values()) < 0:
             raise ConservationViolation("negative balance")
 
     def _log(self, op: str, inputs: dict, approvals: tuple[str, ...] = ()) -> None:
@@ -246,32 +285,70 @@ def to_json_dict(state: LedgerState) -> dict:
     }
 
 
+_BUCKET_NAMES = frozenset(k.value for k in BucketKind)
+_SNAPSHOT_COUNTERS = ("s_max", "circulating", "burned_cumulative", "month_index",
+                      "releases_this_month", "reserve_spend_this_month",
+                      "burn_dust", "issuance_used_year")
+_VESTING_FIELDS = tuple(f.name for f in fields(VestingSchedule))
+_FACTOR_FIELDS = tuple(
+    f.name for f in fields(PolicyFactors) if f.name != "g_used"
+)
+
+
+def _ints(section: dict, names: Iterable[str], where: str) -> dict[str, int]:
+    """The named fields of `section`; each must be a JSON integer (no bool,
+    float or string, which would hash differently from the replayed state)."""
+    values = {name: section[name] for name in names}
+    bad = [name for name, v in values.items() if type(v) is not int]
+    if bad:
+        raise MalformedFile(f"{where}: not an integer: {', '.join(bad)}")
+    return values
+
+
+def _g_used(section: dict, where: str) -> Optional[int]:
+    g_used = section["g_used"]
+    if g_used is not None and type(g_used) is not int:
+        raise MalformedFile(f"{where}: g_used is neither an integer nor null")
+    return g_used
+
+
+def _bucket_map(raw: dict, where: str) -> dict[BucketKind, int]:
+    if not isinstance(raw, dict) or set(raw) != _BUCKET_NAMES:
+        raise MalformedFile(
+            f"{where}: keys must be exactly {', '.join(sorted(_BUCKET_NAMES))}"
+        )
+    return {BucketKind(k): v for k, v in _ints(raw, raw, where).items()}
+
+
 def from_json_dict(data: dict) -> LedgerState:
+    """Load a `to_json_dict` dump, raising MalformedFile on a bucket set,
+    number type or `g_used` that no replay of the ledger could produce."""
     snap = data["snapshot"]
+    _g_used(snap, "snapshot")
     factors = data["annual_factors"]
+    if factors is not None:
+        factors = PolicyFactors(
+            **_ints(factors, _FACTOR_FIELDS, "annual_factors"),
+            g_used=_g_used(factors, "annual_factors"),
+        )
     state = LedgerState(
-        s_max=snap["s_max"],
-        circulating=snap["circulating"],
-        buckets={BucketKind(k): v for k, v in snap["buckets"].items()},
+        **_ints(snap, _SNAPSHOT_COUNTERS, "snapshot"),
+        **_ints(data, ("reserve_month_start_balance",), "ledger"),
+        buckets=_bucket_map(snap["buckets"], "snapshot.buckets"),
         policies={
             BucketKind(k): ApprovalPolicy(p["threshold"], tuple(p["signers"]))
             for k, p in data["policies"].items()
         },
-        burned_cumulative=snap["burned_cumulative"],
-        vesting=VestingSchedule(**data["vesting"]),
-        month_index=snap["month_index"],
-        annual_factors=None if factors is None else PolicyFactors(**factors),
-        releases_this_month=snap["releases_this_month"],
-        reserve_spend_this_month=snap["reserve_spend_this_month"],
-        reserve_month_start_balance=data["reserve_month_start_balance"],
-        relockable={BucketKind(k): v for k, v in data["relockable"].items()},
+        vesting=VestingSchedule(
+            **_ints(data["vesting"], _VESTING_FIELDS, "vesting")
+        ),
+        annual_factors=factors,
+        relockable=_bucket_map(data["relockable"], "relockable"),
         relock_log=[
             RelockRecord(r["amount"], BucketKind(r["bucket"]), r["tx_hash"],
                          r["justification"])
             for r in data["relock_log"]
         ],
-        burn_dust=snap["burn_dust"],
-        issuance_used_year=snap["issuance_used_year"],
         event_log=list(data["event_log"]),
     )
     state.check_conservation()
@@ -593,7 +670,7 @@ def advance_month(
     working.releases_this_month = 0
     working.reserve_spend_this_month = 0
     working.reserve_month_start_balance = working.buckets[BucketKind.COMPANY_RESERVE]
-    working.relockable = {k: 0 for k in BucketKind}
+    working.relockable = dict.fromkeys(working.relockable, 0)
     working.check_conservation()
     working._log("advance_month", {"fees": fees_this_month, **summary})
     return working, summary

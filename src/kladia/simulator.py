@@ -251,6 +251,7 @@ def run(scenario: Scenario) -> Trace:
                 **{k: fp.from_str(v) for k, v in event["changes"].items()}
             )
 
+        g_str = fp.to_str(last_g)
         for month in range(12):
             fees = rng.randint(*scenario.fee_range_kld) * 10 ** 6
             released = 0
@@ -265,7 +266,7 @@ def run(scenario: Scenario) -> Trace:
                 {
                     "month": state.month_index,
                     "year": year,
-                    "g": fp.to_str(last_g),
+                    "g": g_str,
                     "circulating": state.circulating,
                     "burned": state.burned_cumulative,
                     "escrow": state.buckets[BucketKind.ECOSYSTEM_ESCROW],

@@ -36,6 +36,10 @@ class Bloc(Enum):
     AU = "AU"
     KR = "KR"
 
+    # safe: members are identity-compared singletons, hash(str) is already
+    # randomized per process, and dicts iterate in insertion order
+    __hash__ = object.__hash__
+
 
 ALL_BLOCS: tuple[Bloc, ...] = tuple(Bloc)
 

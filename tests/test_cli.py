@@ -272,7 +272,7 @@ def test_cycle_refuses_settled_year(runner, tmp_path):
     assert not (state_dir / ".lock").exists()
 
 
-def test_cycle_respects_lock(runner, tmp_path):
+def cycle_on_locked_dir(runner, tmp_path):
     state_dir = tmp_path / "locked"
     state_dir.mkdir()
     (state_dir / ".lock").write_text("held")
@@ -287,6 +287,22 @@ def test_cycle_respects_lock(runner, tmp_path):
     ])
     assert result.exit_code == 1
     assert "locked" in result.output
+    assert (state_dir / ".lock").read_text() == "held"
+    assert not (state_dir / "ledger.json").exists()
+
+
+def test_cycle_respects_lock(runner, tmp_path):
+    cycle_on_locked_dir(runner, tmp_path)
+
+
+def test_cycle_lock_is_atomic(runner, tmp_path, monkeypatch):
+    # another process may take the lock between a check and the write;
+    # model that by hiding the held lock from every existence check
+    exists = Path.exists
+    monkeypatch.setattr(
+        Path, "exists", lambda self: self.name != ".lock" and exists(self)
+    )
+    cycle_on_locked_dir(runner, tmp_path)
 
 
 # --- state -------------------------------------------------------------------
@@ -299,6 +315,19 @@ def test_state_prints_snapshot_and_hash(runner, tmp_path):
     assert "state_hash\t" in result.output
     snapshot = json.loads(result.output.rsplit("state_hash", 1)[0])
     assert "circulating" in snapshot
+
+
+def test_state_rejects_tampered_ledger_exit_2(runner, tmp_path):
+    result, state_dir, _ = run_cycle(runner, tmp_path)
+    assert result.exit_code == 0
+    ledger_file = state_dir / "ledger.json"
+    data = json.loads(ledger_file.read_text())
+    buckets = data["snapshot"]["buckets"]
+    buckets["CompanyReserve"] += buckets.pop("LegalTreasury")
+    ledger_file.write_text(json.dumps(data))
+    result = runner.invoke(main, ["state", "--state-dir", str(state_dir)])
+    assert result.exit_code == 2
+    assert "MalformedFile" in result.output
 
 
 # --- simulate ----------------------------------------------------------------

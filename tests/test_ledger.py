@@ -1,9 +1,12 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kladia import fixedpoint as fp
 from kladia import ledger as lg
+from kladia.canonical import content_hash
 from kladia.errors import (
     AllocationMismatch,
     CliffActive,
@@ -11,13 +14,15 @@ from kladia.errors import (
     CrossBucketRelock,
     InsufficientApprovals,
     InsufficientFeePool,
+    KladiaError,
+    MalformedFile,
     NoMintAfterGenesis,
     RelockExceedsRelease,
     VestingComplete,
     ZeroCap,
 )
 from kladia.ledger import BucketKind
-from kladia.policy import PolicyParams
+from kladia.policy import PolicyFactors, PolicyParams
 
 ESCROW_SIGNERS = tuple(f"escrow-{i}" for i in range(1, 9))
 RESERVE_SIGNERS = tuple(f"reserve-{i}" for i in range(1, 8))
@@ -371,8 +376,123 @@ def test_state_round_trip():
     state, _ = lg.release_escrow(state, 500, ESCROW_SIGNERS[:5])
     state, _ = lg.advance_month(state, 10**9)
     data = lg.to_json_dict(state)
-    import json
-
     restored = lg.from_json_dict(json.loads(json.dumps(data)))
     assert restored.state_hash() == state.state_hash()
     assert restored.annual_factors == state.annual_factors
+
+
+def _fold_legal_treasury(data):
+    buckets = data["snapshot"]["buckets"]
+    buckets["CompanyReserve"] += buckets.pop("LegalTreasury")
+
+
+def _float_balance(data):
+    buckets = data["snapshot"]["buckets"]
+    buckets["EcosystemEscrow"] = float(buckets["EcosystemEscrow"])
+
+
+def _string_month(data):
+    data["snapshot"]["month_index"] = str(data["snapshot"]["month_index"])
+
+
+def _bool_counter(data):
+    data["snapshot"]["releases_this_month"] = True
+
+
+def _short_relockable(data):
+    del data["relockable"]["TeamVesting"]
+
+
+def _float_vesting(data):
+    data["vesting"]["released_total"] = float(data["vesting"]["released_total"])
+
+
+def _float_factor(data):
+    data["annual_factors"]["escrow_cap"] = float(data["annual_factors"]["escrow_cap"])
+
+
+def _string_g_used(data):
+    data["annual_factors"]["g_used"] = "0.300000000"
+
+
+@pytest.mark.parametrize("tamper", [
+    _fold_legal_treasury, _float_balance, _string_month, _bool_counter,
+    _short_relockable, _float_vesting, _float_factor, _string_g_used,
+])
+def test_from_json_dict_rejects_unreplayable_state(tamper):
+    state, _ = fresh_cycle("0.3")
+    state, _ = lg.advance_month(state, 10**9)
+    data = json.loads(json.dumps(lg.to_json_dict(state)))
+    assert lg.from_json_dict(data).state_hash() == state.state_hash()
+    tamper(data)
+    with pytest.raises(MalformedFile):
+        lg.from_json_dict(data)
+
+
+# --- state hash template -----------------------------------------------------
+
+_AMOUNT = st.integers(0, 2**64)
+
+
+@st.composite
+def ledger_states(draw):
+    kinds = draw(st.permutations(list(BucketKind)))
+    g_used = draw(st.none() | st.integers(-2**64, 2**64))
+    factors = None
+    if draw(st.booleans()):
+        factors = PolicyFactors(*draw(st.tuples(*[_AMOUNT] * 5)), g_used=g_used)
+    return lg.LedgerState(
+        s_max=draw(_AMOUNT),
+        circulating=draw(_AMOUNT),
+        buckets={k: draw(_AMOUNT) for k in kinds},
+        policies=lg.default_policies(),
+        burned_cumulative=draw(_AMOUNT),
+        vesting=lg.VestingSchedule(
+            total=draw(_AMOUNT), released_months=draw(_AMOUNT),
+            released_total=draw(_AMOUNT),
+        ),
+        month_index=draw(_AMOUNT),
+        annual_factors=factors,
+        releases_this_month=draw(_AMOUNT),
+        reserve_spend_this_month=draw(_AMOUNT),
+        reserve_month_start_balance=draw(_AMOUNT),
+        burn_dust=draw(st.integers(-2**64, 2**64)),
+        issuance_used_year=draw(_AMOUNT),
+    )
+
+
+@settings(max_examples=300)
+@given(ledger_states())
+def test_state_hash_template_matches_generic_encoder(state):
+    assert state.state_hash() == content_hash(state.snapshot())
+
+
+_STEPS = {
+    "begin_cycle": lambda s, n: lg.begin_cycle(s, PolicyParams(), n % fp.ONE)[0],
+    "vest_month": lambda s, n: lg.vest_month(s)[0],
+    "release_escrow": lambda s, n: lg.release_escrow(s, n, ESCROW_SIGNERS[:5])[0],
+    "burn": lambda s, n: lg.burn(s, n, n),
+    "emit_staking": lambda s, n: lg.emit_staking(s, n % fp.ONE)[0],
+    "spend_reserve": lambda s, n: lg.spend_reserve(s, n, RESERVE_SIGNERS[:6])[0],
+    "mark_distributed": lambda s, n: lg.mark_distributed(
+        s, BucketKind.ECOSYSTEM_ESCROW, n),
+    "relock": lambda s, n: lg.relock(s, n, BucketKind.ECOSYSTEM_ESCROW, "audit"),
+    "advance_month": lambda s, n: lg.advance_month(s, n)[0],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(sorted(_STEPS)), st.integers(0, 10**14)),
+    max_size=40,
+))
+def test_state_hash_template_matches_after_each_transition(steps):
+    state = lg.genesis()
+    assert state.state_hash() == content_hash(state.snapshot())
+    for name, amount in steps:
+        try:
+            state = _STEPS[name](state, amount)
+        except (KladiaError, ValueError):
+            continue
+        assert state.state_hash() == content_hash(state.snapshot())
+        assert state.event_log[-1]["state_hash"] == state.state_hash()

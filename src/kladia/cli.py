@@ -209,17 +209,17 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
         tuple(a.strip() for a in approvals.split(",") if a.strip())
         or executor_signers[:5]
     )
-    event_start = len(state.event_log)
+    event_start = state.n_events
     record, state, params = oracle.execute(
         record, state, params, approval_list, executor_signers, clock.now()
     )
 
     report = reporting.build_report(
-        record, state.event_log[event_start:], [], baseline
+        record, state.journal[event_start:state.n_events], [], baseline
     )
     report["lambda"] = lam
     report_bytes = reporting.serialize(report)
-    commitment = reporting.commit(report_bytes, ledger_anchor=len(state.event_log))
+    commitment = reporting.commit(report_bytes, ledger_anchor=state.n_events)
 
     ledger_file.write_text(json.dumps(ledger_mod.to_json_dict(state)))
     cycle_file.write_text(
@@ -300,7 +300,7 @@ def cmd_verify(report_file, commit_file, event_log, baseline_file):
                 events = data["event_log"][:anchor] if anchor else data["event_log"]
             else:
                 skipped_reconciliation = True
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
 

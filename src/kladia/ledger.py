@@ -85,15 +85,18 @@ GENESIS_ALLOCATIONS_KLD: dict[BucketKind, int] = {
 class ApprovalPolicy:
     threshold: int
     signer_set: tuple[str, ...]
+    _signers: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (1 <= self.threshold <= len(self.signer_set)):
             raise ValueError("need 1 <= threshold <= |signer_set|")
-        if len(set(self.signer_set)) != len(self.signer_set):
+        signers = frozenset(self.signer_set)
+        if len(signers) != len(self.signer_set):
             raise ValueError("duplicate signer in set")
+        object.__setattr__(self, "_signers", signers)
 
     def check(self, approvals: Iterable[str], action: str) -> tuple[str, ...]:
-        valid = tuple(sorted(set(approvals) & set(self.signer_set)))
+        valid = tuple(sorted(self._signers.intersection(approvals)))
         if len(valid) < self.threshold:
             raise InsufficientApprovals(
                 f"{action}: {len(valid)} of required {self.threshold} approvals"
@@ -153,13 +156,28 @@ class LedgerState:
     relock_log: list[RelockRecord] = field(default_factory=list)
     burn_dust: int = 0                     # 1/SCALE base-unit remainders
     issuance_used_year: int = 0
-    event_log: list[dict] = field(default_factory=list)
+    # append-only event list shared with clones; this state's history is
+    # journal[:n_events], and entries past it belong to another branch
+    journal: list[dict] = field(default_factory=list, repr=False)
+    n_events: int = 0
+
+    @property
+    def event_log(self) -> list[dict]:
+        """This state's own history, as a new list."""
+        return self.journal[:self.n_events]
+
+    def __eq__(self, other):
+        # field-wise, with `journal` narrowed to this state's own history
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ({**vars(self), "journal": self.event_log}
+                == {**vars(other), "journal": other.event_log})
 
     # --- snapshots -----------------------------------------------------------
 
     def clone(self) -> "LedgerState":
-        # log entries and policies are never mutated after creation, so they
-        # can be shared; containers themselves are copied
+        # log entries, the journal and policies are never mutated in place
+        # after creation, so they can be shared; other containers are copied
         vesting = self.vesting
         return LedgerState(
             s_max=self.s_max,
@@ -180,7 +198,8 @@ class LedgerState:
             relock_log=list(self.relock_log),
             burn_dust=self.burn_dust,
             issuance_used_year=self.issuance_used_year,
-            event_log=list(self.event_log),
+            journal=self.journal,
+            n_events=self.n_events,
         )
 
     def locked_total(self) -> int:
@@ -231,16 +250,21 @@ class LedgerState:
         )).encode())
 
     def check_conservation(self) -> None:
-        total = self.circulating + self.locked_total() + self.burned_cumulative
+        balances = self.buckets.values()
+        total = self.circulating + sum(balances) + self.burned_cumulative
         if total != self.s_max:
             raise ConservationViolation(
                 f"conservation sum {total} != s_max {self.s_max}"
             )
-        if self.circulating < 0 or min(self.buckets.values()) < 0:
+        if self.circulating < 0 or min(balances) < 0:
             raise ConservationViolation("negative balance")
 
     def _log(self, op: str, inputs: dict, approvals: tuple[str, ...] = ()) -> None:
-        self.event_log.append(
+        if len(self.journal) != self.n_events:
+            # a state branched from the same history appended first, or a
+            # failed transition left a tail: continue on a private copy
+            self.journal = self.journal[:self.n_events]
+        self.journal.append(
             {
                 "op": op,
                 "inputs": inputs,
@@ -248,6 +272,7 @@ class LedgerState:
                 "state_hash": self.state_hash(),
             }
         )
+        self.n_events += 1
 
 
 def to_json_dict(state: LedgerState) -> dict:
@@ -295,6 +320,18 @@ _FACTOR_FIELDS = tuple(
 )
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedFile(f"{where}: not a JSON object")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedFile(f"{where}: not a JSON list")
+    return value
+
+
 def _ints(section: dict, names: Iterable[str], where: str) -> dict[str, int]:
     """The named fields of `section`; each must be a JSON integer (no bool,
     float or string, which would hash differently from the replayed state)."""
@@ -320,36 +357,51 @@ def _bucket_map(raw: dict, where: str) -> dict[BucketKind, int]:
     return {BucketKind(k): v for k, v in _ints(raw, raw, where).items()}
 
 
+def _policy(raw: dict, where: str) -> ApprovalPolicy:
+    threshold = _ints(_object(raw, where), ("threshold",), where)["threshold"]
+    signers = raw["signers"]
+    if not isinstance(signers, list) or not all(isinstance(s, str) for s in signers):
+        raise MalformedFile(f"{where}: signers is not a list of strings")
+    return ApprovalPolicy(threshold, tuple(signers))
+
+
+def _relock_record(raw: dict) -> RelockRecord:
+    _object(raw, "relock_log entry")
+    return RelockRecord(raw["amount"], BucketKind(raw["bucket"]), raw["tx_hash"],
+                        raw["justification"])
+
+
 def from_json_dict(data: dict) -> LedgerState:
-    """Load a `to_json_dict` dump, raising MalformedFile on a bucket set,
-    number type or `g_used` that no replay of the ledger could produce."""
-    snap = data["snapshot"]
+    """Load a `to_json_dict` dump, raising MalformedFile on a shape, bucket
+    set, number type or `g_used` that no replay of the ledger could produce."""
+    snap = _object(_object(data, "ledger")["snapshot"], "snapshot")
     _g_used(snap, "snapshot")
     factors = data["annual_factors"]
     if factors is not None:
         factors = PolicyFactors(
-            **_ints(factors, _FACTOR_FIELDS, "annual_factors"),
+            **_ints(_object(factors, "annual_factors"), _FACTOR_FIELDS,
+                    "annual_factors"),
             g_used=_g_used(factors, "annual_factors"),
         )
+    events = _list(data["event_log"], "event_log")
     state = LedgerState(
         **_ints(snap, _SNAPSHOT_COUNTERS, "snapshot"),
         **_ints(data, ("reserve_month_start_balance",), "ledger"),
         buckets=_bucket_map(snap["buckets"], "snapshot.buckets"),
         policies={
-            BucketKind(k): ApprovalPolicy(p["threshold"], tuple(p["signers"]))
-            for k, p in data["policies"].items()
+            BucketKind(k): _policy(p, f"policies.{k}")
+            for k, p in _object(data["policies"], "policies").items()
         },
         vesting=VestingSchedule(
-            **_ints(data["vesting"], _VESTING_FIELDS, "vesting")
+            **_ints(_object(data["vesting"], "vesting"), _VESTING_FIELDS, "vesting")
         ),
         annual_factors=factors,
         relockable=_bucket_map(data["relockable"], "relockable"),
         relock_log=[
-            RelockRecord(r["amount"], BucketKind(r["bucket"]), r["tx_hash"],
-                         r["justification"])
-            for r in data["relock_log"]
+            _relock_record(r) for r in _list(data["relock_log"], "relock_log")
         ],
-        event_log=list(data["event_log"]),
+        journal=list(events),
+        n_events=len(events),
     )
     state.check_conservation()
     return state

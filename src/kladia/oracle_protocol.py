@@ -98,7 +98,8 @@ class OracleSubmission:
     @staticmethod
     def sign(operator_id: str, payload: SubmissionPayload, timestamp: datetime
              ) -> "OracleSubmission":
-        sig = content_hash({"operator": operator_id, "payload": payload.canonical()})
+        # the cached view, not a copy: hashing reads it and changes nothing
+        sig = content_hash({"operator": operator_id, "payload": payload._canonical})
         return OracleSubmission(operator_id, payload, timestamp, sig)
 
     def canonical(self) -> dict:

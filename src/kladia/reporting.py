@@ -205,6 +205,8 @@ def verify(
         report: Any = json.loads(report_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         return False, discrepancies + ["Unparseable"]
+    if not isinstance(report, dict):
+        return False, discrepancies + ["SchemaIncomplete"]
 
     missing = check_schema(report)
     if missing:
@@ -218,7 +220,7 @@ def verify(
     ):
         try:
             raw = [report["raw_inputs"][b.value] for b in ALL_BLOCS]
-            _, bdi, x_norm, _, g = index_kernel(
+            weights, bdi, x_norm, _, g = index_kernel(
                 tuple(fp.from_str(r["debt_ratio"]) for r in raw),
                 tuple(fp.from_str(r["nominal_gdp"]) for r in raw),
                 baseline,
@@ -228,13 +230,20 @@ def verify(
                 fp.to_str(bdi) != report["bdi"]
                 or fp.to_str(x_norm) != report["x_norm"]
                 or fp.to_str(g) != report["g"]
+                or report["weights"] != {
+                    b.value: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)}
             ):
                 discrepancies.append("RecomputeMismatch")
         except Exception:
             discrepancies.append("RecomputeMismatch")
 
     if ledger_events is not None:
-        ledger_net = _net_issuance((e["op"], _action_amount(e)) for e in ledger_events)
+        try:
+            ledger_net = _net_issuance(
+                (e["op"], _action_amount(e)) for e in ledger_events)
+        except (TypeError, KeyError):
+            # an entry that is not an object, or lacks its op or amount
+            return False, discrepancies + ["MalformedEventLog"]
         try:
             mismatch = ledger_net != _net_issuance(
                 (a.get("op"), a.get("amount"))

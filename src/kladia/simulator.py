@@ -75,6 +75,9 @@ _BASE_GDP = {
     Bloc.US: "27000", Bloc.EA20: "15000", Bloc.JP: "4200", Bloc.UK: "3300",
     Bloc.CA: "2100", Bloc.AU: "1700", Bloc.KR: "1800",
 }
+_BASIS_POINT = fp.from_str("0.0001")
+_LEVEL_FLOOR = fp.from_str("1")
+_OUTLIER_SKEW = fp.from_str("1.1")
 
 
 @dataclass(frozen=True)
@@ -138,13 +141,13 @@ def _gen_observations(
     for bloc in ALL_BLOCS:
         debt, gdp = prior[bloc]
         debt = fp.scale_amount_down(
-            debt, fp.ONE + fp.from_str("0.0001") * rng.randint(*drift_debt)
+            debt, fp.ONE + _BASIS_POINT * rng.randint(*drift_debt)
         )
         gdp = fp.scale_amount_down(
-            gdp, fp.ONE + fp.from_str("0.0001") * rng.randint(*drift_gdp)
+            gdp, fp.ONE + _BASIS_POINT * rng.randint(*drift_gdp)
         )
-        debt = max(debt, fp.from_str("1"))
-        gdp = max(gdp, fp.from_str("1"))
+        debt = max(debt, _LEVEL_FLOOR)
+        gdp = max(gdp, _LEVEL_FLOOR)
         levels[bloc] = (debt, gdp)
         obs.append(
             BlocObservation(bloc, debt, gdp, vintage, ObservationStatus.OBSERVED)
@@ -197,22 +200,28 @@ def run(scenario: Scenario) -> Trace:
         )
 
         record = oracle.CycleRecord(cycle_year=year, prior_confirmed_g=last_g)
+        # operators with one behavior publish the same inputs, hence the same
+        # payload; each still signs its own submission and passes the re-check
+        payloads: dict[str, oracle.SubmissionPayload] = {}
         for op in scenario.operators:
             behavior = scenario.oracle_behaviors.get(op, "honest")
             if behavior == "missing":
                 continue
-            obs = true_obs
-            if behavior == "outlier":
-                # internally consistent but skewed inputs; the median absorbs it
-                obs = [
-                    BlocObservation(
-                        o.bloc,
-                        fp.scale_amount_down(o.debt_ratio, fp.from_str("1.1")),
-                        o.nominal_gdp, o.source_vintage, o.status,
-                    )
-                    for o in true_obs
-                ]
-            payload = oracle.build_payload(obs, baseline, lam, vintage)
+            payload = payloads.get(behavior)
+            if payload is None:
+                obs = true_obs
+                if behavior == "outlier":
+                    # internally consistent but skewed inputs; the median absorbs it
+                    obs = [
+                        BlocObservation(
+                            o.bloc,
+                            fp.scale_amount_down(o.debt_ratio, _OUTLIER_SKEW),
+                            o.nominal_gdp, o.source_vintage, o.status,
+                        )
+                        for o in true_obs
+                    ]
+                payload = payloads[behavior] = oracle.build_payload(
+                    obs, baseline, lam, vintage)
             record = oracle.submit(
                 record,
                 oracle.OracleSubmission.sign(op, payload, clock.now()),
@@ -221,7 +230,7 @@ def run(scenario: Scenario) -> Trace:
         oracle.aggregate_median(record, baseline, lam)
         oracle.open_window(record, clock.now())
 
-        event_start = len(state.event_log)
+        event_start = state.n_events
         if year in scenario.dispute_years and len(record.submissions) >= 2:
             ops = [s.operator_id for s in record.submissions[:2]]
             oracle.flag(record, ops[0], "data-mismatch", "values off vs source")
@@ -279,15 +288,12 @@ def run(scenario: Scenario) -> Trace:
             clock.advance_days(30)
 
         trace.cycles.append(record.canonical())
-        report = reporting.build_report(
-            record, state.event_log[event_start:], governance_log, baseline
-        )
+        events = state.journal[event_start:state.n_events]
+        report = reporting.build_report(record, events, governance_log, baseline)
         report["lambda"] = fp.to_str(lam)
         report_bytes = reporting.serialize(report)
-        commitment = reporting.commit(report_bytes, ledger_anchor=len(state.event_log))
-        ok, problems = reporting.verify(
-            report_bytes, commitment, baseline, lam, state.event_log[event_start:],
-        )
+        commitment = reporting.commit(report_bytes, ledger_anchor=state.n_events)
+        ok, problems = reporting.verify(report_bytes, commitment, baseline, lam, events)
         if not ok:
             raise AssertionError(f"cycle {year} report failed verification: {problems}")
         trace.report_commitments.append(commitment.content_hash)

@@ -330,6 +330,34 @@ def test_state_rejects_tampered_ledger_exit_2(runner, tmp_path):
     assert "MalformedFile" in result.output
 
 
+def test_malformed_ledger_file_fails_cleanly(runner, tmp_path):
+    result, state_dir, base = run_cycle(runner, tmp_path)
+    assert result.exit_code == 0
+    ledger_file = state_dir / "ledger.json"
+    data = json.loads(ledger_file.read_text())
+    ledger_file.write_text(json.dumps(dict(data, snapshot=[])))
+    result = runner.invoke(main, ["state", "--state-dir", str(state_dir)])
+    assert result.exit_code == 2
+    assert "error: MalformedFile: snapshot: not a JSON object" in result.output
+    result = runner.invoke(main, [
+        "cycle", "--state-dir", str(state_dir), "--submissions-dir",
+        str(tmp_path / "subs-a"), "--baseline-file", str(base), "--year", "2027",
+    ])
+    assert isinstance(result.exception, SystemExit)
+    assert "error: MalformedFile: snapshot: not a JSON object" in result.output
+    verify = ["verify", str(state_dir / "report-2026.kldr"),
+              str(state_dir / "report-2026.commit"),
+              "--event-log", str(ledger_file), "--baseline-file", str(base)]
+    ledger_file.write_text(json.dumps(dict(data, event_log=[{"op": "burn"}])))
+    result = runner.invoke(main, verify)
+    assert result.exit_code == 1
+    assert result.output == "verification failed: MalformedEventLog\n"
+    ledger_file.write_text(json.dumps(dict(data, event_log={})))
+    result = runner.invoke(main, verify)
+    assert result.exit_code == 2
+    assert "error: TypeError" in result.output
+
+
 # --- simulate ----------------------------------------------------------------
 
 def test_simulate_prints_table(runner):

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -34,6 +35,11 @@ def fresh_cycle(g="0.0", params=None):
         state, params or PolicyParams(), fp.from_str(g)
     )
     return state, cycle_params
+
+
+def _reloaded(state):
+    """The same state through its JSON dump, sharing nothing with it."""
+    return lg.from_json_dict(json.loads(json.dumps(lg.to_json_dict(state))))
 
 
 # --- genesis -----------------------------------------------------------------
@@ -331,6 +337,7 @@ def test_one_year_accumulation_matches_spreadsheet_oracle():
 def test_advance_month_atomic_abort_on_injected_violation(monkeypatch):
     state, _ = fresh_cycle()
     before_hash = state.state_hash()
+    n_events = len(state.event_log)
     burn_step = lg._burn_step
 
     def corrupt_burn(working, amount):
@@ -341,6 +348,14 @@ def test_advance_month_atomic_abort_on_injected_violation(monkeypatch):
     with pytest.raises(ConservationViolation):
         lg.advance_month(state, 10 ** 9)
     assert state.state_hash() == before_hash
+    # the steps before the failed burn logged into the shared journal, past
+    # this state's own history; the next transition must not carry them
+    monkeypatch.undo()
+    assert len(state.journal) > state.n_events
+    assert len(state.event_log) == n_events
+    after, _ = lg.advance_month(state, 10 ** 9)
+    fresh, _ = lg.advance_month(_reloaded(state), 10 ** 9)
+    assert after.event_log == fresh.event_log
 
 
 def test_conservation_over_randomized_months():
@@ -415,18 +430,86 @@ def _string_g_used(data):
     data["annual_factors"]["g_used"] = "0.300000000"
 
 
+def _top_level_list(data):
+    return []
+
+
+def _snapshot_list(data):
+    data["snapshot"] = []
+
+
+def _vesting_list(data):
+    data["vesting"] = []
+
+
+def _policies_list(data):
+    data["policies"] = []
+
+
+def _policy_list(data):
+    data["policies"]["CompanyReserve"] = []
+
+
+def _string_threshold(data):
+    data["policies"]["EcosystemEscrow"]["threshold"] = "5"
+
+
+def _int_signer(data):
+    data["policies"]["TeamVesting"]["signers"][0] = 7
+
+
+def _factors_list(data):
+    data["annual_factors"] = []
+
+
+def _event_log_object(data):
+    data["event_log"] = {}
+
+
+def _relock_log_string(data):
+    data["relock_log"] = "none"
+
+
 @pytest.mark.parametrize("tamper", [
     _fold_legal_treasury, _float_balance, _string_month, _bool_counter,
     _short_relockable, _float_vesting, _float_factor, _string_g_used,
+    _top_level_list, _snapshot_list, _vesting_list, _policies_list, _policy_list,
+    _string_threshold, _int_signer, _factors_list, _event_log_object,
+    _relock_log_string,
 ])
 def test_from_json_dict_rejects_unreplayable_state(tamper):
     state, _ = fresh_cycle("0.3")
     state, _ = lg.advance_month(state, 10**9)
     data = json.loads(json.dumps(lg.to_json_dict(state)))
     assert lg.from_json_dict(data).state_hash() == state.state_hash()
-    tamper(data)
+    replaced = tamper(data)
     with pytest.raises(MalformedFile):
-        lg.from_json_dict(data)
+        lg.from_json_dict(data if replaced is None else replaced)
+
+
+# --- shared journal ----------------------------------------------------------
+
+_BRANCH_STEPS = {
+    "burn": lambda s: lg.burn(s, 400, fee_pool=400),
+    "release": lambda s: lg.release_escrow(s, 500, ESCROW_SIGNERS[:5])[0],
+}
+
+
+@pytest.mark.parametrize("order", [("burn", "release"), ("release", "burn")])
+def test_branches_of_one_parent_keep_their_own_events(order):
+    parent, _ = fresh_cycle()
+    parent, _ = lg.release_escrow(parent, 1000, ESCROW_SIGNERS[:5])
+    assert parent.clone().journal is parent.journal
+    before = copy.deepcopy(parent.event_log)
+    expected = {name: step(_reloaded(parent)).event_log
+                for name, step in _BRANCH_STEPS.items()}
+    branches = {name: _BRANCH_STEPS[name](parent) for name in order}
+    for name, branch in branches.items():
+        assert branch.event_log == expected[name]
+        assert len(branch.event_log) == len(before) + 1
+    assert parent.event_log == before
+    # the branches' events sit past the parent's length in a shared journal
+    assert _reloaded(parent) == parent
 
 
 # --- state hash template -----------------------------------------------------
@@ -483,16 +566,25 @@ _STEPS = {
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(
-    st.tuples(st.sampled_from(sorted(_STEPS)), st.integers(0, 10**14)),
+    st.tuples(st.sampled_from(sorted(_STEPS)), st.integers(0, 10**14),
+              st.integers(0, 3)),
     max_size=40,
 ))
 def test_state_hash_template_matches_after_each_transition(steps):
+    # each step starts from the newest state or one up to three before it,
+    # so states branch from shared history and failed steps leave tails
     state = lg.genesis()
     assert state.state_hash() == content_hash(state.snapshot())
-    for name, amount in steps:
+    kept = [(state, copy.deepcopy(state.event_log))]
+    for name, amount, back in steps:
+        source, source_log = kept[max(0, len(kept) - 1 - back)]
         try:
-            state = _STEPS[name](state, amount)
+            state = _STEPS[name](source, amount)
         except (KladiaError, ValueError):
             continue
         assert state.state_hash() == content_hash(state.snapshot())
         assert state.event_log[-1]["state_hash"] == state.state_hash()
+        assert state.event_log[:len(source_log)] == source_log
+        kept.append((state, copy.deepcopy(state.event_log)))
+    for state, log in kept:
+        assert state.event_log == log

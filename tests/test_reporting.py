@@ -187,6 +187,54 @@ def test_verify_nets_relock_against_issuance(vintage, baseline):
     assert problems == ["SupplyReconciliationGap"]
 
 
+def test_verify_detects_altered_weight(vintage, baseline):
+    record, state, events = executed_cycle(vintage, baseline)
+    report = reporting.build_report(record, events, [], baseline)
+    bloc = sorted(report["weights"])[0]
+    altered = {**report, "weights": {**report["weights"], bloc: "0.000000001"}}
+    data = reporting.serialize(altered)
+    ok, problems = reporting.verify(data, reporting.commit(data), baseline, LAM, events)
+    assert problems == ["RecomputeMismatch"]
+
+
+def _drop_op(events, i):
+    del events[i]["op"]
+
+
+def _drop_inputs(events, i):
+    del events[i]["inputs"]
+
+
+def _drop_amount(events, i):
+    del events[i]["inputs"]["amount"]
+
+
+def _string_amount(events, i):
+    events[i]["inputs"]["amount"] = "5"
+
+
+def _list_entry(events, i):
+    events[i] = [events[i]["op"]]
+
+
+@pytest.mark.parametrize("tamper", [_drop_op, _drop_inputs, _drop_amount,
+                                    _string_amount, _list_entry])
+def test_verify_reports_malformed_event_log(vintage, baseline, tamper):
+    record, state, events = executed_cycle(vintage, baseline)
+    report = reporting.build_report(record, events, [], baseline)
+    data = reporting.serialize(report)
+    events = json.loads(json.dumps(events))
+    tamper(events, next(i for i, e in enumerate(events) if e["op"] == "burn"))
+    ok, problems = reporting.verify(data, reporting.commit(data), baseline, LAM, events)
+    assert (ok, problems) == (False, ["MalformedEventLog"])
+
+
+def test_verify_rejects_non_object_report(baseline):
+    data = b"[]"
+    ok, problems = reporting.verify(data, reporting.commit(data), baseline, LAM, [])
+    assert (ok, problems) == (False, ["SchemaIncomplete"])
+
+
 def test_single_field_tamper_always_detected(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
     report = reporting.build_report(record, events, [], baseline)

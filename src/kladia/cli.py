@@ -24,10 +24,12 @@ from . import reporting
 from . import simulator as sim
 from .clock import VirtualClock
 from .debt_index import BaselineRef, derive_index_state
-from .errors import KladiaError
+from .errors import KladiaError, MalformedFile
 from .policy import PolicyParams
 from .weo_ingest import (
     Bloc,
+    BlocObservation,
+    ObservationStatus,
     WeoVintage,
     apply_missing_data_rule,
     parse_weo_snapshot,
@@ -38,8 +40,15 @@ EXIT_POLICY = 1
 EXIT_INPUT = 2
 
 
-def _load_baseline(path: Path) -> BaselineRef:
+def _read_object(path: Path) -> dict:
     data = json.loads(path.read_text())
+    if not isinstance(data, dict):
+        raise MalformedFile(f"{path.name}: not a JSON object")
+    return data
+
+
+def _load_baseline(path: Path) -> BaselineRef:
+    data = _read_object(path)
     ref = BaselineRef(
         bdi_ref=fp.from_str(data["bdi_ref"]),
         genesis_vintage=WeoVintage(
@@ -82,8 +91,7 @@ def cmd_index(snapshot_file, baseline_file, vintage, publication_date, lam,
                     f"missing blocs {[b.value for b in parsed.missing()]} "
                     "and no --last-confirmed file"
                 )
-            prior_data = json.loads(last_confirmed.read_text())
-            from .weo_ingest import BlocObservation, ObservationStatus
+            prior_data = _read_object(last_confirmed)
             prior = [
                 BlocObservation(
                     Bloc(code),
@@ -100,7 +108,7 @@ def cmd_index(snapshot_file, baseline_file, vintage, publication_date, lam,
             date.fromisoformat(publication_date).year, observations, baseline,
             fp.from_str(lam),
         )
-    except (KladiaError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (KladiaError, ValueError, KeyError, OSError) as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
 
@@ -154,12 +162,12 @@ def cmd_cycle(state_dir, submissions_dir, baseline_file, year, lam, approvals,
                        approvals, start)
         finally:
             lock.unlink()
+    except (MalformedFile, ValueError, KeyError, OSError) as exc:
+        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(EXIT_INPUT)
     except KladiaError as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_POLICY)
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
 
 
 def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
@@ -176,13 +184,10 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
         state = ledger_mod.from_json_dict(json.loads(ledger_file.read_text()))
     else:
         state = ledger_mod.genesis()
-    params = PolicyParams()
 
-    record = oracle.CycleRecord(cycle_year=year, prior_confirmed_g=0)
-    submissions = [json.loads(sub_file.read_text())
-                   for sub_file in sorted(submissions_dir.glob("*.json"))]
-    operator_ids = [data["operator_id"] for data in submissions]
-    for data in submissions:
+    submissions = []
+    for sub_file in sorted(submissions_dir.glob("*.json")):
+        data = _read_object(sub_file)
         payload = oracle.SubmissionPayload(
             debt_ratios={Bloc(k): fp.from_str(v)
                          for k, v in data["debt_ratios"].items()},
@@ -194,24 +199,18 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
             vintage_id=data["vintage_id"],
             dataset_hash=data["dataset_hash"],
         )
-        submission = oracle.OracleSubmission.sign(
-            data["operator_id"], payload, clock.now()
-        )
-        record = oracle.submit(record, submission, operator_ids, baseline, lam_fp)
+        submissions.append(
+            oracle.OracleSubmission.sign(data["operator_id"], payload, clock.now()))
 
-    oracle.aggregate_median(record, baseline, lam_fp)
-    oracle.open_window(record, clock.now())
-    clock.advance_hours(73)
-    record = oracle.resolve(record, clock.now(), None, baseline, lam_fp)
-
-    executor_signers = tuple(f"exec-{i}" for i in range(1, 9))
     approval_list = (
         tuple(a.strip() for a in approvals.split(",") if a.strip())
-        or executor_signers[:5]
+        or oracle.EXECUTOR_SIGNERS[:oracle.EXECUTOR_POLICY_THRESHOLD]
     )
     event_start = state.n_events
-    record, state, params = oracle.execute(
-        record, state, params, approval_list, executor_signers, clock.now()
+    # the prior g and the governed parameters are not persisted yet
+    record, state, _ = oracle.settle_cycle(
+        year, 0, submissions, [s.operator_id for s in submissions], state,
+        PolicyParams(), baseline, lam_fp, clock, approval_list,
     )
 
     report = reporting.build_report(
@@ -284,7 +283,7 @@ def cmd_verify(report_file, commit_file, event_log, baseline_file):
     The recomputation uses the report's own lambda.
     """
     try:
-        commit_data = json.loads(commit_file.read_text())
+        commit_data = _read_object(commit_file)
         commitment = reporting.ReportCommitment(
             commit_data["content_hash"],
             commit_data.get("reference_link", ""),
@@ -295,12 +294,12 @@ def cmd_verify(report_file, commit_file, event_log, baseline_file):
         skipped_reconciliation = False
         if event_log is not None:
             if event_log.exists():
-                data = json.loads(event_log.read_text())
+                data = _read_object(event_log)
                 anchor = commitment.ledger_anchor
                 events = data["event_log"][:anchor] if anchor else data["event_log"]
             else:
                 skipped_reconciliation = True
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KladiaError, ValueError, KeyError, TypeError, OSError) as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
 

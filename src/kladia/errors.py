@@ -173,7 +173,3 @@ class IncompleteCycle(KladiaError):
 
 class ScenarioInvalid(KladiaError):
     pass
-
-
-class ShapeMismatch(KladiaError):
-    pass

@@ -28,11 +28,6 @@ def from_str(text: str) -> int:
     return int(scaled.quantize(Decimal(1), rounding="ROUND_HALF_EVEN"))
 
 
-def from_int(n: int) -> int:
-    """Whole number -> scaled representation."""
-    return n * SCALE
-
-
 def to_str(value: int) -> str:
     """Render with exactly 9 fractional digits (canonical form)."""
     sign = "-" if value < 0 else ""

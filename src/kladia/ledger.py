@@ -474,6 +474,19 @@ def begin_cycle(
     return new, cycle_params
 
 
+def carry_cycle(state: LedgerState) -> LedgerState:
+    """Open a new annual cycle under the factors already in force.
+
+    Used when a cycle lapses to its last confirmed g: the year's issuance
+    count and this month's releases start again from zero.
+    """
+    new = state.clone()
+    new.issuance_used_year = 0
+    new.releases_this_month = 0
+    new._log("carry_cycle", {})
+    return new
+
+
 def vest_month(state: LedgerState) -> tuple[LedgerState, int]:
     """Release one month of the team schedule into circulation.
 

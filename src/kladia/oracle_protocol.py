@@ -17,6 +17,7 @@ from typing import Iterable, Optional
 
 from . import fixedpoint as fp
 from .canonical import content_hash
+from .clock import VirtualClock
 from .debt_index import BaselineRef, index_kernel, normalize, policy_factor
 from .errors import (
     DuplicateSubmission,
@@ -29,7 +30,7 @@ from .errors import (
     UnknownOperator,
     WindowClosed,
 )
-from .ledger import LedgerState, begin_cycle
+from .ledger import LedgerState, begin_cycle, carry_cycle
 from .policy import PolicyParams
 from .weo_ingest import ALL_BLOCS, Bloc, BlocObservation, WeoVintage, kc7_columns
 
@@ -38,6 +39,7 @@ CORRECTION_DEADLINE = timedelta(days=14)
 
 EXECUTOR_POLICY_THRESHOLD = 5
 EXECUTOR_POLICY_SIZE = 8
+EXECUTOR_SIGNERS = tuple(f"exec-{i}" for i in range(1, EXECUTOR_POLICY_SIZE + 1))
 
 
 class WindowStatus(Enum):
@@ -340,6 +342,49 @@ def execute(
     record.executed_at = now
     new_ledger, cycle_params = begin_cycle(ledger_state, params, record.confirmed_g)
     return record, new_ledger, cycle_params
+
+
+def settle_cycle(
+    year: int,
+    prior_confirmed_g: int,
+    submissions: Iterable[OracleSubmission],
+    operator_registry: Iterable[str],
+    ledger_state: LedgerState,
+    params: PolicyParams,
+    baseline: BaselineRef,
+    lam: int,
+    clock: VirtualClock,
+    approvals: Iterable[str],
+    flags: Iterable[Flag] = (),
+) -> tuple[CycleRecord, LedgerState, PolicyParams]:
+    """Run one annual cycle from intake to its new ledger state.
+
+    Intake, lower median and window; then the window's flags. An undisputed
+    window is resolved after 73 hours and executed; a disputed one gets no
+    correction and lapses after 15 days to the prior confirmed g: a first
+    cycle begins at that g, a later one keeps the factors in force.
+    """
+    record = CycleRecord(cycle_year=year, prior_confirmed_g=prior_confirmed_g)
+    registry = tuple(operator_registry)
+    for submission in submissions:
+        record = submit(record, submission, registry, baseline, lam)
+    aggregate_median(record, baseline, lam)
+    open_window(record, clock.now())
+    for f in flags:
+        flag(record, f.operator_id, f.issue_code, f.comment)
+    if record.window.status is WindowStatus.DISPUTED:
+        clock.advance_days(15)
+    else:
+        clock.advance_hours(73)
+    record = resolve(record, clock.now(), None, baseline, lam)
+    if record.window.status is not WindowStatus.LAPSED:
+        return execute(record, ledger_state, params, approvals, EXECUTOR_SIGNERS,
+                       clock.now())
+    if ledger_state.annual_factors is None:
+        ledger_state, params = begin_cycle(ledger_state, params, prior_confirmed_g)
+    else:
+        ledger_state = carry_cycle(ledger_state)
+    return record, ledger_state, params
 
 
 def emergency_halt(record: CycleRecord, quorum_met: bool) -> CycleRecord:

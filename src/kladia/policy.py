@@ -94,13 +94,6 @@ def burn_fraction(params: PolicyParams, g: int) -> int:
     return min(params.b_max, params.b_base + fp.mul(params.beta_b, g))
 
 
-def fee_burn_amount(params: PolicyParams, g: int, fees: int) -> int:
-    """Burned share of this period's protocol fees, rounded down."""
-    if fees < 0:
-        raise ValueError("fees must be nonnegative")
-    return fp.scale_amount_down(fees, burn_fraction(params, g))
-
-
 def escrow_cap(params: PolicyParams, g: int) -> int:
     """max(e_min, e_base * (1 - alpha_e * g)); never below the floor."""
     _check_g(g)

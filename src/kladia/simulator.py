@@ -19,15 +19,8 @@ from . import reporting
 from .canonical import content_hash, sha256_hex
 from .clock import VirtualClock
 from .debt_index import BaselineRef, derive_index_state
-from .errors import ScenarioInvalid, ShapeMismatch, ZeroCap
-from .ledger import (
-    BucketKind,
-    LedgerState,
-    advance_month,
-    begin_cycle,
-    genesis,
-    release_escrow,
-)
+from .errors import ScenarioInvalid, ZeroCap
+from .ledger import BucketKind, advance_month, genesis, release_escrow
 from .policy import PolicyParams
 from .weo_ingest import (
     ALL_BLOCS,
@@ -179,7 +172,7 @@ def run(scenario: Scenario) -> Trace:
 
     state = genesis()
     params = scenario.params or PolicyParams()
-    executor_signers = tuple(f"exec-{i}" for i in range(1, 9))
+    approvals = oracle.EXECUTOR_SIGNERS[:oracle.EXECUTOR_POLICY_THRESHOLD]
     escrow_signers = state.policies[BucketKind.ECOSYSTEM_ESCROW].signer_set
 
     trace = Trace()
@@ -199,10 +192,10 @@ def run(scenario: Scenario) -> Trace:
             rng, levels, scenario.debt_drift_bp, scenario.gdp_drift_bp, vintage
         )
 
-        record = oracle.CycleRecord(cycle_year=year, prior_confirmed_g=last_g)
         # operators with one behavior publish the same inputs, hence the same
         # payload; each still signs its own submission and passes the re-check
         payloads: dict[str, oracle.SubmissionPayload] = {}
+        submissions = []
         for op in scenario.operators:
             behavior = scenario.oracle_behaviors.get(op, "honest")
             if behavior == "missing":
@@ -222,35 +215,19 @@ def run(scenario: Scenario) -> Trace:
                     ]
                 payload = payloads[behavior] = oracle.build_payload(
                     obs, baseline, lam, vintage)
-            record = oracle.submit(
-                record,
-                oracle.OracleSubmission.sign(op, payload, clock.now()),
-                scenario.operators, baseline, lam,
-            )
-        oracle.aggregate_median(record, baseline, lam)
-        oracle.open_window(record, clock.now())
+            submissions.append(oracle.OracleSubmission.sign(op, payload, clock.now()))
 
+        flags = ()
+        if year in scenario.dispute_years and len(submissions) >= 2:
+            first, second = (s.operator_id for s in submissions[:2])
+            flags = (oracle.Flag(first, "data-mismatch", "values off vs source"),
+                     oracle.Flag(second, "data-mismatch", "confirmed mismatch"))
         event_start = state.n_events
-        if year in scenario.dispute_years and len(record.submissions) >= 2:
-            ops = [s.operator_id for s in record.submissions[:2]]
-            oracle.flag(record, ops[0], "data-mismatch", "values off vs source")
-            oracle.flag(record, ops[1], "data-mismatch", "confirmed mismatch")
-            clock.advance_days(15)
-            record = oracle.resolve(record, clock.now(), None, baseline, lam)
-            assert record.window.status is oracle.WindowStatus.LAPSED
-            # continue under the last confirmed g with the factors already in force
-            if state.annual_factors is None:
-                state, params = begin_cycle(state, params, last_g)
-            else:
-                state = _reset_year_budget(state)
-        else:
-            clock.advance_hours(73)
-            record = oracle.resolve(record, clock.now(), None, baseline, lam)
-            record, state, params = oracle.execute(
-                record, state, params, executor_signers[:5], executor_signers,
-                clock.now(),
-            )
-            last_g = record.confirmed_g
+        record, state, params = oracle.settle_cycle(
+            year, last_g, submissions, scenario.operators, state, params,
+            baseline, lam, clock, approvals, flags,
+        )
+        last_g = record.confirmed_g
 
         for event in gov_by_year.get(year, []):
             governance_log.append(
@@ -310,25 +287,3 @@ def _unfrozen_baseline() -> BaselineRef:
     )
     ref.freeze()
     return ref
-
-
-def _reset_year_budget(state: LedgerState) -> LedgerState:
-    new = state.clone()
-    new.issuance_used_year = 0
-    new.releases_this_month = 0
-    new._log("carry_cycle", {})
-    return new
-
-
-def compare(trace_a: Trace, trace_b: Trace) -> list[dict]:
-    """Field-wise diff of two traces; empty list means identical."""
-    if len(trace_a.rows) != len(trace_b.rows):
-        raise ShapeMismatch(
-            f"{len(trace_a.rows)} rows vs {len(trace_b.rows)} rows"
-        )
-    diffs = []
-    for i, (a, b) in enumerate(zip(trace_a.rows, trace_b.rows)):
-        for key in a:
-            if a[key] != b.get(key):
-                diffs.append({"row": i, "field": key, "a": a[key], "b": b.get(key)})
-    return diffs

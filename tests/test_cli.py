@@ -343,8 +343,8 @@ def test_malformed_ledger_file_fails_cleanly(runner, tmp_path):
         "cycle", "--state-dir", str(state_dir), "--submissions-dir",
         str(tmp_path / "subs-a"), "--baseline-file", str(base), "--year", "2027",
     ])
-    assert isinstance(result.exception, SystemExit)
-    assert "error: MalformedFile: snapshot: not a JSON object" in result.output
+    assert result.exit_code == 2
+    assert result.output == "error: MalformedFile: snapshot: not a JSON object\n"
     verify = ["verify", str(state_dir / "report-2026.kldr"),
               str(state_dir / "report-2026.commit"),
               "--event-log", str(ledger_file), "--baseline-file", str(base)]
@@ -356,6 +356,53 @@ def test_malformed_ledger_file_fails_cleanly(runner, tmp_path):
     result = runner.invoke(main, verify)
     assert result.exit_code == 2
     assert "error: TypeError" in result.output
+
+
+def test_cycle_submission_not_an_object_exit_2(runner, tmp_path):
+    state_dir = tmp_path / "state"
+    subs = tmp_path / "subs"
+    subs.mkdir()
+    write_submission(subs / "op-1.json", "op-1")
+    (subs / "op-2.json").write_text("[]")
+    base = tmp_path / "baseline.json"
+    write_baseline(base)
+    result = runner.invoke(main, [
+        "cycle", "--state-dir", str(state_dir), "--submissions-dir", str(subs),
+        "--baseline-file", str(base), "--year", "2026",
+    ])
+    assert result.exit_code == 2
+    assert result.output == "error: MalformedFile: op-2.json: not a JSON object\n"
+    assert list(state_dir.iterdir()) == []
+
+
+def test_index_last_confirmed_not_an_object_exit_2(runner, tmp_path):
+    snap = tmp_path / "snap.csv"
+    write_snapshot(snap, "2026-October")
+    lines = snap.read_text().splitlines()
+    snap.write_text("\n".join(lines[:-2]) + "\n")  # drop KR
+    base = tmp_path / "baseline.json"
+    write_baseline(base)
+    prior = tmp_path / "prior.json"
+    prior.write_text("[]")
+    result = runner.invoke(main, [
+        "index", str(snap), "--baseline-file", str(base),
+        "--vintage", "2026-October", "--publication-date", "2026-10-14",
+        "--last-confirmed", str(prior),
+    ])
+    assert result.exit_code == 2
+    assert result.output == "error: MalformedFile: prior.json: not a JSON object\n"
+
+
+def test_verify_event_log_directory_exit_2(runner, tmp_path):
+    result, state_dir, base = run_cycle(runner, tmp_path)
+    assert result.exit_code == 0
+    result = runner.invoke(main, [
+        "verify", str(state_dir / "report-2026.kldr"),
+        str(state_dir / "report-2026.commit"),
+        "--event-log", str(state_dir), "--baseline-file", str(base),
+    ])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: IsADirectoryError: ")
 
 
 # --- simulate ----------------------------------------------------------------

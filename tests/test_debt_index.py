@@ -211,7 +211,7 @@ def test_policy_factor_values():
     # 9-digit precision it rounds to the lower endpoint and stays below 1
     exact = Fraction(10**6, 1 + 10**6)
     assert Fraction(999999, 10**6) < exact < 1
-    g_big = policy_factor(fp.from_int(10**6), fp.ONE)
+    g_big = policy_factor(10**6 * fp.SCALE, fp.ONE)
     assert abs(g_big - round(exact * fp.SCALE)) <= 1
     assert g_big < fp.ONE
 

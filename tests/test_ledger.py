@@ -287,6 +287,24 @@ def test_relock_exceeds_release():
         lg.relock(state, 150, BucketKind.ECOSYSTEM_ESCROW, "too much")
 
 
+# --- lapsed cycle ------------------------------------------------------------
+
+def test_carry_cycle_resets_the_year_and_keeps_balances():
+    state, _ = fresh_cycle()
+    state, released = lg.release_escrow(state, 10**6, ESCROW_SIGNERS[:5])
+    assert state.issuance_used_year == state.releases_this_month == released > 0
+    before = copy.deepcopy(state)
+    carried = lg.carry_cycle(state)
+    assert state == before
+    assert carried.event_log[:-1] == state.event_log
+    assert [e["op"] for e in carried.event_log[state.n_events:]] == ["carry_cycle"]
+    assert carried.issuance_used_year == carried.releases_this_month == 0
+    assert carried.buckets == state.buckets
+    assert (carried.circulating, carried.burned_cumulative) == \
+        (state.circulating, state.burned_cumulative)
+    assert carried.annual_factors is state.annual_factors
+
+
 # --- month transition --------------------------------------------------------
 
 def test_advance_month_noop():

@@ -335,6 +335,50 @@ def test_execute_insufficient_approvals(vintage, baseline):
     assert record.confirmed_g is None
 
 
+# --- one annual cycle --------------------------------------------------------
+
+PRIOR_G = fp.from_str("0.2")
+DISPUTE = (op.Flag("op-1", "data-mismatch", "values off vs source"),
+           op.Flag("op-2", "data-mismatch", "confirmed mismatch"))
+
+
+def settle(vintage, baseline, state, flags, clock):
+    subs = [submission(o, vintage, baseline, scale)
+            for o, scale in zip(OPERATORS, ("1.5", "1.52", "1.48"))]
+    return op.settle_cycle(2026, PRIOR_G, subs, OPERATORS, state, PolicyParams(),
+                           baseline, LAM, clock, EXECUTORS[:5], flags)
+
+
+def test_settle_cycle_executes_a_clean_window(vintage, baseline):
+    clock = VirtualClock(T0)
+    record, state, _ = settle(vintage, baseline, lg.genesis(), DISPUTE[:1], clock)
+    assert clock.now() == T0 + timedelta(hours=73)
+    assert record.window.status is op.WindowStatus.EXECUTED
+    assert record.confirmed_g == record.median_payload.g != PRIOR_G
+    assert state.annual_factors.g_used == record.confirmed_g
+
+
+@pytest.mark.parametrize("factors_in_force", [False, True])
+def test_settle_cycle_dispute_lapses_to_prior_g(vintage, baseline, factors_in_force):
+    state = lg.genesis()
+    if factors_in_force:
+        state, _ = lg.begin_cycle(state, PolicyParams(), fp.from_str("0.1"))
+    clock = VirtualClock(T0)
+    record, new, params = settle(vintage, baseline, state, DISPUTE, clock)
+    assert clock.now() == T0 + timedelta(days=15)
+    assert record.window.status is op.WindowStatus.LAPSED
+    assert record.confirmed_g == PRIOR_G and record.carried_forward
+    events = new.event_log[state.n_events:]
+    if factors_in_force:
+        assert [e["op"] for e in events] == ["carry_cycle"]
+        assert new.annual_factors is state.annual_factors
+        assert params == PolicyParams()
+    else:
+        assert [e["op"] for e in events] == ["begin_cycle"]
+        assert events[0]["inputs"]["g"] == PRIOR_G
+        assert new.annual_factors.g_used == PRIOR_G
+
+
 # --- emergency halt ----------------------------------------------------------
 
 def test_halt_blocks_execution_but_not_g(vintage, baseline):

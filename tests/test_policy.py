@@ -7,7 +7,6 @@ from kladia.policy import (
     burn_fraction,
     derive_cycle_factors,
     escrow_cap,
-    fee_burn_amount,
     issuance_budget,
     staking_rate,
 )
@@ -47,14 +46,6 @@ def test_burn_fraction_cases():
     clamped = params(b_base=fp.from_str("0.2"), beta_b=fp.from_str("2"),
                      b_max=fp.from_str("0.8"))
     assert burn_fraction(clamped, fp.from_str("0.9")) == fp.from_str("0.8")
-
-
-def test_fee_burn_amount():
-    p = params(b_base=fp.from_str("0.4"), beta_b=0)
-    assert fee_burn_amount(p, 0, 0) == 0
-    assert fee_burn_amount(p, 0, 1000) == 400
-    full = params(b_base=fp.ONE, b_max=fp.ONE)
-    assert fee_burn_amount(full, 0, 7) == 7
 
 
 def test_escrow_cap_cases():

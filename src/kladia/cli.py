@@ -23,15 +23,17 @@ from . import oracle_protocol as oracle
 from . import reporting
 from . import simulator as sim
 from .clock import VirtualClock
-from .debt_index import BaselineRef, derive_index_state
-from .errors import KladiaError, MalformedFile
+from .debt_index import BaselineRef, index_kernel
+from .errors import KladiaError, MalformedFile, NonPositiveLambda
 from .policy import PolicyParams
 from .weo_ingest import (
+    ALL_BLOCS,
     Bloc,
     BlocObservation,
     ObservationStatus,
     WeoVintage,
     apply_missing_data_rule,
+    kc7_columns,
     parse_weo_snapshot,
 )
 
@@ -40,25 +42,27 @@ EXIT_POLICY = 1
 EXIT_INPUT = 2
 
 
+def _as_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedFile(f"{where}: not a JSON object")
+    return value
+
+
 def _read_object(path: Path) -> dict:
-    data = json.loads(path.read_text())
-    if not isinstance(data, dict):
-        raise MalformedFile(f"{path.name}: not a JSON object")
-    return data
+    return _as_object(json.loads(path.read_text()), path.name)
 
 
 def _load_baseline(path: Path) -> BaselineRef:
     data = _read_object(path)
-    ref = BaselineRef(
+    return BaselineRef(
         bdi_ref=fp.from_str(data["bdi_ref"]),
         genesis_vintage=WeoVintage(
             data["vintage_id"],
             date.fromisoformat(data["publication_date"]),
             data["dataset_hash"],
         ),
+        lam=fp.from_str(data["lambda"]),
     )
-    ref.freeze()
-    return ref
 
 
 @click.group()
@@ -72,13 +76,11 @@ def main():
               required=True)
 @click.option("--vintage", required=True, help="e.g. 2026-October")
 @click.option("--publication-date", required=True, help="ISO date")
-@click.option("--lam", default="1.0", show_default=True,
-              help="policy factor sensitivity")
 @click.option("--last-confirmed", type=click.Path(exists=True, path_type=Path),
               help="JSON of last confirmed bloc values for carry-forward")
 @click.option("--fmt", "--format", "fmt", default="table",
               type=click.Choice(["table", "canonical"]), show_default=True)
-def cmd_index(snapshot_file, baseline_file, vintage, publication_date, lam,
+def cmd_index(snapshot_file, baseline_file, vintage, publication_date,
               last_confirmed, fmt):
     """Compute weights, BDI, X and g from a snapshot file."""
     try:
@@ -91,7 +93,8 @@ def cmd_index(snapshot_file, baseline_file, vintage, publication_date, lam,
                     f"missing blocs {[b.value for b in parsed.missing()]} "
                     "and no --last-confirmed file"
                 )
-            prior_data = _read_object(last_confirmed)
+            prior_data = {code: _as_object(v, f"{last_confirmed.name}: {code}")
+                          for code, v in _read_object(last_confirmed).items()}
             prior = [
                 BlocObservation(
                     Bloc(code),
@@ -104,22 +107,20 @@ def cmd_index(snapshot_file, baseline_file, vintage, publication_date, lam,
             ]
             observations = apply_missing_data_rule(observations, prior)
         baseline = _load_baseline(baseline_file)
-        state = derive_index_state(
-            date.fromisoformat(publication_date).year, observations, baseline,
-            fp.from_str(lam),
-        )
+        weights, bdi, x_norm, x_excess, g = index_kernel(
+            *kc7_columns(observations), baseline)
     except (KladiaError, ValueError, KeyError, OSError) as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
 
     payload = {
         "dataset_hash": parsed.vintage.dataset_hash,
-        "weights": {b.value: fp.to_str(w) for b, w in state.weights.items()},
-        "bdi": fp.to_str(state.bdi),
+        "weights": {b.value: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)},
+        "bdi": fp.to_str(bdi),
         "bdi_ref": fp.to_str(baseline.bdi_ref),
-        "x_norm": fp.to_str(state.x_norm),
-        "x_excess": fp.to_str(state.x_excess),
-        "g": fp.to_str(state.g),
+        "x_norm": fp.to_str(x_norm),
+        "x_excess": fp.to_str(x_excess),
+        "g": fp.to_str(g),
     }
     if fmt == "canonical":
         click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -140,12 +141,10 @@ def cmd_index(snapshot_file, baseline_file, vintage, publication_date, lam,
 @click.option("--baseline-file", type=click.Path(exists=True, path_type=Path),
               required=True)
 @click.option("--year", type=int, required=True)
-@click.option("--lam", default="1.0", show_default=True)
 @click.option("--approvals", default="", help="comma-separated executor signers")
 @click.option("--start", default="2026-01-01T00:00:00",
               help="virtual clock start (UTC)")
-def cmd_cycle(state_dir, submissions_dir, baseline_file, year, lam, approvals,
-              start):
+def cmd_cycle(state_dir, submissions_dir, baseline_file, year, approvals, start):
     """Run one annual cycle: intake -> median -> window -> execute."""
     try:
         state_dir.mkdir(parents=True, exist_ok=True)
@@ -158,11 +157,11 @@ def cmd_cycle(state_dir, submissions_dir, baseline_file, year, lam, approvals,
         try:
             with os.fdopen(fd, "w") as held:
                 held.write(str(os.getpid()))
-            _run_cycle(state_dir, submissions_dir, baseline_file, year, lam,
+            _run_cycle(state_dir, submissions_dir, baseline_file, year,
                        approvals, start)
         finally:
             lock.unlink()
-    except (MalformedFile, ValueError, KeyError, OSError) as exc:
+    except (MalformedFile, NonPositiveLambda, ValueError, KeyError, OSError) as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     except KladiaError as exc:
@@ -171,12 +170,11 @@ def cmd_cycle(state_dir, submissions_dir, baseline_file, year, lam, approvals,
 
 
 def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
-               year: int, lam: str, approvals: str, start: str) -> None:
+               year: int, approvals: str, start: str) -> None:
     cycle_file = state_dir / f"cycle-{year}.json"
     if cycle_file.exists():
         raise KladiaError(f"year {year} is already settled: {cycle_file}")
     baseline = _load_baseline(baseline_file)
-    lam_fp = fp.from_str(lam)
     clock = VirtualClock(datetime.fromisoformat(start).replace(tzinfo=timezone.utc))
 
     ledger_file = state_dir / "ledger.json"
@@ -188,11 +186,12 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
     submissions = []
     for sub_file in sorted(submissions_dir.glob("*.json")):
         data = _read_object(sub_file)
+        debt_ratios, nominal_gdps = (
+            _as_object(data[key], f"{sub_file.name}: {key}")
+            for key in ("debt_ratios", "nominal_gdps"))
         payload = oracle.SubmissionPayload(
-            debt_ratios={Bloc(k): fp.from_str(v)
-                         for k, v in data["debt_ratios"].items()},
-            nominal_gdps={Bloc(k): fp.from_str(v)
-                          for k, v in data["nominal_gdps"].items()},
+            debt_ratios={Bloc(k): fp.from_str(v) for k, v in debt_ratios.items()},
+            nominal_gdps={Bloc(k): fp.from_str(v) for k, v in nominal_gdps.items()},
             bdi=fp.from_str(data["bdi"]),
             x_norm=fp.from_str(data["x_norm"]),
             g=fp.from_str(data["g"]),
@@ -210,13 +209,12 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
     # the prior g and the governed parameters are not persisted yet
     record, state, _ = oracle.settle_cycle(
         year, 0, submissions, [s.operator_id for s in submissions], state,
-        PolicyParams(), baseline, lam_fp, clock, approval_list,
+        PolicyParams(), baseline, clock, approval_list,
     )
 
     report = reporting.build_report(
         record, state.journal[event_start:state.n_events], [], baseline
     )
-    report["lambda"] = lam
     report_bytes = reporting.serialize(report)
     commitment = reporting.commit(report_bytes, ledger_anchor=state.n_events)
 
@@ -280,7 +278,7 @@ def cmd_report(state_dir, year):
 def cmd_verify(report_file, commit_file, event_log, baseline_file):
     """Verify a report against its commitment (exit 0 iff clean).
 
-    The recomputation uses the report's own lambda.
+    The recomputation uses the baseline's lambda.
     """
     try:
         commit_data = _read_object(commit_file)

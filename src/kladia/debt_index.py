@@ -1,8 +1,9 @@
 """Bloc Debt Index computation and the bounded policy factor.
 
 Weights are GDP shares recomputed per vintage; the index is the weighted
-average of bloc debt ratios; normalization is against the frozen genesis
-baseline; the policy factor saturates in [0, 1).
+average of bloc debt ratios; normalization is against the immutable
+genesis baseline, which also fixes lambda; the policy factor saturates in
+[0, 1).
 """
 
 from __future__ import annotations
@@ -13,43 +14,36 @@ from typing import Sequence
 from . import fixedpoint as fp
 from .errors import (
     BaselineFrozen,
-    BaselineNotFrozen,
     BlocSetMismatch,
     IncompleteBlocSet,
     NonPositiveLambda,
 )
-from .weo_ingest import (ALL_BLOCS, Bloc, BlocObservation, WeoVintage,
-                         check_ranges, kc7_columns)
+from .weo_ingest import ALL_BLOCS, WeoVintage, check_ranges
 
 
 @dataclass
 class BaselineRef:
-    """Immutable genesis baseline. Freeze once, then reject every mutation."""
+    """The genesis baseline: BDI_ref, its vintage and the sensitivity lam.
+
+    All three are fixed at genesis. They are checked when the baseline is
+    made, and every later assignment raises BaselineFrozen.
+    """
 
     bdi_ref: int                 # scaled decimal, > 0
     genesis_vintage: WeoVintage
-    frozen: bool = False
+    lam: int                     # scaled decimal, > 0; lambda in g = x / (1 + lambda*x)
 
-    def freeze(self) -> None:
+    def __post_init__(self):
         if self.bdi_ref <= 0:
             raise ValueError("bdi_ref must be positive")
-        object.__setattr__(self, "frozen", True)
+        if self.lam <= 0:
+            raise NonPositiveLambda("lambda must be positive")
 
     def __setattr__(self, name, value):
-        if getattr(self, "frozen", False) and name in ("bdi_ref", "genesis_vintage"):
+        # the generated __init__ assigns lam last; after that, nothing changes
+        if "lam" in vars(self):
             raise BaselineFrozen(f"baseline is frozen; cannot set {name}")
         object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
-class DebtIndexState:
-    cycle_year: int
-    weights: dict[Bloc, int]
-    bdi: int
-    x_norm: int
-    x_excess: int
-    g: int
-    lam: int
 
 
 class Band:
@@ -72,8 +66,6 @@ class RegimeBand:
 
 def normalize(bdi: int, baseline: BaselineRef) -> tuple[int, int]:
     """Ratio to baseline and the nonnegative excess over 1."""
-    if not baseline.frozen:
-        raise BaselineNotFrozen("baseline must be frozen before use")
     x_norm = fp.div(bdi, baseline.bdi_ref)
     x_excess = max(0, x_norm - fp.ONE)
     return x_norm, x_excess
@@ -103,19 +95,16 @@ def classify_band(g: int, bands: RegimeBand = RegimeBand()) -> str:
     return Band.MODERATE
 
 
-def index_kernel(
-    debt_ratios: Sequence[int],
-    nominal_gdps: Sequence[int],
-    baseline: BaselineRef,
-    lam: int,
-) -> tuple[tuple[int, ...], int, int, int, int]:
-    """The yearly chain weights -> BDI -> X, x -> g for one KC7 input set.
+def weighted_bdi(
+    debt_ratios: Sequence[int], nominal_gdps: Sequence[int],
+) -> tuple[tuple[int, ...], int]:
+    """The weights -> BDI half of the index chain for one KC7 input set.
 
     Inputs are scaled values in ALL_BLOCS order. Weights are GDP shares,
     half-even at 9 digits; the rounding residual goes to the largest-GDP
     bloc (ties to the first in ALL_BLOCS order) so they sum to exactly 1.
-    Each BDI term is rounded by fp.mul. Returns
-    (weights, bdi, x_norm, x_excess, g), weights in ALL_BLOCS order.
+    Each BDI term is rounded by fp.mul. Returns (weights, bdi), weights in
+    ALL_BLOCS order.
     """
     if len(nominal_gdps) != len(ALL_BLOCS):
         raise IncompleteBlocSet(
@@ -131,20 +120,19 @@ def index_kernel(
     if residual:
         # index() finds the first maximum, which breaks ties in bloc order
         weights[nominal_gdps.index(max(nominal_gdps))] += residual
-    bdi = sum(map(fp.mul, weights, debt_ratios))
-    x_norm, x_excess = normalize(bdi, baseline)
-    return tuple(weights), bdi, x_norm, x_excess, policy_factor(x_excess, lam)
+    return tuple(weights), sum(map(fp.mul, weights, debt_ratios))
 
 
-def derive_index_state(
-    cycle_year: int,
-    observations: Sequence[BlocObservation],
+def index_kernel(
+    debt_ratios: Sequence[int],
+    nominal_gdps: Sequence[int],
     baseline: BaselineRef,
-    lam: int,
-) -> DebtIndexState:
-    """Full pipeline for one cycle: weights -> BDI -> X, x -> g."""
-    weights, bdi, x_norm, x_excess, g = index_kernel(
-        *kc7_columns(observations), baseline, lam
-    )
-    return DebtIndexState(cycle_year, dict(zip(ALL_BLOCS, weights)), bdi,
-                          x_norm, x_excess, g, lam)
+) -> tuple[tuple[int, ...], int, int, int, int]:
+    """The yearly chain weights -> BDI -> X, x -> g for one KC7 input set.
+
+    weighted_bdi gives the first half; X is taken against the baseline's
+    BDI_ref and g under its lam. Returns (weights, bdi, x_norm, x_excess, g).
+    """
+    weights, bdi = weighted_bdi(debt_ratios, nominal_gdps)
+    x_norm, x_excess = normalize(bdi, baseline)
+    return weights, bdi, x_norm, x_excess, policy_factor(x_excess, baseline.lam)

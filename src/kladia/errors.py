@@ -37,12 +37,8 @@ class BlocSetMismatch(KladiaError):
     pass
 
 
-class BaselineNotFrozen(KladiaError):
-    pass
-
-
 class BaselineFrozen(KladiaError):
-    """Attempted mutation of a frozen baseline."""
+    """Attempted mutation of the genesis baseline."""
 
 
 class NonPositiveLambda(KladiaError):

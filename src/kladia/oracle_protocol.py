@@ -158,12 +158,11 @@ class CycleRecord:
 def build_payload(
     observations: list[BlocObservation],
     baseline: BaselineRef,
-    lam: int,
     vintage: WeoVintage,
 ) -> SubmissionPayload:
     """Derive a fully consistent payload from raw bloc inputs."""
     debt_ratios, nominal_gdps = kc7_columns(observations)
-    _, bdi, x_norm, _, g = index_kernel(debt_ratios, nominal_gdps, baseline, lam)
+    _, bdi, x_norm, _, g = index_kernel(debt_ratios, nominal_gdps, baseline)
     return SubmissionPayload(
         debt_ratios=dict(zip(ALL_BLOCS, debt_ratios)),
         nominal_gdps=dict(zip(ALL_BLOCS, nominal_gdps)),
@@ -175,15 +174,14 @@ def build_payload(
     )
 
 
-def _recompute_check(payload: SubmissionPayload, baseline: BaselineRef, lam: int) -> None:
+def _recompute_check(payload: SubmissionPayload, baseline: BaselineRef) -> None:
     # constructing the vintage validates the payload's vintage id
     WeoVintage(payload.vintage_id, baseline.genesis_vintage.publication_date,
                payload.dataset_hash)
     _, bdi, x_norm, _, g = index_kernel(
         tuple(payload.debt_ratios[b] for b in ALL_BLOCS),
         tuple(payload.nominal_gdps[b] for b in ALL_BLOCS),
-        baseline, lam,
-    )
+        baseline)
     if (bdi, x_norm, g) != (payload.bdi, payload.x_norm, payload.g):
         raise InconsistentPayload(
             f"recomputed (bdi={fp.to_str(bdi)}, x={fp.to_str(x_norm)}, "
@@ -196,7 +194,6 @@ def submit(
     submission: OracleSubmission,
     operator_registry: Iterable[str],
     baseline: BaselineRef,
-    lam: int,
 ) -> CycleRecord:
     """Accept an operator submission after the internal-consistency recheck."""
     if record.window.status is not WindowStatus.PENDING:
@@ -205,12 +202,12 @@ def submit(
         raise UnknownOperator(submission.operator_id)
     if any(s.operator_id == submission.operator_id for s in record.submissions):
         raise DuplicateSubmission(submission.operator_id)
-    _recompute_check(submission.payload, baseline, lam)
+    _recompute_check(submission.payload, baseline)
     record.submissions.append(submission)
     return record
 
 
-def aggregate_median(record: CycleRecord, baseline: BaselineRef, lam: int
+def aggregate_median(record: CycleRecord, baseline: BaselineRef
                      ) -> SubmissionPayload:
     """Lower-median of submitted BDIs; X and g recomputed from that BDI.
 
@@ -223,7 +220,7 @@ def aggregate_median(record: CycleRecord, baseline: BaselineRef, lam: int
     idx = (len(ranked) - 1) // 2  # lower median
     chosen = ranked[idx].payload
     x_norm, x_excess = normalize(chosen.bdi, baseline)
-    g = policy_factor(x_excess, lam)
+    g = policy_factor(x_excess, baseline.lam)
     median = SubmissionPayload(
         debt_ratios=dict(chosen.debt_ratios),
         nominal_gdps=dict(chosen.nominal_gdps),
@@ -280,7 +277,6 @@ def resolve(
     now: datetime,
     corrected_payload: Optional[SubmissionPayload],
     baseline: BaselineRef,
-    lam: int,
 ) -> CycleRecord:
     """Total resolution function over the window's live states.
 
@@ -299,7 +295,7 @@ def resolve(
         assert anchor is not None
         if corrected_payload is not None:
             if now <= anchor + CORRECTION_DEADLINE:
-                _recompute_check(corrected_payload, baseline, lam)
+                _recompute_check(corrected_payload, baseline)
                 record.median_payload = corrected_payload
                 record.window = ChallengeWindow(
                     opened_at=now, status=WindowStatus.OPEN
@@ -352,7 +348,6 @@ def settle_cycle(
     ledger_state: LedgerState,
     params: PolicyParams,
     baseline: BaselineRef,
-    lam: int,
     clock: VirtualClock,
     approvals: Iterable[str],
     flags: Iterable[Flag] = (),
@@ -367,8 +362,8 @@ def settle_cycle(
     record = CycleRecord(cycle_year=year, prior_confirmed_g=prior_confirmed_g)
     registry = tuple(operator_registry)
     for submission in submissions:
-        record = submit(record, submission, registry, baseline, lam)
-    aggregate_median(record, baseline, lam)
+        record = submit(record, submission, registry, baseline)
+    aggregate_median(record, baseline)
     open_window(record, clock.now())
     for f in flags:
         flag(record, f.operator_id, f.issue_code, f.comment)
@@ -376,7 +371,7 @@ def settle_cycle(
         clock.advance_days(15)
     else:
         clock.advance_hours(73)
-    record = resolve(record, clock.now(), None, baseline, lam)
+    record = resolve(record, clock.now(), None, baseline)
     if record.window.status is not WindowStatus.LAPSED:
         return execute(record, ledger_state, params, approvals, EXECUTOR_SIGNERS,
                        clock.now())

@@ -15,7 +15,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from . import fixedpoint as fp
 from .canonical import canonical_bytes, sha256_hex
-from .debt_index import BaselineRef, index_kernel
+from .debt_index import BaselineRef, index_kernel, weighted_bdi
 from .errors import IncompleteCycle
 from .oracle_protocol import CycleRecord, WindowStatus
 from .weo_ingest import ALL_BLOCS, Bloc
@@ -108,11 +108,9 @@ def build_report(
     )
 
     if median is not None:
-        # only the weights are reported, and lambda does not move them
-        weights = index_kernel(
+        weights = weighted_bdi(
             tuple(median.debt_ratios[b] for b in ALL_BLOCS),
             tuple(median.nominal_gdps[b] for b in ALL_BLOCS),
-            baseline, fp.ONE,
         )[0]
         raw_inputs = {
             b.value: {
@@ -157,7 +155,7 @@ def build_report(
         "carried_forward_blocs": sorted(b.value for b in carried_forward_blocs),
         "carried_forward": cycle_record.carried_forward,
         "low_submission_count": len(cycle_record.submissions) < 3,
-        "lambda": None,  # populated by commit-time caller when known
+        "lambda": fp.to_str(baseline.lam),
     }
 
 
@@ -183,18 +181,42 @@ def commit(report_bytes: bytes, reference_link: str = "", ledger_anchor: int = 0
     )
 
 
+def _recomputes(report: dict, baseline: BaselineRef) -> bool:
+    """Whether the report's lambda is the baseline's and, unless it carries
+    g forward, its index fields are what its raw inputs give; never raises."""
+    try:
+        if fp.from_str(report["lambda"]) != baseline.lam:
+            return False
+        if (not report.get("raw_inputs") or report.get("bdi") is None
+                or report.get("carried_forward", False)):
+            return True
+        raw = [report["raw_inputs"][b.value] for b in ALL_BLOCS]
+        weights, bdi, x_norm, _, g = index_kernel(
+            tuple(fp.from_str(r["debt_ratio"]) for r in raw),
+            tuple(fp.from_str(r["nominal_gdp"]) for r in raw),
+            baseline)
+        return (
+            fp.to_str(bdi) == report["bdi"]
+            and fp.to_str(x_norm) == report["x_norm"]
+            and fp.to_str(g) == report["g"]
+            and report["weights"] == {
+                b.value: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)}
+        )
+    except Exception:
+        return False
+
+
 def verify(
     report_bytes: bytes,
     commitment: ReportCommitment,
     baseline: Optional[BaselineRef] = None,
-    lam: Optional[int] = None,
     ledger_events: Optional[Sequence[dict]] = None,
 ) -> tuple[bool, list[str]]:
     """Three-way check: hash match, internal recomputation, reconciliation.
 
-    The recomputation runs when a baseline is given, under `lam` or, when
-    that is None, the report's own lambda. Returns (ok, discrepancy codes);
-    never raises on bad input.
+    The recomputation runs when a baseline is given, under the baseline's
+    lambda; a report whose lambda is not the baseline's fails it too.
+    Returns (ok, discrepancy codes); never raises on bad input.
     """
     discrepancies: list[str] = []
 
@@ -212,30 +234,8 @@ def verify(
     if missing:
         discrepancies.append("SchemaIncomplete")
 
-    if (
-        baseline is not None
-        and report.get("raw_inputs")
-        and report.get("bdi") is not None
-        and not report.get("carried_forward", False)
-    ):
-        try:
-            raw = [report["raw_inputs"][b.value] for b in ALL_BLOCS]
-            weights, bdi, x_norm, _, g = index_kernel(
-                tuple(fp.from_str(r["debt_ratio"]) for r in raw),
-                tuple(fp.from_str(r["nominal_gdp"]) for r in raw),
-                baseline,
-                lam if lam is not None else fp.from_str(report["lambda"]),
-            )
-            if (
-                fp.to_str(bdi) != report["bdi"]
-                or fp.to_str(x_norm) != report["x_norm"]
-                or fp.to_str(g) != report["g"]
-                or report["weights"] != {
-                    b.value: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)}
-            ):
-                discrepancies.append("RecomputeMismatch")
-        except Exception:
-            discrepancies.append("RecomputeMismatch")
+    if baseline is not None and not _recomputes(report, baseline):
+        discrepancies.append("RecomputeMismatch")
 
     if ledger_events is not None:
         try:

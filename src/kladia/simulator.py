@@ -18,7 +18,7 @@ from . import oracle_protocol as oracle
 from . import reporting
 from .canonical import content_hash, sha256_hex
 from .clock import VirtualClock
-from .debt_index import BaselineRef, derive_index_state
+from .debt_index import BaselineRef, weighted_bdi
 from .errors import ScenarioInvalid, ZeroCap
 from .ledger import BucketKind, advance_month, genesis, release_escrow
 from .policy import PolicyParams
@@ -152,7 +152,6 @@ def run(scenario: Scenario) -> Trace:
     scenario.validate()
     rng = SplitMix64(scenario.seed)
     clock = VirtualClock(datetime(2026, 1, 1, tzinfo=timezone.utc))
-    lam = fp.from_str(scenario.lam)
 
     genesis_raw = b"synthetic-genesis-" + str(scenario.seed).encode()
     genesis_vintage = WeoVintage(
@@ -162,13 +161,10 @@ def run(scenario: Scenario) -> Trace:
         b: (fp.from_str(_BASE_DEBT[b]), fp.from_str(_BASE_GDP[b]))
         for b in ALL_BLOCS
     }
-    baseline_obs = [
-        BlocObservation(b, d, g, genesis_vintage, ObservationStatus.OBSERVED)
-        for b, (d, g) in levels.items()
-    ]
-    baseline_index = derive_index_state(0, baseline_obs, _unfrozen_baseline(), lam)
-    baseline = BaselineRef(bdi_ref=baseline_index.bdi, genesis_vintage=genesis_vintage)
-    baseline.freeze()
+    debt_ratios, nominal_gdps = zip(*(levels[b] for b in ALL_BLOCS))
+    baseline = BaselineRef(bdi_ref=weighted_bdi(debt_ratios, nominal_gdps)[1],
+                           genesis_vintage=genesis_vintage,
+                           lam=fp.from_str(scenario.lam))
 
     state = genesis()
     params = scenario.params or PolicyParams()
@@ -214,7 +210,7 @@ def run(scenario: Scenario) -> Trace:
                         for o in true_obs
                     ]
                 payload = payloads[behavior] = oracle.build_payload(
-                    obs, baseline, lam, vintage)
+                    obs, baseline, vintage)
             submissions.append(oracle.OracleSubmission.sign(op, payload, clock.now()))
 
         flags = ()
@@ -225,7 +221,7 @@ def run(scenario: Scenario) -> Trace:
         event_start = state.n_events
         record, state, params = oracle.settle_cycle(
             year, last_g, submissions, scenario.operators, state, params,
-            baseline, lam, clock, approvals, flags,
+            baseline, clock, approvals, flags,
         )
         last_g = record.confirmed_g
 
@@ -267,23 +263,11 @@ def run(scenario: Scenario) -> Trace:
         trace.cycles.append(record.canonical())
         events = state.journal[event_start:state.n_events]
         report = reporting.build_report(record, events, governance_log, baseline)
-        report["lambda"] = fp.to_str(lam)
         report_bytes = reporting.serialize(report)
         commitment = reporting.commit(report_bytes, ledger_anchor=state.n_events)
-        ok, problems = reporting.verify(report_bytes, commitment, baseline, lam, events)
+        ok, problems = reporting.verify(report_bytes, commitment, baseline, events)
         if not ok:
             raise AssertionError(f"cycle {year} report failed verification: {problems}")
         trace.report_commitments.append(commitment.content_hash)
 
     return trace
-
-
-def _unfrozen_baseline() -> BaselineRef:
-    # weights/bdi for the genesis vintage are computed before the baseline
-    # exists; use a throwaway frozen unit baseline for the derivation
-    ref = BaselineRef(
-        bdi_ref=fp.ONE,
-        genesis_vintage=WeoVintage("2025-October", date(2025, 10, 15), "0" * 64),
-    )
-    ref.freeze()
-    return ref

@@ -3,13 +3,14 @@ from datetime import date
 import pytest
 
 from kladia import fixedpoint as fp
-from kladia.debt_index import BaselineRef
+from kladia.debt_index import BaselineRef, weighted_bdi
 from kladia.weo_ingest import (
     ALL_BLOCS,
     Bloc,
     BlocObservation,
     ObservationStatus,
     WeoVintage,
+    kc7_columns,
 )
 
 DEBT_LEVELS = {
@@ -46,13 +47,5 @@ def make_observations(vintage, debt=None, gdp=None):
 
 @pytest.fixture
 def baseline(vintage, observations):
-    from kladia.debt_index import derive_index_state
-
-    unit = BaselineRef(bdi_ref=fp.ONE, genesis_vintage=vintage)
-    unit.freeze()
-    ref = BaselineRef(
-        bdi_ref=derive_index_state(0, observations, unit, fp.ONE).bdi,
-        genesis_vintage=vintage,
-    )
-    ref.freeze()
-    return ref
+    bdi_ref = weighted_bdi(*kc7_columns(observations))[1]
+    return BaselineRef(bdi_ref=bdi_ref, genesis_vintage=vintage, lam=fp.ONE)

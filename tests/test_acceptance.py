@@ -219,7 +219,7 @@ def test_criterion_05_conservation_600_months():
 # --- 6. challenge-window gating ----------------------------------------------
 
 def test_criterion_06_challenge_window_gating(vintage, baseline):
-    payload = op.build_payload(make_observations(vintage), baseline, LAM, vintage)
+    payload = op.build_payload(make_observations(vintage), baseline, vintage)
     operators = ("op-1", "op-2", "op-3")
     shared_ledger = lg.genesis()
     rnd = random.Random(6)
@@ -231,14 +231,14 @@ def test_criterion_06_challenge_window_gating(vintage, baseline):
         for operator in operators:
             record = op.submit(
                 record, op.OracleSubmission.sign(operator, payload, T0),
-                operators, baseline, LAM,
+                operators, baseline,
             )
-        op.aggregate_median(record, baseline, LAM)
+        op.aggregate_median(record, baseline)
         op.open_window(record, T0)
 
         # any execution attempt strictly before the 72-hour mark must fail
         pre = T0 + timedelta(minutes=rnd.randrange(0, 72 * 60))
-        record = op.resolve(record, pre, None, baseline, LAM)
+        record = op.resolve(record, pre, None, baseline)
         assert record.window.status is op.WindowStatus.OPEN
         with pytest.raises(NotExecutable):
             op.execute(record, shared_ledger, PolicyParams(),
@@ -250,14 +250,14 @@ def test_criterion_06_challenge_window_gating(vintage, baseline):
             op.flag(record, "op-1", "data-mismatch", "a")
             op.flag(record, "op-2", "data-mismatch", "b")
             late = T0 + timedelta(days=15, hours=rnd.randrange(0, 200))
-            record = op.resolve(record, late, None, baseline, LAM)
+            record = op.resolve(record, late, None, baseline)
             assert record.window.status is op.WindowStatus.LAPSED
             assert record.confirmed_g == prior
             assert record.carried_forward is True
             lapses += 1
         else:
             post = T0 + timedelta(hours=72, minutes=rnd.randrange(0, 10_000))
-            record = op.resolve(record, post, None, baseline, LAM)
+            record = op.resolve(record, post, None, baseline)
             assert record.window.status is op.WindowStatus.EXPIRED_CLEAN
             clean += 1
 
@@ -275,7 +275,7 @@ def _scaled_payload(vintage, baseline, factor):
                 o.source_vintage, o.status)
         for o in obs
     ]
-    return op.build_payload(scaled, baseline, LAM, vintage)
+    return op.build_payload(scaled, baseline, vintage)
 
 
 def test_criterion_07_median_aggregation(vintage, baseline):
@@ -294,9 +294,9 @@ def test_criterion_07_median_aggregation(vintage, baseline):
             for operator, payload in zip(operators, order):
                 record = op.submit(
                     record, op.OracleSubmission.sign(operator, payload, T0),
-                    operators, baseline, LAM,
+                    operators, baseline,
                 )
-            median = op.aggregate_median(record, baseline, LAM)
+            median = op.aggregate_median(record, baseline)
             assert median.bdi == expected_bdi  # order never matters
     _report(7, "500 shuffles permutation-invariant; even-count lower median "
                "matches sort oracle")
@@ -307,15 +307,15 @@ def test_criterion_07_median_aggregation(vintage, baseline):
 def _executed_cycle(vintage, baseline):
     record = op.CycleRecord(cycle_year=2026, prior_confirmed_g=0)
     operators = ("op-1", "op-2", "op-3")
-    payload = op.build_payload(make_observations(vintage), baseline, LAM, vintage)
+    payload = op.build_payload(make_observations(vintage), baseline, vintage)
     for operator in operators:
         record = op.submit(
             record, op.OracleSubmission.sign(operator, payload, T0),
-            operators, baseline, LAM,
+            operators, baseline,
         )
-    op.aggregate_median(record, baseline, LAM)
+    op.aggregate_median(record, baseline)
     op.open_window(record, T0)
-    record = op.resolve(record, T0 + timedelta(hours=73), None, baseline, LAM)
+    record = op.resolve(record, T0 + timedelta(hours=73), None, baseline)
     state = lg.genesis()
     event_start = len(state.event_log)
     record, state, _ = op.execute(record, state, PolicyParams(),
@@ -336,7 +336,7 @@ def test_criterion_08_report_integrity(vintage, baseline):
     report = reporting.build_report(record, events, [], baseline)
     commitment = reporting.commit(reporting.serialize(report))
     ok, problems = reporting.verify(
-        reporting.serialize(report), commitment, baseline, LAM, events)
+        reporting.serialize(report), commitment, baseline, events)
     assert ok, problems
 
     import json
@@ -360,7 +360,7 @@ def test_criterion_08_report_integrity(vintage, baseline):
         else:
             tampered[key] = "tampered"
         ok, _ = reporting.verify(
-            reporting.serialize(tampered), commitment, baseline, LAM, events)
+            reporting.serialize(tampered), commitment, baseline, events)
         assert not ok, f"tampering {key} went undetected"
 
     # omitting any executed event leaves a supply reconciliation gap
@@ -368,7 +368,7 @@ def test_criterion_08_report_integrity(vintage, baseline):
     stripped["executed_actions"] = report["executed_actions"][:-1]
     recommit = reporting.commit(reporting.serialize(stripped))
     ok, problems = reporting.verify(
-        reporting.serialize(stripped), recommit, baseline, LAM, events)
+        reporting.serialize(stripped), recommit, baseline, events)
     assert not ok and "SupplyReconciliationGap" in problems
     _report(8, "3-cycle round trip clean; 100/100 tamperings and omitted "
                "event detected")

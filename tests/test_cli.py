@@ -25,9 +25,10 @@ def write_snapshot(path, vintage_id, debt="150", gdp="2000"):
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_baseline(path, bdi_ref="100.000000000"):
+def write_baseline(path, bdi_ref="100.000000000", lam="1.000000000"):
     path.write_text(json.dumps({
         "bdi_ref": bdi_ref,
+        "lambda": lam,
         "vintage_id": "2025-October",
         "publication_date": "2025-10-15",
         "dataset_hash": HASH,
@@ -147,9 +148,9 @@ CYCLE_FILES = {
     "ledger.json":
         "e6d438e49cda624b13e7310aae003c0757cdeee5c4f39e55a3e57c8b0db56f72",
     "report-2026.commit":
-        "2b39242e7dd74a1b98b58e9e89d15e968909d053a6509eadb5b79ad5a03ce06a",
+        "ba92e94158bf98ee46d7fc67972a274fef4e7a0e4afb5cedc6047f7f347cc403",
     "report-2026.kldr":
-        "4da13fad164db212191c4ff07724458ebf9b0233741c395ca6e1ad043b555f77",
+        "bb10ed94e11ec28b08849379d8ca4e5b24ed67700dc822aef52d4e0fa48989d6",
 }
 CYCLE_OUTPUT = (
     "cycle 2026: Executed, g=0.333333333, state_hash="
@@ -190,22 +191,24 @@ def test_verify_clean_report_exit_0(runner, tmp_path):
     assert "verified: clean" in result.output
 
 
-def test_verify_uses_the_report_lambda(runner, tmp_path):
+def test_verify_uses_the_baseline_lambda(runner, tmp_path):
     # BDI 150 over reference 100 under lambda 2: g = 0.5 / (1 + 2 * 0.5) =
-    # 0.25, where lambda 1 would give 1/3; verify takes no lambda flag
+    # 0.25, where lambda 1 would give 1/3; lambda comes from the baseline
     state_dir = tmp_path / "state"
     subs = tmp_path / "subs"
     subs.mkdir()
     base = tmp_path / "baseline.json"
-    write_baseline(base)
+    write_baseline(base, lam="2.0")
     for op in ("op-1", "op-2", "op-3"):
         write_submission(subs / f"{op}.json", op, g="0.250000000")
     result = runner.invoke(main, [
         "cycle", "--state-dir", str(state_dir), "--submissions-dir", str(subs),
-        "--baseline-file", str(base), "--year", "2026", "--lam", "2.0",
+        "--baseline-file", str(base), "--year", "2026",
     ])
     assert result.exit_code == 0, result.output
     assert "g=0.250000000" in result.output
+    report = json.loads((state_dir / "report-2026.kldr").read_bytes())
+    assert report["lambda"] == "2.000000000"
     result = runner.invoke(main, [
         "verify", str(state_dir / "report-2026.kldr"),
         str(state_dir / "report-2026.commit"),
@@ -214,6 +217,49 @@ def test_verify_uses_the_report_lambda(runner, tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert "verified: clean" in result.output
+
+
+def test_lambda_spelling_gives_one_commitment(runner, tmp_path):
+    commits = []
+    for tag, lam in (("a", "1"), ("b", "1.0")):
+        subs = tmp_path / f"subs-{tag}"
+        subs.mkdir()
+        for op in ("op-1", "op-2", "op-3"):
+            write_submission(subs / f"{op}.json", op)
+        base = tmp_path / f"baseline-{tag}.json"
+        write_baseline(base, lam=lam)
+        state_dir = tmp_path / f"state-{tag}"
+        result = runner.invoke(main, [
+            "cycle", "--state-dir", str(state_dir), "--submissions-dir", str(subs),
+            "--baseline-file", str(base), "--year", "2026",
+        ])
+        assert result.exit_code == 0, result.output
+        commits.append((state_dir / "report-2026.commit").read_text())
+    assert commits[0] == commits[1]
+
+
+def test_verify_flags_an_edited_report_lambda(runner, tmp_path):
+    # the edited report is re-committed, so only the recomputation can fail
+    result, state_dir, base = run_cycle(runner, tmp_path)
+    assert result.exit_code == 0, result.output
+    report_file = state_dir / "report-2026.kldr"
+    report = json.loads(report_file.read_bytes())
+    assert report["lambda"] == "1.000000000"
+    data = report_file.read_bytes().replace(
+        b'"lambda":"1.000000000"', b'"lambda":"2.000000000"')
+    assert data != report_file.read_bytes()
+    report_file.write_bytes(data)
+    commit_file = state_dir / "report-2026.commit"
+    commit = json.loads(commit_file.read_text())
+    commit["content_hash"] = hashlib.sha256(data).hexdigest()
+    commit_file.write_text(json.dumps(commit))
+    result = runner.invoke(main, [
+        "verify", str(report_file), str(commit_file),
+        "--event-log", str(state_dir / "ledger.json"),
+        "--baseline-file", str(base),
+    ])
+    assert result.exit_code == 1
+    assert result.output == "verification failed: RecomputeMismatch\n"
 
 
 def test_verify_tampered_report_exit_1(runner, tmp_path):
@@ -391,6 +437,94 @@ def test_index_last_confirmed_not_an_object_exit_2(runner, tmp_path):
     ])
     assert result.exit_code == 2
     assert result.output == "error: MalformedFile: prior.json: not a JSON object\n"
+
+
+def test_cycle_debt_ratios_not_an_object_exit_2(runner, tmp_path):
+    state_dir = tmp_path / "state"
+    subs = tmp_path / "subs"
+    subs.mkdir()
+    write_submission(subs / "op-1.json", "op-1")
+    data = json.loads((subs / "op-1.json").read_text())
+    (subs / "op-2.json").write_text(json.dumps(dict(data, debt_ratios=[])))
+    base = tmp_path / "baseline.json"
+    write_baseline(base)
+    result = runner.invoke(main, [
+        "cycle", "--state-dir", str(state_dir), "--submissions-dir", str(subs),
+        "--baseline-file", str(base), "--year", "2026",
+    ])
+    assert result.exit_code == 2
+    assert result.output == (
+        "error: MalformedFile: op-2.json: debt_ratios: not a JSON object\n")
+    assert list(state_dir.iterdir()) == []
+
+
+def test_index_last_confirmed_entry_not_an_object_exit_2(runner, tmp_path):
+    snap = tmp_path / "snap.csv"
+    write_snapshot(snap, "2026-October")
+    lines = snap.read_text().splitlines()
+    snap.write_text("\n".join(lines[:-2]) + "\n")  # drop KR
+    base = tmp_path / "baseline.json"
+    write_baseline(base)
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"KR": "x"}))
+    result = runner.invoke(main, [
+        "index", str(snap), "--baseline-file", str(base),
+        "--vintage", "2026-October", "--publication-date", "2026-10-14",
+        "--last-confirmed", str(prior),
+    ])
+    assert result.exit_code == 2
+    assert result.output == "error: MalformedFile: prior.json: KR: not a JSON object\n"
+
+
+def _verb_args(verb, tmp_path, base):
+    snap = tmp_path / "snap.csv"
+    write_snapshot(snap, "2026-October")
+    subs = tmp_path / "subs"
+    subs.mkdir()
+    for op in ("op-1", "op-2", "op-3"):
+        write_submission(subs / f"{op}.json", op)
+    report = tmp_path / "report.kldr"
+    report.write_text("{}")
+    commit = tmp_path / "report.commit"
+    commit.write_text(json.dumps({"content_hash": "0" * 64}))
+    return {
+        "index": ["index", str(snap), "--baseline-file", str(base),
+                  "--vintage", "2026-October", "--publication-date", "2026-10-14"],
+        "cycle": ["cycle", "--state-dir", str(tmp_path / "state"),
+                  "--submissions-dir", str(subs), "--baseline-file", str(base),
+                  "--year", "2026"],
+        "verify": ["verify", str(report), str(commit), "--baseline-file", str(base)],
+    }[verb]
+
+
+@pytest.mark.parametrize("verb", ["index", "cycle", "verify"])
+def test_baseline_without_lambda_exit_2(runner, tmp_path, verb):
+    base = tmp_path / "baseline.json"
+    write_baseline(base)
+    data = json.loads(base.read_text())
+    del data["lambda"]
+    base.write_text(json.dumps(data))
+    result = runner.invoke(main, _verb_args(verb, tmp_path, base))
+    assert result.exit_code == 2
+    assert result.output == "error: KeyError: 'lambda'\n"
+
+
+@pytest.mark.parametrize("verb", ["index", "cycle", "verify"])
+def test_baseline_nonpositive_lambda_exit_2(runner, tmp_path, verb):
+    base = tmp_path / "baseline.json"
+    write_baseline(base, lam="0")
+    result = runner.invoke(main, _verb_args(verb, tmp_path, base))
+    assert result.exit_code == 2
+    assert result.output == "error: NonPositiveLambda: lambda must be positive\n"
+
+
+@pytest.mark.parametrize("verb", ["index", "cycle"])
+def test_lam_option_is_gone_exit_2(runner, tmp_path, verb):
+    base = tmp_path / "baseline.json"
+    write_baseline(base)
+    result = runner.invoke(main, _verb_args(verb, tmp_path, base) + ["--lam", "1"])
+    assert result.exit_code == 2
+    assert "No such option '--lam'" in result.output
 
 
 def test_verify_event_log_directory_exit_2(runner, tmp_path):

@@ -11,14 +11,12 @@ from kladia.debt_index import (
     BaselineRef,
     RegimeBand,
     classify_band,
-    derive_index_state,
     index_kernel,
     normalize,
     policy_factor,
 )
 from kladia.errors import (
     BaselineFrozen,
-    BaselineNotFrozen,
     BlocSetMismatch,
     IncompleteBlocSet,
     NonPositiveLambda,
@@ -48,7 +46,7 @@ def fraction_weights(observations):
 
 def kernel_weights(observations, baseline):
     """Weights by bloc, through the index kernel."""
-    return derive_index_state(2026, observations, baseline, fp.ONE).weights
+    return dict(zip(ALL_BLOCS, index_kernel(*kc7_columns(observations), baseline)[0]))
 
 
 def test_weights_match_rational_oracle(vintage, baseline):
@@ -83,12 +81,12 @@ def test_weights_equal_gdp_residual_on_first_code(vintage, baseline):
 
 def test_weights_incomplete_set(vintage, observations, baseline):
     with pytest.raises(IncompleteBlocSet):
-        derive_index_state(2026, observations[:-1], baseline, fp.ONE)
+        index_kernel(*kc7_columns(observations[:-1]), baseline)
     with pytest.raises(IncompleteBlocSet):
-        derive_index_state(2026, observations + observations[:1], baseline, fp.ONE)
+        index_kernel(*kc7_columns(observations + observations[:1]), baseline)
     debt, gdp = kc7_columns(observations)
     with pytest.raises(IncompleteBlocSet):
-        index_kernel(debt[:-1], gdp[:-1], baseline, fp.ONE)
+        index_kernel(debt[:-1], gdp[:-1], baseline)
 
 
 def test_weights_sum_exactly_one_randomized(vintage, baseline):
@@ -111,25 +109,25 @@ def test_bdi_weighted_sum_oracle(vintage, baseline):
     gdp.update({Bloc.US: "20", Bloc.EA20: "10"})
     debt = {b: "999" for b in ALL_BLOCS}
     debt.update({Bloc.US: "120", Bloc.EA20: "240"})
-    state = derive_index_state(
-        2026, make_observations(vintage, debt=debt, gdp=gdp), baseline, fp.ONE)
-    assert state.weights[Bloc.US] == fp.from_str("0.666666667")
-    assert state.weights[Bloc.EA20] == fp.from_str("0.333333333")
+    weights, bdi = index_kernel(
+        *kc7_columns(make_observations(vintage, debt=debt, gdp=gdp)), baseline)[:2]
+    assert weights[ALL_BLOCS.index(Bloc.US)] == fp.from_str("0.666666667")
+    assert weights[ALL_BLOCS.index(Bloc.EA20)] == fp.from_str("0.333333333")
     expected = Decimal("0.666666667") * 120 + Decimal("0.333333333") * 240
-    assert state.bdi == fp.from_str(str(expected))
+    assert bdi == fp.from_str(str(expected))
     # and the exact-thirds value is 160: within one part in 10^7
-    assert abs(state.bdi - fp.from_str("160")) <= 100
+    assert abs(bdi - fp.from_str("160")) <= 100
 
 
 def test_bdi_constant_ratios(vintage, baseline):
     obs = make_observations(vintage, debt={b: "100" for b in ALL_BLOCS})
-    assert derive_index_state(2026, obs, baseline, fp.ONE).bdi == fp.from_str("100")
+    assert index_kernel(*kc7_columns(obs), baseline)[1] == fp.from_str("100")
 
 
 def test_bdi_bloc_set_mismatch(observations, baseline):
     debt, gdp = kc7_columns(observations)
     with pytest.raises(BlocSetMismatch):
-        index_kernel(debt[:-1], gdp, baseline, fp.ONE)
+        index_kernel(debt[:-1], gdp, baseline)
 
 
 def q9(value: Fraction) -> int:
@@ -171,35 +169,41 @@ def test_kernel_matches_fraction_oracle(debt, gdp, tie_to_max, bdi_ref, lam):
     top = max(gdp)
     gdp = [top if tie else v for v, tie in zip(gdp, tie_to_max)]
     baseline = BaselineRef(
-        bdi_ref, WeoVintage("2025-October", date(2025, 10, 15), "ab" * 32))
-    baseline.freeze()
-    result = index_kernel(tuple(debt), tuple(gdp), baseline, lam)
+        bdi_ref, WeoVintage("2025-October", date(2025, 10, 15), "ab" * 32), lam)
+    result = index_kernel(tuple(debt), tuple(gdp), baseline)
     assert result == fraction_chain(debt, gdp, bdi_ref, lam)
     assert sum(result[0]) == fp.ONE
 
 
 def test_normalize_cases(vintage):
-    ref = BaselineRef(fp.from_str("100"), vintage)
-    ref.freeze()
+    ref = BaselineRef(fp.from_str("100"), vintage, fp.ONE)
     assert normalize(fp.from_str("100"), ref) == (fp.ONE, 0)
     assert normalize(fp.from_str("150"), ref) == (fp.from_str("1.5"),
                                                   fp.from_str("0.5"))
     assert normalize(fp.from_str("80"), ref) == (fp.from_str("0.8"), 0)
 
 
-def test_normalize_requires_frozen(vintage):
-    ref = BaselineRef(fp.from_str("100"), vintage)
-    with pytest.raises(BaselineNotFrozen):
-        normalize(fp.from_str("100"), ref)
-
-
 def test_baseline_immutable_after_freeze(vintage):
-    ref = BaselineRef(fp.from_str("100"), vintage)
-    ref.freeze()
+    ref = BaselineRef(fp.from_str("100"), vintage, fp.ONE)
     with pytest.raises(BaselineFrozen):
         ref.bdi_ref = fp.from_str("90")
     with pytest.raises(BaselineFrozen):
         ref.genesis_vintage = vintage
+    with pytest.raises(BaselineFrozen):
+        ref.lam = fp.from_str("2")
+    assert (ref.bdi_ref, ref.lam) == (fp.from_str("100"), fp.ONE)
+
+
+@pytest.mark.parametrize("bdi_ref", [0, -1])
+def test_baseline_rejects_nonpositive_bdi_ref(vintage, bdi_ref):
+    with pytest.raises(ValueError):
+        BaselineRef(bdi_ref, vintage, fp.ONE)
+
+
+@pytest.mark.parametrize("lam", [0, -fp.ONE])
+def test_baseline_rejects_nonpositive_lambda(vintage, lam):
+    with pytest.raises(NonPositiveLambda):
+        BaselineRef(fp.from_str("100"), vintage, lam)
 
 
 def test_policy_factor_values():
@@ -238,13 +242,11 @@ def test_policy_factor_monotone_and_bounded(x1, x2, lam):
 
 def test_policy_factor_purity(vintage, observations, baseline):
     # level-based: same inputs give the same g regardless of any history
-    s1 = derive_index_state(2026, observations, baseline, fp.ONE)
+    first = index_kernel(*kc7_columns(observations), baseline)
     # unrelated computation in between
-    derive_index_state(2027, make_observations(
-        vintage, debt={b: "300" for b in ALL_BLOCS}), baseline, fp.ONE)
-    s2 = derive_index_state(2026, observations, baseline, fp.ONE)
-    assert s1.g == s2.g
-    assert s1.bdi == s2.bdi
+    index_kernel(*kc7_columns(make_observations(
+        vintage, debt={b: "300" for b in ALL_BLOCS})), baseline)
+    assert index_kernel(*kc7_columns(observations), baseline) == first
 
 
 def test_classify_band():

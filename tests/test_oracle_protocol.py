@@ -29,7 +29,6 @@ from conftest import make_observations
 OPERATORS = ("op-1", "op-2", "op-3", "op-4", "op-5")
 EXECUTORS = tuple(f"exec-{i}" for i in range(1, 9))
 T0 = datetime(2026, 1, 1, tzinfo=timezone.utc)
-LAM = fp.ONE
 
 
 def payload_for(vintage, baseline, debt_scale="1.0"):
@@ -45,7 +44,7 @@ def payload_for(vintage, baseline, debt_scale="1.0"):
             )
             for o in obs
         ]
-    return op.build_payload(obs, baseline, LAM, vintage)
+    return op.build_payload(obs, baseline, vintage)
 
 
 def submission(operator, vintage, baseline, debt_scale="1.0", ts=T0):
@@ -63,14 +62,14 @@ def fresh_record(prior_g=0):
 def test_submit_accepts_consistent_payload(vintage, baseline):
     record = fresh_record()
     record = op.submit(record, submission("op-1", vintage, baseline),
-                       OPERATORS, baseline, LAM)
+                       OPERATORS, baseline)
     assert len(record.submissions) == 1
 
 
 def test_submit_rejects_unknown_operator(vintage, baseline):
     with pytest.raises(UnknownOperator):
         op.submit(fresh_record(), submission("ghost", vintage, baseline),
-                  OPERATORS, baseline, LAM)
+                  OPERATORS, baseline)
 
 
 def test_submit_rejects_inconsistent_g(vintage, baseline):
@@ -78,7 +77,7 @@ def test_submit_rejects_inconsistent_g(vintage, baseline):
     tampered = replace(good, g=good.g + 1)
     sub = op.OracleSubmission.sign("op-1", tampered, T0)
     with pytest.raises(InconsistentPayload):
-        op.submit(fresh_record(), sub, OPERATORS, baseline, LAM)
+        op.submit(fresh_record(), sub, OPERATORS, baseline)
 
 
 def test_submit_rechecks_vintage_id_and_ranges(vintage, baseline):
@@ -87,17 +86,17 @@ def test_submit_rechecks_vintage_id_and_ranges(vintage, baseline):
     negative = replace(good, debt_ratios={**good.debt_ratios, Bloc.JP: -1})
     with pytest.raises(MalformedFile):
         op.submit(fresh_record(), op.OracleSubmission.sign("op-1", bad_vintage, T0),
-                  OPERATORS, baseline, LAM)
+                  OPERATORS, baseline)
     with pytest.raises(NegativeValue):
         op.submit(fresh_record(), op.OracleSubmission.sign("op-1", negative, T0),
-                  OPERATORS, baseline, LAM)
+                  OPERATORS, baseline)
 
 
 def test_canonical_view_is_not_shared(vintage, baseline):
     payload = payload_for(vintage, baseline)
     sub = op.OracleSubmission.sign("op-1", payload, T0)
-    record = op.submit(fresh_record(), sub, OPERATORS, baseline, LAM)
-    op.aggregate_median(record, baseline, LAM)
+    record = op.submit(fresh_record(), sub, OPERATORS, baseline)
+    op.aggregate_median(record, baseline)
     before = payload.canonical()
     record_before = record.canonical()
 
@@ -118,21 +117,21 @@ def test_canonical_view_is_not_shared(vintage, baseline):
 def test_submit_rejects_duplicates(vintage, baseline):
     record = fresh_record()
     record = op.submit(record, submission("op-1", vintage, baseline),
-                       OPERATORS, baseline, LAM)
+                       OPERATORS, baseline)
     with pytest.raises(DuplicateSubmission):
         op.submit(record, submission("op-1", vintage, baseline),
-                  OPERATORS, baseline, LAM)
+                  OPERATORS, baseline)
 
 
 def test_submissions_close_at_window_open(vintage, baseline):
     record = fresh_record()
     record = op.submit(record, submission("op-1", vintage, baseline),
-                       OPERATORS, baseline, LAM)
-    op.aggregate_median(record, baseline, LAM)
+                       OPERATORS, baseline)
+    op.aggregate_median(record, baseline)
     op.open_window(record, T0)
     with pytest.raises(SubmissionsClosed):
         op.submit(record, submission("op-2", vintage, baseline),
-                  OPERATORS, baseline, LAM)
+                  OPERATORS, baseline)
 
 
 # --- median ------------------------------------------------------------------
@@ -140,14 +139,14 @@ def test_submissions_close_at_window_open(vintage, baseline):
 def submit_scales(record, scales, vintage, baseline):
     for operator, scale in zip(OPERATORS, scales):
         record = op.submit(record, submission(operator, vintage, baseline, scale),
-                           OPERATORS, baseline, LAM)
+                           OPERATORS, baseline)
     return record
 
 
 def test_median_odd_count(vintage, baseline):
     record = submit_scales(fresh_record(), ["1.6", "1.61", "1.59"],
                            vintage, baseline)
-    median = op.aggregate_median(record, baseline, LAM)
+    median = op.aggregate_median(record, baseline)
     # sort oracle: middle of the three submitted BDIs
     expected = sorted(s.payload.bdi for s in record.submissions)[1]
     assert median.bdi == expected
@@ -155,25 +154,25 @@ def test_median_odd_count(vintage, baseline):
 
 def test_median_even_count_takes_lower(vintage, baseline):
     record = submit_scales(fresh_record(), ["1.59", "1.61"], vintage, baseline)
-    median = op.aggregate_median(record, baseline, LAM)
+    median = op.aggregate_median(record, baseline)
     assert median.bdi == min(s.payload.bdi for s in record.submissions)
 
 
 def test_median_single_submission(vintage, baseline):
     record = submit_scales(fresh_record(), ["1.3"], vintage, baseline)
-    median = op.aggregate_median(record, baseline, LAM)
+    median = op.aggregate_median(record, baseline)
     assert median.bdi == record.submissions[0].payload.bdi
 
 
 def test_median_no_submissions(baseline):
     with pytest.raises(NoSubmissions):
-        op.aggregate_median(fresh_record(), baseline, LAM)
+        op.aggregate_median(fresh_record(), baseline)
 
 
 def test_median_permutation_invariance(vintage, baseline):
     scales = ["1.2", "1.5", "1.31", "1.44", "1.07"]
     base_record = submit_scales(fresh_record(), scales, vintage, baseline)
-    reference = op.aggregate_median(base_record, baseline, LAM)
+    reference = op.aggregate_median(base_record, baseline)
     rng = random.Random(3)
     for _ in range(50):
         record = fresh_record()
@@ -181,24 +180,24 @@ def test_median_permutation_invariance(vintage, baseline):
         rng.shuffle(order)
         for operator, scale in order:
             record = op.submit(record, submission(operator, vintage, baseline, scale),
-                               OPERATORS, baseline, LAM)
-        assert op.aggregate_median(record, baseline, LAM).bdi == reference.bdi
+                               OPERATORS, baseline)
+        assert op.aggregate_median(record, baseline).bdi == reference.bdi
 
 
 def test_median_g_recomputed_from_baseline(vintage, baseline):
     record = submit_scales(fresh_record(), ["1.5"], vintage, baseline)
-    median = op.aggregate_median(record, baseline, LAM)
+    median = op.aggregate_median(record, baseline)
     x_excess = max(0, fp.div(median.bdi, baseline.bdi_ref) - fp.ONE)
     from kladia.debt_index import policy_factor
 
-    assert median.g == policy_factor(x_excess, LAM)
+    assert median.g == policy_factor(x_excess, baseline.lam)
 
 
 # --- flags and disputes ------------------------------------------------------
 
 def open_record(vintage, baseline, scales=("1.5", "1.52", "1.48")):
     record = submit_scales(fresh_record(), list(scales), vintage, baseline)
-    op.aggregate_median(record, baseline, LAM)
+    op.aggregate_median(record, baseline)
     op.open_window(record, T0)
     return record
 
@@ -233,7 +232,7 @@ def test_same_operator_twice_does_not_dispute(vintage, baseline):
 
 def test_flag_after_close_rejected(vintage, baseline):
     record = open_record(vintage, baseline)
-    record = op.resolve(record, T0 + timedelta(hours=73), None, baseline, LAM)
+    record = op.resolve(record, T0 + timedelta(hours=73), None, baseline)
     with pytest.raises(WindowClosed):
         op.flag(record, "op-1", "late", "too late")
 
@@ -253,7 +252,7 @@ def test_pause_quorum_not_met(vintage, baseline):
 
 def test_pause_after_expiry_rejected(vintage, baseline):
     record = open_record(vintage, baseline)
-    record = op.resolve(record, T0 + timedelta(hours=73), None, baseline, LAM)
+    record = op.resolve(record, T0 + timedelta(hours=73), None, baseline)
     with pytest.raises(WindowClosed):
         op.pause_by_governance(record, True, T0 + timedelta(hours=80))
 
@@ -263,13 +262,13 @@ def test_pause_after_expiry_rejected(vintage, baseline):
 def test_clean_expiry_just_after_72h(vintage, baseline):
     record = open_record(vintage, baseline)
     record = op.resolve(record, T0 + timedelta(hours=72, seconds=1), None,
-                        baseline, LAM)
+                        baseline)
     assert record.window.status is op.WindowStatus.EXPIRED_CLEAN
 
 
 def test_no_expiry_before_72h(vintage, baseline):
     record = open_record(vintage, baseline)
-    record = op.resolve(record, T0 + timedelta(hours=71), None, baseline, LAM)
+    record = op.resolve(record, T0 + timedelta(hours=71), None, baseline)
     assert record.window.status is op.WindowStatus.OPEN
 
 
@@ -277,11 +276,11 @@ def test_dispute_without_correction_lapses(vintage, baseline):
     prior = fp.from_str("0.25")
     record = submit_scales(op.CycleRecord(2026, prior), ["1.5", "1.52"],
                            vintage, baseline)
-    op.aggregate_median(record, baseline, LAM)
+    op.aggregate_median(record, baseline)
     op.open_window(record, T0)
     op.flag(record, "op-1", "x", "a")
     op.flag(record, "op-2", "x", "b")
-    record = op.resolve(record, T0 + timedelta(days=15), None, baseline, LAM)
+    record = op.resolve(record, T0 + timedelta(days=15), None, baseline)
     assert record.window.status is op.WindowStatus.LAPSED
     assert record.carried_forward
     assert record.confirmed_g == prior
@@ -292,7 +291,7 @@ def test_dispute_with_timely_correction_reopens(vintage, baseline):
     op.flag(record, "op-1", "x", "a")
     op.flag(record, "op-2", "x", "b")
     corrected = payload_for(vintage, baseline, "1.45")
-    record = op.resolve(record, T0 + timedelta(days=10), corrected, baseline, LAM)
+    record = op.resolve(record, T0 + timedelta(days=10), corrected, baseline)
     assert record.window.status is op.WindowStatus.OPEN
     assert record.window.opened_at == T0 + timedelta(days=10)
     assert record.median_payload.bdi == corrected.bdi
@@ -302,7 +301,7 @@ def test_dispute_with_timely_correction_reopens(vintage, baseline):
 
 def expired_record(vintage, baseline):
     record = open_record(vintage, baseline)
-    return op.resolve(record, T0 + timedelta(hours=73), None, baseline, LAM)
+    return op.resolve(record, T0 + timedelta(hours=73), None, baseline)
 
 
 def test_execute_happy_path(vintage, baseline):
@@ -346,7 +345,7 @@ def settle(vintage, baseline, state, flags, clock):
     subs = [submission(o, vintage, baseline, scale)
             for o, scale in zip(OPERATORS, ("1.5", "1.52", "1.48"))]
     return op.settle_cycle(2026, PRIOR_G, subs, OPERATORS, state, PolicyParams(),
-                           baseline, LAM, clock, EXECUTORS[:5], flags)
+                           baseline, clock, EXECUTORS[:5], flags)
 
 
 def test_settle_cycle_executes_a_clean_window(vintage, baseline):
@@ -422,7 +421,7 @@ def test_time_gate_randomized_schedules(vintage, baseline):
         executed_early = False
         for _ in range(rng.randint(1, 8)):
             clock.advance_hours(rng.randint(1, 30))
-            record = op.resolve(record, clock.now(), None, baseline, LAM)
+            record = op.resolve(record, clock.now(), None, baseline)
             if record.window.status is op.WindowStatus.EXPIRED_CLEAN:
                 elapsed = clock.now() - T0
                 if elapsed < timedelta(hours=72):

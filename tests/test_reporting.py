@@ -15,7 +15,6 @@ from kladia.policy import PolicyParams
 from conftest import make_observations
 
 T0 = datetime(2026, 1, 1, tzinfo=timezone.utc)
-LAM = fp.ONE
 OPERATORS = ("op-1", "op-2", "op-3")
 EXECUTORS = tuple(f"exec-{i}" for i in range(1, 9))
 ESCROW_SIGNERS = tuple(f"escrow-{i}" for i in range(1, 9))
@@ -24,14 +23,14 @@ ESCROW_SIGNERS = tuple(f"escrow-{i}" for i in range(1, 9))
 def executed_cycle(vintage, baseline, with_actions=True):
     record = op.CycleRecord(cycle_year=2026, prior_confirmed_g=0)
     for operator in OPERATORS:
-        payload = op.build_payload(make_observations(vintage), baseline, LAM, vintage)
+        payload = op.build_payload(make_observations(vintage), baseline, vintage)
         record = op.submit(
             record, op.OracleSubmission.sign(operator, payload, T0),
-            OPERATORS, baseline, LAM,
+            OPERATORS, baseline,
         )
-    op.aggregate_median(record, baseline, LAM)
+    op.aggregate_median(record, baseline)
     op.open_window(record, T0)
-    record = op.resolve(record, T0 + timedelta(hours=73), None, baseline, LAM)
+    record = op.resolve(record, T0 + timedelta(hours=73), None, baseline)
     state = lg.genesis()
     event_start = len(state.event_log)
     record, state, params = op.execute(
@@ -46,16 +45,16 @@ def executed_cycle(vintage, baseline, with_actions=True):
 
 def lapsed_cycle(vintage, baseline):
     record = op.CycleRecord(cycle_year=2026, prior_confirmed_g=fp.from_str("0.1"))
-    payload = op.build_payload(make_observations(vintage), baseline, LAM, vintage)
+    payload = op.build_payload(make_observations(vintage), baseline, vintage)
     record = op.submit(record, op.OracleSubmission.sign("op-1", payload, T0),
-                       OPERATORS, baseline, LAM)
+                       OPERATORS, baseline)
     record = op.submit(record, op.OracleSubmission.sign("op-2", payload, T0),
-                       OPERATORS, baseline, LAM)
-    op.aggregate_median(record, baseline, LAM)
+                       OPERATORS, baseline)
+    op.aggregate_median(record, baseline)
     op.open_window(record, T0)
     op.flag(record, "op-1", "x", "a")
     op.flag(record, "op-2", "x", "b")
-    return op.resolve(record, T0 + timedelta(days=15), None, baseline, LAM)
+    return op.resolve(record, T0 + timedelta(days=15), None, baseline)
 
 
 def test_build_report_executed(vintage, baseline):
@@ -78,10 +77,10 @@ def test_build_report_lapsed(vintage, baseline):
 
 def test_build_report_incomplete_cycle(vintage, baseline):
     record = op.CycleRecord(cycle_year=2026, prior_confirmed_g=0)
-    payload = op.build_payload(make_observations(vintage), baseline, LAM, vintage)
+    payload = op.build_payload(make_observations(vintage), baseline, vintage)
     record = op.submit(record, op.OracleSubmission.sign("op-1", payload, T0),
-                       OPERATORS, baseline, LAM)
-    op.aggregate_median(record, baseline, LAM)
+                       OPERATORS, baseline)
+    op.aggregate_median(record, baseline)
     op.open_window(record, T0)
     with pytest.raises(IncompleteCycle):
         reporting.build_report(record, [], [], baseline)
@@ -132,7 +131,7 @@ def test_verify_round_trip(vintage, baseline):
     report = reporting.build_report(record, events, [], baseline)
     commitment = reporting.commit(reporting.serialize(report))
     ok, problems = reporting.verify(
-        reporting.serialize(report), commitment, baseline, LAM, events
+        reporting.serialize(report), commitment, baseline, events
     )
     assert ok, problems
 
@@ -144,7 +143,7 @@ def test_verify_detects_edited_g(vintage, baseline):
     tampered = dict(report)
     tampered["g"] = fp.to_str(fp.from_str("0.123"))
     ok, problems = reporting.verify(
-        reporting.serialize(tampered), commitment, baseline, LAM, events
+        reporting.serialize(tampered), commitment, baseline, events
     )
     assert not ok
     assert "HashMismatch" in problems or "RecomputeMismatch" in problems
@@ -160,7 +159,7 @@ def test_verify_detects_omitted_burn(vintage, baseline):
     assert len(stripped["executed_actions"]) < len(report["executed_actions"])
     commitment = reporting.commit(reporting.serialize(stripped))
     ok, problems = reporting.verify(
-        reporting.serialize(stripped), commitment, baseline, LAM, events
+        reporting.serialize(stripped), commitment, baseline, events
     )
     assert not ok
     assert "SupplyReconciliationGap" in problems
@@ -174,7 +173,7 @@ def test_verify_nets_relock_against_issuance(vintage, baseline):
     report = reporting.build_report(record, events, [], baseline)
     assert any(a["op"] == "relock" for a in report["executed_actions"])
     data = reporting.serialize(report)
-    ok, problems = reporting.verify(data, reporting.commit(data), baseline, LAM, events)
+    ok, problems = reporting.verify(data, reporting.commit(data), baseline, events)
     assert ok, problems
     # a relock reported as issuance moves net issuance by twice its amount
     relabeled = dict(report)
@@ -183,7 +182,7 @@ def test_verify_nets_relock_against_issuance(vintage, baseline):
         for a in report["executed_actions"]
     ]
     data = reporting.serialize(relabeled)
-    ok, problems = reporting.verify(data, reporting.commit(data), baseline, LAM, events)
+    ok, problems = reporting.verify(data, reporting.commit(data), baseline, events)
     assert problems == ["SupplyReconciliationGap"]
 
 
@@ -193,7 +192,7 @@ def test_verify_detects_altered_weight(vintage, baseline):
     bloc = sorted(report["weights"])[0]
     altered = {**report, "weights": {**report["weights"], bloc: "0.000000001"}}
     data = reporting.serialize(altered)
-    ok, problems = reporting.verify(data, reporting.commit(data), baseline, LAM, events)
+    ok, problems = reporting.verify(data, reporting.commit(data), baseline, events)
     assert problems == ["RecomputeMismatch"]
 
 
@@ -225,13 +224,13 @@ def test_verify_reports_malformed_event_log(vintage, baseline, tamper):
     data = reporting.serialize(report)
     events = json.loads(json.dumps(events))
     tamper(events, next(i for i, e in enumerate(events) if e["op"] == "burn"))
-    ok, problems = reporting.verify(data, reporting.commit(data), baseline, LAM, events)
+    ok, problems = reporting.verify(data, reporting.commit(data), baseline, events)
     assert (ok, problems) == (False, ["MalformedEventLog"])
 
 
 def test_verify_rejects_non_object_report(baseline):
     data = b"[]"
-    ok, problems = reporting.verify(data, reporting.commit(data), baseline, LAM, [])
+    ok, problems = reporting.verify(data, reporting.commit(data), baseline, [])
     assert (ok, problems) == (False, ["SchemaIncomplete"])
 
 
@@ -259,6 +258,6 @@ def test_single_field_tamper_always_detected(vintage, baseline):
         else:
             tampered[key] = "tampered"
         ok, problems = reporting.verify(
-            reporting.serialize(tampered), commitment, baseline, LAM, events
+            reporting.serialize(tampered), commitment, baseline, events
         )
         assert not ok, f"tampering {key} went undetected"

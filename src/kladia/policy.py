@@ -2,7 +2,8 @@
 
 All four are continuous and linear in g, clamped at their published
 bounds: gross issuance budget, fee-burn fraction, monthly escrow release
-cap, and staking emission rate. Token-unit outputs round down.
+cap, and staking emission rate. Token-unit outputs are floored once, at
+the token boundary; fractions are half-even at 9 digits.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ def issuance_factor(params: PolicyParams, g: int) -> int:
     return max(0, fp.ONE - fp.mul(params.alpha_i, g))
 
 
+def _shrunk(amount: int, alpha: int, g: int) -> int:
+    """floor(amount * (1 - alpha * g)) for a token amount, alpha in [0, 1]
+    and g in [0, 1); the factor is never rounded on its own."""
+    return amount * (fp.SCALE * fp.SCALE - alpha * g) // (fp.SCALE * fp.SCALE)
+
+
 def issuance_budget(params: PolicyParams, g: int, locked_unburned: int) -> int:
     """Annual gross release budget, shrinking linearly in g.
 
@@ -84,8 +91,8 @@ def issuance_budget(params: PolicyParams, g: int, locked_unburned: int) -> int:
     """
     if locked_unburned < 0:
         raise ValueError("locked_unburned must be nonnegative")
-    budget = fp.scale_amount_down(params.i_base, issuance_factor(params, g))
-    return min(budget, locked_unburned)
+    _check_g(g)
+    return min(_shrunk(params.i_base, params.alpha_i, g), locked_unburned)
 
 
 def burn_fraction(params: PolicyParams, g: int) -> int:
@@ -97,8 +104,7 @@ def burn_fraction(params: PolicyParams, g: int) -> int:
 def escrow_cap(params: PolicyParams, g: int) -> int:
     """max(e_min, e_base * (1 - alpha_e * g)); never below the floor."""
     _check_g(g)
-    factor = max(0, fp.ONE - fp.mul(params.alpha_e, g))
-    return max(params.e_min, fp.scale_amount_down(params.e_base, factor))
+    return max(params.e_min, _shrunk(params.e_base, params.alpha_e, g))
 
 
 def staking_rate(params: PolicyParams, g: int) -> int:

@@ -146,7 +146,7 @@ CYCLE_FILES = {
     "cycle-2026.json":
         "ca62d844ee9e472f2bd7f3c0c19fc88af309d38da5766fcb137fb2a904ee26b8",
     "ledger.json":
-        "e6d438e49cda624b13e7310aae003c0757cdeee5c4f39e55a3e57c8b0db56f72",
+        "f3a8cf3a9ab07f90d2dab755a032b847ae6f1087baea88d247d739963fe2d997",
     "report-2026.commit":
         "ba92e94158bf98ee46d7fc67972a274fef4e7a0e4afb5cedc6047f7f347cc403",
     "report-2026.kldr":

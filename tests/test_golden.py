@@ -34,12 +34,12 @@ SCENARIOS = {
 
 GOLDEN = {
     "plain": (
-        "75ca02b77f6810313f2374f132b1c2d831eed42e292f16e7a97f333e327986a3",
-        ["c898077b42483b2da12404d92a30f1e7ba0efe8d7ec6d8771b8c01c21627bb69",
-         "cea1f30edd2347dea23faecce97ebae7d46b0f60c5d34c2fe1dd811bff92d87e",
+        "3021272df0c867d814f77482b0743d655e9021929bec00a15dfbb6f21231df90",
+        ["e234412f2f3dff4834d579029da379b14d78683857e0ff5b1d7093553e1d2bcd",
+         "f9f10e713f662a227de0197d0214b74f246ccc0045342028fa3b3f5de724d38b",
          "24a8fab961ad31e7aa4c1c6802fdd9fc58ec6740a809dfae0cd3862815137513",
          "22a019aa277082f120f390ff8f76debaa6d11aeee7bed950cd0d85ed8305bf44",
-         "638d71642abdfef4a2a74a9690eed049cdf243d32fea2ec1cc0c633ad65a2753"],
+         "5bf60e3a2f2348b44706bfb307f7d4c4a73ddc69f9f5c29e0f235b48eac581d6"],
     ),
     "dispute_years": (
         "a233441e72f0901ae51324ea0b60991abb9ea19fa99f95d484ed59a527dd8fdf",
@@ -50,28 +50,28 @@ GOLDEN = {
          "6b37924b7170e0767c23fdc902fca27aa0dae03344508971eed7afd17da4281a"],
     ),
     "outlier": (
-        "ba2096e2e50e39712417a4eb361f6018e6e6e8eabed6e4ae53324d31e8f6cdf2",
-        ["878393b33ba532da6e192232a08d7b2680a6ae27e4ee60df84e400ad4daf2cdc",
-         "6b8e6d5dda600b7e841a3ce4201ba62c6dfaa3420a9a0bfb81160a008ba20ddb",
-         "4e51ef4b3f666160750deb91e16acd1eca23b6812471b599eaf75aa154929884",
-         "db0d25ee2a749047bcbd27f26f5195b2945c195e18512624e558258ffe948681",
-         "e176ac00be4d93ec6286b7aca3da0114894eed66e39ca1e8e209efc38668974c"],
+        "7a481046b4184690886a4ccd8a3e1da49ba80f56cd0784bcbf16a6ef5c2dc838",
+        ["a7d9c2ac9746e3f55305207fe0fd20fdc76190cfcb2f3cf9b8f60f9e481349c4",
+         "db68142efa61d726cf0a16d989fa8e7c908f37137bdc323cb56f7270be7ffbac",
+         "7d3e3e2d788c512e4f1e712d3cd596a9ed84f989b052e41738a9d9ccac44226c",
+         "000d03a763fff5e0448a042cf03e6de0008a96d9ed5e60b719982ab4a6fee936",
+         "af75912e5e028c1aaac3394eaf1a99192569ea408fd1c8c02ed2a214d8d04ab5"],
     ),
     "missing": (
-        "5f3bdae0890e659ae87bc3a7bc6148786bd481a09b401b3a22ed66a6e37542df",
-        ["13ac677f0b46fab8762bdc36b24a9472bf4c12b218f418f18507ce493f98c010",
-         "a6aef3cc8965b26e6e759109b69e0a98c4c8912075d0d78d1a900b99ad4e0d5a",
-         "1ef3c260b52593489c8ea9f44b9b31020f87cd25f6e8318bed8f11c74ed31445",
-         "17d5b6344aeae5fd4b59f60a9296bc09c1e7748e9ffd3c5a76c8bc8563e930aa",
-         "c3e9767b2dd748e6457ccae6c9174705edcc136ee8137c8ebbb5ebd044de2cc8"],
+        "811081c52fb926c76856b57156532c5ed6c23848b8fa563c10a7accc349d15b3",
+        ["f138a30f53e8f538bc019c78f36ba2418a9df5b3aaf5e561213ebd4fe65659ac",
+         "3d6202fe49fedceec15add581579a4795770aeeaebc8b5d0a1628aacf4f40a83",
+         "7810c8464a8d54ec9a4c8943e52c6df9baee41ce04ff4eaf210f4bfb2dcfbbb7",
+         "aefa42a18abc53cfd1e2c09301aa13cc3eacc079d67d2d38430b8d6122a9deda",
+         "161d2e62f1ad9cdf26281ea7fd96c388327984fca4caf05f4a789eb0279d1c09"],
     ),
     "governance_script": (
-        "1d7622aead13fbdbf811ed0eaa9946f973c41579e0c95adc9baf4e52a1721e6a",
-        ["5d9043669448d168c7ba6983ab9b1fb8e729acc4f9e9b56707157c42d6fdb724",
-         "b25b18e4522cccd752bd4640645511fb30c40bd4f695f79e7044c38b71de3a64",
-         "9b8f742a820886ad9ddb1da17d4fb34ce81639cc11aec2a48b70ff04b7e0173c",
-         "517e886213ffcd7ca8d09425c5df303fd47b70b4f49bb16be31fd029ecfb78e7",
-         "88214b44687d4003cbbd017431bf343d153d2e405ef268c0eed187cecbc739a9"],
+        "acc415946c35740f4c0560b2d9fb0a337316106cca75a23db7389148f9115864",
+        ["6dee544462c7e0428ac3c35442e30997109a3a38c2d4ca8f2bd1fe9b4ee8a7af",
+         "add2233eaca5462e89b543fc8e2ccbbfd56a771ca08e0d34c9c644f3dcdb864d",
+         "5f5171f42605bee94c87144896122e1512e293d4317a5fe9b9e731cff2eef7d8",
+         "a8f098227f8f39d4261d20fa51bc17f96a906eee9794736918c7134c06ecb75f",
+         "1c6320bf3726ade96464898f4e606ddb469de81e77810c4332cfa48eda79c2a4"],
     ),
 }
 

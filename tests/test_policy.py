@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,6 +56,15 @@ def test_escrow_cap_cases():
     assert escrow_cap(p, fp.from_str("0.5")) == 60
     floored = params(e_base=100, e_min=30, alpha_e=fp.ONE)
     assert escrow_cap(floored, fp.from_str("0.9")) == 30
+
+
+def test_escrow_cap_moves_by_its_slope():
+    # 1e12 * (1 - 0.4 * g): 400 tokens per ulp of g, with no 9-digit factor
+    # rounded first (that gave 999999600000, 999999600000, 999999599000, ...)
+    p = params(e_base=10**12, alpha_e=fp.from_str("0.4"))
+    caps = [escrow_cap(p, g) for g in range(1000, 1005)]
+    assert caps == [999999600000, 999999599600, 999999599200,
+                    999999598800, 999999598400]
 
 
 def test_staking_rate_cases():
@@ -154,9 +165,10 @@ def test_continuity_lipschitz(p, g):
     slope_r = fp.mul(p.gamma, p.effective_r_base())
     assert abs(staking_rate(p, g2) - staking_rate(p, g)) <= \
         fp.scale_amount_down(eps, slope_r) + 1
-    # escrow cap slope: alpha_e * e_base (token units per unit g)
+    # escrow cap slope: alpha_e * e_base (token units per unit g), taken
+    # exactly: both alpha_e and eps are scaled, so the product is over SCALE**2
     d_cap = abs(escrow_cap(p, g2) - escrow_cap(p, g))
-    assert d_cap <= (p.e_base * fp.mul(p.alpha_e, eps)) // fp.SCALE + 1
+    assert d_cap <= (p.e_base * p.alpha_e * eps) // fp.SCALE**2 + 1
 
 
 @settings(max_examples=200)
@@ -166,3 +178,32 @@ def test_bounds(p, g, locked):
     assert 0 <= burn_fraction(p, g) <= p.b_max
     assert p.e_min <= escrow_cap(p, g) <= max(p.e_base, p.e_min)
     assert 0 <= staking_rate(p, g) <= p.effective_r_base()
+
+
+def q9(value: Fraction) -> int:
+    """Scaled integer nearest to value, ties to even (round() on a Fraction)."""
+    return round(value * fp.SCALE)
+
+
+def fraction_levers(p, g, locked):
+    """Independent oracle for the four levers on exact fractions. The token
+    levers are floored once; the burn fraction and the staking rate round
+    half-even at 9 digits where the program does: each product, and the
+    effective base rate."""
+    s = fp.SCALE
+    gf = Fraction(g, s)
+    budget = min(int(p.i_base * (1 - Fraction(p.alpha_i, s) * gf)), locked)
+    cap = max(p.e_min, int(p.e_base * (1 - Fraction(p.alpha_e, s) * gf)))
+    burn = min(p.b_max, p.b_base + q9(Fraction(p.beta_b, s) * gf))
+    factor = s - q9(Fraction(p.gamma, s) * gf)
+    r_eff = q9(Fraction(p.r_base * p.staking_multiplier, s * s))
+    rate = q9(Fraction(factor * r_eff, s * s)) if factor > 0 else 0
+    return budget, burn, cap, rate
+
+
+@settings(max_examples=300)
+@given(param_strategy, st.integers(0, fp.ONE - 1), st.integers(0, 10**14))
+def test_levers_match_fraction_oracle(p, g, locked):
+    levers = (issuance_budget(p, g, locked), burn_fraction(p, g),
+              escrow_cap(p, g), staking_rate(p, g))
+    assert levers == fraction_levers(p, g, locked)

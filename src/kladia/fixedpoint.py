@@ -8,6 +8,7 @@ is bit-identical across platforms.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal, InvalidOperation
 
 DIGITS = 9
@@ -15,9 +16,16 @@ SCALE = 10 ** DIGITS
 
 ONE = SCALE  # 1.000000000 in scaled units
 
+# A plain ASCII decimal that needs no rounding: at most 19 + 9 digits, so
+# Decimal's 28-digit context would hold it exactly too.
+_PLAIN = re.compile(r"-?[0-9]{1,19}(?:\.[0-9]{1,9})?").fullmatch
+
 
 def from_str(text: str) -> int:
     """Parse a decimal string into a scaled integer (half-even at 9 digits)."""
+    if isinstance(text, str) and _PLAIN(text):
+        whole, _, frac = text.partition(".")
+        return int(whole + frac.ljust(DIGITS, "0"))
     try:
         d = Decimal(text)
     except InvalidOperation as exc:

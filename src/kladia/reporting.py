@@ -182,10 +182,12 @@ def commit(report_bytes: bytes, reference_link: str = "", ledger_anchor: int = 0
 
 
 def _recomputes(report: dict, baseline: BaselineRef) -> bool:
-    """Whether the report's lambda is the baseline's and, unless it carries
-    g forward, its index fields are what its raw inputs give; never raises."""
+    """Whether the report's lambda and bdi_ref are the baseline's and, unless
+    it carries g forward, its index fields are what its raw inputs give;
+    never raises."""
     try:
-        if fp.from_str(report["lambda"]) != baseline.lam:
+        if (fp.from_str(report["lambda"]) != baseline.lam
+                or report["bdi_ref"] != fp.to_str(baseline.bdi_ref)):
             return False
         if (not report.get("raw_inputs") or report.get("bdi") is None
                 or report.get("carried_forward", False)):
@@ -215,7 +217,8 @@ def verify(
     """Three-way check: hash match, internal recomputation, reconciliation.
 
     The recomputation runs when a baseline is given, under the baseline's
-    lambda; a report whose lambda is not the baseline's fails it too.
+    lambda; a report whose lambda or bdi_ref is not the baseline's fails it
+    too.
     Returns (ok, discrepancy codes); never raises on bad input.
     """
     discrepancies: list[str] = []

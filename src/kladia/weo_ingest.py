@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
-from typing import Optional, Sequence
+from itertools import chain, islice
+from typing import Iterator, Optional, Sequence
 
 from . import fixedpoint as fp
 from .canonical import sha256_hex
@@ -42,6 +43,8 @@ class Bloc(Enum):
 
 
 ALL_BLOCS: tuple[Bloc, ...] = tuple(Bloc)
+_BLOC_BY_CODE = {b.value: b for b in ALL_BLOCS}
+_CANONICAL_SERIES = (DEBT_SERIES, GDP_SERIES)
 
 _VINTAGE_RE = re.compile(
     r"^(?P<year>\d{4})-(?P<month>January|February|March|April|May|June|July|"
@@ -131,6 +134,28 @@ class SnapshotDecision:
     fallback_note: Optional[str] = None
 
 
+# What keeps csv.reader from reading text as lines split on "\n" and ","
+# with no cell for str.strip to change: the quote, the carriage return,
+# NUL (which the 3.10 reader rejects) and the ASCII whitespace but "\n".
+_NOT_PLAIN = ('"', "\r", "\0",
+              " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _rows(text: str) -> Iterator[list[str]]:
+    """The rows of text as csv.reader reads them: the header as it stands,
+    every later row with its cells stripped.
+
+    ASCII text free of _NOT_PLAIN and no longer than csv's field limit is
+    split directly: the same rows, save a blank last one that parsing
+    skips, without the reader's per-row cost.
+    """
+    if (text and text.isascii() and len(text) <= csv.field_size_limit()
+            and not any(c in text for c in _NOT_PLAIN)):
+        return iter([line.split(",") if line else [] for line in text.split("\n")])
+    reader = csv.reader(io.StringIO(text))
+    return chain(islice(reader, 1), ([c.strip() for c in row] for row in reader))
+
+
 def parse_weo_snapshot(
     raw: bytes, vintage_id: str, publication_date: date
 ) -> ParsedSnapshot:
@@ -147,7 +172,7 @@ def parse_weo_snapshot(
     except UnicodeDecodeError as exc:
         raise MalformedFile("snapshot is not valid UTF-8") from exc
 
-    reader = csv.reader(io.StringIO(text))
+    reader = _rows(text)
     try:
         header = next(reader)
     except StopIteration:
@@ -157,16 +182,15 @@ def parse_weo_snapshot(
 
     seen: dict[tuple[Bloc, str], int] = {}
     for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
         if len(row) != 4:
+            if not row or row == [""]:
+                continue  # a blank line; its cell is already stripped
             raise MalformedFile(f"line {lineno}: expected 4 columns, got {len(row)}")
-        bloc_code, series, value, row_vintage = (c.strip() for c in row)
-        try:
-            bloc = Bloc(bloc_code)
-        except ValueError as exc:
-            raise MalformedFile(f"line {lineno}: unknown bloc {bloc_code!r}") from exc
-        if series not in (DEBT_SERIES, GDP_SERIES):
+        bloc_code, series, value, row_vintage = row
+        bloc = _BLOC_BY_CODE.get(bloc_code)
+        if bloc is None:
+            raise MalformedFile(f"line {lineno}: unknown bloc {bloc_code!r}")
+        if series not in _CANONICAL_SERIES:
             continue  # extract may carry extra series; only the canonical two count
         if row_vintage != vintage_id:
             raise MalformedFile(

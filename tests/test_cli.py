@@ -220,26 +220,40 @@ def test_verify_uses_the_baseline_lambda(runner, tmp_path):
     assert "verified: clean" in result.output
 
 
-def test_verify_flags_an_edited_report_lambda(runner, tmp_path):
+def _verify_recommitted_edit(runner, tmp_path, field, old, new):
     # the edited report is re-committed, so only the recomputation can fail
     result, state_dir, base = run_cycle(runner, tmp_path)
     assert result.exit_code == 0, result.output
     report_file = state_dir / "report-2026.kldr"
     report = json.loads(report_file.read_bytes())
-    assert report["lambda"] == "1.000000000"
+    assert report[field] == old
     data = report_file.read_bytes().replace(
-        b'"lambda":"1.000000000"', b'"lambda":"2.000000000"')
+        f'"{field}":"{old}"'.encode(), f'"{field}":"{new}"'.encode())
     assert data != report_file.read_bytes()
     report_file.write_bytes(data)
     commit_file = state_dir / "report-2026.commit"
     commit = json.loads(commit_file.read_text())
     commit["content_hash"] = hashlib.sha256(data).hexdigest()
     commit_file.write_text(json.dumps(commit))
-    result = runner.invoke(main, [
+    return runner.invoke(main, [
         "verify", str(report_file), str(commit_file),
         "--event-log", str(state_dir / "ledger.json"),
         "--baseline-file", str(base),
     ])
+
+
+def test_verify_flags_an_edited_report_lambda(runner, tmp_path):
+    result = _verify_recommitted_edit(runner, tmp_path, "lambda",
+                                      "1.000000000", "2.000000000")
+    assert result.exit_code == 1
+    assert result.output == "verification failed: RecomputeMismatch\n"
+
+
+def test_verify_flags_an_edited_report_bdi_ref(runner, tmp_path):
+    # bdi, x_norm and g still recompute (under the baseline's bdi_ref), so
+    # only the bdi_ref check itself can fail
+    result = _verify_recommitted_edit(runner, tmp_path, "bdi_ref",
+                                      "100.000000000", "90.000000000")
     assert result.exit_code == 1
     assert result.output == "verification failed: RecomputeMismatch\n"
 

@@ -1,7 +1,7 @@
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kladia import fixedpoint as fp
 
@@ -64,3 +64,41 @@ def test_scale_down_plus_remainder_is_exact(amount, factor):
     down = fp.scale_amount_down(amount, factor)
     rem = fp.scale_amount_remainder(amount, factor)
     assert down * fp.SCALE + rem == amount * factor
+
+
+# Strings for from_str: plain ASCII decimals on both sides of the exact
+# path's limits (19 integer and 9 fractional digits), and everything the
+# exact path leaves to Decimal: signs, padding, exponents, underscores,
+# non-ASCII digits, bare dots, special values, more than 9 places.
+DECIMAL_TEXT = st.one_of(
+    st.from_regex(r"-?[0-9]{1,22}(\.[0-9]{0,12})?", fullmatch=True),
+    st.lists(st.sampled_from(
+        ["0", "7", "19", "5", "0000000005", "9" * 19, ".", "-", "+", "e",
+         "E-3", "e+2", "_", " ", "\t", "\n", "\u0663", "\uff11", "\u00b2"]),
+        max_size=8).map("".join),
+    st.sampled_from(["NaN", "-Infinity", "sNaN", "inf", "", ".5", "1.",
+                     "-0", "1_000.5", "1e-10", " 2.5", "1" + "0" * 19,
+                     "-" + "9" * 19 + ".999999999", "9" * 19 + ".9999999995",
+                     "0" * 25 + "1.5"]),
+)
+
+
+@settings(max_examples=300)
+@given(DECIMAL_TEXT)
+def test_from_str_equals_decimal(text):
+    try:
+        expected = int(Decimal(text).scaleb(fp.DIGITS).quantize(
+            1, ROUND_HALF_EVEN))
+    except (ArithmeticError, ValueError):
+        # not a number, not finite, or too long for Decimal's 28-digit
+        # context (InvalidOperation and Overflow are ArithmeticErrors)
+        with pytest.raises((ArithmeticError, ValueError)):
+            fp.from_str(text)
+    else:
+        assert fp.from_str(text) == expected
+
+
+def test_from_str_of_a_json_number():
+    # a baseline or submission file may spell a value as a JSON number
+    assert fp.from_str(100) == 100 * fp.SCALE
+    assert fp.from_str(0.1) == 100_000_000

@@ -1,7 +1,13 @@
+import csv
 import hashlib
+import io
+import random
 from datetime import date
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kladia import fixedpoint as fp
 from kladia.errors import DuplicateBloc, MalformedFile, NegativeValue, NoPriorValue
@@ -147,3 +153,166 @@ def test_next_business_day_respects_holiday_calendar():
 def test_vintage_id_validation():
     with pytest.raises(MalformedFile):
         WeoVintage("October2024", PUB, "00" * 32)
+
+
+# --- the row checks, in their order: column count, bloc, series filter,
+# vintage, duplicate, value ------------------------------------------------
+
+def values(raw):
+    """(bloc, debt, gdp) per KC7 bloc, None for a bloc the file lacks."""
+    return [(o.bloc, None, None) if isinstance(o, MissingSeries)
+            else (o.bloc, o.debt_ratio, o.nominal_gdp)
+            for o in parse_weo_snapshot(raw, "2024-October", PUB).observations]
+
+
+def malformed_message(extra_rows):
+    with pytest.raises(MalformedFile) as info:
+        parse_weo_snapshot(snapshot_bytes(extra_rows=extra_rows), "2024-October", PUB)
+    return str(info.value)
+
+
+def test_unknown_bloc_on_an_extra_series_row():
+    # the bloc is checked before the series filter; the header is line 1 and
+    # the fourteen canonical rows are lines 2-15
+    assert (malformed_message(["XX,LUR,1,2024-October"])
+            == "line 16: unknown bloc 'XX'")
+
+
+def test_column_count_is_checked_first():
+    assert (malformed_message(["US,NGDPD,1"])
+            == "line 16: expected 4 columns, got 3")
+    assert (malformed_message(["XX,LUR,1"])
+            == "line 16: expected 4 columns, got 3")
+
+
+def test_vintage_mismatch():
+    assert (malformed_message(["US,NGDPD,1,2023-October"])
+            == "line 16: vintage '2023-October' != '2024-October'")
+    # an extra series is dropped before its vintage is looked at
+    parse_weo_snapshot(snapshot_bytes(extra_rows=["US,LUR,1,2023-October"]),
+                       "2024-October", PUB)
+
+
+def test_duplicate_is_checked_before_the_value():
+    raw = snapshot_bytes(extra_rows=["US,NGDPD,n/a,2024-October"])
+    with pytest.raises(DuplicateBloc, match="duplicate NGDPD row for US"):
+        parse_weo_snapshot(raw, "2024-October", PUB)
+
+
+def test_not_a_number_on_a_canonical_row_and_on_an_extra_row():
+    raw = snapshot_bytes(skip=(Bloc.KR,), extra_rows=[
+        "KR,LUR,n/a,2024-October",             # extra series: ignored
+        "KR,GGXWDG_NGDP,55,2024-October",
+        "KR,NGDPD,n/a,2024-October",
+    ])
+    with pytest.raises(MalformedFile, match=r"^line 16: bad value 'n/a'$"):
+        parse_weo_snapshot(raw, "2024-October", PUB)
+    raw = snapshot_bytes(extra_rows=["KR,LUR,n/a,2024-October"])
+    assert values(raw) == values(snapshot_bytes())
+
+
+def test_blank_lines_are_skipped_and_counted():
+    lines = snapshot_bytes().decode().split("\n")
+    spaced = "\n".join(lines[:3] + ["", "   "] + lines[3:]) + "\n\n"
+    assert values(spaced.encode()) == values(snapshot_bytes())
+    # header, two rows, two blank lines, twelve rows, two blank lines
+    with pytest.raises(MalformedFile, match=r"^line 20: unknown bloc 'XX'$"):
+        parse_weo_snapshot((spaced + "XX,LUR,1,2024-October\n").encode(),
+                           "2024-October", PUB)
+
+
+@pytest.mark.parametrize("row", [
+    ' US , NGDPD ,\t27000 , 2024-October ',
+    '"US","NGDPD","27000","2024-October"',
+    '" US ",NGDPD,"27000\u3000",2024-October\xa0',
+    'US,NGDPD,\u300027000,2024-October\xa0',  # padding outside ASCII only
+])
+def test_padded_and_quoted_cells(row):
+    raw = snapshot_bytes(skip=(Bloc.US,), extra_rows=[
+        "US,GGXWDG_NGDP,120,2024-October", row])
+    assert values(raw) == values(snapshot_bytes())
+
+
+def test_crlf_line_ends():
+    raw = snapshot_bytes().replace(b"\n", b"\r\n")
+    assert values(raw) == values(snapshot_bytes())
+
+
+def test_header_messages():
+    with pytest.raises(MalformedFile, match=r"^empty snapshot file$"):
+        parse_weo_snapshot(b"", "2024-October", PUB)
+    with pytest.raises(MalformedFile, match=r"^unexpected header: \[\]$"):
+        parse_weo_snapshot(b"\n", "2024-October", PUB)
+    with pytest.raises(MalformedFile,
+                       match=r"^unexpected header: \[' bloc', 'series '\]$"):
+        parse_weo_snapshot(b" bloc,series \n", "2024-October", PUB)
+
+
+# --- the whole parse against csv + Decimal ----------------------------------
+
+EXTRA_SERIES = ("LUR", "PCPIPCH", "GGXCNL_NGDP", "BCA_NGDPD", "NGDP_RPCH")
+PADDING = ("", " ", "\t", "  ", "\xa0", "\u3000")
+
+
+def amount(whole, fraction, places, form):
+    """A decimal of at least 1: plain, with more than nine places (rounded
+    half-even), with leading zeros, or with an exponent."""
+    digits = str(fraction).rjust(12, "0")[12 - places:]
+    if form == "exponent":
+        return f"{whole}{digits}E-{places}"
+    text = f"{whole}.{digits}" if places else str(whole)
+    return "00" + text if form == "zeros" else text
+
+
+AMOUNT = st.builds(amount, st.integers(1, 10**7), st.integers(0, 10**12 - 1),
+                   st.integers(0, 12), st.sampled_from(["plain", "zeros", "exponent"]))
+
+
+@st.composite
+def snapshots(draw):
+    """A shuffled extract with extra series and some blocs left out; rows
+    padded, quoted, split by blank lines and ended as the draw decides."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = []
+    for b in ALL_BLOCS:
+        if rng.random() < 0.2:
+            continue  # the bloc is missing from the file
+        rows.append([b.value, "GGXWDG_NGDP", draw(AMOUNT), "2024-October"])
+        rows.append([b.value, "NGDPD", draw(AMOUNT), "2024-October"])
+        for series in rng.sample(EXTRA_SERIES, rng.randint(0, len(EXTRA_SERIES))):
+            rows.append([b.value, series, rng.choice(["n/a", "-4.662", "1e3", ""]),
+                         rng.choice(["2024-October", "2023-April"])])
+    rng.shuffle(rows)
+    # the share of cells padded or quoted, and of rows after a blank line;
+    # none in half the draws, so that plain extracts are common
+    style = rng.choice([0.0, rng.random()])
+    lines = ["bloc,series,value,vintage"]
+    for row in rows:
+        if rng.random() < style / 4:
+            lines.append(rng.choice(["", " \t"]))
+        cells = []
+        for cell in row:
+            if rng.random() < style:
+                cell = rng.choice(PADDING) + cell + rng.choice(PADDING)
+            cells.append(f'"{cell}"' if rng.random() < style else cell)
+        lines.append(",".join(cells))
+    end = rng.choice(["\n", "\r\n"])
+    return (end.join(lines) + rng.choice(["", end, end * 2])).encode()
+
+
+def csv_decimal_oracle(raw):
+    """values(raw), from csv.reader, str.strip and Decimal."""
+    values = {}
+    for row in list(csv.reader(io.StringIO(raw.decode())))[1:]:
+        cells = [c.strip() for c in row]
+        if len(cells) == 4 and cells[1] in ("GGXWDG_NGDP", "NGDPD"):
+            # round() on a Fraction is half-even
+            values[cells[0], cells[1]] = round(Fraction(Decimal(cells[2])) * fp.SCALE)
+    return [(b, values.get((b.value, "GGXWDG_NGDP")), values.get((b.value, "NGDPD")))
+            for b in ALL_BLOCS]
+
+
+@settings(max_examples=200)
+@given(snapshots())
+def test_parse_matches_csv_and_decimal(raw):
+    assert values(raw) == csv_decimal_oracle(raw)

@@ -14,8 +14,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
-from itertools import chain, islice
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import fixedpoint as fp
 from .canonical import sha256_hex
@@ -134,28 +133,6 @@ class SnapshotDecision:
     fallback_note: Optional[str] = None
 
 
-# What keeps csv.reader from reading text as lines split on "\n" and ","
-# with no cell for str.strip to change: the quote, the carriage return,
-# NUL (which the 3.10 reader rejects) and the ASCII whitespace but "\n".
-_NOT_PLAIN = ('"', "\r", "\0",
-              " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _rows(text: str) -> Iterator[list[str]]:
-    """The rows of text as csv.reader reads them: the header as it stands,
-    every later row with its cells stripped.
-
-    ASCII text free of _NOT_PLAIN and no longer than csv's field limit is
-    split directly: the same rows, save a blank last one that parsing
-    skips, without the reader's per-row cost.
-    """
-    if (text and text.isascii() and len(text) <= csv.field_size_limit()
-            and not any(c in text for c in _NOT_PLAIN)):
-        return iter([line.split(",") if line else [] for line in text.split("\n")])
-    reader = csv.reader(io.StringIO(text))
-    return chain(islice(reader, 1), ([c.strip() for c in row] for row in reader))
-
-
 def parse_weo_snapshot(
     raw: bytes, vintage_id: str, publication_date: date
 ) -> ParsedSnapshot:
@@ -172,7 +149,7 @@ def parse_weo_snapshot(
     except UnicodeDecodeError as exc:
         raise MalformedFile("snapshot is not valid UTF-8") from exc
 
-    reader = _rows(text)
+    reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -183,15 +160,16 @@ def parse_weo_snapshot(
     seen: dict[tuple[Bloc, str], int] = {}
     for lineno, row in enumerate(reader, start=2):
         if len(row) != 4:
-            if not row or row == [""]:
-                continue  # a blank line; its cell is already stripped
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # a blank line
             raise MalformedFile(f"line {lineno}: expected 4 columns, got {len(row)}")
-        bloc_code, series, value, row_vintage = row
+        bloc_code, series = row[0].strip(), row[1].strip()
         bloc = _BLOC_BY_CODE.get(bloc_code)
         if bloc is None:
             raise MalformedFile(f"line {lineno}: unknown bloc {bloc_code!r}")
         if series not in _CANONICAL_SERIES:
             continue  # extract may carry extra series; only the canonical two count
+        value, row_vintage = row[2].strip(), row[3].strip()
         if row_vintage != vintage_id:
             raise MalformedFile(
                 f"line {lineno}: vintage {row_vintage!r} != {vintage_id!r}"

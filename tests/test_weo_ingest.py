@@ -199,11 +199,12 @@ def test_duplicate_is_checked_before_the_value():
         parse_weo_snapshot(raw, "2024-October", PUB)
 
 
-def test_not_a_number_on_a_canonical_row_and_on_an_extra_row():
+@pytest.mark.parametrize("cell", ["n/a", " n/a\t"])
+def test_not_a_number_on_a_canonical_row_and_on_an_extra_row(cell):
     raw = snapshot_bytes(skip=(Bloc.KR,), extra_rows=[
         "KR,LUR,n/a,2024-October",             # extra series: ignored
         "KR,GGXWDG_NGDP,55,2024-October",
-        "KR,NGDPD,n/a,2024-October",
+        f"KR,NGDPD,{cell},2024-October",
     ])
     with pytest.raises(MalformedFile, match=r"^line 16: bad value 'n/a'$"):
         parse_weo_snapshot(raw, "2024-October", PUB)
@@ -211,9 +212,10 @@ def test_not_a_number_on_a_canonical_row_and_on_an_extra_row():
     assert values(raw) == values(snapshot_bytes())
 
 
-def test_blank_lines_are_skipped_and_counted():
+@pytest.mark.parametrize("blank", ["", "   "], ids=["empty", "padded"])
+def test_blank_lines_are_skipped_and_counted(blank):
     lines = snapshot_bytes().decode().split("\n")
-    spaced = "\n".join(lines[:3] + ["", "   "] + lines[3:]) + "\n\n"
+    spaced = "\n".join(lines[:3] + ["", blank] + lines[3:]) + "\n\n"
     assert values(spaced.encode()) == values(snapshot_bytes())
     # header, two rows, two blank lines, twelve rows, two blank lines
     with pytest.raises(MalformedFile, match=r"^line 20: unknown bloc 'XX'$"):

@@ -9,7 +9,7 @@ is bit-identical across platforms.
 from __future__ import annotations
 
 import re
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DecimalException
 
 DIGITS = 9
 SCALE = 10 ** DIGITS
@@ -22,18 +22,22 @@ _PLAIN = re.compile(r"-?[0-9]{1,19}(?:\.[0-9]{1,9})?").fullmatch
 
 
 def from_str(text: str) -> int:
-    """Parse a decimal string into a scaled integer (half-even at 9 digits)."""
+    """Parse a decimal string into a scaled integer (half-even at 9 digits).
+
+    Raises ValueError for anything else, a value too long for Decimal's
+    28-digit context included.
+    """
     if isinstance(text, str) and _PLAIN(text):
         whole, _, frac = text.partition(".")
         return int(whole + frac.ljust(DIGITS, "0"))
     try:
         d = Decimal(text)
-    except InvalidOperation as exc:
-        raise ValueError(f"not a decimal: {text!r}") from exc
-    if not d.is_finite():
-        raise ValueError(f"not finite: {text!r}")
-    scaled = d.scaleb(DIGITS)
-    return int(scaled.quantize(Decimal(1), rounding="ROUND_HALF_EVEN"))
+        if not d.is_finite():
+            raise ValueError(f"not finite: {text!r}")
+        scaled = d.scaleb(DIGITS).quantize(Decimal(1), rounding="ROUND_HALF_EVEN")
+    except DecimalException as exc:
+        raise ValueError(f"not a decimal of at most 28 digits: {text!r}") from exc
+    return int(scaled)
 
 
 def to_str(value: int) -> str:

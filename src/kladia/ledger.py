@@ -1,14 +1,19 @@
 """Exact-integer supply state machine.
 
 All balances are integer base units (1 KLD = 10^6 units). Every transition
-operates on a private copy, re-checks supply conservation, and either
-returns the new state or raises with the prior state untouched. There is
-no mint operation and no inverse of burn anywhere on the public surface.
+is a check, which raises and mutates nothing and returns the event's full
+inputs, then `_apply` of those inputs to a private copy, which re-checks
+supply conservation and logs the event with its state hash. The prior state
+is never touched. A stored ledger is loaded by replaying its event log from
+genesis through the same check and apply, so it is valid exactly when it is
+what its own log replays to. There is no mint operation and no inverse of
+burn anywhere on the public surface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import json
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -22,6 +27,7 @@ from .errors import (
     CrossBucketRelock,
     InsufficientApprovals,
     InsufficientFeePool,
+    KladiaError,
     MalformedFile,
     NoMintAfterGenesis,
     RelockExceedsRelease,
@@ -131,14 +137,6 @@ class VestingSchedule:
         return self.total - base * (self.vest_months - 1)
 
 
-@dataclass(frozen=True)
-class RelockRecord:
-    amount: int
-    origin_bucket: BucketKind
-    tx_hash: str
-    justification: str
-
-
 @dataclass
 class LedgerState:
     s_max: int
@@ -153,7 +151,6 @@ class LedgerState:
     reserve_spend_this_month: int
     reserve_month_start_balance: int
     relockable: dict[BucketKind, int] = field(default_factory=dict)
-    relock_log: list[RelockRecord] = field(default_factory=list)
     burn_dust: int = 0                     # 1/SCALE base-unit remainders
     issuance_used_year: int = 0
     # append-only event list shared with clones; this state's history is
@@ -166,6 +163,19 @@ class LedgerState:
         """This state's own history, as a new list."""
         return self.journal[:self.n_events]
 
+    @property
+    def relock_log(self) -> list[dict]:
+        """The relocks in this state's history, in order, as `ledger.json`
+        records them."""
+        relocks = [e["inputs"] for e in self.event_log if e["op"] == "relock"]
+        return [
+            {"amount": r["amount"], "bucket": r["bucket"],
+             "tx_hash": content_hash({"op": "relock", "bucket": r["bucket"],
+                                      "amount": r["amount"], "seq": seq}),
+             "justification": r["justification"]}
+            for seq, r in enumerate(relocks)
+        ]
+
     def __eq__(self, other):
         # field-wise, with `journal` narrowed to this state's own history
         if other.__class__ is not self.__class__:
@@ -176,7 +186,7 @@ class LedgerState:
     # --- snapshots -----------------------------------------------------------
 
     def clone(self) -> "LedgerState":
-        # log entries, the journal and policies are never mutated in place
+        # the journal, its entries and policies are never mutated in place
         # after creation, so they can be shared; other containers are copied
         vesting = self.vesting
         return LedgerState(
@@ -195,7 +205,6 @@ class LedgerState:
             reserve_spend_this_month=self.reserve_spend_this_month,
             reserve_month_start_balance=self.reserve_month_start_balance,
             relockable=dict(self.relockable),
-            relock_log=list(self.relock_log),
             burn_dust=self.burn_dust,
             issuance_used_year=self.issuance_used_year,
             journal=self.journal,
@@ -276,7 +285,7 @@ class LedgerState:
 
 
 def to_json_dict(state: LedgerState) -> dict:
-    """Full round-trippable dump (snapshot plus schedules, policies, log)."""
+    """Full dump (snapshot plus schedules, policies, log) for `from_json_dict`."""
     factors = state.annual_factors
     return {
         "snapshot": state.snapshot(),
@@ -284,165 +293,338 @@ def to_json_dict(state: LedgerState) -> dict:
             k.value: {"threshold": p.threshold, "signers": list(p.signer_set)}
             for k, p in state.policies.items()
         },
-        "vesting": {
-            "total": state.vesting.total,
-            "cliff_months": state.vesting.cliff_months,
-            "vest_months": state.vesting.vest_months,
-            "released_months": state.vesting.released_months,
-            "released_total": state.vesting.released_total,
-        },
-        "annual_factors": None if factors is None else {
-            "phi_i": factors.phi_i,
-            "burn_fraction": factors.burn_fraction,
-            "escrow_cap": factors.escrow_cap,
-            "staking_rate": factors.staking_rate,
-            "issuance_budget": factors.issuance_budget,
-            "g_used": factors.g_used,
-        },
+        "vesting": asdict(state.vesting),
+        "annual_factors": None if factors is None else asdict(factors),
         "reserve_month_start_balance": state.reserve_month_start_balance,
         "relockable": {k.value: v for k, v in state.relockable.items()},
-        "relock_log": [
-            {"amount": r.amount, "bucket": r.origin_bucket.value,
-             "tx_hash": r.tx_hash, "justification": r.justification}
-            for r in state.relock_log
-        ],
+        "relock_log": state.relock_log,
         "event_log": state.event_log,
     }
 
 
-_BUCKET_NAMES = frozenset(k.value for k in BucketKind)
-_SNAPSHOT_COUNTERS = ("s_max", "circulating", "burned_cumulative", "month_index",
-                      "releases_this_month", "reserve_spend_this_month",
-                      "burn_dust", "issuance_used_year")
-_VESTING_FIELDS = tuple(f.name for f in fields(VestingSchedule))
-_FACTOR_FIELDS = tuple(
-    f.name for f in fields(PolicyFactors) if f.name != "g_used"
-)
-
-
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise MalformedFile(f"{where}: not a JSON object")
-    return value
-
-
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise MalformedFile(f"{where}: not a JSON list")
-    return value
-
-
-def _ints(section: dict, names: Iterable[str], where: str) -> dict[str, int]:
-    """The named fields of `section`; each must be a JSON integer (no bool,
-    float or string, which would hash differently from the replayed state)."""
-    values = {name: section[name] for name in names}
-    bad = [name for name, v in values.items() if type(v) is not int]
-    if bad:
-        raise MalformedFile(f"{where}: not an integer: {', '.join(bad)}")
-    return values
-
-
-def _g_used(section: dict, where: str) -> Optional[int]:
-    g_used = section["g_used"]
-    if g_used is not None and type(g_used) is not int:
-        raise MalformedFile(f"{where}: g_used is neither an integer nor null")
-    return g_used
-
-
-def _bucket_map(raw: dict, where: str) -> dict[BucketKind, int]:
-    if not isinstance(raw, dict) or set(raw) != _BUCKET_NAMES:
-        raise MalformedFile(
-            f"{where}: keys must be exactly {', '.join(sorted(_BUCKET_NAMES))}"
-        )
-    return {BucketKind(k): v for k, v in _ints(raw, raw, where).items()}
-
-
-def _policy(raw: dict, where: str) -> ApprovalPolicy:
-    threshold = _ints(_object(raw, where), ("threshold",), where)["threshold"]
-    signers = raw["signers"]
-    if not isinstance(signers, list) or not all(isinstance(s, str) for s in signers):
-        raise MalformedFile(f"{where}: signers is not a list of strings")
-    return ApprovalPolicy(threshold, tuple(signers))
-
-
-def _relock_record(raw: dict) -> RelockRecord:
-    _object(raw, "relock_log entry")
-    return RelockRecord(raw["amount"], BucketKind(raw["bucket"]), raw["tx_hash"],
-                        raw["justification"])
-
-
 def from_json_dict(data: dict) -> LedgerState:
-    """Load a `to_json_dict` dump, raising MalformedFile on a shape, bucket
-    set, number type or `g_used` that no replay of the ledger could produce."""
-    snap = _object(_object(data, "ledger")["snapshot"], "snapshot")
-    _g_used(snap, "snapshot")
-    factors = data["annual_factors"]
-    if factors is not None:
-        factors = PolicyFactors(
-            **_ints(_object(factors, "annual_factors"), _FACTOR_FIELDS,
-                    "annual_factors"),
-            g_used=_g_used(factors, "annual_factors"),
-        )
-    events = _list(data["event_log"], "event_log")
-    state = LedgerState(
-        **_ints(snap, _SNAPSHOT_COUNTERS, "snapshot"),
-        **_ints(data, ("reserve_month_start_balance",), "ledger"),
-        buckets=_bucket_map(snap["buckets"], "snapshot.buckets"),
-        policies={
-            BucketKind(k): _policy(p, f"policies.{k}")
-            for k, p in _object(data["policies"], "policies").items()
-        },
-        vesting=VestingSchedule(
-            **_ints(_object(data["vesting"], "vesting"), _VESTING_FIELDS, "vesting")
-        ),
-        annual_factors=factors,
-        relockable=_bucket_map(data["relockable"], "relockable"),
-        relock_log=[
-            _relock_record(r) for r in _list(data["relock_log"], "relock_log")
-        ],
-        journal=list(events),
-        n_events=len(events),
-    )
-    state.check_conservation()
+    """Load a `to_json_dict` dump by replaying its event log from genesis.
+
+    Each event runs the check and apply its live call ran, which take only
+    ints where the ledger keeps ints, and must log exactly the stored event,
+    state hash included. The dump must then be, byte for byte, the replayed
+    state's. Every failure raises MalformedFile.
+    """
+    state, where = None, "event_log"
+    try:
+        for i, event in enumerate(data["event_log"]):
+            where = f"event {i}"
+            op = event["op"]
+            if (state is None) != (op == "genesis"):
+                raise MalformedFile(f"{where}: genesis must open the log, once")
+            inputs, valid = _check(state, op, event["inputs"], event["approvals"])
+            state = _step(state, op, inputs, valid)
+            if state.journal[-1] != event:
+                raise MalformedFile(f"{where} ({op}): not what its replay logs")
+    except MalformedFile:
+        raise
+    except (KladiaError, LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise MalformedFile(f"{where}: {type(exc).__name__}: {exc}") from None
+    if state is None or json.dumps(to_json_dict(state)) != json.dumps(data):
+        raise MalformedFile("ledger: not what its event log replays to")
     return state
 
+
+# --- transitions: check, then apply ------------------------------------------
+
+# A begin_cycle event logs its other coefficients as one list in this order
+# beside g, e_base and i_base: `kld verify` parses all of `ledger.json`.
+_COEFFICIENTS = tuple(f.name for f in fields(PolicyParams)
+                      if f.name not in ("e_base", "i_base"))
+
+
+def _cycle_params(inputs: dict) -> PolicyParams:
+    """The parameters a begin_cycle event logs: its anchors and coefficients."""
+    return PolicyParams(e_base=inputs["e_base"], i_base=inputs["i_base"],
+                        **dict(zip(_COEFFICIENTS, inputs["coefficients"])))
+
+
+def _fee_burn(state: LedgerState, fee_pool: int) -> tuple[int, int]:
+    """The month's burn from `fee_pool` at the cycle's burn fraction, with
+    the carried 1/SCALE dust, and the dust left after it."""
+    fraction = state.annual_factors.burn_fraction
+    dust = state.burn_dust + fp.scale_amount_remainder(fee_pool, fraction)
+    burn = min(fp.scale_amount_down(fee_pool, fraction) + dust // fp.SCALE,
+               fee_pool)
+    return burn, dust % fp.SCALE
+
+
+def _field(inputs: dict, name: str, kind: type = int):
+    """`inputs[name]`, exactly of type `kind`: a replay must not carry a float,
+    bool or string into the exact-integer state."""
+    value = inputs[name]
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _vesting_due(state: LedgerState) -> bool:
+    """Whether the month being processed owes a vesting release."""
+    vesting = state.vesting
+    return (state.month_index >= vesting.cliff_months
+            and vesting.released_months < vesting.vest_months)
+
+
+def _check_month(state: LedgerState, fees: int) -> None:
+    if fees < 0:
+        raise ValueError("fees must be nonnegative")
+    if state.annual_factors is None:
+        raise ZeroCap("no active cycle factors; call begin_cycle first")
+
+
+def _check(state: Optional[LedgerState], op: str, inputs: dict,
+           approvals: Iterable[str] = ()) -> tuple[dict, tuple[str, ...]]:
+    """Validate `op` on `state` and return the event's full inputs and its
+    valid approvals; raises, and mutates nothing.
+
+    `inputs` is a live call's request or a logged event's inputs. Only the
+    request fields are read, so a replay recomputes whatever the ledger
+    derives from them.
+    """
+    if op == "genesis":
+        kld = inputs["allocations_kld"]
+        alloc = {BucketKind(k): _field(kld, k) for k in kld}
+        if len(alloc) != len(BucketKind):
+            raise AllocationMismatch("allocations must cover every bucket exactly once")
+        total = sum(alloc.values()) * UNIT
+        if total != S_MAX:
+            raise AllocationMismatch(f"allocations sum to {total} base units, "
+                                     f"expected {S_MAX}")
+        return {"allocations_kld": {k.value: v for k, v in alloc.items()}}, ()
+
+    if op == "begin_cycle":
+        # the monthly escrow cap anchor is one twelfth of the 5% annual
+        # escrow budget; the annual gross issuance anchor is that budget plus
+        # twelve months of baseline staking emissions
+        g = _field(inputs, "g")
+        if not 0 <= g < fp.ONE:
+            raise ValueError("g must be in [0, 1)")
+        coefficients = dict(zip(_COEFFICIENTS, _field(inputs, "coefficients", list),
+                                strict=True))
+        params = PolicyParams(**{k: _field(coefficients, k) for k in coefficients})
+        escrow_budget = fp.scale_amount_down(
+            state.buckets[BucketKind.ECOSYSTEM_ESCROW], ESCROW_ANNUAL_BUDGET_FRACTION)
+        staking_annual = 12 * fp.scale_amount_down(
+            state.buckets[BucketKind.STAKING_RESERVE], params.effective_r_base())
+        params = params.with_changes(e_base=escrow_budget // 12,
+                                     i_base=escrow_budget + staking_annual)
+        return {"g": g, "e_base": params.e_base, "i_base": params.i_base,
+                "coefficients": list(coefficients.values())}, ()
+
+    if op == "carry_cycle":
+        return {}, ()
+
+    if op == "vest_month":
+        # the month being processed is month_index + 1; months 1-12 are the
+        # cliff, releases run months 13-48
+        vesting = state.vesting
+        if state.month_index < vesting.cliff_months:
+            raise CliffActive(f"month {state.month_index + 1} is within the "
+                              f"{vesting.cliff_months}-month cliff")
+        if vesting.released_months >= vesting.vest_months:
+            raise VestingComplete("all 36 vesting releases done")
+        release_no = vesting.released_months + 1
+        return {"release_number": release_no,
+                "amount": vesting.monthly_amount(release_no)}, ()
+
+    if op == "emit_staking":
+        rate = _field(inputs, "rate")
+        if rate < 0:
+            raise ValueError("rate must be nonnegative")
+        factors = state.annual_factors
+        budget = 0 if factors is None else factors.issuance_budget
+        emission = fp.scale_amount_down(state.buckets[BucketKind.STAKING_RESERVE], rate)
+        emission = min(emission, max(0, budget - state.issuance_used_year))
+        return {"rate": rate, "emission": emission}, ()
+
+    if op == "burn":
+        amount = _field(inputs, "amount")
+        if amount < 0:
+            raise ValueError("amount must be nonnegative")
+        if amount > state.circulating:
+            raise InsufficientFeePool(f"burn {amount} exceeds circulating "
+                                      f"{state.circulating}")
+        return {"amount": amount}, ()
+
+    if op == "release_escrow":
+        requested = _field(inputs, "requested")
+        if requested < 0:
+            raise ValueError("requested must be nonnegative")
+        factors = state.annual_factors
+        if factors is None:
+            raise ZeroCap("no active cycle factors")
+        valid = state.policies[BucketKind.ECOSYSTEM_ESCROW].check(
+            approvals, "release_escrow")
+        cap_remaining = max(0, factors.escrow_cap - state.releases_this_month)
+        budget_remaining = max(0, factors.issuance_budget - state.issuance_used_year)
+        balance = state.buckets[BucketKind.ECOSYSTEM_ESCROW]
+        released = min(requested, cap_remaining, budget_remaining, balance)
+        if released <= 0:
+            raise ZeroCap(
+                f"release of 0 (requested {requested}, cap remaining {cap_remaining}, "
+                f"budget remaining {budget_remaining}, balance {balance})"
+            )
+        return {"requested": requested, "released": released}, valid
+
+    if op == "spend_reserve":
+        amount = _field(inputs, "amount")
+        if amount < 0:
+            raise ValueError("amount must be nonnegative")
+        valid = state.policies[BucketKind.COMPANY_RESERVE].check(approvals, "spend_reserve")
+        if amount > state.buckets[BucketKind.COMPANY_RESERVE]:
+            raise ValueError("spend exceeds reserve balance")
+        guideline_cap = fp.scale_amount_down(
+            state.reserve_month_start_balance, RESERVE_MONTHLY_GUIDELINE)
+        return {"amount": amount, "guideline_exceeded":
+                state.reserve_spend_this_month + amount > guideline_cap}, valid
+
+    if op == "mark_distributed":
+        bucket, amount = BucketKind(inputs["bucket"]), _field(inputs, "amount")
+        if amount < 0 or amount > state.relockable.get(bucket, 0):
+            raise ValueError("distributed amount exceeds relockable balance")
+        return {"bucket": bucket.value, "amount": amount}, ()
+
+    if op == "relock":
+        bucket, amount = BucketKind(inputs["bucket"]), _field(inputs, "amount")
+        if amount <= 0:
+            raise ValueError("relock amount must be positive")
+        relockable = state.relockable.get(bucket, 0)
+        if bucket is not BucketKind.ECOSYSTEM_ESCROW and not relockable:
+            raise CrossBucketRelock(f"no released tokens originate from {bucket.value}")
+        if amount > relockable:
+            raise RelockExceedsRelease(f"relock {amount} exceeds undistributed "
+                                       f"release {relockable}")
+        return {"bucket": bucket.value, "amount": amount,
+                "justification": _field(inputs, "justification", str)}, ()
+
+    if op == "advance_month":
+        # the month's summary: its steps are the events logged just before
+        # it, one per nonzero amount, in the order advance_month runs them.
+        # A zero amount expects a step too if that step was due, so a month
+        # cannot leave one out; neither the vesting nor the burn moves the
+        # staking reserve or the year's issuance, so this state tells.
+        summary = {k: _field(inputs, k) for k in ("fees", "vested", "emitted", "burned")}
+        fees, vested, emitted, burned = summary.values()
+        _check_month(state, fees)
+        rate = state.annual_factors.staking_rate
+        steps = []
+        if vested or _vesting_due(state):
+            steps.append(("vest_month", {"release_number": state.vesting.released_months,
+                                         "amount": vested}))
+        if emitted or _check(state, "emit_staking", {"rate": rate})[0]["emission"]:
+            steps.append(("emit_staking", {"rate": rate, "emission": emitted}))
+        if burned:
+            steps.append(("burn", {"amount": burned}))
+        logged = state.journal[max(0, state.n_events - len(steps)):state.n_events]
+        if ([(e["op"], e["inputs"]) for e in logged] != steps
+                or _fee_burn(state, min(fees, state.circulating + burned))[0] != burned):
+            raise ValueError("month summary does not match its steps")
+        return summary, ()
+
+    raise ValueError(f"unknown op {op!r}")
+
+
+def _apply(state: Optional[LedgerState], op: str, inputs: dict) -> LedgerState:
+    """Apply a checked event to `state` in place and return it; genesis
+    makes the state. Pure bookkeeping: no check, no hash, no log."""
+    if op == "genesis":
+        balances = {BucketKind(k): v * UNIT
+                    for k, v in inputs["allocations_kld"].items()}
+        return LedgerState(
+            s_max=S_MAX, circulating=0, buckets=balances, policies=default_policies(),
+            burned_cumulative=0,
+            vesting=VestingSchedule(total=balances[BucketKind.TEAM_VESTING]),
+            month_index=0, annual_factors=None, releases_this_month=0,
+            reserve_spend_this_month=0,
+            reserve_month_start_balance=balances[BucketKind.COMPANY_RESERVE],
+            relockable=dict.fromkeys(BucketKind, 0),
+        )
+    buckets = state.buckets
+    if op == "begin_cycle":
+        state.annual_factors = derive_cycle_factors(
+            _cycle_params(inputs), inputs["g"], state.locked_total())
+        state.issuance_used_year = state.releases_this_month = 0
+    elif op == "carry_cycle":
+        state.issuance_used_year = state.releases_this_month = 0
+    elif op == "vest_month":
+        amount = inputs["amount"]
+        buckets[BucketKind.TEAM_VESTING] -= amount
+        state.circulating += amount
+        state.vesting.released_months = inputs["release_number"]
+        state.vesting.released_total += amount
+    elif op == "emit_staking":
+        emission = inputs["emission"]
+        buckets[BucketKind.STAKING_RESERVE] -= emission
+        state.circulating += emission
+        state.issuance_used_year += emission
+    elif op == "burn":
+        state.circulating -= inputs["amount"]
+        state.burned_cumulative += inputs["amount"]
+    elif op == "release_escrow":
+        released = inputs["released"]
+        buckets[BucketKind.ECOSYSTEM_ESCROW] -= released
+        state.circulating += released
+        state.releases_this_month += released
+        state.issuance_used_year += released
+        state.relockable[BucketKind.ECOSYSTEM_ESCROW] += released
+    elif op == "spend_reserve":
+        amount = inputs["amount"]
+        buckets[BucketKind.COMPANY_RESERVE] -= amount
+        state.circulating += amount
+        state.reserve_spend_this_month += amount
+    elif op == "mark_distributed":
+        state.relockable[BucketKind(inputs["bucket"])] -= inputs["amount"]
+    elif op == "relock":
+        bucket, amount = BucketKind(inputs["bucket"]), inputs["amount"]
+        buckets[bucket] += amount
+        state.circulating -= amount
+        state.relockable[bucket] -= amount
+    elif op == "advance_month":
+        # the month roll; the burn already ran as its own step, so the fee
+        # pool was the circulating supply before it
+        pool = min(inputs["fees"], state.circulating + inputs["burned"])
+        state.burn_dust = _fee_burn(state, pool)[1]
+        state.month_index += 1
+        state.releases_this_month = 0
+        state.reserve_spend_this_month = 0
+        state.reserve_month_start_balance = buckets[BucketKind.COMPANY_RESERVE]
+        state.relockable = dict.fromkeys(state.relockable, 0)
+    return state
+
+
+def _step(state: Optional[LedgerState], op: str, inputs: dict,
+          approvals: tuple[str, ...] = ()) -> LedgerState:
+    """Apply a checked event in place, re-check conservation and log it."""
+    state = _apply(state, op, inputs)
+    state.check_conservation()
+    state._log(op, inputs, approvals)
+    return state
+
+
+def _transition(state: Optional[LedgerState], op: str, request: dict,
+                approvals: Iterable[str] = ()) -> tuple[LedgerState, dict]:
+    """Check, then apply on a private copy; returns it and the event's inputs."""
+    inputs, valid = _check(state, op, request, approvals)
+    return _step(None if state is None else state.clone(), op, inputs, valid), inputs
+
+
+# --- public transitions ------------------------------------------------------
 
 def mint(state: LedgerState, amount: int) -> LedgerState:
     """Minting is permanently disabled after genesis. Always raises."""
     raise NoMintAfterGenesis("minting is permanently disabled after genesis")
 
 
-def genesis(
-    allocations_kld: Optional[dict[BucketKind, int]] = None,
-    policies: Optional[dict[BucketKind, ApprovalPolicy]] = None,
-) -> LedgerState:
+def genesis(allocations_kld: Optional[dict[BucketKind, int]] = None) -> LedgerState:
     """Create the one and only supply at genesis; circulating starts at zero."""
-    alloc = dict(allocations_kld or GENESIS_ALLOCATIONS_KLD)
-    if set(alloc) != set(BucketKind):
-        raise AllocationMismatch("allocations must cover every bucket exactly once")
-    balances = {k: v * UNIT for k, v in alloc.items()}
-    total = sum(balances.values())
-    if total != S_MAX:
-        raise AllocationMismatch(
-            f"allocations sum to {total} base units, expected {S_MAX}"
-        )
-    state = LedgerState(
-        s_max=S_MAX,
-        circulating=0,
-        buckets=balances,
-        policies=policies or default_policies(),
-        burned_cumulative=0,
-        vesting=VestingSchedule(total=balances[BucketKind.TEAM_VESTING]),
-        month_index=0,
-        annual_factors=None,
-        releases_this_month=0,
-        reserve_spend_this_month=0,
-        reserve_month_start_balance=balances[BucketKind.COMPANY_RESERVE],
-        relockable={k: 0 for k in BucketKind},
-    )
-    state.check_conservation()
-    state._log("genesis", {"allocations_kld": {k.value: v for k, v in alloc.items()}})
-    return state
+    alloc = allocations_kld or GENESIS_ALLOCATIONS_KLD
+    return _transition(None, "genesis",
+                       {"allocations_kld": {k.value: v for k, v in alloc.items()}})[0]
 
 
 def begin_cycle(
@@ -450,28 +632,13 @@ def begin_cycle(
 ) -> tuple[LedgerState, PolicyParams]:
     """Open a new annual cycle: derive per-cycle budget anchors and factors.
 
-    The monthly escrow cap anchor is one twelfth of the 5% annual escrow
-    budget; the annual gross issuance anchor is that budget plus twelve
-    months of baseline staking emissions.
+    The event logs `g`, the anchors `e_base` and `i_base`, and every other
+    coefficient the factors were derived from, as one list in `PolicyParams`
+    field order.
     """
-    new = state.clone()
-    escrow_balance = new.buckets[BucketKind.ECOSYSTEM_ESCROW]
-    annual_escrow_budget = fp.scale_amount_down(
-        escrow_balance, ESCROW_ANNUAL_BUDGET_FRACTION
-    )
-    e_base = annual_escrow_budget // 12
-    staking_annual = 12 * fp.scale_amount_down(
-        new.buckets[BucketKind.STAKING_RESERVE], params.effective_r_base()
-    )
-    cycle_params = params.with_changes(
-        e_base=e_base, i_base=annual_escrow_budget + staking_annual
-    )
-    new.annual_factors = derive_cycle_factors(cycle_params, g, new.locked_total())
-    new.issuance_used_year = 0
-    new.releases_this_month = 0
-    new.check_conservation()
-    new._log("begin_cycle", {"g": g, "e_base": e_base, "i_base": cycle_params.i_base})
-    return new, cycle_params
+    new, inputs = _transition(state, "begin_cycle", {
+        "g": g, "coefficients": [getattr(params, k) for k in _COEFFICIENTS]})
+    return new, _cycle_params(inputs)
 
 
 def carry_cycle(state: LedgerState) -> LedgerState:
@@ -480,39 +647,13 @@ def carry_cycle(state: LedgerState) -> LedgerState:
     Used when a cycle lapses to its last confirmed g: the year's issuance
     count and this month's releases start again from zero.
     """
-    new = state.clone()
-    new.issuance_used_year = 0
-    new.releases_this_month = 0
-    new._log("carry_cycle", {})
-    return new
+    return _transition(state, "carry_cycle", {})[0]
 
 
 def vest_month(state: LedgerState) -> tuple[LedgerState, int]:
-    """Release one month of the team schedule into circulation.
-
-    The month being processed is month_index + 1; months 1-12 are the
-    cliff, releases run months 13-48.
-    """
-    if state.month_index < state.vesting.cliff_months:
-        raise CliffActive(
-            f"month {state.month_index + 1} is within the {state.vesting.cliff_months}-month cliff"
-        )
-    if state.vesting.released_months >= state.vesting.vest_months:
-        raise VestingComplete("all 36 vesting releases done")
-    new = state.clone()
-    return new, _vest_step(new)
-
-
-def _vest_step(state: LedgerState) -> int:
-    release_no = state.vesting.released_months + 1
-    amount = state.vesting.monthly_amount(release_no)
-    state.buckets[BucketKind.TEAM_VESTING] -= amount
-    state.circulating += amount
-    state.vesting.released_months = release_no
-    state.vesting.released_total += amount
-    state.check_conservation()
-    state._log("vest_month", {"release_number": release_no, "amount": amount})
-    return amount
+    """Release one month of the team schedule into circulation."""
+    new, inputs = _transition(state, "vest_month", {})
+    return new, inputs["amount"]
 
 
 def release_escrow(
@@ -520,32 +661,10 @@ def release_escrow(
 ) -> tuple[LedgerState, int]:
     """Move escrow tokens into circulation under the monthly cap and the
     annual issuance budget, gated by the 5-of-8 escrow multisig."""
-    if requested < 0:
-        raise ValueError("requested must be nonnegative")
-    if state.annual_factors is None:
-        raise ZeroCap("no active cycle factors")
-    valid = state.policies[BucketKind.ECOSYSTEM_ESCROW].check(
-        approvals, "release_escrow"
+    new, inputs = _transition(
+        state, "release_escrow", {"requested": requested}, approvals
     )
-    factors = state.annual_factors
-    cap_remaining = max(0, factors.escrow_cap - state.releases_this_month)
-    budget_remaining = max(0, factors.issuance_budget - state.issuance_used_year)
-    balance = state.buckets[BucketKind.ECOSYSTEM_ESCROW]
-    released = min(requested, cap_remaining, budget_remaining, balance)
-    if released <= 0:
-        raise ZeroCap(
-            f"release of 0 (requested {requested}, cap remaining {cap_remaining}, "
-            f"budget remaining {budget_remaining}, balance {balance})"
-        )
-    new = state.clone()
-    new.buckets[BucketKind.ECOSYSTEM_ESCROW] -= released
-    new.circulating += released
-    new.releases_this_month += released
-    new.issuance_used_year += released
-    new.relockable[BucketKind.ECOSYSTEM_ESCROW] += released
-    new.check_conservation()
-    new._log("release_escrow", {"requested": requested, "released": released}, valid)
-    return new, released
+    return new, inputs["released"]
 
 
 def burn(state: LedgerState, amount: int, fee_pool: int) -> LedgerState:
@@ -554,59 +673,23 @@ def burn(state: LedgerState, amount: int, fee_pool: int) -> LedgerState:
     Irreversible by construction: no inverse operation exists anywhere in
     this module's API.
     """
-    if amount < 0:
-        raise ValueError("amount must be nonnegative")
+    inputs, _ = _check(state, "burn", {"amount": amount})
     if amount > fee_pool:
         raise InsufficientFeePool(f"burn {amount} exceeds fee pool {fee_pool}")
-    if amount > state.circulating:
-        raise InsufficientFeePool(
-            f"burn {amount} exceeds circulating {state.circulating}"
-        )
-    new = state.clone()
-    _burn_step(new, amount)
-    return new
-
-
-def _burn_step(state: LedgerState, amount: int) -> None:
-    state.circulating -= amount
-    state.burned_cumulative += amount
-    state.check_conservation()
-    state._log("burn", {"amount": amount})
+    return _step(state.clone(), "burn", inputs)
 
 
 def emit_staking(state: LedgerState, rate: int) -> tuple[LedgerState, int]:
     """Release staking rewards from the reserve at the cycle's rate.
 
     Emissions count against the annual issuance budget and stop at zero
-    once the reserve (or the budget) is exhausted.
+    once the reserve (or the budget) is exhausted; a zero emission logs
+    nothing and returns the state itself.
     """
-    emission = _staking_emission(state, rate)
-    if emission == 0:
+    inputs, _ = _check(state, "emit_staking", {"rate": rate})
+    if inputs["emission"] == 0:
         return state, 0
-    new = state.clone()
-    _emit_staking_step(new, rate, emission)
-    return new, emission
-
-
-def _staking_emission(state: LedgerState, rate: int) -> int:
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
-    factors = state.annual_factors
-    budget_remaining = (
-        max(0, factors.issuance_budget - state.issuance_used_year)
-        if factors is not None
-        else 0
-    )
-    emission = fp.scale_amount_down(state.buckets[BucketKind.STAKING_RESERVE], rate)
-    return min(emission, budget_remaining)
-
-
-def _emit_staking_step(state: LedgerState, rate: int, emission: int) -> None:
-    state.buckets[BucketKind.STAKING_RESERVE] -= emission
-    state.circulating += emission
-    state.issuance_used_year += emission
-    state.check_conservation()
-    state._log("emit_staking", {"rate": rate, "emission": emission})
+    return _step(state.clone(), "emit_staking", inputs), inputs["emission"]
 
 
 def spend_reserve(
@@ -617,36 +700,15 @@ def spend_reserve(
     The 1%-per-month guideline is advisory: exceeding it succeeds but the
     transition carries a GuidelineExceeded flag for the report.
     """
-    if amount < 0:
-        raise ValueError("amount must be nonnegative")
-    valid = state.policies[BucketKind.COMPANY_RESERVE].check(approvals, "spend_reserve")
-    if amount > state.buckets[BucketKind.COMPANY_RESERVE]:
-        raise ValueError("spend exceeds reserve balance")
-    new = state.clone()
-    new.buckets[BucketKind.COMPANY_RESERVE] -= amount
-    new.circulating += amount
-    new.reserve_spend_this_month += amount
-    guideline_cap = fp.scale_amount_down(
-        new.reserve_month_start_balance, RESERVE_MONTHLY_GUIDELINE
-    )
-    flagged = new.reserve_spend_this_month > guideline_cap
-    new.check_conservation()
-    new._log(
-        "spend_reserve",
-        {"amount": amount, "guideline_exceeded": flagged},
-        valid,
-    )
-    return new, flagged
+    new, inputs = _transition(state, "spend_reserve", {"amount": amount}, approvals)
+    return new, inputs["guideline_exceeded"]
 
 
 def mark_distributed(state: LedgerState, bucket: BucketKind, amount: int) -> LedgerState:
     """Record that released tokens were distributed, removing relock rights."""
-    if amount < 0 or amount > state.relockable.get(bucket, 0):
-        raise ValueError("distributed amount exceeds relockable balance")
-    new = state.clone()
-    new.relockable[bucket] -= amount
-    new._log("mark_distributed", {"bucket": bucket.value, "amount": amount})
-    return new
+    return _transition(
+        state, "mark_distributed", {"bucket": bucket.value, "amount": amount}
+    )[0]
 
 
 def relock(
@@ -657,35 +719,8 @@ def relock(
     Relocking never increases future release rights: releases_this_month
     and the annual budget usage are left as charged.
     """
-    if amount <= 0:
-        raise ValueError("relock amount must be positive")
-    if bucket not in (BucketKind.ECOSYSTEM_ESCROW,):
-        if bucket not in state.relockable or state.relockable[bucket] == 0:
-            raise CrossBucketRelock(
-                f"no released tokens originate from {bucket.value}"
-            )
-    if amount > state.relockable.get(bucket, 0):
-        raise RelockExceedsRelease(
-            f"relock {amount} exceeds undistributed release {state.relockable.get(bucket, 0)}"
-        )
-    new = state.clone()
-    new.buckets[bucket] += amount
-    new.circulating -= amount
-    new.relockable[bucket] -= amount
-    record = RelockRecord(
-        amount=amount,
-        origin_bucket=bucket,
-        tx_hash=content_hash(
-            {"op": "relock", "bucket": bucket.value, "amount": amount,
-             "seq": len(new.relock_log)}
-        ),
-        justification=justification,
-    )
-    new.relock_log.append(record)
-    new.check_conservation()
-    new._log("relock", {"bucket": bucket.value, "amount": amount,
-                        "justification": justification})
-    return new
+    return _transition(state, "relock", {"bucket": bucket.value, "amount": amount,
+                                         "justification": justification})[0]
 
 
 def advance_month(
@@ -693,49 +728,32 @@ def advance_month(
 ) -> tuple[LedgerState, dict]:
     """Apply one month of automatic flows in fixed order, atomically.
 
-    Order: vesting (if due) -> staking emission -> fee burn -> month
-    counter -> monthly cap reset. All steps run on one private copy of the
-    state; each step re-checks conservation and logs its own event, exactly
-    as the public transition of the same name would, so any failure leaves
-    the input state untouched.
+    Order: vesting (if due) -> staking emission -> fee burn -> the month
+    roll (counter, monthly resets, burn dust). All steps run on one private
+    copy of the state; each is the check and apply of the public transition
+    of the same name and logs its own event, and the roll logs the month's
+    summary, so any failure leaves the input state untouched.
     """
-    if fees_this_month < 0:
-        raise ValueError("fees must be nonnegative")
-    if state.annual_factors is None:
-        raise ZeroCap("no active cycle factors; call begin_cycle first")
-    factors = state.annual_factors
-
+    _check_month(state, fees_this_month)
     working = state.clone()
     summary = {"vested": 0, "emitted": 0, "burned": 0}
 
-    in_vesting = (
-        working.month_index >= working.vesting.cliff_months
-        and working.vesting.released_months < working.vesting.vest_months
-    )
-    if in_vesting:
-        summary["vested"] = _vest_step(working)
+    if _vesting_due(working):
+        inputs, _ = _check(working, "vest_month", {})
+        _step(working, "vest_month", inputs)
+        summary["vested"] = inputs["amount"]
 
-    emitted = _staking_emission(working, factors.staking_rate)
-    if emitted:
-        _emit_staking_step(working, factors.staking_rate, emitted)
-    summary["emitted"] = emitted
+    inputs, _ = _check(working, "emit_staking",
+                       {"rate": working.annual_factors.staking_rate})
+    if inputs["emission"]:
+        _step(working, "emit_staking", inputs)
+        summary["emitted"] = inputs["emission"]
 
-    fee_pool = min(fees_this_month, working.circulating)
-    burn_amount = fp.scale_amount_down(fee_pool, factors.burn_fraction)
-    dust = working.burn_dust + fp.scale_amount_remainder(fee_pool, factors.burn_fraction)
-    extra = dust // fp.SCALE
-    dust -= extra * fp.SCALE
-    burn_amount = min(burn_amount + extra, fee_pool)
-    if burn_amount > 0:
-        _burn_step(working, burn_amount)
-    working.burn_dust = dust
-    summary["burned"] = burn_amount
+    burned = _fee_burn(working, min(fees_this_month, working.circulating))[0]
+    if burned > 0:
+        _step(working, "burn", _check(working, "burn", {"amount": burned})[0])
+        summary["burned"] = burned
 
-    working.month_index += 1
-    working.releases_this_month = 0
-    working.reserve_spend_this_month = 0
-    working.reserve_month_start_balance = working.buckets[BucketKind.COMPANY_RESERVE]
-    working.relockable = dict.fromkeys(working.relockable, 0)
-    working.check_conservation()
-    working._log("advance_month", {"fees": fees_this_month, **summary})
+    inputs, _ = _check(working, "advance_month", {"fees": fees_this_month, **summary})
+    _step(working, "advance_month", inputs)
     return working, summary

@@ -1,10 +1,12 @@
 """Policy Report assembly, hash commitment, and verification.
 
 Reports serialize through the canonical form and commit to a SHA-256
-content hash. Verification re-derives the index chain from the report's
-own raw inputs and reconciles reported supply actions against the
-replayed event log, so any single-field tampering or omitted event is
-detected.
+content hash. Verification checks that hash, re-derives the index chain
+from the report's own raw inputs and, given ledger events, compares the
+net supply change their amounts sum to with the report's executed
+actions. That is a sum, not a replay: an edit to an event that keeps the
+sum, or that moves no supply, passes it. Replaying the report's slice of
+the event log instead is open item 2 of ROADMAP.md.
 """
 
 from __future__ import annotations

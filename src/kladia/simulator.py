@@ -84,7 +84,6 @@ class Scenario:
     oracle_behaviors: dict[str, str] = field(default_factory=dict)  # honest|outlier|missing
     dispute_years: tuple[int, ...] = ()            # years with an uncorrected dispute
     governance_script: tuple[dict, ...] = ()       # {"year", "changes": {name: str}}
-    lam: str = "1.0"
     params: Optional[PolicyParams] = None
 
     def validate(self) -> None:
@@ -163,8 +162,7 @@ def run(scenario: Scenario) -> Trace:
     }
     debt_ratios, nominal_gdps = zip(*(levels[b] for b in ALL_BLOCS))
     baseline = BaselineRef(bdi_ref=weighted_bdi(debt_ratios, nominal_gdps)[1],
-                           genesis_vintage=genesis_vintage,
-                           lam=fp.from_str(scenario.lam))
+                           genesis_vintage=genesis_vintage, lam=fp.ONE)
 
     state = genesis()
     params = scenario.params or PolicyParams()

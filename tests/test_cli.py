@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from kladia import ledger as lg
 from kladia.cli import main
 from kladia.weo_ingest import ALL_BLOCS, DEBT_SERIES, GDP_SERIES
 
@@ -96,6 +97,26 @@ def test_index_malformed_snapshot_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_index_oversized_value_exit_2(runner, tmp_path):
+    # 20 integer digits: past the exact parser, too long for Decimal's context
+    snap = tmp_path / "snap.csv"
+    base = tmp_path / "baseline.json"
+    write_snapshot(snap, "2026-October")
+    lines = snap.read_text().splitlines()
+    us_gdp = lines.index(f"US,{GDP_SERIES},2000,2026-October")
+    value = "1" + "0" * 19
+    lines[us_gdp] = f"US,{GDP_SERIES},{value},2026-October"
+    snap.write_text("\n".join(lines) + "\n")
+    write_baseline(base)
+    result = runner.invoke(main, [
+        "index", str(snap), "--baseline-file", str(base),
+        "--vintage", "2026-October", "--publication-date", "2026-10-14",
+    ])
+    assert result.exit_code == 2
+    assert result.output == (f"error: MalformedFile: line {us_gdp + 1}: "
+                             f"bad value {value!r}\n")
+
+
 def test_index_missing_bloc_without_prior_exit_2(runner, tmp_path):
     snap = tmp_path / "snap.csv"
     base = tmp_path / "baseline.json"
@@ -146,7 +167,7 @@ CYCLE_FILES = {
     "cycle-2026.json":
         "ca62d844ee9e472f2bd7f3c0c19fc88af309d38da5766fcb137fb2a904ee26b8",
     "ledger.json":
-        "f3a8cf3a9ab07f90d2dab755a032b847ae6f1087baea88d247d739963fe2d997",
+        "c5e4403d0263190c9c2ad00d5f51ed63a86e20f58cf7f4f5bcceea47e8f10221",
     "report-2026.commit":
         "ba92e94158bf98ee46d7fc67972a274fef4e7a0e4afb5cedc6047f7f347cc403",
     "report-2026.kldr":
@@ -372,6 +393,61 @@ def test_state_rejects_tampered_ledger_exit_2(runner, tmp_path):
     assert "MalformedFile" in result.output
 
 
+def _event_at(data, op):
+    return next(e for e in data["event_log"] if e["op"] == op)
+
+
+def _raise_g(data, before):
+    _event_at(data, "begin_cycle")["inputs"]["g"] += 10 ** 8
+
+
+def _delete_release(data, before):
+    data["event_log"].remove(_event_at(data, "release_escrow"))
+
+
+def _swap_release(data, before):
+    events = data["event_log"]
+    i = events.index(_event_at(data, "release_escrow"))
+    events[i], events[i + 1] = events[i + 1], events[i]
+
+
+def _release_over_cap(data, before):
+    event = _event_at(data, "release_escrow")
+    over = before.annual_factors.escrow_cap + 1
+    event["inputs"] = {"requested": over, "released": over}
+    event["state_hash"] = lg._apply(before.clone(), "release_escrow",
+                                    event["inputs"]).state_hash()
+
+
+def _list_inputs(data, before):
+    event = _event_at(data, "release_escrow")
+    event["inputs"] = list(event["inputs"].values())
+
+
+@pytest.mark.parametrize("tamper", [
+    _raise_g, _delete_release, _swap_release, _release_over_cap, _list_inputs,
+])
+def test_unreplayable_ledger_exit_2(runner, tmp_path, tamper):
+    result, state_dir, base = run_cycle(runner, tmp_path)
+    assert result.exit_code == 0
+    ledger_file = state_dir / "ledger.json"
+    before = lg.from_json_dict(json.loads(ledger_file.read_text()))
+    state, _ = lg.release_escrow(before, 10 ** 9, [f"escrow-{i}" for i in range(1, 6)])
+    state, _ = lg.advance_month(state, 10 ** 9)
+    data = json.loads(json.dumps(lg.to_json_dict(state)))
+    tamper(data, before)
+    ledger_file.write_text(json.dumps(data))
+    for args in (["state", "--state-dir", str(state_dir)],
+                 ["cycle", "--state-dir", str(state_dir), "--submissions-dir",
+                  str(tmp_path / "subs-a"), "--baseline-file", str(base),
+                  "--year", "2027"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        errors = [ln for ln in result.output.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: MalformedFile: event ")
+    assert not (state_dir / "cycle-2027.json").exists()
+
+
 def test_malformed_ledger_file_fails_cleanly(runner, tmp_path):
     result, state_dir, base = run_cycle(runner, tmp_path)
     assert result.exit_code == 0
@@ -380,13 +456,13 @@ def test_malformed_ledger_file_fails_cleanly(runner, tmp_path):
     ledger_file.write_text(json.dumps(dict(data, snapshot=[])))
     result = runner.invoke(main, ["state", "--state-dir", str(state_dir)])
     assert result.exit_code == 2
-    assert "error: MalformedFile: snapshot: not a JSON object" in result.output
+    assert "error: MalformedFile: ledger: not what its event log replays to" in result.output
     result = runner.invoke(main, [
         "cycle", "--state-dir", str(state_dir), "--submissions-dir",
         str(tmp_path / "subs-a"), "--baseline-file", str(base), "--year", "2027",
     ])
     assert result.exit_code == 2
-    assert result.output == "error: MalformedFile: snapshot: not a JSON object\n"
+    assert result.output == "error: MalformedFile: ledger: not what its event log replays to\n"
     verify = ["verify", str(state_dir / "report-2026.kldr"),
               str(state_dir / "report-2026.commit"),
               "--event-log", str(ledger_file), "--baseline-file", str(base)]

@@ -79,7 +79,7 @@ LEDGER_RUN_STATE_HASH = (
     "5ca1969e921cfc2e5449a5a24bd3bdc591ec95460a8a0f7d29f8516ee7ffee34"
 )
 LEDGER_RUN_JSON_SHA = (
-    "0861a83d52e297415b6c6d2bc07aed4fb6d6038a29d7a491feec691ba8e3309e"
+    "4b793d6a648e9fe6ff2224ec9cafbd8b8b401e93e3e622eb1547704fedf09718"
 )
 
 ESCROW_SIGNERS = tuple(f"escrow-{i}" for i in range(1, 9))

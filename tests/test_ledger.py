@@ -190,6 +190,22 @@ def test_burn_exceeds_pool():
         lg.burn(state, 1001, fee_pool=1000)
 
 
+def test_burn_checks_its_amount_before_the_fee_pool():
+    state, _ = fresh_cycle()
+    with pytest.raises(ValueError, match="amount must be nonnegative"):
+        lg.burn(state, -1, fee_pool=-2)
+
+
+def test_transitions_take_only_int_amounts():
+    state, _ = fresh_cycle()
+    with pytest.raises(TypeError, match="requested must be int, not float"):
+        lg.release_escrow(state, 500.0, ESCROW_SIGNERS[:5])
+    with pytest.raises(TypeError, match="amount must be int, not bool"):
+        lg.burn(state, False, fee_pool=0)
+    with pytest.raises(TypeError, match="must be int, not float"):
+        lg.advance_month(state, 1000.0)
+
+
 def test_burn_monotone_over_random_stream():
     state, _ = fresh_cycle()
     state, _ = lg.release_escrow(
@@ -270,7 +286,7 @@ def test_relock_returns_without_restoring_cap():
     assert state.releases_this_month == 100  # cap usage not restored
     assert state.issuance_used_year == 100
     assert len(state.relock_log) == 1
-    assert state.relock_log[0].origin_bucket is BucketKind.ECOSYSTEM_ESCROW
+    assert state.relock_log[0]["bucket"] == BucketKind.ECOSYSTEM_ESCROW.value
 
 
 def test_relock_cross_bucket_rejected():
@@ -356,13 +372,14 @@ def test_advance_month_atomic_abort_on_injected_violation(monkeypatch):
     state, _ = fresh_cycle()
     before_hash = state.state_hash()
     n_events = len(state.event_log)
-    burn_step = lg._burn_step
+    apply = lg._apply
 
-    def corrupt_burn(working, amount):
-        working.circulating += 12345  # break conservation mid-transition
-        burn_step(working, amount)
+    def corrupt_burn(working, op, inputs):
+        if op == "burn":
+            working.circulating += 12345  # break conservation mid-transition
+        return apply(working, op, inputs)
 
-    monkeypatch.setattr(lg, "_burn_step", corrupt_burn)
+    monkeypatch.setattr(lg, "_apply", corrupt_burn)
     with pytest.raises(ConservationViolation):
         lg.advance_month(state, 10 ** 9)
     assert state.state_hash() == before_hash
@@ -488,21 +505,195 @@ def _relock_log_string(data):
     data["relock_log"] = "none"
 
 
+def _event_index(data, op):
+    return next(i for i, e in enumerate(data["event_log"]) if e["op"] == op)
+
+
+def _raised_g(data):
+    data["event_log"][_event_index(data, "begin_cycle")]["inputs"]["g"] += 10 ** 8
+
+
+def _deleted_event(data):
+    del data["event_log"][_event_index(data, "release_escrow")]
+
+
+def _swapped_events(data):
+    events = data["event_log"]
+    i = _event_index(data, "release_escrow")
+    events[i], events[i + 1] = events[i + 1], events[i]
+
+
+def _release_over_cap(data):
+    # logged with the state hash it would give, so only the check can tell
+    before, _ = fresh_cycle("0.3")
+    over = before.annual_factors.escrow_cap + 1
+    event = data["event_log"][_event_index(data, "release_escrow")]
+    event["inputs"] = {"requested": over, "released": over}
+    event["state_hash"] = lg._apply(before.clone(), "release_escrow",
+                                    event["inputs"]).state_hash()
+
+
+def _list_inputs(data):
+    event = data["event_log"][_event_index(data, "begin_cycle")]
+    event["inputs"] = list(event["inputs"].values())
+
+
+def _applied(events):
+    """The state `events` give when applied unchecked."""
+    state = None
+    for event in events:
+        state = lg._apply(state, event["op"], event["inputs"])
+    return state
+
+
+def _rehashed(events):
+    """A dump of `events` applied unchecked, each logged with the state hash
+    it gives, so only the replay's checks can tell it from a live run."""
+    state = None
+    for event in events:
+        state = lg._apply(state, event["op"], event["inputs"])
+        event["state_hash"] = state.state_hash()
+    return json.loads(json.dumps(dict(lg.to_json_dict(state), event_log=events)))
+
+
+def _float_requested(data):
+    # the floats it gives every balance it touches are dumped to match
+    event = data["event_log"][_event_index(data, "release_escrow")]
+    event["inputs"] = {"requested": 500.0, "released": 500.0}
+    return _rehashed(data["event_log"])
+
+
+def _bool_amount(data):
+    data["event_log"].insert(_event_index(data, "release_escrow") + 1, {
+        "op": "mark_distributed",
+        "inputs": {"bucket": BucketKind.ECOSYSTEM_ESCROW.value, "amount": True},
+        "approvals": []})
+    return _rehashed(data["event_log"])
+
+
+def _replay_base():
+    """Genesis, a cycle at g = 0.3, one release and one month."""
+    state, _ = fresh_cycle("0.3")
+    state, _ = lg.release_escrow(state, 500, ESCROW_SIGNERS[:5])
+    state, _ = lg.advance_month(state, 10**9)
+    return state
+
+
 @pytest.mark.parametrize("tamper", [
     _fold_legal_treasury, _float_balance, _string_month, _bool_counter,
     _short_relockable, _float_vesting, _float_factor, _string_g_used,
     _top_level_list, _snapshot_list, _vesting_list, _policies_list, _policy_list,
     _string_threshold, _int_signer, _factors_list, _event_log_object,
-    _relock_log_string,
+    _relock_log_string, _raised_g, _deleted_event, _swapped_events,
+    _release_over_cap, _list_inputs, _float_requested, _bool_amount,
 ])
 def test_from_json_dict_rejects_unreplayable_state(tamper):
-    state, _ = fresh_cycle("0.3")
-    state, _ = lg.advance_month(state, 10**9)
+    state = _replay_base()
     data = json.loads(json.dumps(lg.to_json_dict(state)))
     assert lg.from_json_dict(data).state_hash() == state.state_hash()
     replaced = tamper(data)
     with pytest.raises(MalformedFile):
         lg.from_json_dict(data if replaced is None else replaced)
+
+
+def test_replay_rejects_a_release_over_its_cap_at_its_own_event():
+    data = json.loads(json.dumps(lg.to_json_dict(_replay_base())))
+    _release_over_cap(data)
+    with pytest.raises(MalformedFile,
+                       match=r"^event 2 \(release_escrow\): not what its replay logs$"):
+        lg.from_json_dict(data)
+
+
+def _dropped_burn(events):
+    del events[[e["op"] for e in events].index("burn")]
+
+
+def _smaller_burn(events):
+    for e in events:
+        if e["op"] in ("burn", "advance_month"):
+            e["inputs"]["burned" if e["op"] == "advance_month" else "amount"] -= 1
+
+
+def _emission_at_another_rate(events):
+    emit, month = (next(e for e in events if e["op"] == op)
+                   for op in ("emit_staking", "advance_month"))
+    emit["inputs"]["rate"] //= 2
+    emit["inputs"]["emission"] //= 2
+    month["inputs"]["emitted"] = emit["inputs"]["emission"]
+
+
+def _dropped_step(events, op, field):
+    # the last month without its `op` step; its burn is recomputed, since
+    # the step moved the circulating supply the burn is taken from
+    month, burn = events[-1], events[-2]
+    assert (month["op"], burn["op"]) == ("advance_month", "burn")
+    del events[max(i for i, e in enumerate(events) if e["op"] == op)]
+    month["inputs"][field] = 0
+    state = _applied(events[:-2])
+    burn["inputs"]["amount"] = month["inputs"]["burned"] = lg._fee_burn(
+        state, min(month["inputs"]["fees"], state.circulating))[0]
+    assert burn["inputs"]["amount"] > 0
+
+
+def _dropped_emission(events):
+    _dropped_step(events, "emit_staking", "emitted")
+
+
+def _dropped_vesting(events):
+    _dropped_step(events, "vest_month", "vested")
+
+
+def _past_cliff():
+    """Genesis, a cycle at g = 0.3 and 13 months, the last one vesting."""
+    state, _ = fresh_cycle("0.3")
+    for _ in range(13):
+        state, _ = lg.advance_month(state, 10**9)
+    return state
+
+
+@pytest.mark.parametrize("base, tamper", [
+    (_replay_base, _dropped_burn), (_replay_base, _smaller_burn),
+    (_replay_base, _emission_at_another_rate), (_replay_base, _dropped_emission),
+    (_past_cliff, _dropped_vesting),
+], ids=lambda f: f.__name__)
+def test_replay_checks_each_month_summary_against_its_steps(base, tamper):
+    # every state hash is recomputed by applying the edited events unchecked,
+    # so only the month summary's check can tell
+    events = json.loads(json.dumps(base().event_log))
+    tamper(events)
+    with pytest.raises(MalformedFile, match="month summary"):
+        lg.from_json_dict(_rehashed(events))
+
+
+def test_round_trip_replays_governed_coefficients():
+    # a governed coefficient changes before every cycle; the replay derives
+    # each year's factors from the coefficients its begin_cycle logged, so
+    # a reload matches only if those are the ones the live call used
+    state = lg.genesis()
+    params = PolicyParams()
+    changes = [{}, {"gamma": fp.from_str("0.3")}, {"b_max": fp.from_str("0.8")},
+               {"r_base": fp.from_str("0.002")},
+               {"staking_multiplier": fp.from_str("1.5"), "alpha_e": 0}]
+    for year, change in enumerate(changes):
+        params = params.with_changes(**change)
+        state, cycle_params = lg.begin_cycle(state, params, fp.from_str(f"0.{year + 2}"))
+        event = state.event_log[-1]
+        logged = lg._cycle_params(event["inputs"])
+        assert {k: getattr(logged, k) for k in change} == change
+        if change:
+            default, _ = lg.begin_cycle(state, PolicyParams(), event["inputs"]["g"])
+            assert default.annual_factors != state.annual_factors
+        for month in range(12):
+            state, _ = lg.release_escrow(
+                state, state.annual_factors.escrow_cap // 2, ESCROW_SIGNERS[:5])
+            if month == 6:
+                state = lg.relock(state, 10 ** 6, BucketKind.ECOSYSTEM_ESCROW, "unused")
+            state, _ = lg.advance_month(state, (month + 1) * 10 ** 12)
+    reloaded = _reloaded(state)
+    assert reloaded == state
+    assert reloaded.state_hash() == state.state_hash()
+    assert reloaded.relock_log == state.relock_log
+    assert len(state.relock_log) == 5
 
 
 # --- shared journal ----------------------------------------------------------

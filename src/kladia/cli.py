@@ -321,9 +321,10 @@ def cmd_govern(changes):
     """Check a parameter-change set against immutables and bounds."""
     try:
         change_map = {
-            k: fp.from_str(v) for k, v in json.loads(changes).items()
+            k: fp.from_str(v)
+            for k, v in _as_object(json.loads(changes), "--changes").items()
         }
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (MalformedFile, ValueError) as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     registry = gov.GovernanceRegistry()
@@ -351,7 +352,7 @@ def cmd_state(state_dir):
         sys.exit(EXIT_INPUT)
     try:
         state = ledger_mod.from_json_dict(json.loads(ledger_file.read_text()))
-    except (KladiaError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (KladiaError, ValueError, KeyError, OSError) as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     click.echo(json.dumps(state.snapshot(), sort_keys=True, indent=2))

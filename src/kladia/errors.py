@@ -55,24 +55,12 @@ class NoMintAfterGenesis(KladiaError):
     pass
 
 
-class CliffActive(KladiaError):
-    pass
-
-
-class VestingComplete(KladiaError):
-    pass
-
-
 class InsufficientApprovals(KladiaError):
     pass
 
 
 class ZeroCap(KladiaError):
     """Release cap is exhausted; a release would move zero tokens."""
-
-
-class InsufficientFeePool(KladiaError):
-    pass
 
 
 class CrossBucketRelock(KladiaError):

@@ -25,7 +25,7 @@ def from_str(text: str) -> int:
     """Parse a decimal string into a scaled integer (half-even at 9 digits).
 
     Raises ValueError for anything else, a value too long for Decimal's
-    28-digit context included.
+    28-digit context or of a type Decimal does not convert included.
     """
     if isinstance(text, str) and _PLAIN(text):
         whole, _, frac = text.partition(".")
@@ -37,6 +37,8 @@ def from_str(text: str) -> int:
         scaled = d.scaleb(DIGITS).quantize(Decimal(1), rounding="ROUND_HALF_EVEN")
     except DecimalException as exc:
         raise ValueError(f"not a decimal of at most 28 digits: {text!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"not a decimal: {text!r}") from exc
     return int(scaled)
 
 

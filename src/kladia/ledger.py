@@ -4,10 +4,12 @@ All balances are integer base units (1 KLD = 10^6 units). Every transition
 is a check, which raises and mutates nothing and returns the event's full
 inputs, then `_apply` of those inputs to a private copy, which re-checks
 supply conservation and logs the event with its state hash. The prior state
-is never touched. A stored ledger is loaded by replaying its event log from
-genesis through the same check and apply, so it is valid exactly when it is
-what its own log replays to. There is no mint operation and no inverse of
-burn anywhere on the public surface.
+is never touched. A month is one such event: its check computes the vesting
+release, staking emission and fee burn in their fixed order, and its apply
+moves them and rolls the month. A stored ledger is loaded by replaying its
+event log from genesis through the same check and apply, so it is valid
+exactly when it is what its own log replays to. There is no mint operation
+and no inverse of burn anywhere on the public surface.
 """
 
 from __future__ import annotations
@@ -22,16 +24,13 @@ from . import fixedpoint as fp
 from .canonical import content_hash, sha256_hex
 from .errors import (
     AllocationMismatch,
-    CliffActive,
     ConservationViolation,
     CrossBucketRelock,
     InsufficientApprovals,
-    InsufficientFeePool,
     KladiaError,
     MalformedFile,
     NoMintAfterGenesis,
     RelockExceedsRelease,
-    VestingComplete,
     ZeroCap,
 )
 from .policy import PolicyFactors, PolicyParams, derive_cycle_factors
@@ -270,8 +269,8 @@ class LedgerState:
 
     def _log(self, op: str, inputs: dict, approvals: tuple[str, ...] = ()) -> None:
         if len(self.journal) != self.n_events:
-            # a state branched from the same history appended first, or a
-            # failed transition left a tail: continue on a private copy
+            # a state branched from the same history appended first:
+            # continue on a private copy
             self.journal = self.journal[:self.n_events]
         self.journal.append(
             {
@@ -364,17 +363,11 @@ def _field(inputs: dict, name: str, kind: type = int):
 
 
 def _vesting_due(state: LedgerState) -> bool:
-    """Whether the month being processed owes a vesting release."""
+    """Whether the month being processed owes a vesting release: the month
+    is month_index + 1, months 1-12 are the cliff, releases run months 13-48."""
     vesting = state.vesting
     return (state.month_index >= vesting.cliff_months
             and vesting.released_months < vesting.vest_months)
-
-
-def _check_month(state: LedgerState, fees: int) -> None:
-    if fees < 0:
-        raise ValueError("fees must be nonnegative")
-    if state.annual_factors is None:
-        raise ZeroCap("no active cycle factors; call begin_cycle first")
 
 
 def _check(state: Optional[LedgerState], op: str, inputs: dict,
@@ -418,38 +411,6 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
 
     if op == "carry_cycle":
         return {}, ()
-
-    if op == "vest_month":
-        # the month being processed is month_index + 1; months 1-12 are the
-        # cliff, releases run months 13-48
-        vesting = state.vesting
-        if state.month_index < vesting.cliff_months:
-            raise CliffActive(f"month {state.month_index + 1} is within the "
-                              f"{vesting.cliff_months}-month cliff")
-        if vesting.released_months >= vesting.vest_months:
-            raise VestingComplete("all 36 vesting releases done")
-        release_no = vesting.released_months + 1
-        return {"release_number": release_no,
-                "amount": vesting.monthly_amount(release_no)}, ()
-
-    if op == "emit_staking":
-        rate = _field(inputs, "rate")
-        if rate < 0:
-            raise ValueError("rate must be nonnegative")
-        factors = state.annual_factors
-        budget = 0 if factors is None else factors.issuance_budget
-        emission = fp.scale_amount_down(state.buckets[BucketKind.STAKING_RESERVE], rate)
-        emission = min(emission, max(0, budget - state.issuance_used_year))
-        return {"rate": rate, "emission": emission}, ()
-
-    if op == "burn":
-        amount = _field(inputs, "amount")
-        if amount < 0:
-            raise ValueError("amount must be nonnegative")
-        if amount > state.circulating:
-            raise InsufficientFeePool(f"burn {amount} exceeds circulating "
-                                      f"{state.circulating}")
-        return {"amount": amount}, ()
 
     if op == "release_escrow":
         requested = _field(inputs, "requested")
@@ -503,28 +464,25 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
                 "justification": _field(inputs, "justification", str)}, ()
 
     if op == "advance_month":
-        # the month's summary: its steps are the events logged just before
-        # it, one per nonzero amount, in the order advance_month runs them.
-        # A zero amount expects a step too if that step was due, so a month
-        # cannot leave one out; neither the vesting nor the burn moves the
-        # staking reserve or the year's issuance, so this state tells.
-        summary = {k: _field(inputs, k) for k in ("fees", "vested", "emitted", "burned")}
-        fees, vested, emitted, burned = summary.values()
-        _check_month(state, fees)
-        rate = state.annual_factors.staking_rate
-        steps = []
-        if vested or _vesting_due(state):
-            steps.append(("vest_month", {"release_number": state.vesting.released_months,
-                                         "amount": vested}))
-        if emitted or _check(state, "emit_staking", {"rate": rate})[0]["emission"]:
-            steps.append(("emit_staking", {"rate": rate, "emission": emitted}))
-        if burned:
-            steps.append(("burn", {"amount": burned}))
-        logged = state.journal[max(0, state.n_events - len(steps)):state.n_events]
-        if ([(e["op"], e["inputs"]) for e in logged] != steps
-                or _fee_burn(state, min(fees, state.circulating + burned))[0] != burned):
-            raise ValueError("month summary does not match its steps")
-        return summary, ()
+        # the month's flows in their fixed order: the vesting release if due,
+        # the staking emission at the cycle's rate under the year's budget,
+        # then the fee burn from the supply those two leave circulating
+        fees = _field(inputs, "fees")
+        if fees < 0:
+            raise ValueError("fees must be nonnegative")
+        factors = state.annual_factors
+        if factors is None:
+            raise ZeroCap("no active cycle factors; call begin_cycle first")
+        vesting = state.vesting
+        vested = (vesting.monthly_amount(vesting.released_months + 1)
+                  if _vesting_due(state) else 0)
+        emitted = min(
+            fp.scale_amount_down(state.buckets[BucketKind.STAKING_RESERVE],
+                                 factors.staking_rate),
+            max(0, factors.issuance_budget - state.issuance_used_year))
+        burned = _fee_burn(state, min(fees, state.circulating + vested + emitted))[0]
+        return {"fees": fees, "vested": vested, "emitted": emitted,
+                "burned": burned}, ()
 
     raise ValueError(f"unknown op {op!r}")
 
@@ -551,20 +509,6 @@ def _apply(state: Optional[LedgerState], op: str, inputs: dict) -> LedgerState:
         state.issuance_used_year = state.releases_this_month = 0
     elif op == "carry_cycle":
         state.issuance_used_year = state.releases_this_month = 0
-    elif op == "vest_month":
-        amount = inputs["amount"]
-        buckets[BucketKind.TEAM_VESTING] -= amount
-        state.circulating += amount
-        state.vesting.released_months = inputs["release_number"]
-        state.vesting.released_total += amount
-    elif op == "emit_staking":
-        emission = inputs["emission"]
-        buckets[BucketKind.STAKING_RESERVE] -= emission
-        state.circulating += emission
-        state.issuance_used_year += emission
-    elif op == "burn":
-        state.circulating -= inputs["amount"]
-        state.burned_cumulative += inputs["amount"]
     elif op == "release_escrow":
         released = inputs["released"]
         buckets[BucketKind.ECOSYSTEM_ESCROW] -= released
@@ -585,10 +529,19 @@ def _apply(state: Optional[LedgerState], op: str, inputs: dict) -> LedgerState:
         state.circulating -= amount
         state.relockable[bucket] -= amount
     elif op == "advance_month":
-        # the month roll; the burn already ran as its own step, so the fee
-        # pool was the circulating supply before it
-        pool = min(inputs["fees"], state.circulating + inputs["burned"])
-        state.burn_dust = _fee_burn(state, pool)[1]
+        # the month's flows, then the month roll (counter, monthly resets and
+        # the burn dust, which the fee pool after vesting and emission gives)
+        vested, emitted, burned = inputs["vested"], inputs["emitted"], inputs["burned"]
+        if _vesting_due(state):
+            state.vesting.released_months += 1
+            state.vesting.released_total += vested
+        buckets[BucketKind.TEAM_VESTING] -= vested
+        buckets[BucketKind.STAKING_RESERVE] -= emitted
+        state.issuance_used_year += emitted
+        state.circulating += vested + emitted
+        state.burn_dust = _fee_burn(state, min(inputs["fees"], state.circulating))[1]
+        state.circulating -= burned
+        state.burned_cumulative += burned
         state.month_index += 1
         state.releases_this_month = 0
         state.reserve_spend_this_month = 0
@@ -650,12 +603,6 @@ def carry_cycle(state: LedgerState) -> LedgerState:
     return _transition(state, "carry_cycle", {})[0]
 
 
-def vest_month(state: LedgerState) -> tuple[LedgerState, int]:
-    """Release one month of the team schedule into circulation."""
-    new, inputs = _transition(state, "vest_month", {})
-    return new, inputs["amount"]
-
-
 def release_escrow(
     state: LedgerState, requested: int, approvals: Iterable[str]
 ) -> tuple[LedgerState, int]:
@@ -665,31 +612,6 @@ def release_escrow(
         state, "release_escrow", {"requested": requested}, approvals
     )
     return new, inputs["released"]
-
-
-def burn(state: LedgerState, amount: int, fee_pool: int) -> LedgerState:
-    """Permanently destroy circulating tokens from the fee pool.
-
-    Irreversible by construction: no inverse operation exists anywhere in
-    this module's API.
-    """
-    inputs, _ = _check(state, "burn", {"amount": amount})
-    if amount > fee_pool:
-        raise InsufficientFeePool(f"burn {amount} exceeds fee pool {fee_pool}")
-    return _step(state.clone(), "burn", inputs)
-
-
-def emit_staking(state: LedgerState, rate: int) -> tuple[LedgerState, int]:
-    """Release staking rewards from the reserve at the cycle's rate.
-
-    Emissions count against the annual issuance budget and stop at zero
-    once the reserve (or the budget) is exhausted; a zero emission logs
-    nothing and returns the state itself.
-    """
-    inputs, _ = _check(state, "emit_staking", {"rate": rate})
-    if inputs["emission"] == 0:
-        return state, 0
-    return _step(state.clone(), "emit_staking", inputs), inputs["emission"]
 
 
 def spend_reserve(
@@ -726,34 +648,13 @@ def relock(
 def advance_month(
     state: LedgerState, fees_this_month: int
 ) -> tuple[LedgerState, dict]:
-    """Apply one month of automatic flows in fixed order, atomically.
+    """Apply one month of automatic flows in fixed order, as one event.
 
     Order: vesting (if due) -> staking emission -> fee burn -> the month
-    roll (counter, monthly resets, burn dust). All steps run on one private
-    copy of the state; each is the check and apply of the public transition
-    of the same name and logs its own event, and the roll logs the month's
-    summary, so any failure leaves the input state untouched.
+    roll (counter, monthly resets, burn dust). The check computes the three
+    amounts and the event logs them beside the fees; they are returned as
+    the month's summary. Like every transition it applies to a private
+    copy, so any failure leaves the input state untouched.
     """
-    _check_month(state, fees_this_month)
-    working = state.clone()
-    summary = {"vested": 0, "emitted": 0, "burned": 0}
-
-    if _vesting_due(working):
-        inputs, _ = _check(working, "vest_month", {})
-        _step(working, "vest_month", inputs)
-        summary["vested"] = inputs["amount"]
-
-    inputs, _ = _check(working, "emit_staking",
-                       {"rate": working.annual_factors.staking_rate})
-    if inputs["emission"]:
-        _step(working, "emit_staking", inputs)
-        summary["emitted"] = inputs["emission"]
-
-    burned = _fee_burn(working, min(fees_this_month, working.circulating))[0]
-    if burned > 0:
-        _step(working, "burn", _check(working, "burn", {"amount": burned})[0])
-        summary["burned"] = burned
-
-    inputs, _ = _check(working, "advance_month", {"fees": fees_this_month, **summary})
-    _step(working, "advance_month", inputs)
-    return working, summary
+    new, inputs = _transition(state, "advance_month", {"fees": fees_this_month})
+    return new, {k: inputs[k] for k in ("vested", "emitted", "burned")}

@@ -53,27 +53,33 @@ class ReportCommitment:
     ledger_anchor: int  # event-log position at commit time
 
 
-# each supply action: the event input that carries its amount, and the
-# sign of that amount in net issuance (issued - burned - relocked)
+# each logged op that moves supply: the (action, input, sign) triples it
+# carries, in order, where the input holds the action's amount and the sign
+# is that amount's in net issuance (issued - burned - relocked). A month
+# carries its three flows; a zero month amount is a flow that did not run.
 SUPPLY_ACTIONS = {
-    "vest_month": ("amount", 1),
-    "release_escrow": ("released", 1),
-    "emit_staking": ("emission", 1),
-    "spend_reserve": ("amount", 1),
-    "burn": ("amount", -1),
-    "relock": ("amount", -1),
+    "release_escrow": (("release_escrow", "released", 1),),
+    "spend_reserve": (("spend_reserve", "amount", 1),),
+    "relock": (("relock", "amount", -1),),
+    "advance_month": (("vest_month", "vested", 1), ("emit_staking", "emitted", 1),
+                      ("burn", "burned", -1)),
 }
+_SIGNS = {action: sign for triples in SUPPLY_ACTIONS.values()
+          for action, _, sign in triples}
 
 
-def _action_amount(event: dict) -> int:
-    action = SUPPLY_ACTIONS.get(event["op"])
-    return event["inputs"][action[0]] if action else 0
+def _actions(event: dict) -> list[tuple[str, Any]]:
+    """The (action, amount) pairs a logged event carries, in order."""
+    op = event["op"]
+    return [(action, event["inputs"][key])
+            for action, key, _ in SUPPLY_ACTIONS.get(op, ())
+            if op != "advance_month" or event["inputs"][key]]
 
 
 def _net_issuance(actions: Iterable[tuple[Any, Any]]) -> int:
-    """Signed sum over (op, amount) pairs; ops that move no supply count 0."""
-    return sum(SUPPLY_ACTIONS[op][1] * amount for op, amount in actions
-               if op in SUPPLY_ACTIONS)
+    """Signed sum over (action, amount) pairs; other actions count 0."""
+    return sum(_SIGNS[action] * amount for action, amount in actions
+               if action in _SIGNS)
 
 
 def build_report(
@@ -95,14 +101,9 @@ def build_report(
     executed_actions = []
     action_hashes = []
     for pos, event in enumerate(ledger_events):
-        if event["op"] in SUPPLY_ACTIONS:
+        for action, amount in _actions(event):
             executed_actions.append(
-                {
-                    "op": event["op"],
-                    "amount": _action_amount(event),
-                    "event_position": pos,
-                }
-            )
+                {"op": action, "amount": amount, "event_position": pos})
             action_hashes.append(event["state_hash"])
 
     signer_set = sorted(
@@ -245,7 +246,7 @@ def verify(
     if ledger_events is not None:
         try:
             ledger_net = _net_issuance(
-                (e["op"], _action_amount(e)) for e in ledger_events)
+                action for e in ledger_events for action in _actions(e))
         except (TypeError, KeyError):
             # an entry that is not an object, or lacks its op or amount
             return False, discrepancies + ["MalformedEventLog"]

@@ -393,6 +393,15 @@ def test_state_rejects_tampered_ledger_exit_2(runner, tmp_path):
     assert "MalformedFile" in result.output
 
 
+def test_state_ledger_is_a_directory_exit_2(runner, tmp_path):
+    state_dir = tmp_path / "state"
+    (state_dir / "ledger.json").mkdir(parents=True)
+    result = runner.invoke(main, ["state", "--state-dir", str(state_dir)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: IsADirectoryError: ")
+    assert result.output.count("error:") == 1 and result.output.count("\n") == 1
+
+
 def _event_at(data, op):
     return next(e for e in data["event_log"] if e["op"] == op)
 
@@ -466,7 +475,7 @@ def test_malformed_ledger_file_fails_cleanly(runner, tmp_path):
     verify = ["verify", str(state_dir / "report-2026.kldr"),
               str(state_dir / "report-2026.commit"),
               "--event-log", str(ledger_file), "--baseline-file", str(base)]
-    ledger_file.write_text(json.dumps(dict(data, event_log=[{"op": "burn"}])))
+    ledger_file.write_text(json.dumps(dict(data, event_log=[{"op": "advance_month"}])))
     result = runner.invoke(main, verify)
     assert result.exit_code == 1
     assert result.output == "verification failed: MalformedEventLog\n"
@@ -655,3 +664,14 @@ def test_govern_rejects_out_of_bounds(runner):
 def test_govern_bad_json_exit_2(runner):
     result = runner.invoke(main, ["govern", "--changes", "{not json"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("changes, error", [
+    ("[1]", "MalformedFile: --changes: not a JSON object"),
+    ('"x"', "MalformedFile: --changes: not a JSON object"),
+    ('{"alpha_i": null}', "ValueError: not a decimal: None"),
+], ids=["list", "string", "null"])
+def test_govern_malformed_changes_exit_2(runner, changes, error):
+    result = runner.invoke(main, ["govern", "--changes", changes])
+    assert result.exit_code == 2
+    assert result.output == f"error: {error}\n"

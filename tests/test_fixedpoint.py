@@ -21,6 +21,9 @@ def test_parse_rejects_garbage():
         fp.from_str("NaN")
     with pytest.raises(ValueError):
         fp.from_str("Infinity")
+    for value in (None, {}, [1]):
+        with pytest.raises(ValueError):
+            fp.from_str(value)
 
 
 def test_half_even_at_ninth_digit():

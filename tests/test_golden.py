@@ -1,4 +1,4 @@
-"""Golden determinism fixtures and the composite-month transition check.
+"""Golden determinism fixtures and the month transition against its steps.
 
 The frozen hashes below pin every hashed byte the engine produces for a few
 short seeded scenarios and for a serialized ledger with five years of
@@ -8,6 +8,7 @@ that third parties replay, so it must be made on purpose and the values
 re-frozen once, with the reason recorded.
 """
 
+import copy
 import hashlib
 import json
 
@@ -34,44 +35,44 @@ SCENARIOS = {
 
 GOLDEN = {
     "plain": (
-        "3021272df0c867d814f77482b0743d655e9021929bec00a15dfbb6f21231df90",
-        ["e234412f2f3dff4834d579029da379b14d78683857e0ff5b1d7093553e1d2bcd",
-         "f9f10e713f662a227de0197d0214b74f246ccc0045342028fa3b3f5de724d38b",
-         "24a8fab961ad31e7aa4c1c6802fdd9fc58ec6740a809dfae0cd3862815137513",
-         "22a019aa277082f120f390ff8f76debaa6d11aeee7bed950cd0d85ed8305bf44",
-         "5bf60e3a2f2348b44706bfb307f7d4c4a73ddc69f9f5c29e0f235b48eac581d6"],
+        "cf9642087772066af3c075a00732d1581d6ee4d8c512171de0ebc8fc6819e4aa",
+        ["129420ca42146880438f419fb11c179723e4fbc3af6b3a188eab05f2df1ebbdc",
+         "c1e92f3038158bebded46bbff01f391815a44e003f67a821ff902ea371f1a114",
+         "644e57c8b483b717237b258b0864b2f13d47b127676be9094ea4b4e716cfce51",
+         "61d3cd6302175eeed4757eb8fafb03b83dec8f611de0201f0c9127edf30a45e2",
+         "bd82187f0f20256b00e5ef745d5c7dd31e7c84e9e9d19926f5a5e583cf5d2b00"],
     ),
     "dispute_years": (
-        "a233441e72f0901ae51324ea0b60991abb9ea19fa99f95d484ed59a527dd8fdf",
-        ["16dad2d659553c1e33782dd4cf995410a0976ed527134fd6ed23e0f3dd8dfe31",
-         "9b36314d7d96f0a0f41a9b965254a97211ce3e3a526f3b593d579b32c8b6def5",
-         "bfd7cee4b98da844f9af77f3787e7600cbe28812d7bece14a2f0928bb15f3abf",
-         "a70dfd86aafacc1b4e8d1f39e73e2373f8092278440ba069df64dff639daa7e2",
-         "6b37924b7170e0767c23fdc902fca27aa0dae03344508971eed7afd17da4281a"],
+        "9941c38ea19787651b0dda2cf9d14beba366321f8ed9157829d41aec0c7cb1da",
+        ["ae03e73d0ae6ab7811e7bad81692cf1938e9bc22e1b78ad427e008802d92fb65",
+         "781d8aaf127f62b5cdf708bd97e1e9d1926dead878f38217199def27b6ccea98",
+         "f9a7ad601a9cbf469d18f397a0265018c71c2b8dd9506f0fb49cecd58d8e43da",
+         "c18285855bb2652906b758a813abe10c5c309a53c24ee9c2cf40692679c3f36b",
+         "82751b8815a0d6e1949ad2bfa1f1c5b8258c9333bb42696421d80909cd420adb"],
     ),
     "outlier": (
-        "7a481046b4184690886a4ccd8a3e1da49ba80f56cd0784bcbf16a6ef5c2dc838",
-        ["a7d9c2ac9746e3f55305207fe0fd20fdc76190cfcb2f3cf9b8f60f9e481349c4",
-         "db68142efa61d726cf0a16d989fa8e7c908f37137bdc323cb56f7270be7ffbac",
-         "7d3e3e2d788c512e4f1e712d3cd596a9ed84f989b052e41738a9d9ccac44226c",
-         "000d03a763fff5e0448a042cf03e6de0008a96d9ed5e60b719982ab4a6fee936",
-         "af75912e5e028c1aaac3394eaf1a99192569ea408fd1c8c02ed2a214d8d04ab5"],
+        "d7be29a3b820a8d78001eabcd2d05ebef176af135df85554f72d04114e620c21",
+        ["9af64701411681c3c1ff1b66ba349dd0647f260a47fa0ce3cd979df5c1766914",
+         "531258e62e31c1a4b10ffc3a1e7b96dada0866986e1f6a7bc6d505c17e9e038e",
+         "9c1861f7a87cbcbb7caf198102a5cc4a9c3fef93796eb808f6bfc4ec137cee43",
+         "fbaa7dd5b7ab261f89b448a4e7bc0829ce8bde07c7bc5fe42ef4b9ce0ba3ff18",
+         "799273afe90ebe1c6c06027418670b58dacd9a58681ff71ddffe0ec70f83423e"],
     ),
     "missing": (
-        "811081c52fb926c76856b57156532c5ed6c23848b8fa563c10a7accc349d15b3",
-        ["f138a30f53e8f538bc019c78f36ba2418a9df5b3aaf5e561213ebd4fe65659ac",
-         "3d6202fe49fedceec15add581579a4795770aeeaebc8b5d0a1628aacf4f40a83",
-         "7810c8464a8d54ec9a4c8943e52c6df9baee41ce04ff4eaf210f4bfb2dcfbbb7",
-         "aefa42a18abc53cfd1e2c09301aa13cc3eacc079d67d2d38430b8d6122a9deda",
-         "161d2e62f1ad9cdf26281ea7fd96c388327984fca4caf05f4a789eb0279d1c09"],
+        "6dabb2b864c3e32df856530911e09d8fe15054244f2310cb844fbded01d4b1ef",
+        ["d7576ba1558d345874295e6d75b2ed08207f6543f2e3115c2b4d3817a674688b",
+         "1a6d2a7f4ebba80656afd52304dedd38a9508424b7d7d9e8aeddab95ea7bf09e",
+         "30605d83c91409c502f209fd1641428de302647a7f9aae84be8e749d2b97b22c",
+         "fbbf18192ba503b15943e5e9952f3eec42ee3263dd0de6575d81b800d07d4105",
+         "4a66cb54a1192b75de05ceae2b6308ea2354ffcc59d105517aeec5b9685723fb"],
     ),
     "governance_script": (
-        "acc415946c35740f4c0560b2d9fb0a337316106cca75a23db7389148f9115864",
-        ["6dee544462c7e0428ac3c35442e30997109a3a38c2d4ca8f2bd1fe9b4ee8a7af",
-         "add2233eaca5462e89b543fc8e2ccbbfd56a771ca08e0d34c9c644f3dcdb864d",
-         "5f5171f42605bee94c87144896122e1512e293d4317a5fe9b9e731cff2eef7d8",
-         "a8f098227f8f39d4261d20fa51bc17f96a906eee9794736918c7134c06ecb75f",
-         "1c6320bf3726ade96464898f4e606ddb469de81e77810c4332cfa48eda79c2a4"],
+        "6b05db86ed6612fce216265b0a9f8f49dbdf19b0139d4d31b130b4ab869f8e1a",
+        ["097ed7c67f6d8d8b59cfe8dba3012177838139a51b7c8fa02df031945f18da23",
+         "91828a90ffa87e4aa62ecc8e44505557bda751dc93916c35418d76522c83da5e",
+         "38b635c165c4f161d67446975f68a9036226801343d15975e4464a98c858e7e6",
+         "0531b3c5f1e7cfda77c6487eb3cf89b536a4035199186957d1624cad84a38a1a",
+         "b4906c8de51069f2a7e6d025465c25c1ab69e308f3f0564b522047121c3cf6ad"],
     ),
 }
 
@@ -91,7 +92,7 @@ LEDGER_RUN_STATE_HASH = (
     "5ca1969e921cfc2e5449a5a24bd3bdc591ec95460a8a0f7d29f8516ee7ffee34"
 )
 LEDGER_RUN_JSON_SHA = (
-    "4b793d6a648e9fe6ff2224ec9cafbd8b8b401e93e3e622eb1547704fedf09718"
+    "c49f22852cd2d4ee498fe670d4d53f29ead4ccda9271267f679da774629e2bd1"
 )
 
 ESCROW_SIGNERS = tuple(f"escrow-{i}" for i in range(1, 9))
@@ -150,10 +151,6 @@ def _state_at(month_index: int, params: PolicyParams) -> lg.LedgerState:
     return state
 
 
-def _events(log: list[dict]) -> list[tuple]:
-    return [(e["op"], e["inputs"], e["state_hash"]) for e in log]
-
-
 @pytest.mark.parametrize("month_index, fees, r_base", [
     (0, 5_000_000_000, "0.001"),      # first cliff month
     (11, 7_123_456_789, "0.001"),     # last cliff month
@@ -161,37 +158,43 @@ def _events(log: list[dict]) -> list[tuple]:
     (30, 1_234_567_891, "0.001"),     # mid vesting
     (47, 4_000_000_001, "0.001"),     # last release sweeps the remainder
     (48, 2_500_000_000, "0.001"),     # after vesting
-    (30, 0, "0.001"),                 # zero fees: no burn event
-    (30, 6_000_000_000, "0"),         # zero emission: no emit_staking event
+    (30, 0, "0.001"),                 # zero fees: no burn
+    (30, 6_000_000_000, "0"),         # zero emission
     (5, 0, "0"),                      # neither, in the cliff
 ])
 def test_advance_month_matches_composed_steps(month_index, fees, r_base):
     params = PolicyParams(r_base=fp.from_str(r_base))
     state = _state_at(month_index, params)
-    start = len(state.event_log)
-    before = state.state_hash()
+    before = copy.deepcopy(state)
 
     advanced, summary = lg.advance_month(state, fees)
-    assert state.state_hash() == before
-    assert len(state.event_log) == start
+    assert state == before
 
-    composed = state
-    if (composed.month_index >= composed.vesting.cliff_months
-            and composed.vesting.released_months < composed.vesting.vest_months):
-        composed, vested = lg.vest_month(composed)
-        assert vested == summary["vested"]
-    composed, emitted = lg.emit_staking(
-        composed, composed.annual_factors.staking_rate)
-    assert emitted == summary["emitted"]
-    fee_pool = min(fees, composed.circulating)
-    if summary["burned"] > 0:
-        composed = lg.burn(composed, summary["burned"], fee_pool)
+    # the steps composed by hand in their fixed order: the vesting release
+    # if due, the emission floor(reserve * rate) under the year's budget,
+    # then the burn from the fee pool those two leave circulating, with
+    # the carried 1/SCALE dust
+    vesting, factors = state.vesting, state.annual_factors
+    vested = (vesting.monthly_amount(vesting.released_months + 1)
+              if 12 <= month_index < 48 else 0)
+    reserve = state.buckets[lg.BucketKind.STAKING_RESERVE]
+    emitted = min(reserve * factors.staking_rate // fp.SCALE,
+                  max(0, factors.issuance_budget - state.issuance_used_year))
+    pool = min(fees, state.circulating + vested + emitted)
+    raw = pool * factors.burn_fraction + state.burn_dust
+    burned = min(raw // fp.SCALE, pool)
+    assert summary == {"vested": vested, "emitted": emitted, "burned": burned}
+    assert (vested > 0) == (12 <= month_index < 48)
+    assert (emitted > 0) == (r_base != "0")
+    assert (burned > 0) == (fees > 0)
 
-    new_events = advanced.event_log[start:]
-    assert _events(new_events[:-1]) == _events(composed.event_log[start:])
-    assert new_events[-1]["op"] == "advance_month"
-    assert new_events[-1]["inputs"] == {"fees": fees, **summary}
-    ops = [e["op"] for e in new_events]
-    assert ("vest_month" in ops) == (12 <= month_index < 48)
-    assert ("emit_staking" in ops) == (r_base != "0")
-    assert ("burn" in ops) == (fees > 0)
+    assert advanced.circulating == state.circulating + vested + emitted - burned
+    assert advanced.burned_cumulative == state.burned_cumulative + burned
+    assert advanced.burn_dust == raw % fp.SCALE
+    assert advanced.vesting.released_months == (
+        vesting.released_months + (12 <= month_index < 48))
+    assert advanced.month_index == month_index + 1
+    # one event, logging the fees and the three amounts
+    assert advanced.event_log[:-1] == state.event_log
+    assert advanced.event_log[-1]["op"] == "advance_month"
+    assert advanced.event_log[-1]["inputs"] == {"fees": fees, **summary}

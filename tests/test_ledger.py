@@ -10,16 +10,13 @@ from kladia import ledger as lg
 from kladia.canonical import content_hash
 from kladia.errors import (
     AllocationMismatch,
-    CliffActive,
     ConservationViolation,
     CrossBucketRelock,
     InsufficientApprovals,
-    InsufficientFeePool,
     KladiaError,
     MalformedFile,
     NoMintAfterGenesis,
     RelockExceedsRelease,
-    VestingComplete,
     ZeroCap,
 )
 from kladia.ledger import BucketKind
@@ -96,20 +93,25 @@ def month_13_state():
 
 
 def test_vest_month_13_amount():
-    state = month_13_state()
-    state, amount = lg.vest_month(state)
+    state, summary = lg.advance_month(month_13_state(), 0)
     # floor(2.5e15 / 36) base units = 69,444,444.444444 KLD
-    assert amount == 69_444_444_444_444
+    assert summary["vested"] == 69_444_444_444_444
     assert state.vesting.released_months == 1
-    assert state.circulating == amount
+    assert state.vesting.released_total == summary["vested"]
+    assert state.circulating == summary["vested"] + summary["emitted"]
 
 
 def test_vest_cliff_active():
+    # months 1-12 are the cliff: month 12 vests nothing, month 13 vests
     state, _ = fresh_cycle()
     state = state.clone()
-    state.month_index = 10  # month 11 in progress
-    with pytest.raises(CliffActive):
-        lg.vest_month(state)
+    state.month_index = 11  # month 12 in progress
+    state, summary = lg.advance_month(state, 0)
+    assert summary["vested"] == 0
+    assert state.vesting.released_months == 0
+    state, summary = lg.advance_month(state, 0)
+    assert summary["vested"] > 0
+    assert state.vesting.released_months == 1
 
 
 def test_vest_total_exact_telescoping():
@@ -121,12 +123,18 @@ def test_vest_total_exact_telescoping():
     assert amounts[-1] >= amounts[0]
 
     state = month_13_state()
+    vested = []
     for _ in range(36):
-        state, _ = lg.vest_month(state)
+        state, summary = lg.advance_month(state, 0)
+        vested.append(summary["vested"])
+    assert vested == amounts
     assert state.vesting.released_total == 2_500_000_000 * lg.UNIT
     assert state.buckets[BucketKind.TEAM_VESTING] == 0
-    with pytest.raises(VestingComplete):
-        lg.vest_month(state)
+    # months 49 on vest nothing
+    for _ in range(3):
+        state, summary = lg.advance_month(state, 0)
+        assert summary["vested"] == 0
+    assert state.vesting.released_months == 36
 
 
 def test_no_vesting_during_cliff_via_advance_month():
@@ -175,25 +183,31 @@ def test_release_escrow_unknown_signers_do_not_count():
 
 # --- burn --------------------------------------------------------------------
 
-def test_burn_arithmetic():
-    state, _ = fresh_cycle()
+def burn_cycle(b_base="0.4", b_max="0.9"):
+    """A cycle that burns a fixed fraction of the fee pool and emits nothing,
+    with 1,000 base units released into circulation."""
+    params = PolicyParams(r_base=0, b_base=fp.from_str(b_base),
+                          b_max=fp.from_str(b_max), beta_b=0)
+    state, _ = fresh_cycle(params=params)
     state, _ = lg.release_escrow(state, 1000, ESCROW_SIGNERS[:5])
-    state = lg.burn(state, 400, fee_pool=1000)
+    return state
+
+
+def test_burn_arithmetic():
+    state, summary = lg.advance_month(burn_cycle(), 1000)
+    assert summary["burned"] == 400
     assert state.burned_cumulative == 400
     assert state.circulating == 600
 
 
 def test_burn_exceeds_pool():
-    state, _ = fresh_cycle()
-    state, _ = lg.release_escrow(state, 1000, ESCROW_SIGNERS[:5])
-    with pytest.raises(InsufficientFeePool):
-        lg.burn(state, 1001, fee_pool=1000)
-
-
-def test_burn_checks_its_amount_before_the_fee_pool():
-    state, _ = fresh_cycle()
-    with pytest.raises(ValueError, match="amount must be nonnegative"):
-        lg.burn(state, -1, fee_pool=-2)
+    # at a burn fraction of 1 the month burns its whole fee pool, and the
+    # pool is the fees, at most the circulating supply
+    state, summary = lg.advance_month(burn_cycle("1", "1"), 1001)
+    assert summary["burned"] == 1000
+    assert state.circulating == 0
+    state, summary = lg.advance_month(burn_cycle("1", "1"), 999)
+    assert summary["burned"] == 999
 
 
 def test_transitions_take_only_int_amounts():
@@ -201,7 +215,7 @@ def test_transitions_take_only_int_amounts():
     with pytest.raises(TypeError, match="requested must be int, not float"):
         lg.release_escrow(state, 500.0, ESCROW_SIGNERS[:5])
     with pytest.raises(TypeError, match="amount must be int, not bool"):
-        lg.burn(state, False, fee_pool=0)
+        lg.spend_reserve(state, False, RESERVE_SIGNERS[:6])
     with pytest.raises(TypeError, match="must be int, not float"):
         lg.advance_month(state, 1000.0)
 
@@ -214,39 +228,50 @@ def test_burn_monotone_over_random_stream():
     rng = random.Random(7)
     prev = state.burned_cumulative
     for _ in range(100):
-        amount = rng.randint(0, min(1000, state.circulating))
-        state = lg.burn(state, amount, fee_pool=amount)
-        assert state.burned_cumulative >= prev
+        fees = rng.randint(0, 2 * state.circulating)
+        circulating = state.circulating
+        state, summary = lg.advance_month(state, fees)
+        pool = min(fees, circulating + summary["vested"] + summary["emitted"])
+        assert 0 <= summary["burned"] <= pool
+        assert state.burned_cumulative == prev + summary["burned"]
         prev = state.burned_cumulative
 
 
 # --- staking emission --------------------------------------------------------
 
 def test_emit_staking_zero_rate():
-    state, _ = fresh_cycle()
-    before = state.state_hash()
-    state, emitted = lg.emit_staking(state, 0)
-    assert emitted == 0
-    assert state.state_hash() == before
+    state, _ = fresh_cycle(params=PolicyParams(r_base=0))
+    reserve = state.buckets[BucketKind.STAKING_RESERVE]
+    state, summary = lg.advance_month(state, 0)
+    assert summary["emitted"] == 0
+    assert state.buckets[BucketKind.STAKING_RESERVE] == reserve
 
 
 def test_emit_staking_direct_multiply():
-    state, _ = fresh_cycle()
+    params = PolicyParams(r_base=fp.from_str("0.001"))
+    state, _ = fresh_cycle(params=params)
+    assert state.annual_factors.staking_rate == fp.from_str("0.001")
     reserve = state.buckets[BucketKind.STAKING_RESERVE]
     assert reserve == 300_000_000 * lg.UNIT
-    state, emitted = lg.emit_staking(state, fp.from_str("0.001"))
-    assert emitted == 300_000 * lg.UNIT
-    assert state.buckets[BucketKind.STAKING_RESERVE] == reserve - emitted
+    after, summary = lg.advance_month(state, 0)
+    assert summary["emitted"] == 300_000 * lg.UNIT
+    assert after.buckets[BucketKind.STAKING_RESERVE] == reserve - summary["emitted"]
+    assert after.issuance_used_year == summary["emitted"]
+    # the year's issuance budget caps the emission
+    capped = state.clone()
+    capped.issuance_used_year = capped.annual_factors.issuance_budget - 5
+    _, summary = lg.advance_month(capped, 0)
+    assert summary["emitted"] == 5
 
 
 def test_emit_staking_exhausted_reserve():
-    state, _ = fresh_cycle()
+    state, _ = fresh_cycle(params=PolicyParams(r_base=fp.from_str("0.5")))
     state = state.clone()
     drained = state.buckets[BucketKind.STAKING_RESERVE]
     state.buckets[BucketKind.STAKING_RESERVE] = 0
     state.circulating += drained  # keep conservation intact
-    state, emitted = lg.emit_staking(state, fp.from_str("0.5"))
-    assert emitted == 0
+    state, summary = lg.advance_month(state, 0)
+    assert summary["emitted"] == 0
 
 
 # --- company reserve ---------------------------------------------------------
@@ -370,24 +395,22 @@ def test_one_year_accumulation_matches_spreadsheet_oracle():
 
 def test_advance_month_atomic_abort_on_injected_violation(monkeypatch):
     state, _ = fresh_cycle()
-    before_hash = state.state_hash()
-    n_events = len(state.event_log)
+    before = copy.deepcopy(state)
     apply = lg._apply
 
-    def corrupt_burn(working, op, inputs):
-        if op == "burn":
+    def corrupt_month(working, op, inputs):
+        working = apply(working, op, inputs)
+        if op == "advance_month":
             working.circulating += 12345  # break conservation mid-transition
-        return apply(working, op, inputs)
+        return working
 
-    monkeypatch.setattr(lg, "_apply", corrupt_burn)
+    monkeypatch.setattr(lg, "_apply", corrupt_month)
     with pytest.raises(ConservationViolation):
         lg.advance_month(state, 10 ** 9)
-    assert state.state_hash() == before_hash
-    # the steps before the failed burn logged into the shared journal, past
-    # this state's own history; the next transition must not carry them
+    # nothing was logged, not even past this state's own history
+    assert state == before
+    assert len(state.journal) == state.n_events
     monkeypatch.undo()
-    assert len(state.journal) > state.n_events
-    assert len(state.event_log) == n_events
     after, _ = lg.advance_month(state, 10 ** 9)
     fresh, _ = lg.advance_month(_reloaded(state), 10 ** 9)
     assert after.event_log == fresh.event_log
@@ -538,14 +561,6 @@ def _list_inputs(data):
     event["inputs"] = list(event["inputs"].values())
 
 
-def _applied(events):
-    """The state `events` give when applied unchecked."""
-    state = None
-    for event in events:
-        state = lg._apply(state, event["op"], event["inputs"])
-    return state
-
-
 def _rehashed(events):
     """A dump of `events` applied unchecked, each logged with the state hash
     it gives, so only the replay's checks can tell it from a live run."""
@@ -604,45 +619,6 @@ def test_replay_rejects_a_release_over_its_cap_at_its_own_event():
         lg.from_json_dict(data)
 
 
-def _dropped_burn(events):
-    del events[[e["op"] for e in events].index("burn")]
-
-
-def _smaller_burn(events):
-    for e in events:
-        if e["op"] in ("burn", "advance_month"):
-            e["inputs"]["burned" if e["op"] == "advance_month" else "amount"] -= 1
-
-
-def _emission_at_another_rate(events):
-    emit, month = (next(e for e in events if e["op"] == op)
-                   for op in ("emit_staking", "advance_month"))
-    emit["inputs"]["rate"] //= 2
-    emit["inputs"]["emission"] //= 2
-    month["inputs"]["emitted"] = emit["inputs"]["emission"]
-
-
-def _dropped_step(events, op, field):
-    # the last month without its `op` step; its burn is recomputed, since
-    # the step moved the circulating supply the burn is taken from
-    month, burn = events[-1], events[-2]
-    assert (month["op"], burn["op"]) == ("advance_month", "burn")
-    del events[max(i for i, e in enumerate(events) if e["op"] == op)]
-    month["inputs"][field] = 0
-    state = _applied(events[:-2])
-    burn["inputs"]["amount"] = month["inputs"]["burned"] = lg._fee_burn(
-        state, min(month["inputs"]["fees"], state.circulating))[0]
-    assert burn["inputs"]["amount"] > 0
-
-
-def _dropped_emission(events):
-    _dropped_step(events, "emit_staking", "emitted")
-
-
-def _dropped_vesting(events):
-    _dropped_step(events, "vest_month", "vested")
-
-
 def _past_cliff():
     """Genesis, a cycle at g = 0.3 and 13 months, the last one vesting."""
     state, _ = fresh_cycle("0.3")
@@ -651,17 +627,31 @@ def _past_cliff():
     return state
 
 
+def _month_edit(name, field, change):
+    """A tamper that sets `field` of the last month's event to `change` of it."""
+    def edit(events):
+        month = events[-1]
+        assert month["op"] == "advance_month" and month["inputs"][field] > 0
+        month["inputs"][field] = change(month["inputs"][field])
+    edit.__name__ = name
+    return edit
+
+
 @pytest.mark.parametrize("base, tamper", [
-    (_replay_base, _dropped_burn), (_replay_base, _smaller_burn),
-    (_replay_base, _emission_at_another_rate), (_replay_base, _dropped_emission),
-    (_past_cliff, _dropped_vesting),
+    (_replay_base, _month_edit("_dropped_burn", "burned", lambda v: 0)),
+    (_replay_base, _month_edit("_smaller_burn", "burned", lambda v: v - 1)),
+    (_replay_base, _month_edit("_emission_at_another_rate", "emitted", lambda v: v // 2)),
+    (_replay_base, _month_edit("_dropped_emission", "emitted", lambda v: 0)),
+    (_past_cliff, _month_edit("_dropped_vesting", "vested", lambda v: 0)),
+    (_past_cliff, _month_edit("_larger_vesting", "vested", lambda v: v + 1)),
+    (_replay_base, _month_edit("_raised_fees", "fees", lambda v: v + 10 ** 6)),
 ], ids=lambda f: f.__name__)
-def test_replay_checks_each_month_summary_against_its_steps(base, tamper):
+def test_replay_checks_each_month_event(base, tamper):
     # every state hash is recomputed by applying the edited events unchecked,
-    # so only the month summary's check can tell
+    # so only the replay's own check of the month can tell
     events = json.loads(json.dumps(base().event_log))
     tamper(events)
-    with pytest.raises(MalformedFile, match="month summary"):
+    with pytest.raises(MalformedFile, match="not what its replay logs"):
         lg.from_json_dict(_rehashed(events))
 
 
@@ -699,12 +689,12 @@ def test_round_trip_replays_governed_coefficients():
 # --- shared journal ----------------------------------------------------------
 
 _BRANCH_STEPS = {
-    "burn": lambda s: lg.burn(s, 400, fee_pool=400),
+    "spend": lambda s: lg.spend_reserve(s, 400, RESERVE_SIGNERS[:6])[0],
     "release": lambda s: lg.release_escrow(s, 500, ESCROW_SIGNERS[:5])[0],
 }
 
 
-@pytest.mark.parametrize("order", [("burn", "release"), ("release", "burn")])
+@pytest.mark.parametrize("order", [("spend", "release"), ("release", "spend")])
 def test_branches_of_one_parent_keep_their_own_events(order):
     parent, _ = fresh_cycle()
     parent, _ = lg.release_escrow(parent, 1000, ESCROW_SIGNERS[:5])
@@ -761,10 +751,7 @@ def test_state_hash_template_matches_generic_encoder(state):
 
 _STEPS = {
     "begin_cycle": lambda s, n: lg.begin_cycle(s, PolicyParams(), n % fp.ONE)[0],
-    "vest_month": lambda s, n: lg.vest_month(s)[0],
     "release_escrow": lambda s, n: lg.release_escrow(s, n, ESCROW_SIGNERS[:5])[0],
-    "burn": lambda s, n: lg.burn(s, n, n),
-    "emit_staking": lambda s, n: lg.emit_staking(s, n % fp.ONE)[0],
     "spend_reserve": lambda s, n: lg.spend_reserve(s, n, RESERVE_SIGNERS[:6])[0],
     "mark_distributed": lambda s, n: lg.mark_distributed(
         s, BucketKind.ECOSYSTEM_ESCROW, n),
@@ -781,7 +768,7 @@ _STEPS = {
 ))
 def test_state_hash_template_matches_after_each_transition(steps):
     # each step starts from the newest state or one up to three before it,
-    # so states branch from shared history and failed steps leave tails
+    # so states branch from shared history
     state = lg.genesis()
     assert state.state_hash() == content_hash(state.snapshot())
     kept = [(state, copy.deepcopy(state.event_log))]

@@ -96,14 +96,38 @@ def test_carried_forward_blocs_disclosed(vintage, baseline):
 
 
 def test_action_amounts_by_op():
-    # each supply op reads its amount from its own input; others count 0
-    inputs = {"amount": 11, "released": 22, "emission": 33}
-    expected = {"vest_month": 11, "release_escrow": 22, "emit_staking": 33,
-                "spend_reserve": 11, "burn": 11, "relock": 11,
-                "begin_cycle": 0}
-    for op_name, amount in expected.items():
+    # each supply op reads its amounts from its own inputs; a month carries
+    # its three flows, leaving out a zero one, and other ops carry none
+    inputs = {"amount": 11, "released": 22, "vested": 33, "emitted": 44,
+              "burned": 55}
+    expected = {
+        "release_escrow": [("release_escrow", 22)],
+        "spend_reserve": [("spend_reserve", 11)],
+        "relock": [("relock", 11)],
+        "advance_month": [("vest_month", 33), ("emit_staking", 44), ("burn", 55)],
+        "begin_cycle": [], "vest_month": [], "burn": [],
+    }
+    for op_name, actions in expected.items():
         event = {"op": op_name, "inputs": inputs}
-        assert reporting._action_amount(event) == amount, op_name
+        assert reporting._actions(event) == actions, op_name
+    month = {"op": "advance_month", "inputs": dict(inputs, vested=0, burned=0)}
+    assert reporting._actions(month) == [("emit_staking", 44)]
+    assert reporting._actions({"op": "spend_reserve", "inputs": {"amount": 0}}) \
+        == [("spend_reserve", 0)]
+    assert reporting._net_issuance(
+        reporting._actions({"op": "advance_month", "inputs": inputs})) == 33 + 44 - 55
+
+
+def test_month_actions_share_their_event(vintage, baseline):
+    record, state, events = executed_cycle(vintage, baseline)
+    report = reporting.build_report(record, events, [], baseline)
+    month = len(events) - 1
+    assert events[month]["op"] == "advance_month"
+    actions = [(a["op"], a["event_position"]) for a in report["executed_actions"]]
+    assert actions == [("release_escrow", month - 1), ("emit_staking", month),
+                       ("burn", month)]
+    assert report["action_hashes"] == [events[month - 1]["state_hash"]] + \
+        [events[month]["state_hash"]] * 2
 
 
 def test_commit_deterministic(vintage, baseline):
@@ -205,11 +229,13 @@ def _drop_inputs(events, i):
 
 
 def _drop_amount(events, i):
-    del events[i]["inputs"]["amount"]
+    inputs = events[i]["inputs"]
+    del inputs["burned" if "burned" in inputs else "released"]
 
 
 def _string_amount(events, i):
-    events[i]["inputs"]["amount"] = "5"
+    inputs = events[i]["inputs"]
+    inputs["burned" if "burned" in inputs else "released"] = "5"
 
 
 def _list_entry(events, i):
@@ -222,10 +248,12 @@ def test_verify_reports_malformed_event_log(vintage, baseline, tamper):
     record, state, events = executed_cycle(vintage, baseline)
     report = reporting.build_report(record, events, [], baseline)
     data = reporting.serialize(report)
-    events = json.loads(json.dumps(events))
-    tamper(events, next(i for i, e in enumerate(events) if e["op"] == "burn"))
-    ok, problems = reporting.verify(data, reporting.commit(data), baseline, events)
-    assert (ok, problems) == (False, ["MalformedEventLog"])
+    for op_name in ("advance_month", "release_escrow"):
+        tampered = json.loads(json.dumps(events))
+        tamper(tampered, next(i for i, e in enumerate(events) if e["op"] == op_name))
+        ok, problems = reporting.verify(data, reporting.commit(data), baseline,
+                                        tampered)
+        assert (ok, problems) == (False, ["MalformedEventLog"]), op_name
 
 
 def test_verify_rejects_non_object_report(baseline):

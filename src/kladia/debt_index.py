@@ -9,6 +9,7 @@ genesis baseline, which also fixes lambda; the policy factor saturates in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import fixedpoint as fp
@@ -105,7 +106,17 @@ def weighted_bdi(
     bloc (ties to the first in ALL_BLOCS order) so they sum to exactly 1.
     Each BDI term is rounded by fp.mul. Returns (weights, bdi), weights in
     ALL_BLOCS order.
+
+    A year's input sets recur (every operator that re-checks the same
+    payload, the report and its self-check), so the last few results are
+    kept; a failed check is not kept and raises again.
     """
+    return _weighted_bdi(tuple(debt_ratios), tuple(nominal_gdps))
+
+
+@lru_cache(maxsize=8)
+def _weighted_bdi(debt_ratios: tuple[int, ...], nominal_gdps: tuple[int, ...]
+                  ) -> tuple[tuple[int, ...], int]:
     if len(nominal_gdps) != len(ALL_BLOCS):
         raise IncompleteBlocSet(
             f"need one GDP per KC7 bloc, got {len(nominal_gdps)}"

@@ -25,11 +25,14 @@ def from_str(text: str) -> int:
     """Parse a decimal string into a scaled integer (half-even at 9 digits).
 
     Raises ValueError for anything else, a value too long for Decimal's
-    28-digit context or of a type Decimal does not convert included.
+    28-digit context, a bool (which Decimal would take as 0 or 1) or
+    another type Decimal does not convert included.
     """
     if isinstance(text, str) and _PLAIN(text):
         whole, _, frac = text.partition(".")
         return int(whole + frac.ljust(DIGITS, "0"))
+    if isinstance(text, bool):
+        raise ValueError(f"not a decimal: {text!r}")
     try:
         d = Decimal(text)
         if not d.is_finite():
@@ -44,9 +47,9 @@ def from_str(text: str) -> int:
 
 def to_str(value: int) -> str:
     """Render with exactly 9 fractional digits (canonical form)."""
-    sign = "-" if value < 0 else ""
-    mag = abs(value)
-    return f"{sign}{mag // SCALE}.{mag % SCALE:09d}"
+    if value < 0:
+        return "-%d.%09d" % divmod(-value, SCALE)
+    return "%d.%09d" % divmod(value, SCALE)
 
 
 def div_half_even(num: int, den: int) -> int:

@@ -17,11 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from hashlib import sha256
 from operator import itemgetter
 from typing import Iterable, Optional
 
 from . import fixedpoint as fp
-from .canonical import content_hash, sha256_hex
+from .canonical import content_hash
 from .errors import (
     AllocationMismatch,
     ConservationViolation,
@@ -60,8 +61,8 @@ class BucketKind(Enum):
     __hash__ = object.__hash__
 
 
-# `snapshot()` as canonical JSON: keys and bucket names sorted, ints as %d,
-# `g_used` as `null` or an int. tests/test_ledger.py pins it against
+# `snapshot()` as canonical JSON bytes: keys and bucket names sorted, ints as
+# %d, `g_used` as `null` or an int. tests/test_ledger.py pins it against
 # canonical.content_hash(state.snapshot()).
 _BUCKETS_BY_NAME = tuple(sorted(BucketKind, key=lambda k: k.value))
 _bucket_balances = itemgetter(*_BUCKETS_BY_NAME)
@@ -72,7 +73,7 @@ _SNAPSHOT_TEMPLATE = (
     '"issuance_used_year":%d,"month_index":%d,"releases_this_month":%d,'
     '"reserve_spend_this_month":%d,"s_max":%d,'
     '"vesting":{"released_months":%d,"released_total":%d,"total":%d}}'
-)
+).encode()
 
 
 GENESIS_ALLOCATIONS_KLD: dict[BucketKind, int] = {
@@ -185,29 +186,28 @@ class LedgerState:
     # --- snapshots -----------------------------------------------------------
 
     def clone(self) -> "LedgerState":
-        # the journal, its entries and policies are never mutated in place
-        # after creation, so they can be shared; other containers are copied
+        """A copy that a transition may change in place.
+
+        Only `buckets`, `relockable` and `vesting`, the containers a
+        transition mutates, are copied. Every other field is an int or an
+        immutable value, or is shared: the policies, and the append-only
+        journal, which `_log` forks rather than append past another
+        branch's events.
+
+        The arguments are positional, in field order, because keywords cost
+        more. A copy of `__dict__` is cheaper to make, but every later
+        attribute read on it is slower, and a transition reads many.
+        """
         vesting = self.vesting
         return LedgerState(
-            s_max=self.s_max,
-            circulating=self.circulating,
-            buckets=dict(self.buckets),
-            policies=self.policies,
-            burned_cumulative=self.burned_cumulative,
-            vesting=VestingSchedule(
-                vesting.total, vesting.cliff_months, vesting.vest_months,
-                vesting.released_months, vesting.released_total,
-            ),
-            month_index=self.month_index,
-            annual_factors=self.annual_factors,
-            releases_this_month=self.releases_this_month,
-            reserve_spend_this_month=self.reserve_spend_this_month,
-            reserve_month_start_balance=self.reserve_month_start_balance,
-            relockable=dict(self.relockable),
-            burn_dust=self.burn_dust,
-            issuance_used_year=self.issuance_used_year,
-            journal=self.journal,
-            n_events=self.n_events,
+            self.s_max, self.circulating, self.buckets.copy(), self.policies,
+            self.burned_cumulative,
+            VestingSchedule(vesting.total, vesting.cliff_months, vesting.vest_months,
+                            vesting.released_months, vesting.released_total),
+            self.month_index, self.annual_factors, self.releases_this_month,
+            self.reserve_spend_this_month, self.reserve_month_start_balance,
+            self.relockable.copy(), self.burn_dust, self.issuance_used_year,
+            self.journal, self.n_events,
         )
 
     def locked_total(self) -> int:
@@ -241,12 +241,12 @@ class LedgerState:
         factors = self.annual_factors
         g_used = None if factors is None else factors.g_used
         vesting = self.vesting
-        return sha256_hex((_SNAPSHOT_TEMPLATE % (
+        return sha256(_SNAPSHOT_TEMPLATE % (
             *_bucket_balances(self.buckets),
             self.burn_dust,
             self.burned_cumulative,
             self.circulating,
-            "null" if g_used is None else "%d" % g_used,
+            b"null" if g_used is None else b"%d" % g_used,
             self.issuance_used_year,
             self.month_index,
             self.releases_this_month,
@@ -255,7 +255,7 @@ class LedgerState:
             vesting.released_months,
             vesting.released_total,
             vesting.total,
-        )).encode())
+        )).hexdigest()
 
     def check_conservation(self) -> None:
         balances = self.buckets.values()

@@ -9,14 +9,14 @@ confirmed g. Nothing on this surface accepts an externally chosen g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Optional
 
 from . import fixedpoint as fp
-from .canonical import content_hash
+from .canonical import canonical_bytes, sha256_hex
 from .clock import VirtualClock
 from .debt_index import BaselineRef, index_kernel, normalize, policy_factor
 from .errors import (
@@ -54,7 +54,12 @@ class WindowStatus(Enum):
 
 @dataclass(frozen=True)
 class SubmissionPayload:
-    """Per-bloc inputs plus the derived index values one operator publishes."""
+    """Per-bloc inputs plus the derived index values one operator publishes.
+
+    A payload is signed as built and never changed, so its canonical view
+    and that view's canonical bytes are each rendered once and cached; every
+    operator that signs the same payload hashes the same bytes.
+    """
 
     debt_ratios: dict[Bloc, int]
     nominal_gdps: dict[Bloc, int]
@@ -72,7 +77,6 @@ class SubmissionPayload:
 
     @cached_property
     def _canonical(self) -> dict:
-        # rendered once: a payload is signed as built and never changed
         return {
             "debt_ratios": _by_bloc_code(self.debt_ratios),
             "nominal_gdps": _by_bloc_code(self.nominal_gdps),
@@ -82,6 +86,11 @@ class SubmissionPayload:
             "vintage_id": self.vintage_id,
             "dataset_hash": self.dataset_hash,
         }
+
+    @cached_property
+    def _canonical_bytes(self) -> bytes:
+        """`canonical.canonical_bytes(self.canonical())`, encoded once."""
+        return canonical_bytes(self._canonical)
 
 
 def _by_bloc_code(values: dict[Bloc, int]) -> dict[str, str]:
@@ -100,8 +109,16 @@ class OracleSubmission:
     @staticmethod
     def sign(operator_id: str, payload: SubmissionPayload, timestamp: datetime
              ) -> "OracleSubmission":
-        # the cached view, not a copy: hashing reads it and changes nothing
-        sig = content_hash({"operator": operator_id, "payload": payload._canonical})
+        """Sign `content_hash({"operator": operator_id, "payload": view})`,
+        `view` being `payload.canonical()`.
+
+        The hashed bytes are spliced around the payload's cached encoding.
+        Canonical JSON sorts the keys ("operator" < "payload") and has no
+        whitespace, so the splice is that dict's canonical form byte for
+        byte.
+        """
+        sig = sha256_hex(b'{"operator":' + canonical_bytes(operator_id)
+                         + b',"payload":' + payload._canonical_bytes + b'}')
         return OracleSubmission(operator_id, payload, timestamp, sig)
 
     def canonical(self) -> dict:
@@ -213,23 +230,19 @@ def aggregate_median(record: CycleRecord, baseline: BaselineRef
 
     Only submitted values can become canonical: for an even count the
     lower of the two middle values is taken, never a synthetic average.
+    A submitted payload passed the re-check, so X and g recomputed from its
+    BDI are its own and the chosen payload itself, already rendered, is
+    the median.
     """
     if not record.submissions:
         raise NoSubmissions("no submissions to aggregate")
     ranked = sorted(record.submissions, key=lambda s: (s.payload.bdi, s.signature))
     idx = (len(ranked) - 1) // 2  # lower median
-    chosen = ranked[idx].payload
-    x_norm, x_excess = normalize(chosen.bdi, baseline)
+    median = ranked[idx].payload
+    x_norm, x_excess = normalize(median.bdi, baseline)
     g = policy_factor(x_excess, baseline.lam)
-    median = SubmissionPayload(
-        debt_ratios=dict(chosen.debt_ratios),
-        nominal_gdps=dict(chosen.nominal_gdps),
-        bdi=chosen.bdi,
-        x_norm=x_norm,
-        g=g,
-        vintage_id=chosen.vintage_id,
-        dataset_hash=chosen.dataset_hash,
-    )
+    if (x_norm, g) != (median.x_norm, median.g):
+        median = replace(median, x_norm=x_norm, g=g)
     record.median_payload = median
     return median
 

@@ -100,15 +100,18 @@ def build_report(
 
     executed_actions = []
     action_hashes = []
+    signers = set()
     for pos, event in enumerate(ledger_events):
-        for action, amount in _actions(event):
-            executed_actions.append(
-                {"op": action, "amount": amount, "event_position": pos})
-            action_hashes.append(event["state_hash"])
-
-    signer_set = sorted(
-        {sig for event in ledger_events for sig in event.get("approvals", [])}
-    )
+        signers.update(event.get("approvals", ()))
+        op = event["op"]
+        for action, key, _ in SUPPLY_ACTIONS.get(op, ()):
+            # as in _actions: a zero month amount is a flow that did not run
+            amount = event["inputs"][key]
+            if amount or op != "advance_month":
+                executed_actions.append(
+                    {"op": action, "amount": amount, "event_position": pos})
+                action_hashes.append(event["state_hash"])
+    signer_set = sorted(signers)
 
     if median is not None:
         weights = weighted_bdi(
@@ -116,7 +119,7 @@ def build_report(
             tuple(median.nominal_gdps[b] for b in ALL_BLOCS),
         )[0]
         raw_inputs = {
-            b.value: {
+            b._value_: {
                 "debt_ratio": fp.to_str(median.debt_ratios[b]),
                 "nominal_gdp": fp.to_str(median.nominal_gdps[b]),
             }
@@ -126,7 +129,7 @@ def build_report(
             "bdi": fp.to_str(median.bdi),
             "x_norm": fp.to_str(median.x_norm),
             "g": fp.to_str(median.g),
-            "weights": {b.value: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)},
+            "weights": {b._value_: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)},
             "vintage_id": median.vintage_id,
             "dataset_hash": median.dataset_hash,
         }
@@ -195,7 +198,7 @@ def _recomputes(report: dict, baseline: BaselineRef) -> bool:
         if (not report.get("raw_inputs") or report.get("bdi") is None
                 or report.get("carried_forward", False)):
             return True
-        raw = [report["raw_inputs"][b.value] for b in ALL_BLOCS]
+        raw = [report["raw_inputs"][b._value_] for b in ALL_BLOCS]
         weights, bdi, x_norm, _, g = index_kernel(
             tuple(fp.from_str(r["debt_ratio"]) for r in raw),
             tuple(fp.from_str(r["nominal_gdp"]) for r in raw),
@@ -205,7 +208,7 @@ def _recomputes(report: dict, baseline: BaselineRef) -> bool:
             and fp.to_str(x_norm) == report["x_norm"]
             and fp.to_str(g) == report["g"]
             and report["weights"] == {
-                b.value: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)}
+                b._value_: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)}
         )
     except Exception:
         return False

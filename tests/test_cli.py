@@ -502,6 +502,27 @@ def test_cycle_submission_not_an_object_exit_2(runner, tmp_path):
     assert list(state_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("key", ["bdi", "debt_ratios"])
+def test_cycle_bool_value_exit_2(runner, tmp_path, key):
+    # a JSON true must not parse as 1.0, in the index fields or the inputs
+    state_dir = tmp_path / "state"
+    subs = tmp_path / "subs"
+    subs.mkdir()
+    write_submission(subs / "op-1.json", "op-1")
+    data = json.loads((subs / "op-1.json").read_text())
+    value = True if key == "bdi" else dict(data["debt_ratios"], US=True)
+    (subs / "op-2.json").write_text(json.dumps(dict(data, **{key: value})))
+    base = tmp_path / "baseline.json"
+    write_baseline(base)
+    result = runner.invoke(main, [
+        "cycle", "--state-dir", str(state_dir), "--submissions-dir", str(subs),
+        "--baseline-file", str(base), "--year", "2026",
+    ])
+    assert result.exit_code == 2
+    assert result.output == "error: ValueError: not a decimal: True\n"
+    assert list(state_dir.iterdir()) == []
+
+
 def test_index_last_confirmed_not_an_object_exit_2(runner, tmp_path):
     snap = tmp_path / "snap.csv"
     write_snapshot(snap, "2026-October")
@@ -670,7 +691,9 @@ def test_govern_bad_json_exit_2(runner):
     ("[1]", "MalformedFile: --changes: not a JSON object"),
     ('"x"', "MalformedFile: --changes: not a JSON object"),
     ('{"alpha_i": null}', "ValueError: not a decimal: None"),
-], ids=["list", "string", "null"])
+    # a JSON true is not the number 1
+    ('{"alpha_i": true}', "ValueError: not a decimal: True"),
+], ids=["list", "string", "null", "bool"])
 def test_govern_malformed_changes_exit_2(runner, changes, error):
     result = runner.invoke(main, ["govern", "--changes", changes])
     assert result.exit_code == 2

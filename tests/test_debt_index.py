@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kladia import debt_index
 from kladia import fixedpoint as fp
 from kladia.debt_index import (
     Band,
@@ -14,11 +15,13 @@ from kladia.debt_index import (
     index_kernel,
     normalize,
     policy_factor,
+    weighted_bdi,
 )
 from kladia.errors import (
     BaselineFrozen,
     BlocSetMismatch,
     IncompleteBlocSet,
+    NegativeValue,
     NonPositiveLambda,
 )
 from kladia.weo_ingest import ALL_BLOCS, Bloc, WeoVintage, kc7_columns
@@ -128,6 +131,22 @@ def test_bdi_bloc_set_mismatch(observations, baseline):
     debt, gdp = kc7_columns(observations)
     with pytest.raises(BlocSetMismatch):
         index_kernel(debt[:-1], gdp, baseline)
+
+
+def test_weighted_bdi_memo_keeps_no_failure(observations):
+    # a rejected input set raises on every call, and a remembered result is
+    # what the uncached half computes, whatever sequence type it came in
+    debt, gdp = kc7_columns(observations)
+    for _ in range(2):
+        with pytest.raises(NegativeValue):
+            weighted_bdi((-1,) + debt[1:], gdp)
+        with pytest.raises(IncompleteBlocSet):
+            weighted_bdi(debt[:-1], gdp[:-1])
+    first = weighted_bdi(debt, gdp)
+    hits = debt_index._weighted_bdi.cache_info().hits
+    assert weighted_bdi(list(debt), list(gdp)) == first
+    assert debt_index._weighted_bdi.cache_info().hits == hits + 1
+    assert first == debt_index._weighted_bdi.__wrapped__(debt, gdp)
 
 
 def q9(value: Fraction) -> int:

@@ -103,6 +103,15 @@ def test_from_str_equals_decimal(text):
 
 
 def test_from_str_of_a_json_number():
-    # a baseline or submission file may spell a value as a JSON number
+    # a baseline or submission file may spell a value as a JSON number; a
+    # float goes through Decimal(float) and is rounded at 9 digits, silently
     assert fp.from_str(100) == 100 * fp.SCALE
     assert fp.from_str(0.1) == 100_000_000
+    assert fp.from_str(0.1234567891) == 123_456_789
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_from_str_rejects_a_json_bool(value):
+    # bool is an int subclass, and Decimal(True) is 1
+    with pytest.raises(ValueError, match="not a decimal"):
+        fp.from_str(value)

@@ -784,3 +784,18 @@ def test_state_hash_template_matches_after_each_transition(steps):
         kept.append((state, copy.deepcopy(state.event_log)))
     for state, log in kept:
         assert state.event_log == log
+
+
+@settings(max_examples=200)
+@given(ledger_states())
+def test_clone_is_an_equal_copy_of_the_mutable_parts(state):
+    copy = state.clone()
+    assert copy == state and copy.state_hash() == state.state_hash()
+    assert vars(copy).keys() == vars(state).keys()
+    for name in ("buckets", "relockable", "vesting"):
+        assert getattr(copy, name) is not getattr(state, name)
+    copy.buckets[BucketKind.TEAM_VESTING] += 1
+    copy.relockable[BucketKind.ECOSYSTEM_ESCROW] = 1 + state.relockable.get(
+        BucketKind.ECOSYSTEM_ESCROW, 0)
+    copy.vesting.released_months += 1
+    assert copy != state and state == state.clone()

@@ -3,10 +3,13 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kladia import debt_index
 from kladia import fixedpoint as fp
 from kladia import ledger as lg
 from kladia import oracle_protocol as op
+from kladia.canonical import content_hash
 from kladia.clock import VirtualClock
 from kladia.errors import (
     DuplicateSubmission,
@@ -22,7 +25,7 @@ from kladia.errors import (
     WindowClosed,
 )
 from kladia.policy import PolicyParams
-from kladia.weo_ingest import Bloc
+from kladia.weo_ingest import ALL_BLOCS, Bloc
 
 from conftest import make_observations
 
@@ -80,6 +83,23 @@ def test_submit_rejects_inconsistent_g(vintage, baseline):
         op.submit(fresh_record(), sub, OPERATORS, baseline)
 
 
+def test_submit_recheck_is_not_hidden_by_the_memo(vintage, baseline):
+    # the same inputs as an accepted payload hit the weights -> BDI memo;
+    # every claimed value is still compared with what the kernel gives
+    good = payload_for(vintage, baseline, "1.3")
+    record = op.submit(fresh_record(), op.OracleSubmission.sign("op-1", good, T0),
+                       OPERATORS, baseline)
+    hits = debt_index._weighted_bdi.cache_info().hits
+    for operator, tampered in (("op-2", replace(good, g=good.g + 1)),
+                               ("op-3", replace(good, bdi=good.bdi - 1)),
+                               ("op-4", replace(good, x_norm=good.x_norm + 1))):
+        with pytest.raises(InconsistentPayload):
+            op.submit(record, op.OracleSubmission.sign(operator, tampered, T0),
+                      OPERATORS, baseline)
+    assert debt_index._weighted_bdi.cache_info().hits == hits + 3
+    assert [s.operator_id for s in record.submissions] == ["op-1"]
+
+
 def test_submit_rechecks_vintage_id_and_ranges(vintage, baseline):
     good = payload_for(vintage, baseline)
     bad_vintage = replace(good, vintage_id="2026-Smarch")
@@ -112,6 +132,42 @@ def test_canonical_view_is_not_shared(vintage, baseline):
     assert payload.canonical() == before
     assert op.OracleSubmission.sign("op-1", payload, T0).signature == sub.signature
     assert record.canonical() == record_before
+
+
+# sign does not re-check, so any payload will do; this one has text that
+# JSON escapes in its dataset hash too
+_SIGNED_PAYLOAD = op.SubmissionPayload(
+    debt_ratios={b: (i + 1) * fp.ONE for i, b in enumerate(ALL_BLOCS)},
+    nominal_gdps={b: (i + 7) * fp.SCALE // 3 for i, b in enumerate(ALL_BLOCS)},
+    bdi=fp.from_str("150.5"), x_norm=fp.from_str("1.25"), g=1,
+    vintage_id="2025-October", dataset_hash='\u00e9"\\\x01',
+)
+
+# operator ids that JSON must escape or that are not ASCII
+OPERATOR_IDS = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "/",
+                              "\u00e9", "\u2028", "\U0001f600", "op-1"])
+             ).map("".join),
+)
+
+
+@settings(max_examples=300)
+@given(OPERATOR_IDS)
+def test_sign_is_the_canonical_form(operator_id):
+    signed = op.OracleSubmission.sign(operator_id, _SIGNED_PAYLOAD, T0)
+    assert signed.signature == content_hash(
+        {"operator": operator_id, "payload": _SIGNED_PAYLOAD.canonical()})
+
+
+@pytest.mark.parametrize("operator_id", ["\ud800", "op-\udfff"])
+def test_sign_fails_like_the_canonical_form_on_a_lone_surrogate(operator_id):
+    with pytest.raises(Exception) as canonical:
+        content_hash({"operator": operator_id,
+                      "payload": _SIGNED_PAYLOAD.canonical()})
+    with pytest.raises(canonical.type):
+        op.OracleSubmission.sign(operator_id, _SIGNED_PAYLOAD, T0)
+    assert canonical.type is UnicodeEncodeError
 
 
 def test_submit_rejects_duplicates(vintage, baseline):
@@ -191,6 +247,18 @@ def test_median_g_recomputed_from_baseline(vintage, baseline):
     from kladia.debt_index import policy_factor
 
     assert median.g == policy_factor(x_excess, baseline.lam)
+    # a submitted payload is the median as it stands, already rendered
+    assert median is record.submissions[0].payload
+
+
+def test_median_recomputes_a_payload_that_skipped_the_recheck(vintage, baseline):
+    good = payload_for(vintage, baseline, "1.5")
+    skewed = replace(good, x_norm=good.x_norm + 7, g=good.g + 7)
+    record = fresh_record()
+    record.submissions.append(op.OracleSubmission.sign("op-1", skewed, T0))
+    median = op.aggregate_median(record, baseline)
+    assert (median.bdi, median.x_norm, median.g) == (good.bdi, good.x_norm, good.g)
+    assert median.canonical() == good.canonical()
 
 
 # --- flags and disputes ------------------------------------------------------

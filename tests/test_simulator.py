@@ -111,3 +111,19 @@ def test_table_output_shape():
     lines = table.strip().split("\n")
     assert lines[0].startswith("month,year,g,")
     assert len(lines) == 13
+
+
+def test_each_report_is_verified_before_it_is_committed(monkeypatch):
+    # the per-year self-check re-derives g from the report's raw inputs: a
+    # report built with another g, then serialized and committed as it
+    # stands, must stop the run
+    build_report = sim.reporting.build_report
+
+    def altered_g(*args, **kwargs):
+        report = build_report(*args, **kwargs)
+        report["g"] = "0.999999999"
+        return report
+
+    monkeypatch.setattr(sim.reporting, "build_report", altered_g)
+    with pytest.raises(AssertionError, match="cycle 1 .*RecomputeMismatch"):
+        sim.run(sim.Scenario(seed=3, years=2))

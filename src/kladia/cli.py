@@ -289,14 +289,14 @@ def cmd_verify(report_file, commit_file, event_log, baseline_file):
         )
         baseline = _load_baseline(baseline_file) if baseline_file else None
         events = None
-        skipped_reconciliation = False
         if event_log is not None:
-            if event_log.exists():
-                data = _read_object(event_log)
-                anchor = commitment.ledger_anchor
-                events = data["event_log"][:anchor] if anchor else data["event_log"]
-            else:
-                skipped_reconciliation = True
+            if not event_log.exists():
+                click.echo("warning: event log missing; reconciliation skipped",
+                           err=True)
+                sys.exit(EXIT_INPUT)
+            data = _read_object(event_log)
+            anchor = commitment.ledger_anchor
+            events = data["event_log"][:anchor] if anchor else data["event_log"]
     except (KladiaError, ValueError, KeyError, TypeError, OSError) as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
@@ -304,9 +304,6 @@ def cmd_verify(report_file, commit_file, event_log, baseline_file):
     ok, problems = reporting.verify(
         report_file.read_bytes(), commitment, baseline, ledger_events=events,
     )
-    if skipped_reconciliation:
-        click.echo("warning: event log missing; reconciliation skipped", err=True)
-        sys.exit(EXIT_INPUT)
     if ok:
         click.echo("verified: clean")
         sys.exit(EXIT_OK)

@@ -1,19 +1,14 @@
-"""Injected clock interface.
+"""Injected virtual clock.
 
 Protocol timing (72h challenge windows, 14-day correction deadlines,
-voting periods, timelocks) always reads time from a Clock instance.
-The simulator, `kld cycle` and the tests use VirtualClock at one-hour
-granularity.
+voting periods, timelocks) always reads time from the VirtualClock it is
+given, which moves only when advanced, at one-hour granularity: the
+simulator, `kld cycle` and the tests all use it.
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
-from typing import Protocol
-
-
-class Clock(Protocol):
-    def now(self) -> datetime: ...
 
 
 class VirtualClock:

@@ -6,23 +6,24 @@ inputs, then `_apply` of those inputs to a private copy, which re-checks
 supply conservation and logs the event with its state hash. The prior state
 is never touched. A month is one such event: its check computes the vesting
 release, staking emission and fee burn in their fixed order, and its apply
-moves them and rolls the month. A stored ledger is loaded by replaying its
-event log from genesis through the same check and apply, so it is valid
-exactly when it is what its own log replays to. There is no mint operation
-and no inverse of burn anywhere on the public surface.
+moves them and rolls the month. A stored ledger is its event log alone, and
+is loaded by replaying that log from genesis through the same check and
+apply, so it is valid exactly when it is what its own log replays to. The
+supply cap, the signer policies and the vesting schedule are constants of
+the mechanism, not state. There is no mint operation and no inverse of burn
+anywhere on the public surface.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from hashlib import sha256
 from operator import itemgetter
 from typing import Iterable, Optional
 
 from . import fixedpoint as fp
-from .canonical import content_hash
 from .errors import (
     AllocationMismatch,
     ConservationViolation,
@@ -45,6 +46,9 @@ S_MAX = S_MAX_KLD * UNIT            # 10^16 base units
 ESCROW_ANNUAL_BUDGET_FRACTION = fp.from_str("0.05")
 # Company reserve self-imposed monthly spending guideline: 1% of the reserve.
 RESERVE_MONTHLY_GUIDELINE = fp.from_str("0.01")
+# Team vesting: a 12-month cliff, then 36 monthly releases.
+CLIFF_MONTHS = 12
+VEST_MONTHS = 36
 
 
 class BucketKind(Enum):
@@ -110,46 +114,42 @@ class ApprovalPolicy:
         return valid
 
 
-def default_policies() -> dict[BucketKind, ApprovalPolicy]:
-    def roster(prefix: str, n: int) -> tuple[str, ...]:
-        return tuple(f"{prefix}-{i}" for i in range(1, n + 1))
+def _roster(prefix: str, n: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}-{i}" for i in range(1, n + 1))
 
-    return {
-        BucketKind.ECOSYSTEM_ESCROW: ApprovalPolicy(5, roster("escrow", 8)),
-        BucketKind.COMPANY_RESERVE: ApprovalPolicy(6, roster("reserve", 7)),
-        BucketKind.TEAM_VESTING: ApprovalPolicy(3, roster("team", 5)),
-    }
+
+# the multisig each gated bucket spends under: threshold of signer set
+POLICIES: dict[BucketKind, ApprovalPolicy] = {
+    BucketKind.ECOSYSTEM_ESCROW: ApprovalPolicy(5, _roster("escrow", 8)),
+    BucketKind.COMPANY_RESERVE: ApprovalPolicy(6, _roster("reserve", 7)),
+    BucketKind.TEAM_VESTING: ApprovalPolicy(3, _roster("team", 5)),
+}
 
 
 @dataclass
 class VestingSchedule:
     total: int = GENESIS_ALLOCATIONS_KLD[BucketKind.TEAM_VESTING] * UNIT
-    cliff_months: int = 12
-    vest_months: int = 36
     released_months: int = 0
     released_total: int = 0
 
     def monthly_amount(self, release_number: int) -> int:
         """Releases 1..35 are floor(T/36); release 36 sweeps the remainder."""
-        base = self.total // self.vest_months
-        if release_number < self.vest_months:
+        base = self.total // VEST_MONTHS
+        if release_number < VEST_MONTHS:
             return base
-        return self.total - base * (self.vest_months - 1)
+        return self.total - base * (VEST_MONTHS - 1)
 
 
 @dataclass
 class LedgerState:
-    s_max: int
     circulating: int
     buckets: dict[BucketKind, int]
-    policies: dict[BucketKind, ApprovalPolicy]
     burned_cumulative: int
     vesting: VestingSchedule
     month_index: int                       # completed months since genesis
     annual_factors: Optional[PolicyFactors]
     releases_this_month: int
     reserve_spend_this_month: int
-    reserve_month_start_balance: int
     relockable: dict[BucketKind, int] = field(default_factory=dict)
     burn_dust: int = 0                     # 1/SCALE base-unit remainders
     issuance_used_year: int = 0
@@ -164,17 +164,11 @@ class LedgerState:
         return self.journal[:self.n_events]
 
     @property
-    def relock_log(self) -> list[dict]:
-        """The relocks in this state's history, in order, as `ledger.json`
-        records them."""
-        relocks = [e["inputs"] for e in self.event_log if e["op"] == "relock"]
-        return [
-            {"amount": r["amount"], "bucket": r["bucket"],
-             "tx_hash": content_hash({"op": "relock", "bucket": r["bucket"],
-                                      "amount": r["amount"], "seq": seq}),
-             "justification": r["justification"]}
-            for seq, r in enumerate(relocks)
-        ]
+    def reserve_month_start_balance(self) -> int:
+        """The company reserve as this month began. Within a month only
+        `spend_reserve` moves that bucket, and a relock into it is refused
+        (it releases nothing), so adding back the month's spend gives it."""
+        return self.buckets[BucketKind.COMPANY_RESERVE] + self.reserve_spend_this_month
 
     def __eq__(self, other):
         # field-wise, with `journal` narrowed to this state's own history
@@ -190,9 +184,8 @@ class LedgerState:
 
         Only `buckets`, `relockable` and `vesting`, the containers a
         transition mutates, are copied. Every other field is an int or an
-        immutable value, or is shared: the policies, and the append-only
-        journal, which `_log` forks rather than append past another
-        branch's events.
+        immutable value, or is shared: the append-only journal, which `_log`
+        forks rather than append past another branch's events.
 
         The arguments are positional, in field order, because keywords cost
         more. A copy of `__dict__` is cheaper to make, but every later
@@ -200,14 +193,12 @@ class LedgerState:
         """
         vesting = self.vesting
         return LedgerState(
-            self.s_max, self.circulating, self.buckets.copy(), self.policies,
-            self.burned_cumulative,
-            VestingSchedule(vesting.total, vesting.cliff_months, vesting.vest_months,
-                            vesting.released_months, vesting.released_total),
+            self.circulating, self.buckets.copy(), self.burned_cumulative,
+            VestingSchedule(vesting.total, vesting.released_months,
+                            vesting.released_total),
             self.month_index, self.annual_factors, self.releases_this_month,
-            self.reserve_spend_this_month, self.reserve_month_start_balance,
-            self.relockable.copy(), self.burn_dust, self.issuance_used_year,
-            self.journal, self.n_events,
+            self.reserve_spend_this_month, self.relockable.copy(),
+            self.burn_dust, self.issuance_used_year, self.journal, self.n_events,
         )
 
     def locked_total(self) -> int:
@@ -216,7 +207,7 @@ class LedgerState:
     def snapshot(self) -> dict:
         """Canonical, hashable view (event log excluded to avoid recursion)."""
         return {
-            "s_max": self.s_max,
+            "s_max": S_MAX,
             "circulating": self.circulating,
             # ordered by bucket name; `_value_` is the plain attribute behind
             # the Python-level `Enum.value` property
@@ -251,7 +242,7 @@ class LedgerState:
             self.month_index,
             self.releases_this_month,
             self.reserve_spend_this_month,
-            self.s_max,
+            S_MAX,
             vesting.released_months,
             vesting.released_total,
             vesting.total,
@@ -260,9 +251,9 @@ class LedgerState:
     def check_conservation(self) -> None:
         balances = self.buckets.values()
         total = self.circulating + sum(balances) + self.burned_cumulative
-        if total != self.s_max:
+        if total != S_MAX:
             raise ConservationViolation(
-                f"conservation sum {total} != s_max {self.s_max}"
+                f"conservation sum {total} != s_max {S_MAX}"
             )
         if self.circulating < 0 or min(balances) < 0:
             raise ConservationViolation("negative balance")
@@ -284,21 +275,9 @@ class LedgerState:
 
 
 def to_json_dict(state: LedgerState) -> dict:
-    """Full dump (snapshot plus schedules, policies, log) for `from_json_dict`."""
-    factors = state.annual_factors
-    return {
-        "snapshot": state.snapshot(),
-        "policies": {
-            k.value: {"threshold": p.threshold, "signers": list(p.signer_set)}
-            for k, p in state.policies.items()
-        },
-        "vesting": asdict(state.vesting),
-        "annual_factors": None if factors is None else asdict(factors),
-        "reserve_month_start_balance": state.reserve_month_start_balance,
-        "relockable": {k.value: v for k, v in state.relockable.items()},
-        "relock_log": state.relock_log,
-        "event_log": state.event_log,
-    }
+    """The stored form of a ledger, `ledger.json`: its event log, from which
+    `from_json_dict` replays every other field."""
+    return {"event_log": state.event_log}
 
 
 def from_json_dict(data: dict) -> LedgerState:
@@ -307,7 +286,8 @@ def from_json_dict(data: dict) -> LedgerState:
     Each event runs the check and apply its live call ran, which take only
     ints where the ledger keeps ints, and must log exactly the stored event,
     state hash included. The dump must then be, byte for byte, the replayed
-    state's. Every failure raises MalformedFile.
+    state's: that refuses an extra key, a derived event field spelled
+    another way, and any other layout. Every failure raises MalformedFile.
     """
     state, where = None, "event_log"
     try:
@@ -365,9 +345,8 @@ def _field(inputs: dict, name: str, kind: type = int):
 def _vesting_due(state: LedgerState) -> bool:
     """Whether the month being processed owes a vesting release: the month
     is month_index + 1, months 1-12 are the cliff, releases run months 13-48."""
-    vesting = state.vesting
-    return (state.month_index >= vesting.cliff_months
-            and vesting.released_months < vesting.vest_months)
+    return (state.month_index >= CLIFF_MONTHS
+            and state.vesting.released_months < VEST_MONTHS)
 
 
 def _check(state: Optional[LedgerState], op: str, inputs: dict,
@@ -419,8 +398,7 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
         factors = state.annual_factors
         if factors is None:
             raise ZeroCap("no active cycle factors")
-        valid = state.policies[BucketKind.ECOSYSTEM_ESCROW].check(
-            approvals, "release_escrow")
+        valid = POLICIES[BucketKind.ECOSYSTEM_ESCROW].check(approvals, "release_escrow")
         cap_remaining = max(0, factors.escrow_cap - state.releases_this_month)
         budget_remaining = max(0, factors.issuance_budget - state.issuance_used_year)
         balance = state.buckets[BucketKind.ECOSYSTEM_ESCROW]
@@ -436,7 +414,7 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
         amount = _field(inputs, "amount")
         if amount < 0:
             raise ValueError("amount must be nonnegative")
-        valid = state.policies[BucketKind.COMPANY_RESERVE].check(approvals, "spend_reserve")
+        valid = POLICIES[BucketKind.COMPANY_RESERVE].check(approvals, "spend_reserve")
         if amount > state.buckets[BucketKind.COMPANY_RESERVE]:
             raise ValueError("spend exceeds reserve balance")
         guideline_cap = fp.scale_amount_down(
@@ -494,13 +472,10 @@ def _apply(state: Optional[LedgerState], op: str, inputs: dict) -> LedgerState:
         balances = {BucketKind(k): v * UNIT
                     for k, v in inputs["allocations_kld"].items()}
         return LedgerState(
-            s_max=S_MAX, circulating=0, buckets=balances, policies=default_policies(),
-            burned_cumulative=0,
+            circulating=0, buckets=balances, burned_cumulative=0,
             vesting=VestingSchedule(total=balances[BucketKind.TEAM_VESTING]),
             month_index=0, annual_factors=None, releases_this_month=0,
-            reserve_spend_this_month=0,
-            reserve_month_start_balance=balances[BucketKind.COMPANY_RESERVE],
-            relockable=dict.fromkeys(BucketKind, 0),
+            reserve_spend_this_month=0, relockable=dict.fromkeys(BucketKind, 0),
         )
     buckets = state.buckets
     if op == "begin_cycle":
@@ -545,7 +520,6 @@ def _apply(state: Optional[LedgerState], op: str, inputs: dict) -> LedgerState:
         state.month_index += 1
         state.releases_this_month = 0
         state.reserve_spend_this_month = 0
-        state.reserve_month_start_balance = buckets[BucketKind.COMPANY_RESERVE]
         state.relockable = dict.fromkeys(state.relockable, 0)
     return state
 

@@ -103,14 +103,10 @@ def build_report(
     signers = set()
     for pos, event in enumerate(ledger_events):
         signers.update(event.get("approvals", ()))
-        op = event["op"]
-        for action, key, _ in SUPPLY_ACTIONS.get(op, ()):
-            # as in _actions: a zero month amount is a flow that did not run
-            amount = event["inputs"][key]
-            if amount or op != "advance_month":
-                executed_actions.append(
-                    {"op": action, "amount": amount, "event_position": pos})
-                action_hashes.append(event["state_hash"])
+        for action, amount in _actions(event):
+            executed_actions.append(
+                {"op": action, "amount": amount, "event_position": pos})
+            action_hashes.append(event["state_hash"])
     signer_set = sorted(signers)
 
     if median is not None:

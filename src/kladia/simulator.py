@@ -20,7 +20,7 @@ from .canonical import content_hash, sha256_hex
 from .clock import VirtualClock
 from .debt_index import BaselineRef, weighted_bdi
 from .errors import ScenarioInvalid, ZeroCap
-from .ledger import BucketKind, advance_month, genesis, release_escrow
+from .ledger import POLICIES, BucketKind, advance_month, genesis, release_escrow
 from .policy import PolicyParams
 from .weo_ingest import (
     ALL_BLOCS,
@@ -167,7 +167,7 @@ def run(scenario: Scenario) -> Trace:
     state = genesis()
     params = scenario.params or PolicyParams()
     approvals = oracle.EXECUTOR_SIGNERS[:oracle.EXECUTOR_POLICY_THRESHOLD]
-    escrow_signers = state.policies[BucketKind.ECOSYSTEM_ESCROW].signer_set
+    escrow_signers = POLICIES[BucketKind.ECOSYSTEM_ESCROW].signer_set
 
     trace = Trace()
     last_g = 0

@@ -1,4 +1,5 @@
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,12 @@ GDP_LEVELS = {
     Bloc.US: "27000", Bloc.EA20: "15000", Bloc.JP: "4200", Bloc.UK: "3300",
     Bloc.CA: "2100", Bloc.AU: "1700", Bloc.KR: "1800",
 }
+
+# `ledger.json` as `kld cycle --year 2026` wrote it (tests/test_cli.py's
+# `run_cycle` inputs) when it stored seven derived sections beside the event
+# log; its event log is what that run logs today
+LEDGER_WITH_DERIVED_SECTIONS = (
+    Path(__file__).parent / "fixtures" / "ledger-with-derived-sections.json")
 
 
 @pytest.fixture

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import LEDGER_WITH_DERIVED_SECTIONS
 from kladia import ledger as lg
+from kladia import reporting
 from kladia.cli import main
 from kladia.weo_ingest import ALL_BLOCS, DEBT_SERIES, GDP_SERIES
 
@@ -167,7 +169,7 @@ CYCLE_FILES = {
     "cycle-2026.json":
         "ca62d844ee9e472f2bd7f3c0c19fc88af309d38da5766fcb137fb2a904ee26b8",
     "ledger.json":
-        "c5e4403d0263190c9c2ad00d5f51ed63a86e20f58cf7f4f5bcceea47e8f10221",
+        "15536d73cd0ea570638cf4fa6244a4aab3ad81bb429abe169df3582fec5fc76b",
     "report-2026.commit":
         "ba92e94158bf98ee46d7fc67972a274fef4e7a0e4afb5cedc6047f7f347cc403",
     "report-2026.kldr":
@@ -293,9 +295,14 @@ def test_verify_tampered_report_exit_1(runner, tmp_path):
     assert "HashMismatch" in result.output or "RecomputeMismatch" in result.output
 
 
-def test_verify_missing_event_log_exit_2(runner, tmp_path):
+def test_verify_missing_event_log_exit_2(runner, tmp_path, monkeypatch):
     result, state_dir, base = run_cycle(runner, tmp_path)
     assert result.exit_code == 0
+
+    def verify(*args, **kwargs):
+        raise AssertionError("verified although the event log is missing")
+
+    monkeypatch.setattr(reporting, "verify", verify)
     result = runner.invoke(main, [
         "verify", str(state_dir / "report-2026.kldr"),
         str(state_dir / "report-2026.commit"),
@@ -303,7 +310,7 @@ def test_verify_missing_event_log_exit_2(runner, tmp_path):
         "--baseline-file", str(base),
     ])
     assert result.exit_code == 2
-    assert "reconciliation skipped" in result.output
+    assert result.output == "warning: event log missing; reconciliation skipped\n"
 
 
 def test_cycle_reads_each_submission_once(runner, tmp_path, monkeypatch):
@@ -381,16 +388,23 @@ def test_state_prints_snapshot_and_hash(runner, tmp_path):
 
 
 def test_state_rejects_tampered_ledger_exit_2(runner, tmp_path):
-    result, state_dir, _ = run_cycle(runner, tmp_path)
+    # the same run's ledger.json in the layout that stored derived sections
+    # beside the event log: there is no reader for it
+    result, state_dir, base = run_cycle(runner, tmp_path)
     assert result.exit_code == 0
     ledger_file = state_dir / "ledger.json"
-    data = json.loads(ledger_file.read_text())
-    buckets = data["snapshot"]["buckets"]
-    buckets["CompanyReserve"] += buckets.pop("LegalTreasury")
-    ledger_file.write_text(json.dumps(data))
-    result = runner.invoke(main, ["state", "--state-dir", str(state_dir)])
-    assert result.exit_code == 2
-    assert "MalformedFile" in result.output
+    written = json.loads(LEDGER_WITH_DERIVED_SECTIONS.read_text())
+    assert written["event_log"] == json.loads(ledger_file.read_text())["event_log"]
+    ledger_file.write_bytes(LEDGER_WITH_DERIVED_SECTIONS.read_bytes())
+    for args in (["state", "--state-dir", str(state_dir)],
+                 ["cycle", "--state-dir", str(state_dir), "--submissions-dir",
+                  str(tmp_path / "subs-a"), "--baseline-file", str(base),
+                  "--year", "2027"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output == \
+            "error: MalformedFile: ledger: not what its event log replays to\n"
+    assert not (state_dir / "cycle-2027.json").exists()
 
 
 def test_state_ledger_is_a_directory_exit_2(runner, tmp_path):

@@ -92,7 +92,7 @@ LEDGER_RUN_STATE_HASH = (
     "5ca1969e921cfc2e5449a5a24bd3bdc591ec95460a8a0f7d29f8516ee7ffee34"
 )
 LEDGER_RUN_JSON_SHA = (
-    "c49f22852cd2d4ee498fe670d4d53f29ead4ccda9271267f679da774629e2bd1"
+    "52840c166fd0b6664b472f3c04e7afa3aa1c8336169df7405440bb01d74ea026"
 )
 
 ESCROW_SIGNERS = tuple(f"escrow-{i}" for i in range(1, 9))

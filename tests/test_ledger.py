@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import LEDGER_WITH_DERIVED_SECTIONS
 from kladia import fixedpoint as fp
 from kladia import ledger as lg
 from kladia.canonical import content_hash
@@ -310,8 +311,9 @@ def test_relock_returns_without_restoring_cap():
     assert state.buckets[BucketKind.ECOSYSTEM_ESCROW] == escrow_before + 40
     assert state.releases_this_month == 100  # cap usage not restored
     assert state.issuance_used_year == 100
-    assert len(state.relock_log) == 1
-    assert state.relock_log[0]["bucket"] == BucketKind.ECOSYSTEM_ESCROW.value
+    relocks = [e["inputs"] for e in state.event_log if e["op"] == "relock"]
+    assert relocks == [{"bucket": BucketKind.ECOSYSTEM_ESCROW.value, "amount": 40,
+                        "justification": "unused grants"}]
 
 
 def test_relock_cross_bucket_rejected():
@@ -454,78 +456,12 @@ def test_state_round_trip():
     assert restored.annual_factors == state.annual_factors
 
 
-def _fold_legal_treasury(data):
-    buckets = data["snapshot"]["buckets"]
-    buckets["CompanyReserve"] += buckets.pop("LegalTreasury")
-
-
-def _float_balance(data):
-    buckets = data["snapshot"]["buckets"]
-    buckets["EcosystemEscrow"] = float(buckets["EcosystemEscrow"])
-
-
-def _string_month(data):
-    data["snapshot"]["month_index"] = str(data["snapshot"]["month_index"])
-
-
-def _bool_counter(data):
-    data["snapshot"]["releases_this_month"] = True
-
-
-def _short_relockable(data):
-    del data["relockable"]["TeamVesting"]
-
-
-def _float_vesting(data):
-    data["vesting"]["released_total"] = float(data["vesting"]["released_total"])
-
-
-def _float_factor(data):
-    data["annual_factors"]["escrow_cap"] = float(data["annual_factors"]["escrow_cap"])
-
-
-def _string_g_used(data):
-    data["annual_factors"]["g_used"] = "0.300000000"
-
-
 def _top_level_list(data):
     return []
 
 
-def _snapshot_list(data):
-    data["snapshot"] = []
-
-
-def _vesting_list(data):
-    data["vesting"] = []
-
-
-def _policies_list(data):
-    data["policies"] = []
-
-
-def _policy_list(data):
-    data["policies"]["CompanyReserve"] = []
-
-
-def _string_threshold(data):
-    data["policies"]["EcosystemEscrow"]["threshold"] = "5"
-
-
-def _int_signer(data):
-    data["policies"]["TeamVesting"]["signers"][0] = 7
-
-
-def _factors_list(data):
-    data["annual_factors"] = []
-
-
 def _event_log_object(data):
     data["event_log"] = {}
-
-
-def _relock_log_string(data):
-    data["relock_log"] = "none"
 
 
 def _event_index(data, op):
@@ -578,6 +514,14 @@ def _float_requested(data):
     return _rehashed(data["event_log"])
 
 
+def _float_released(data):
+    # 500.0 == 500, so the replayed event equals this one; only the byte
+    # comparison of the whole dump tells them apart
+    event = data["event_log"][_event_index(data, "release_escrow")]
+    assert event["inputs"] == {"requested": 500, "released": 500}
+    event["inputs"]["released"] = 500.0
+
+
 def _bool_amount(data):
     data["event_log"].insert(_event_index(data, "release_escrow") + 1, {
         "op": "mark_distributed",
@@ -595,12 +539,8 @@ def _replay_base():
 
 
 @pytest.mark.parametrize("tamper", [
-    _fold_legal_treasury, _float_balance, _string_month, _bool_counter,
-    _short_relockable, _float_vesting, _float_factor, _string_g_used,
-    _top_level_list, _snapshot_list, _vesting_list, _policies_list, _policy_list,
-    _string_threshold, _int_signer, _factors_list, _event_log_object,
-    _relock_log_string, _raised_g, _deleted_event, _swapped_events,
-    _release_over_cap, _list_inputs, _float_requested, _bool_amount,
+    _top_level_list, _event_log_object, _raised_g, _deleted_event, _swapped_events,
+    _release_over_cap, _list_inputs, _float_requested, _float_released, _bool_amount,
 ])
 def test_from_json_dict_rejects_unreplayable_state(tamper):
     state = _replay_base()
@@ -609,6 +549,22 @@ def test_from_json_dict_rejects_unreplayable_state(tamper):
     replaced = tamper(data)
     with pytest.raises(MalformedFile):
         lg.from_json_dict(data if replaced is None else replaced)
+
+
+@pytest.mark.parametrize("section", [
+    "snapshot", "policies", "vesting", "annual_factors",
+    "reserve_month_start_balance", "relockable", "relock_log",
+])
+def test_from_json_dict_rejects_a_derived_section(section):
+    # each section a ledger.json once stored beside its event log, as
+    # `kld cycle` wrote it then; the log alone still loads
+    written = json.loads(LEDGER_WITH_DERIVED_SECTIONS.read_text())
+    data = {"event_log": written["event_log"]}
+    lg.from_json_dict(data)
+    data[section] = written[section]
+    with pytest.raises(MalformedFile,
+                       match="^ledger: not what its event log replays to$"):
+        lg.from_json_dict(data)
 
 
 def test_replay_rejects_a_release_over_its_cap_at_its_own_event():
@@ -682,8 +638,7 @@ def test_round_trip_replays_governed_coefficients():
     reloaded = _reloaded(state)
     assert reloaded == state
     assert reloaded.state_hash() == state.state_hash()
-    assert reloaded.relock_log == state.relock_log
-    assert len(state.relock_log) == 5
+    assert sum(e["op"] == "relock" for e in reloaded.event_log) == 5
 
 
 # --- shared journal ----------------------------------------------------------
@@ -724,10 +679,8 @@ def ledger_states(draw):
     if draw(st.booleans()):
         factors = PolicyFactors(*draw(st.tuples(*[_AMOUNT] * 5)), g_used=g_used)
     return lg.LedgerState(
-        s_max=draw(_AMOUNT),
         circulating=draw(_AMOUNT),
         buckets={k: draw(_AMOUNT) for k in kinds},
-        policies=lg.default_policies(),
         burned_cumulative=draw(_AMOUNT),
         vesting=lg.VestingSchedule(
             total=draw(_AMOUNT), released_months=draw(_AMOUNT),
@@ -737,7 +690,6 @@ def ledger_states(draw):
         annual_factors=factors,
         releases_this_month=draw(_AMOUNT),
         reserve_spend_this_month=draw(_AMOUNT),
-        reserve_month_start_balance=draw(_AMOUNT),
         burn_dust=draw(st.integers(-2**64, 2**64)),
         issuance_used_year=draw(_AMOUNT),
     )
@@ -784,6 +736,35 @@ def test_state_hash_template_matches_after_each_transition(steps):
         kept.append((state, copy.deepcopy(state.event_log)))
     for state, log in kept:
         assert state.event_log == log
+
+
+# every step, and a relock into the reserve, which its derived month-start
+# balance assumes is refused
+_RESERVE_STEPS = dict(_STEPS, relock_reserve=lambda s, n: lg.relock(
+    s, n, BucketKind.COMPANY_RESERVE, "audit"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(sorted(_RESERVE_STEPS)), st.integers(0, 10**14),
+              st.integers(0, 3)),
+    max_size=40,
+))
+def test_reserve_month_start_balance_matches_a_stored_one(steps):
+    # the derived month-start reserve against one stored the way it used to
+    # be: set at genesis and at every month roll, kept by every other event
+    state = lg.genesis()
+    kept = [(state, state.buckets[BucketKind.COMPANY_RESERVE])]
+    for name, amount, back in steps:
+        source, stored = kept[max(0, len(kept) - 1 - back)]
+        try:
+            state = _RESERVE_STEPS[name](source, amount)
+        except (KladiaError, ValueError):
+            continue
+        if name == "advance_month":
+            stored = state.buckets[BucketKind.COMPANY_RESERVE]
+        assert state.reserve_month_start_balance == stored
+        kept.append((state, stored))
 
 
 @settings(max_examples=200)

@@ -456,12 +456,90 @@ def test_state_round_trip():
     assert restored.annual_factors == state.annual_factors
 
 
+def _stored_sections(data):
+    """`data` with the derived sections a ledger.json once stored beside its
+    event log (as `kld cycle` wrote them then) put back, for an edit of one
+    of them; such a file is refused whatever its sections hold."""
+    written = json.loads(LEDGER_WITH_DERIVED_SECTIONS.read_text())
+    data.update((k, v) for k, v in written.items() if k != "event_log")
+    return data
+
+
+def _fold_legal_treasury(data):
+    buckets = _stored_sections(data)["snapshot"]["buckets"]
+    buckets["CompanyReserve"] += buckets.pop("LegalTreasury")
+
+
+def _float_balance(data):
+    buckets = _stored_sections(data)["snapshot"]["buckets"]
+    buckets["EcosystemEscrow"] = float(buckets["EcosystemEscrow"])
+
+
+def _string_month(data):
+    snapshot = _stored_sections(data)["snapshot"]
+    snapshot["month_index"] = str(snapshot["month_index"])
+
+
+def _bool_counter(data):
+    _stored_sections(data)["snapshot"]["releases_this_month"] = True
+
+
+def _short_relockable(data):
+    del _stored_sections(data)["relockable"]["TeamVesting"]
+
+
+def _float_vesting(data):
+    vesting = _stored_sections(data)["vesting"]
+    vesting["released_total"] = float(vesting["released_total"])
+
+
+def _float_factor(data):
+    factors = _stored_sections(data)["annual_factors"]
+    factors["escrow_cap"] = float(factors["escrow_cap"])
+
+
+def _string_g_used(data):
+    _stored_sections(data)["annual_factors"]["g_used"] = "0.300000000"
+
+
 def _top_level_list(data):
     return []
 
 
+def _snapshot_list(data):
+    _stored_sections(data)["snapshot"] = []
+
+
+def _vesting_list(data):
+    _stored_sections(data)["vesting"] = []
+
+
+def _policies_list(data):
+    _stored_sections(data)["policies"] = []
+
+
+def _policy_list(data):
+    _stored_sections(data)["policies"]["CompanyReserve"] = []
+
+
+def _string_threshold(data):
+    _stored_sections(data)["policies"]["EcosystemEscrow"]["threshold"] = "5"
+
+
+def _int_signer(data):
+    _stored_sections(data)["policies"]["TeamVesting"]["signers"][0] = 7
+
+
+def _factors_list(data):
+    _stored_sections(data)["annual_factors"] = []
+
+
 def _event_log_object(data):
     data["event_log"] = {}
+
+
+def _relock_log_string(data):
+    _stored_sections(data)["relock_log"] = "none"
 
 
 def _event_index(data, op):
@@ -539,7 +617,11 @@ def _replay_base():
 
 
 @pytest.mark.parametrize("tamper", [
-    _top_level_list, _event_log_object, _raised_g, _deleted_event, _swapped_events,
+    _fold_legal_treasury, _float_balance, _string_month, _bool_counter,
+    _short_relockable, _float_vesting, _float_factor, _string_g_used,
+    _top_level_list, _snapshot_list, _vesting_list, _policies_list, _policy_list,
+    _string_threshold, _int_signer, _factors_list, _event_log_object,
+    _relock_log_string, _raised_g, _deleted_event, _swapped_events,
     _release_over_cap, _list_inputs, _float_requested, _float_released, _bool_amount,
 ])
 def test_from_json_dict_rejects_unreplayable_state(tamper):

@@ -203,12 +203,12 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
 
     approval_list = (
         tuple(a.strip() for a in approvals.split(",") if a.strip())
-        or oracle.EXECUTOR_SIGNERS[:oracle.EXECUTOR_POLICY_THRESHOLD]
+        or oracle.EXECUTOR_POLICY.signer_set[:oracle.EXECUTOR_POLICY.threshold]
     )
     event_start = state.n_events
-    # the prior g and the governed parameters are not persisted yet
-    record, state, _ = oracle.settle_cycle(
-        year, 0, submissions, [s.operator_id for s in submissions], state,
+    # the governed parameters are not persisted yet
+    record, state = oracle.settle_cycle(
+        year, submissions, [s.operator_id for s in submissions], state,
         PolicyParams(), baseline, clock, approval_list,
     )
 
@@ -295,14 +295,15 @@ def cmd_verify(report_file, commit_file, event_log, baseline_file):
                            err=True)
                 sys.exit(EXIT_INPUT)
             data = _read_object(event_log)
-            anchor = commitment.ledger_anchor
-            events = data["event_log"][:anchor] if anchor else data["event_log"]
+            if list(data) != ["event_log"] or not isinstance(data["event_log"], list):
+                raise MalformedFile(f'{event_log.name}: not {{"event_log": [...]}}')
+            events = data["event_log"]
     except (KladiaError, ValueError, KeyError, TypeError, OSError) as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
 
     ok, problems = reporting.verify(
-        report_file.read_bytes(), commitment, baseline, ledger_events=events,
+        report_file.read_bytes(), commitment, baseline, event_log=events,
     )
     if ok:
         click.echo("verified: clean")

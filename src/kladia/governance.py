@@ -59,6 +59,8 @@ DEFAULT_BOUNDS: dict[str, tuple[int, int]] = {
     "b_max": (0, fp.ONE),
     "staking_multiplier": (0, fp.from_str("2")),
 }
+# A proposer must hold this fraction of the eligible supply.
+MIN_PROPOSER_STAKE_FRACTION = fp.from_str("0.001")
 
 
 class ProposalStatus(Enum):
@@ -109,10 +111,6 @@ class Proposal:
 class GovernanceRegistry:
     """Single-writer proposal registry; one live proposal per parameter."""
 
-    bounds: dict[str, tuple[int, int]] = field(
-        default_factory=lambda: dict(DEFAULT_BOUNDS)
-    )
-    min_proposer_stake_fraction: int = fp.from_str("0.001")
     proposals: dict[str, Proposal] = field(default_factory=dict)
     _seq: int = 0
 
@@ -134,7 +132,7 @@ def propose(
 ) -> Proposal:
     """Create a proposal after the immutability, bounds, and stake checks."""
     min_stake = fp.scale_amount_down(
-        snapshot.eligible_supply, registry.min_proposer_stake_fraction
+        snapshot.eligible_supply, MIN_PROPOSER_STAKE_FRACTION
     )
     if proposer_stake < min_stake:
         raise InsufficientStake(
@@ -145,9 +143,9 @@ def propose(
     for name, value in changes.items():
         if name in IMMUTABLE_PARAMETERS:
             raise InvalidImmutable(f"{name} is constitutional and not governable")
-        if name not in registry.bounds:
+        if name not in DEFAULT_BOUNDS:
             raise InvalidImmutable(f"{name} is not a governable parameter")
-        lo, hi = registry.bounds[name]
+        lo, hi = DEFAULT_BOUNDS[name]
         if not (lo <= value <= hi):
             raise OutOfBounds(
                 f"{name}={fp.to_str(value)} outside [{fp.to_str(lo)}, {fp.to_str(hi)}]"

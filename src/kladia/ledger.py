@@ -372,7 +372,8 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
     if op == "begin_cycle":
         # the monthly escrow cap anchor is one twelfth of the 5% annual
         # escrow budget; the annual gross issuance anchor is that budget plus
-        # twelve months of baseline staking emissions
+        # twelve months of baseline staking emissions; PolicyParams checks
+        # them (e_min <= e_base) when `_apply` builds the cycle's params
         g = _field(inputs, "g")
         if not 0 <= g < fp.ONE:
             raise ValueError("g must be in [0, 1)")
@@ -383,9 +384,8 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
             state.buckets[BucketKind.ECOSYSTEM_ESCROW], ESCROW_ANNUAL_BUDGET_FRACTION)
         staking_annual = 12 * fp.scale_amount_down(
             state.buckets[BucketKind.STAKING_RESERVE], params.effective_r_base())
-        params = params.with_changes(e_base=escrow_budget // 12,
-                                     i_base=escrow_budget + staking_annual)
-        return {"g": g, "e_base": params.e_base, "i_base": params.i_base,
+        return {"g": g, "e_base": escrow_budget // 12,
+                "i_base": escrow_budget + staking_annual,
                 "coefficients": list(coefficients.values())}, ()
 
     if op == "carry_cycle":
@@ -467,7 +467,8 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
 
 def _apply(state: Optional[LedgerState], op: str, inputs: dict) -> LedgerState:
     """Apply a checked event to `state` in place and return it; genesis
-    makes the state. Pure bookkeeping: no check, no hash, no log."""
+    makes the state. Pure bookkeeping: no hash, no log, and no check but
+    PolicyParams' own on a begin_cycle's anchors, before any change."""
     if op == "genesis":
         balances = {BucketKind(k): v * UNIT
                     for k, v in inputs["allocations_kld"].items()}
@@ -554,18 +555,15 @@ def genesis(allocations_kld: Optional[dict[BucketKind, int]] = None) -> LedgerSt
                        {"allocations_kld": {k.value: v for k, v in alloc.items()}})[0]
 
 
-def begin_cycle(
-    state: LedgerState, params: PolicyParams, g: int
-) -> tuple[LedgerState, PolicyParams]:
+def begin_cycle(state: LedgerState, params: PolicyParams, g: int) -> LedgerState:
     """Open a new annual cycle: derive per-cycle budget anchors and factors.
 
     The event logs `g`, the anchors `e_base` and `i_base`, and every other
     coefficient the factors were derived from, as one list in `PolicyParams`
     field order.
     """
-    new, inputs = _transition(state, "begin_cycle", {
-        "g": g, "coefficients": [getattr(params, k) for k in _COEFFICIENTS]})
-    return new, _cycle_params(inputs)
+    return _transition(state, "begin_cycle", {
+        "g": g, "coefficients": [getattr(params, k) for k in _COEFFICIENTS]})[0]
 
 
 def carry_cycle(state: LedgerState) -> LedgerState:

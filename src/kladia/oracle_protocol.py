@@ -22,7 +22,6 @@ from .debt_index import BaselineRef, index_kernel, normalize, policy_factor
 from .errors import (
     DuplicateSubmission,
     InconsistentPayload,
-    InsufficientApprovals,
     NoSubmissions,
     NotExecutable,
     QuorumNotMet,
@@ -30,16 +29,15 @@ from .errors import (
     UnknownOperator,
     WindowClosed,
 )
-from .ledger import LedgerState, begin_cycle, carry_cycle
+from .ledger import ApprovalPolicy, LedgerState, begin_cycle, carry_cycle
 from .policy import PolicyParams
 from .weo_ingest import ALL_BLOCS, Bloc, BlocObservation, WeoVintage, kc7_columns
 
 CHALLENGE_WINDOW = timedelta(hours=72)
 CORRECTION_DEADLINE = timedelta(days=14)
 
-EXECUTOR_POLICY_THRESHOLD = 5
-EXECUTOR_POLICY_SIZE = 8
-EXECUTOR_SIGNERS = tuple(f"exec-{i}" for i in range(1, EXECUTOR_POLICY_SIZE + 1))
+# the policy executor: 5 of these 8 signers approve an execution
+EXECUTOR_POLICY = ApprovalPolicy(5, tuple(f"exec-{i}" for i in range(1, 9)))
 
 
 class WindowStatus(Enum):
@@ -327,9 +325,8 @@ def execute(
     ledger_state: LedgerState,
     params: PolicyParams,
     approvals: Iterable[str],
-    executor_signers: Iterable[str],
     now: datetime,
-) -> tuple[CycleRecord, LedgerState, PolicyParams]:
+) -> tuple[CycleRecord, LedgerState]:
     """Confirm the median g and refresh the ledger's annual factors.
 
     Requires a cleanly expired window and 5-of-8 executor approvals.
@@ -338,24 +335,17 @@ def execute(
         raise NotExecutable(f"window is {record.window.status.value}")
     if record.halted:
         raise NotExecutable("policy execution is halted by governance")
-    signers = set(executor_signers)
-    valid = set(approvals) & signers
-    if len(valid) < EXECUTOR_POLICY_THRESHOLD:
-        raise InsufficientApprovals(
-            f"executor: {len(valid)} of required {EXECUTOR_POLICY_THRESHOLD}"
-        )
+    EXECUTOR_POLICY.check(approvals, "executor")
     assert record.median_payload is not None
     record.confirmed_g = record.median_payload.g
     record.carried_forward = False
     record.window.status = WindowStatus.EXECUTED
     record.executed_at = now
-    new_ledger, cycle_params = begin_cycle(ledger_state, params, record.confirmed_g)
-    return record, new_ledger, cycle_params
+    return record, begin_cycle(ledger_state, params, record.confirmed_g)
 
 
 def settle_cycle(
     year: int,
-    prior_confirmed_g: int,
     submissions: Iterable[OracleSubmission],
     operator_registry: Iterable[str],
     ledger_state: LedgerState,
@@ -364,15 +354,19 @@ def settle_cycle(
     clock: VirtualClock,
     approvals: Iterable[str],
     flags: Iterable[Flag] = (),
-) -> tuple[CycleRecord, LedgerState, PolicyParams]:
+) -> tuple[CycleRecord, LedgerState]:
     """Run one annual cycle from intake to its new ledger state.
 
-    Intake, lower median and window; then the window's flags. An undisputed
-    window is resolved after 73 hours and executed; a disputed one gets no
-    correction and lapses after 15 days to the prior confirmed g: a first
-    cycle begins at that g, a later one keeps the factors in force.
+    The prior confirmed g is the ledger's, the g its factors in force were
+    derived at, or 0 before the first cycle. Intake, lower median and
+    window; then the window's flags. An undisputed window is resolved after
+    73 hours and executed; a disputed one gets no correction and lapses
+    after 15 days to the prior confirmed g: a first cycle begins at that g,
+    a later one keeps the factors in force.
     """
-    record = CycleRecord(cycle_year=year, prior_confirmed_g=prior_confirmed_g)
+    factors = ledger_state.annual_factors
+    record = CycleRecord(cycle_year=year,
+                         prior_confirmed_g=factors.g_used if factors else 0)
     registry = tuple(operator_registry)
     for submission in submissions:
         record = submit(record, submission, registry, baseline)
@@ -386,13 +380,10 @@ def settle_cycle(
         clock.advance_hours(73)
     record = resolve(record, clock.now(), None, baseline)
     if record.window.status is not WindowStatus.LAPSED:
-        return execute(record, ledger_state, params, approvals, EXECUTOR_SIGNERS,
-                       clock.now())
-    if ledger_state.annual_factors is None:
-        ledger_state, params = begin_cycle(ledger_state, params, prior_confirmed_g)
-    else:
-        ledger_state = carry_cycle(ledger_state)
-    return record, ledger_state, params
+        return execute(record, ledger_state, params, approvals, clock.now())
+    if factors is None:
+        return record, begin_cycle(ledger_state, params, record.confirmed_g)
+    return record, carry_cycle(ledger_state)
 
 
 def emergency_halt(record: CycleRecord, quorum_met: bool) -> CycleRecord:

@@ -59,7 +59,6 @@ class PolicyParams:
 class PolicyFactors:
     """The four bound outputs for one annual cycle, at a fixed g."""
 
-    phi_i: int            # 1 - alpha_i * g
     burn_fraction: int
     escrow_cap: int       # token base units per month
     staking_rate: int
@@ -70,11 +69,6 @@ class PolicyFactors:
 def _check_g(g: int) -> None:
     if not (0 <= g < fp.ONE):
         raise ValueError("g must be in [0, 1)")
-
-
-def issuance_factor(params: PolicyParams, g: int) -> int:
-    _check_g(g)
-    return max(0, fp.ONE - fp.mul(params.alpha_i, g))
 
 
 def _shrunk(amount: int, alpha: int, g: int) -> int:
@@ -121,7 +115,6 @@ def derive_cycle_factors(
 ) -> PolicyFactors:
     """Bundle the four levers for one annual cycle at a constant g."""
     return PolicyFactors(
-        phi_i=issuance_factor(params, g),
         burn_fraction=burn_fraction(params, g),
         escrow_cap=escrow_cap(params, g),
         staking_rate=staking_rate(params, g),

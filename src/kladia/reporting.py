@@ -2,18 +2,18 @@
 
 Reports serialize through the canonical form and commit to a SHA-256
 content hash. Verification checks that hash, re-derives the index chain
-from the report's own raw inputs and, given ledger events, compares the
-net supply change their amounts sum to with the report's executed
-actions. That is a sum, not a replay: an edit to an event that keeps the
-sum, or that moves no supply, passes it. Replaying the report's slice of
-the event log instead is open item 2 of ROADMAP.md.
+from the report's own raw inputs and, given the event log, walks the
+report's slice of it again as `build_report` did. The walk reads the
+logged events and does not replay them, so an edit to an event that logs
+no action (a `begin_cycle` g, say) passes it; replaying the slice is open
+item 2 of ROADMAP.md.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from . import fixedpoint as fp
 from .canonical import canonical_bytes, sha256_hex
@@ -53,33 +53,56 @@ class ReportCommitment:
     ledger_anchor: int  # event-log position at commit time
 
 
-# each logged op that moves supply: the (action, input, sign) triples it
-# carries, in order, where the input holds the action's amount and the sign
-# is that amount's in net issuance (issued - burned - relocked). A month
-# carries its three flows; a zero month amount is a flow that did not run.
+# each logged op that moves supply: the (action, input) pairs it carries, in
+# order, where the input holds the action's amount. A month carries its three
+# flows; a zero month amount is a flow that did not run.
 SUPPLY_ACTIONS = {
-    "release_escrow": (("release_escrow", "released", 1),),
-    "spend_reserve": (("spend_reserve", "amount", 1),),
-    "relock": (("relock", "amount", -1),),
-    "advance_month": (("vest_month", "vested", 1), ("emit_staking", "emitted", 1),
-                      ("burn", "burned", -1)),
+    "release_escrow": (("release_escrow", "released"),),
+    "spend_reserve": (("spend_reserve", "amount"),),
+    "relock": (("relock", "amount"),),
+    "advance_month": (("vest_month", "vested"), ("emit_staking", "emitted"),
+                      ("burn", "burned")),
 }
-_SIGNS = {action: sign for triples in SUPPLY_ACTIONS.values()
-          for action, _, sign in triples}
 
 
-def _actions(event: dict) -> list[tuple[str, Any]]:
-    """The (action, amount) pairs a logged event carries, in order."""
+def _actions(event: dict) -> list[tuple[str, int]]:
+    """The (action, amount) pairs a logged event carries, in order; raises
+    TypeError for an amount that is not an int."""
     op = event["op"]
-    return [(action, event["inputs"][key])
-            for action, key, _ in SUPPLY_ACTIONS.get(op, ())
-            if op != "advance_month" or event["inputs"][key]]
+    pairs = [(action, event["inputs"][key])
+             for action, key in SUPPLY_ACTIONS.get(op, ())]
+    if any(type(amount) is not int for _, amount in pairs):
+        raise TypeError(f"{op}: an amount is not an int")
+    return [(action, amount) for action, amount in pairs
+            if op != "advance_month" or amount]
 
 
-def _net_issuance(actions: Iterable[tuple[Any, Any]]) -> int:
-    """Signed sum over (action, amount) pairs; other actions count 0."""
-    return sum(_SIGNS[action] * amount for action, amount in actions
-               if action in _SIGNS)
+def _executed(events: Sequence[dict]) -> tuple[list[dict], list[str], list[str]]:
+    """A cycle's `executed_actions`, `action_hashes` and `signer_set`, in one
+    walk over its events; positions count from the first of them."""
+    executed_actions = []
+    action_hashes = []
+    signers = set()
+    for pos, event in enumerate(events):
+        signers.update(event.get("approvals", ()))
+        for action, amount in _actions(event):
+            executed_actions.append(
+                {"op": action, "amount": amount, "event_position": pos})
+            action_hashes.append(event["state_hash"])
+    return executed_actions, action_hashes, sorted(signers)
+
+
+def _report_slice(event_log: Sequence[dict], anchor: int) -> Sequence[dict]:
+    """The events a report covers: from the last `begin_cycle` or
+    `carry_cycle` before `anchor` up to it; an anchor of 0 is the log's end.
+    Raises ValueError when the log has no such slice."""
+    if type(anchor) is not int or not 0 <= anchor <= len(event_log):
+        raise ValueError(f"ledger anchor {anchor!r} is outside the event log")
+    end = anchor or len(event_log)
+    for start in range(end - 1, -1, -1):
+        if event_log[start]["op"] in ("begin_cycle", "carry_cycle"):
+            return event_log[start:end]
+    raise ValueError(f"no cycle event before ledger anchor {end}")
 
 
 def build_report(
@@ -98,16 +121,7 @@ def build_report(
     if status is WindowStatus.EXECUTED and median is None:
         raise IncompleteCycle("executed cycle lacks a median payload")
 
-    executed_actions = []
-    action_hashes = []
-    signers = set()
-    for pos, event in enumerate(ledger_events):
-        signers.update(event.get("approvals", ()))
-        for action, amount in _actions(event):
-            executed_actions.append(
-                {"op": action, "amount": amount, "event_position": pos})
-            action_hashes.append(event["state_hash"])
-    signer_set = sorted(signers)
+    executed_actions, action_hashes, signer_set = _executed(ledger_events)
 
     if median is not None:
         weights = weighted_bdi(
@@ -214,13 +228,16 @@ def verify(
     report_bytes: bytes,
     commitment: ReportCommitment,
     baseline: Optional[BaselineRef] = None,
-    ledger_events: Optional[Sequence[dict]] = None,
+    event_log: Optional[Sequence[dict]] = None,
 ) -> tuple[bool, list[str]]:
     """Three-way check: hash match, internal recomputation, reconciliation.
 
     The recomputation runs when a baseline is given, under the baseline's
     lambda; a report whose lambda or bdi_ref is not the baseline's fails it
-    too.
+    too. The reconciliation runs when the whole event log is given: the
+    report's slice of it (`_report_slice`) must walk to the report's
+    executed actions, action hashes and signer set exactly; a log without
+    that slice, or with a malformed entry, gives MalformedEventLog.
     Returns (ok, discrepancy codes); never raises on bad input.
     """
     discrepancies: list[str] = []
@@ -242,21 +259,13 @@ def verify(
     if baseline is not None and not _recomputes(report, baseline):
         discrepancies.append("RecomputeMismatch")
 
-    if ledger_events is not None:
+    if event_log is not None:
         try:
-            ledger_net = _net_issuance(
-                action for e in ledger_events for action in _actions(e))
-        except (TypeError, KeyError):
-            # an entry that is not an object, or lacks its op or amount
+            executed = _executed(_report_slice(event_log, commitment.ledger_anchor))
+        except (TypeError, KeyError, ValueError, AttributeError):
             return False, discrepancies + ["MalformedEventLog"]
-        try:
-            mismatch = ledger_net != _net_issuance(
-                (a.get("op"), a.get("amount"))
-                for a in report.get("executed_actions", [])
-            )
-        except (TypeError, KeyError, AttributeError):
-            mismatch = True
-        if mismatch:
+        if executed != tuple(map(report.get, (
+                "executed_actions", "action_hashes", "signer_set"))):
             discrepancies.append("SupplyReconciliationGap")
 
     return not discrepancies, discrepancies

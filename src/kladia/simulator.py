@@ -166,11 +166,11 @@ def run(scenario: Scenario) -> Trace:
 
     state = genesis()
     params = scenario.params or PolicyParams()
-    approvals = oracle.EXECUTOR_SIGNERS[:oracle.EXECUTOR_POLICY_THRESHOLD]
+    executor = oracle.EXECUTOR_POLICY
+    approvals = executor.signer_set[:executor.threshold]
     escrow_signers = POLICIES[BucketKind.ECOSYSTEM_ESCROW].signer_set
 
     trace = Trace()
-    last_g = 0
     governance_log: list[dict] = []
     gov_by_year = {}
     for event in scenario.governance_script:
@@ -217,11 +217,10 @@ def run(scenario: Scenario) -> Trace:
             flags = (oracle.Flag(first, "data-mismatch", "values off vs source"),
                      oracle.Flag(second, "data-mismatch", "confirmed mismatch"))
         event_start = state.n_events
-        record, state, params = oracle.settle_cycle(
-            year, last_g, submissions, scenario.operators, state, params,
+        record, state = oracle.settle_cycle(
+            year, submissions, scenario.operators, state, params,
             baseline, clock, approvals, flags,
         )
-        last_g = record.confirmed_g
 
         for event in gov_by_year.get(year, []):
             governance_log.append(
@@ -231,7 +230,7 @@ def run(scenario: Scenario) -> Trace:
                 **{k: fp.from_str(v) for k, v in event["changes"].items()}
             )
 
-        g_str = fp.to_str(last_g)
+        g_str = fp.to_str(record.confirmed_g)
         for month in range(12):
             fees = rng.randint(*scenario.fee_range_kld) * 10 ** 6
             released = 0
@@ -263,7 +262,8 @@ def run(scenario: Scenario) -> Trace:
         report = reporting.build_report(record, events, governance_log, baseline)
         report_bytes = reporting.serialize(report)
         commitment = reporting.commit(report_bytes, ledger_anchor=state.n_events)
-        ok, problems = reporting.verify(report_bytes, commitment, baseline, events)
+        ok, problems = reporting.verify(report_bytes, commitment, baseline,
+                                        state.event_log)
         if not ok:
             raise AssertionError(f"cycle {year} report failed verification: {problems}")
         trace.report_commitments.append(commitment.content_hash)

@@ -73,7 +73,7 @@ def test_criterion_02_vesting_reproduction():
     params = PolicyParams()
     vested = []
     for _ in range(4):
-        state, _ = lg.begin_cycle(state, params, 0)
+        state = lg.begin_cycle(state, params, 0)
         for _ in range(12):
             state, summary = lg.advance_month(state, 0)
             vested.append(summary["vested"])
@@ -182,7 +182,7 @@ def test_criterion_05_conservation_600_months():
         else:
             g = rnd.randrange(0, fp.ONE)
         last_g = g
-        state, _ = lg.begin_cycle(state, params, g)
+        state = lg.begin_cycle(state, params, g)
 
         for _ in range(12):
             cap = state.annual_factors.escrow_cap
@@ -242,7 +242,7 @@ def test_criterion_06_challenge_window_gating(vintage, baseline):
         assert record.window.status is op.WindowStatus.OPEN
         with pytest.raises(NotExecutable):
             op.execute(record, shared_ledger, PolicyParams(),
-                       EXECUTORS[:5], EXECUTORS, pre)
+                       EXECUTORS[:5], pre)
         early_attempts += 1
 
         if rnd.random() < 0.5:
@@ -318,9 +318,8 @@ def _executed_cycle(vintage, baseline):
     record = op.resolve(record, T0 + timedelta(hours=73), None, baseline)
     state = lg.genesis()
     event_start = len(state.event_log)
-    record, state, _ = op.execute(record, state, PolicyParams(),
-                                  EXECUTORS[:5], EXECUTORS,
-                                  T0 + timedelta(hours=74))
+    record, state = op.execute(record, state, PolicyParams(),
+                               EXECUTORS[:5], T0 + timedelta(hours=74))
     state, _ = lg.release_escrow(state, 10**9, ESCROW_SIGNERS)
     state, _ = lg.advance_month(state, 10**8)
     return record, state.event_log[event_start:]

@@ -313,6 +313,28 @@ def test_verify_missing_event_log_exit_2(runner, tmp_path, monkeypatch):
     assert result.output == "warning: event log missing; reconciliation skipped\n"
 
 
+def test_second_cycle_records_the_g_in_force_as_prior(runner, tmp_path):
+    result, state_dir, base = run_cycle(runner, tmp_path)
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, [
+        "cycle", "--state-dir", str(state_dir), "--submissions-dir",
+        str(tmp_path / "subs-a"), "--baseline-file", str(base), "--year", "2027",
+    ])
+    assert result.exit_code == 0, result.output
+    cycles = [json.loads((state_dir / f"cycle-{y}.json").read_text())
+              for y in (2026, 2027)]
+    assert cycles[0]["prior_confirmed_g"] == "0.000000000"
+    assert cycles[1]["prior_confirmed_g"] == cycles[0]["confirmed_g"] == "0.333333333"
+    for year in (2026, 2027):
+        result = runner.invoke(main, [
+            "verify", str(state_dir / f"report-{year}.kldr"),
+            str(state_dir / f"report-{year}.commit"),
+            "--event-log", str(state_dir / "ledger.json"),
+            "--baseline-file", str(base),
+        ])
+        assert result.exit_code == 0, result.output
+
+
 def test_cycle_reads_each_submission_once(runner, tmp_path, monkeypatch):
     reads = Counter()
     read_text = Path.read_text
@@ -387,6 +409,10 @@ def test_state_prints_snapshot_and_hash(runner, tmp_path):
     assert "circulating" in snapshot
 
 
+# `kld verify --event-log` reads only a file that is exactly {"event_log": [...]}
+NOT_AN_EVENT_LOG_FILE = 'error: MalformedFile: ledger.json: not {"event_log": [...]}\n'
+
+
 def test_state_rejects_tampered_ledger_exit_2(runner, tmp_path):
     # the same run's ledger.json in the layout that stored derived sections
     # beside the event log: there is no reader for it
@@ -405,6 +431,13 @@ def test_state_rejects_tampered_ledger_exit_2(runner, tmp_path):
         assert result.output == \
             "error: MalformedFile: ledger: not what its event log replays to\n"
     assert not (state_dir / "cycle-2027.json").exists()
+    result = runner.invoke(main, [
+        "verify", str(state_dir / "report-2026.kldr"),
+        str(state_dir / "report-2026.commit"),
+        "--event-log", str(ledger_file), "--baseline-file", str(base),
+    ])
+    assert result.exit_code == 2
+    assert result.output == NOT_AN_EVENT_LOG_FILE
 
 
 def test_state_ledger_is_a_directory_exit_2(runner, tmp_path):
@@ -489,6 +522,9 @@ def test_malformed_ledger_file_fails_cleanly(runner, tmp_path):
     verify = ["verify", str(state_dir / "report-2026.kldr"),
               str(state_dir / "report-2026.commit"),
               "--event-log", str(ledger_file), "--baseline-file", str(base)]
+    result = runner.invoke(main, verify)
+    assert result.exit_code == 2
+    assert result.output == NOT_AN_EVENT_LOG_FILE
     ledger_file.write_text(json.dumps(dict(data, event_log=[{"op": "advance_month"}])))
     result = runner.invoke(main, verify)
     assert result.exit_code == 1
@@ -496,7 +532,7 @@ def test_malformed_ledger_file_fails_cleanly(runner, tmp_path):
     ledger_file.write_text(json.dumps(dict(data, event_log={})))
     result = runner.invoke(main, verify)
     assert result.exit_code == 2
-    assert "error: TypeError" in result.output
+    assert result.output == NOT_AN_EVENT_LOG_FILE
 
 
 def test_cycle_submission_not_an_object_exit_2(runner, tmp_path):

@@ -114,7 +114,7 @@ def _ledger_run() -> lg.LedgerState:
     state = lg.genesis()
     params = PolicyParams()
     for year in range(5):
-        state, _ = lg.begin_cycle(state, params, fp.from_str(f"0.{year + 1}"))
+        state = lg.begin_cycle(state, params, fp.from_str(f"0.{year + 1}"))
         for month in range(12):
             state, _ = lg.release_escrow(
                 state, state.annual_factors.escrow_cap, ESCROW_SIGNERS[:5])
@@ -143,10 +143,10 @@ def test_ledger_run_golden():
 
 def _state_at(month_index: int, params: PolicyParams) -> lg.LedgerState:
     state = lg.genesis()
-    state, _ = lg.begin_cycle(state, params, fp.from_str("0.2"))
+    state = lg.begin_cycle(state, params, fp.from_str("0.2"))
     for m in range(month_index):
         if m and m % 12 == 0:
-            state, _ = lg.begin_cycle(state, params, fp.from_str("0.2"))
+            state = lg.begin_cycle(state, params, fp.from_str("0.2"))
         state, _ = lg.advance_month(state, (m + 1) * 3_333_333_333)
     return state
 

@@ -28,11 +28,7 @@ RESERVE_SIGNERS = tuple(f"reserve-{i}" for i in range(1, 8))
 
 
 def fresh_cycle(g="0.0", params=None):
-    state = lg.genesis()
-    state, cycle_params = lg.begin_cycle(
-        state, params or PolicyParams(), fp.from_str(g)
-    )
-    return state, cycle_params
+    return lg.begin_cycle(lg.genesis(), params or PolicyParams(), fp.from_str(g))
 
 
 def _reloaded(state):
@@ -87,7 +83,7 @@ def test_public_surface_has_no_unburn_or_mint_path():
 # --- vesting -----------------------------------------------------------------
 
 def month_13_state():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     new = state.clone()
     new.month_index = 12  # 12 months complete; month 13 in progress
     return new
@@ -104,7 +100,7 @@ def test_vest_month_13_amount():
 
 def test_vest_cliff_active():
     # months 1-12 are the cliff: month 12 vests nothing, month 13 vests
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     state = state.clone()
     state.month_index = 11  # month 12 in progress
     state, summary = lg.advance_month(state, 0)
@@ -139,7 +135,7 @@ def test_vest_total_exact_telescoping():
 
 
 def test_no_vesting_during_cliff_via_advance_month():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     for _ in range(12):
         state, summary = lg.advance_month(state, 0)
         assert summary["vested"] == 0
@@ -149,7 +145,7 @@ def test_no_vesting_during_cliff_via_advance_month():
 # --- escrow release ----------------------------------------------------------
 
 def test_release_escrow_happy_path():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     cap = state.annual_factors.escrow_cap
     assert cap > 0
     state, released = lg.release_escrow(state, cap // 2, ESCROW_SIGNERS[:5])
@@ -159,7 +155,7 @@ def test_release_escrow_happy_path():
 
 
 def test_release_escrow_cap_clamp():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     cap = state.annual_factors.escrow_cap
     state, released = lg.release_escrow(state, cap + 10**12, ESCROW_SIGNERS[:5])
     assert released == cap
@@ -168,7 +164,7 @@ def test_release_escrow_cap_clamp():
 
 
 def test_release_escrow_insufficient_approvals():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     before = state.state_hash()
     with pytest.raises(InsufficientApprovals):
         lg.release_escrow(state, 100, ESCROW_SIGNERS[:4])
@@ -176,7 +172,7 @@ def test_release_escrow_insufficient_approvals():
 
 
 def test_release_escrow_unknown_signers_do_not_count():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     approvals = ESCROW_SIGNERS[:4] + ("intruder-1",)
     with pytest.raises(InsufficientApprovals):
         lg.release_escrow(state, 100, approvals)
@@ -189,7 +185,7 @@ def burn_cycle(b_base="0.4", b_max="0.9"):
     with 1,000 base units released into circulation."""
     params = PolicyParams(r_base=0, b_base=fp.from_str(b_base),
                           b_max=fp.from_str(b_max), beta_b=0)
-    state, _ = fresh_cycle(params=params)
+    state = fresh_cycle(params=params)
     state, _ = lg.release_escrow(state, 1000, ESCROW_SIGNERS[:5])
     return state
 
@@ -212,7 +208,7 @@ def test_burn_exceeds_pool():
 
 
 def test_transitions_take_only_int_amounts():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     with pytest.raises(TypeError, match="requested must be int, not float"):
         lg.release_escrow(state, 500.0, ESCROW_SIGNERS[:5])
     with pytest.raises(TypeError, match="amount must be int, not bool"):
@@ -222,7 +218,7 @@ def test_transitions_take_only_int_amounts():
 
 
 def test_burn_monotone_over_random_stream():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     state, _ = lg.release_escrow(
         state, state.annual_factors.escrow_cap, ESCROW_SIGNERS[:5]
     )
@@ -241,7 +237,7 @@ def test_burn_monotone_over_random_stream():
 # --- staking emission --------------------------------------------------------
 
 def test_emit_staking_zero_rate():
-    state, _ = fresh_cycle(params=PolicyParams(r_base=0))
+    state = fresh_cycle(params=PolicyParams(r_base=0))
     reserve = state.buckets[BucketKind.STAKING_RESERVE]
     state, summary = lg.advance_month(state, 0)
     assert summary["emitted"] == 0
@@ -250,7 +246,7 @@ def test_emit_staking_zero_rate():
 
 def test_emit_staking_direct_multiply():
     params = PolicyParams(r_base=fp.from_str("0.001"))
-    state, _ = fresh_cycle(params=params)
+    state = fresh_cycle(params=params)
     assert state.annual_factors.staking_rate == fp.from_str("0.001")
     reserve = state.buckets[BucketKind.STAKING_RESERVE]
     assert reserve == 300_000_000 * lg.UNIT
@@ -266,7 +262,7 @@ def test_emit_staking_direct_multiply():
 
 
 def test_emit_staking_exhausted_reserve():
-    state, _ = fresh_cycle(params=PolicyParams(r_base=fp.from_str("0.5")))
+    state = fresh_cycle(params=PolicyParams(r_base=fp.from_str("0.5")))
     state = state.clone()
     drained = state.buckets[BucketKind.STAKING_RESERVE]
     state.buckets[BucketKind.STAKING_RESERVE] = 0
@@ -278,14 +274,14 @@ def test_emit_staking_exhausted_reserve():
 # --- company reserve ---------------------------------------------------------
 
 def test_spend_reserve_within_guideline():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     half_percent = state.buckets[BucketKind.COMPANY_RESERVE] // 200
     state, flagged = lg.spend_reserve(state, half_percent, RESERVE_SIGNERS[:6])
     assert not flagged
 
 
 def test_spend_reserve_guideline_exceeded_still_succeeds():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     two_percent = state.buckets[BucketKind.COMPANY_RESERVE] // 50
     state, flagged = lg.spend_reserve(state, two_percent, RESERVE_SIGNERS[:6])
     assert flagged
@@ -293,7 +289,7 @@ def test_spend_reserve_guideline_exceeded_still_succeeds():
 
 
 def test_spend_reserve_threshold():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     before = state.state_hash()
     with pytest.raises(InsufficientApprovals):
         lg.spend_reserve(state, 100, RESERVE_SIGNERS[:5])
@@ -303,7 +299,7 @@ def test_spend_reserve_threshold():
 # --- relock ------------------------------------------------------------------
 
 def test_relock_returns_without_restoring_cap():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     state, released = lg.release_escrow(state, 100, ESCROW_SIGNERS[:5])
     state = lg.mark_distributed(state, BucketKind.ECOSYSTEM_ESCROW, 60)
     escrow_before = state.buckets[BucketKind.ECOSYSTEM_ESCROW]
@@ -317,14 +313,14 @@ def test_relock_returns_without_restoring_cap():
 
 
 def test_relock_cross_bucket_rejected():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     state, _ = lg.release_escrow(state, 100, ESCROW_SIGNERS[:5])
     with pytest.raises(CrossBucketRelock):
         lg.relock(state, 40, BucketKind.COMPANY_RESERVE, "wrong bucket")
 
 
 def test_relock_exceeds_release():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     state, _ = lg.release_escrow(state, 100, ESCROW_SIGNERS[:5])
     with pytest.raises(RelockExceedsRelease):
         lg.relock(state, 150, BucketKind.ECOSYSTEM_ESCROW, "too much")
@@ -333,7 +329,7 @@ def test_relock_exceeds_release():
 # --- lapsed cycle ------------------------------------------------------------
 
 def test_carry_cycle_resets_the_year_and_keeps_balances():
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     state, released = lg.release_escrow(state, 10**6, ESCROW_SIGNERS[:5])
     assert state.issuance_used_year == state.releases_this_month == released > 0
     before = copy.deepcopy(state)
@@ -353,7 +349,7 @@ def test_carry_cycle_resets_the_year_and_keeps_balances():
 def test_advance_month_noop():
     params = PolicyParams(r_base=0, b_base=0, b_max=0, beta_b=0)
     state = lg.genesis()
-    state, _ = lg.begin_cycle(state, params, 0)
+    state = lg.begin_cycle(state, params, 0)
     before = state.snapshot()
     state, summary = lg.advance_month(state, 0)
     assert summary == {"vested": 0, "emitted": 0, "burned": 0}
@@ -366,7 +362,7 @@ def test_one_year_accumulation_matches_spreadsheet_oracle():
     params = PolicyParams(r_base=fp.from_str("0.001"),
                           b_base=fp.from_str("0.5"), beta_b=0)
     state = lg.genesis()
-    state, cycle_params = lg.begin_cycle(state, params, 0)
+    state = lg.begin_cycle(state, params, 0)
     fees = 1_000_000  # constant monthly fee input
 
     # independent accumulation: replay the declared flows month by month
@@ -396,7 +392,7 @@ def test_one_year_accumulation_matches_spreadsheet_oracle():
 
 
 def test_advance_month_atomic_abort_on_injected_violation(monkeypatch):
-    state, _ = fresh_cycle()
+    state = fresh_cycle()
     before = copy.deepcopy(state)
     apply = lg._apply
 
@@ -424,7 +420,7 @@ def test_conservation_over_randomized_months():
     state = lg.genesis()
     g_values = ["0.0", "0.2", "0.5", "0.8"]
     for year in range(5):
-        state, _ = lg.begin_cycle(state, params, fp.from_str(rng.choice(g_values)))
+        state = lg.begin_cycle(state, params, fp.from_str(rng.choice(g_values)))
         for _ in range(12):
             if rng.random() < 0.5:
                 try:
@@ -447,7 +443,7 @@ def test_conservation_over_randomized_months():
 # --- serialization -----------------------------------------------------------
 
 def test_state_round_trip():
-    state, _ = fresh_cycle("0.3")
+    state = fresh_cycle("0.3")
     state, _ = lg.release_escrow(state, 500, ESCROW_SIGNERS[:5])
     state, _ = lg.advance_month(state, 10**9)
     data = lg.to_json_dict(state)
@@ -562,7 +558,7 @@ def _swapped_events(data):
 
 def _release_over_cap(data):
     # logged with the state hash it would give, so only the check can tell
-    before, _ = fresh_cycle("0.3")
+    before = fresh_cycle("0.3")
     over = before.annual_factors.escrow_cap + 1
     event = data["event_log"][_event_index(data, "release_escrow")]
     event["inputs"] = {"requested": over, "released": over}
@@ -610,7 +606,7 @@ def _bool_amount(data):
 
 def _replay_base():
     """Genesis, a cycle at g = 0.3, one release and one month."""
-    state, _ = fresh_cycle("0.3")
+    state = fresh_cycle("0.3")
     state, _ = lg.release_escrow(state, 500, ESCROW_SIGNERS[:5])
     state, _ = lg.advance_month(state, 10**9)
     return state
@@ -659,7 +655,7 @@ def test_replay_rejects_a_release_over_its_cap_at_its_own_event():
 
 def _past_cliff():
     """Genesis, a cycle at g = 0.3 and 13 months, the last one vesting."""
-    state, _ = fresh_cycle("0.3")
+    state = fresh_cycle("0.3")
     for _ in range(13):
         state, _ = lg.advance_month(state, 10**9)
     return state
@@ -704,12 +700,12 @@ def test_round_trip_replays_governed_coefficients():
                {"staking_multiplier": fp.from_str("1.5"), "alpha_e": 0}]
     for year, change in enumerate(changes):
         params = params.with_changes(**change)
-        state, cycle_params = lg.begin_cycle(state, params, fp.from_str(f"0.{year + 2}"))
+        state = lg.begin_cycle(state, params, fp.from_str(f"0.{year + 2}"))
         event = state.event_log[-1]
         logged = lg._cycle_params(event["inputs"])
         assert {k: getattr(logged, k) for k in change} == change
         if change:
-            default, _ = lg.begin_cycle(state, PolicyParams(), event["inputs"]["g"])
+            default = lg.begin_cycle(state, PolicyParams(), event["inputs"]["g"])
             assert default.annual_factors != state.annual_factors
         for month in range(12):
             state, _ = lg.release_escrow(
@@ -733,7 +729,7 @@ _BRANCH_STEPS = {
 
 @pytest.mark.parametrize("order", [("spend", "release"), ("release", "spend")])
 def test_branches_of_one_parent_keep_their_own_events(order):
-    parent, _ = fresh_cycle()
+    parent = fresh_cycle()
     parent, _ = lg.release_escrow(parent, 1000, ESCROW_SIGNERS[:5])
     assert parent.clone().journal is parent.journal
     before = copy.deepcopy(parent.event_log)
@@ -759,7 +755,7 @@ def ledger_states(draw):
     g_used = draw(st.none() | st.integers(-2**64, 2**64))
     factors = None
     if draw(st.booleans()):
-        factors = PolicyFactors(*draw(st.tuples(*[_AMOUNT] * 5)), g_used=g_used)
+        factors = PolicyFactors(*draw(st.tuples(*[_AMOUNT] * 4)), g_used=g_used)
     return lg.LedgerState(
         circulating=draw(_AMOUNT),
         buckets={k: draw(_AMOUNT) for k in kinds},
@@ -784,7 +780,7 @@ def test_state_hash_template_matches_generic_encoder(state):
 
 
 _STEPS = {
-    "begin_cycle": lambda s, n: lg.begin_cycle(s, PolicyParams(), n % fp.ONE)[0],
+    "begin_cycle": lambda s, n: lg.begin_cycle(s, PolicyParams(), n % fp.ONE),
     "release_escrow": lambda s, n: lg.release_escrow(s, n, ESCROW_SIGNERS[:5])[0],
     "spend_reserve": lambda s, n: lg.spend_reserve(s, n, RESERVE_SIGNERS[:6])[0],
     "mark_distributed": lambda s, n: lg.mark_distributed(

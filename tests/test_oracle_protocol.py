@@ -375,9 +375,8 @@ def expired_record(vintage, baseline):
 def test_execute_happy_path(vintage, baseline):
     record = expired_record(vintage, baseline)
     state = lg.genesis()
-    record, state, params = op.execute(
-        record, state, PolicyParams(), EXECUTORS[:5], EXECUTORS,
-        T0 + timedelta(hours=74),
+    record, state = op.execute(
+        record, state, PolicyParams(), EXECUTORS[:5], T0 + timedelta(hours=74),
     )
     assert record.window.status is op.WindowStatus.EXECUTED
     assert record.confirmed_g == record.median_payload.g
@@ -390,15 +389,13 @@ def test_execute_wrong_status(vintage, baseline):
     op.flag(record, "op-1", "x", "a")
     op.flag(record, "op-2", "x", "b")
     with pytest.raises(NotExecutable):
-        op.execute(record, lg.genesis(), PolicyParams(), EXECUTORS[:5],
-                   EXECUTORS, T0)
+        op.execute(record, lg.genesis(), PolicyParams(), EXECUTORS[:5], T0)
 
 
 def test_execute_insufficient_approvals(vintage, baseline):
     record = expired_record(vintage, baseline)
     with pytest.raises(InsufficientApprovals):
-        op.execute(record, lg.genesis(), PolicyParams(), EXECUTORS[:4],
-                   EXECUTORS, T0)
+        op.execute(record, lg.genesis(), PolicyParams(), EXECUTORS[:4], T0)
     assert record.confirmed_g is None
 
 
@@ -412,38 +409,41 @@ DISPUTE = (op.Flag("op-1", "data-mismatch", "values off vs source"),
 def settle(vintage, baseline, state, flags, clock):
     subs = [submission(o, vintage, baseline, scale)
             for o, scale in zip(OPERATORS, ("1.5", "1.52", "1.48"))]
-    return op.settle_cycle(2026, PRIOR_G, subs, OPERATORS, state, PolicyParams(),
+    return op.settle_cycle(2026, subs, OPERATORS, state, PolicyParams(),
                            baseline, clock, EXECUTORS[:5], flags)
 
 
 def test_settle_cycle_executes_a_clean_window(vintage, baseline):
     clock = VirtualClock(T0)
-    record, state, _ = settle(vintage, baseline, lg.genesis(), DISPUTE[:1], clock)
+    record, state = settle(vintage, baseline, lg.genesis(), DISPUTE[:1], clock)
     assert clock.now() == T0 + timedelta(hours=73)
     assert record.window.status is op.WindowStatus.EXECUTED
-    assert record.confirmed_g == record.median_payload.g != PRIOR_G
+    assert record.confirmed_g == record.median_payload.g
+    assert record.prior_confirmed_g == 0 != record.confirmed_g
     assert state.annual_factors.g_used == record.confirmed_g
 
 
 @pytest.mark.parametrize("factors_in_force", [False, True])
 def test_settle_cycle_dispute_lapses_to_prior_g(vintage, baseline, factors_in_force):
-    state = lg.genesis()
+    # the prior confirmed g is the ledger's: the g its factors in force were
+    # derived at, or 0 before the first cycle
+    state, prior_g = lg.genesis(), 0
     if factors_in_force:
-        state, _ = lg.begin_cycle(state, PolicyParams(), fp.from_str("0.1"))
+        state, prior_g = lg.begin_cycle(state, PolicyParams(), PRIOR_G), PRIOR_G
     clock = VirtualClock(T0)
-    record, new, params = settle(vintage, baseline, state, DISPUTE, clock)
+    record, new = settle(vintage, baseline, state, DISPUTE, clock)
     assert clock.now() == T0 + timedelta(days=15)
     assert record.window.status is op.WindowStatus.LAPSED
-    assert record.confirmed_g == PRIOR_G and record.carried_forward
+    assert record.prior_confirmed_g == record.confirmed_g == prior_g
+    assert record.carried_forward
     events = new.event_log[state.n_events:]
     if factors_in_force:
         assert [e["op"] for e in events] == ["carry_cycle"]
         assert new.annual_factors is state.annual_factors
-        assert params == PolicyParams()
     else:
         assert [e["op"] for e in events] == ["begin_cycle"]
-        assert events[0]["inputs"]["g"] == PRIOR_G
-        assert new.annual_factors.g_used == PRIOR_G
+        assert events[0]["inputs"]["g"] == prior_g
+    assert new.annual_factors.g_used == prior_g
 
 
 # --- emergency halt ----------------------------------------------------------
@@ -452,11 +452,10 @@ def test_halt_blocks_execution_but_not_g(vintage, baseline):
     record = expired_record(vintage, baseline)
     record = op.emergency_halt(record, True)
     with pytest.raises(NotExecutable):
-        op.execute(record, lg.genesis(), PolicyParams(), EXECUTORS[:5],
-                   EXECUTORS, T0)
+        op.execute(record, lg.genesis(), PolicyParams(), EXECUTORS[:5], T0)
     record = op.restore(record, True)
-    record, state, _ = op.execute(record, lg.genesis(), PolicyParams(),
-                                  EXECUTORS[:5], EXECUTORS, T0)
+    record, state = op.execute(record, lg.genesis(), PolicyParams(),
+                               EXECUTORS[:5], T0)
     assert record.window.status is op.WindowStatus.EXECUTED
 
 

@@ -79,7 +79,6 @@ def test_staking_rate_cases():
 def test_derive_cycle_factors_neutral():
     p = params(e_base=100, i_base=1_000, r_base=fp.from_str("0.02"))
     f = derive_cycle_factors(p, 0, HUGE)
-    assert f.phi_i == fp.ONE
     assert f.burn_fraction == p.b_base
     assert f.escrow_cap == 100
     assert f.staking_rate == fp.from_str("0.02")
@@ -95,7 +94,6 @@ def test_derive_cycle_factors_midpoint():
     )
     g = fp.from_str("0.5")
     f = derive_cycle_factors(p, g, HUGE)
-    assert f.phi_i == fp.from_str("0.5")
     assert f.burn_fraction == fp.from_str("0.7")
     assert f.escrow_cap == 50
     assert f.staking_rate == fp.from_str("0.01")

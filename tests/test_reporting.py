@@ -33,9 +33,8 @@ def executed_cycle(vintage, baseline, with_actions=True):
     record = op.resolve(record, T0 + timedelta(hours=73), None, baseline)
     state = lg.genesis()
     event_start = len(state.event_log)
-    record, state, params = op.execute(
-        record, state, PolicyParams(), EXECUTORS[:5], EXECUTORS,
-        T0 + timedelta(hours=74),
+    record, state = op.execute(
+        record, state, PolicyParams(), EXECUTORS[:5], T0 + timedelta(hours=74),
     )
     if with_actions:
         state, _ = lg.release_escrow(state, 10**9, ESCROW_SIGNERS[:5])
@@ -114,8 +113,6 @@ def test_action_amounts_by_op():
     assert reporting._actions(month) == [("emit_staking", 44)]
     assert reporting._actions({"op": "spend_reserve", "inputs": {"amount": 0}}) \
         == [("spend_reserve", 0)]
-    assert reporting._net_issuance(
-        reporting._actions({"op": "advance_month", "inputs": inputs})) == 33 + 44 - 55
 
 
 def test_month_actions_share_their_event(vintage, baseline):
@@ -199,7 +196,7 @@ def test_verify_nets_relock_against_issuance(vintage, baseline):
     data = reporting.serialize(report)
     ok, problems = reporting.verify(data, reporting.commit(data), baseline, events)
     assert ok, problems
-    # a relock reported as issuance moves net issuance by twice its amount
+    # a relock reported as a vesting release is not what the log walks to
     relabeled = dict(report)
     relabeled["executed_actions"] = [
         {**a, "op": "vest_month"} if a["op"] == "relock" else a
@@ -238,12 +235,18 @@ def _string_amount(events, i):
     inputs["burned" if "burned" in inputs else "released"] = "5"
 
 
+def _float_amount(events, i):
+    inputs = events[i]["inputs"]
+    key = "burned" if "burned" in inputs else "released"
+    inputs[key] = float(inputs[key])
+
+
 def _list_entry(events, i):
     events[i] = [events[i]["op"]]
 
 
 @pytest.mark.parametrize("tamper", [_drop_op, _drop_inputs, _drop_amount,
-                                    _string_amount, _list_entry])
+                                    _string_amount, _float_amount, _list_entry])
 def test_verify_reports_malformed_event_log(vintage, baseline, tamper):
     record, state, events = executed_cycle(vintage, baseline)
     report = reporting.build_report(record, events, [], baseline)
@@ -254,6 +257,49 @@ def test_verify_reports_malformed_event_log(vintage, baseline, tamper):
         ok, problems = reporting.verify(data, reporting.commit(data), baseline,
                                         tampered)
         assert (ok, problems) == (False, ["MalformedEventLog"]), op_name
+
+
+def test_verify_rejects_a_log_without_the_report_slice(vintage, baseline):
+    record, state, events = executed_cycle(vintage, baseline)
+    data = reporting.serialize(reporting.build_report(record, events, [], baseline))
+    cases = [
+        (events, reporting.commit(data, ledger_anchor=len(events) + 1)),  # past the end
+        (events[1:], reporting.commit(data)),    # no cycle event before the anchor
+    ]
+    for log, commitment in cases:
+        ok, problems = reporting.verify(data, commitment, baseline, log)
+        assert (ok, problems) == (False, ["MalformedEventLog"])
+
+
+def test_verify_detects_an_edit_that_keeps_net_issuance(vintage, baseline):
+    # one more unit emitted and one more burned: issued - burned is unchanged
+    record, state, events = executed_cycle(vintage, baseline)
+    data = reporting.serialize(reporting.build_report(record, events, [], baseline))
+    edited = json.loads(json.dumps(events))
+    month = edited[-1]["inputs"]
+    assert edited[-1]["op"] == "advance_month" and month["burned"] > 0
+    month["emitted"] += 1
+    month["burned"] += 1
+    ok, problems = reporting.verify(data, reporting.commit(data), baseline, edited)
+    assert (ok, problems) == (False, ["SupplyReconciliationGap"])
+
+
+def test_verify_cuts_each_report_slice_from_the_whole_log(vintage, baseline):
+    # two years with flows in both; each report is checked against the whole
+    # log, cut at its own anchor back to its own begin_cycle
+    record, state, _ = executed_cycle(vintage, baseline)
+    year_end = state.n_events
+    state = lg.begin_cycle(state, PolicyParams(), record.confirmed_g)
+    state, _ = lg.release_escrow(state, 10**9, ESCROW_SIGNERS[:5])
+    state, _ = lg.advance_month(state, 10**8)
+    log = state.event_log
+    for start, anchor in ((1, year_end), (year_end, len(log))):
+        report = reporting.build_report(record, log[start:anchor], [], baseline)
+        assert report["executed_actions"]
+        data = reporting.serialize(report)
+        ok, problems = reporting.verify(
+            data, reporting.commit(data, ledger_anchor=anchor), baseline, log)
+        assert ok, problems
 
 
 def test_verify_rejects_non_object_report(baseline):

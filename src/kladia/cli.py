@@ -22,6 +22,7 @@ from . import ledger as ledger_mod
 from . import oracle_protocol as oracle
 from . import reporting
 from . import simulator as sim
+from .canonical import canonical_bytes
 from .clock import VirtualClock
 from .debt_index import BaselineRef, index_kernel
 from .errors import KladiaError, MalformedFile, NonPositiveLambda
@@ -123,7 +124,7 @@ def cmd_index(snapshot_file, baseline_file, vintage, publication_date,
         "g": fp.to_str(g),
     }
     if fmt == "canonical":
-        click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        click.echo(canonical_bytes(payload).decode())
     else:
         for key, value in payload.items():
             if isinstance(value, dict):
@@ -290,10 +291,6 @@ def cmd_verify(report_file, commit_file, event_log, baseline_file):
         baseline = _load_baseline(baseline_file) if baseline_file else None
         events = None
         if event_log is not None:
-            if not event_log.exists():
-                click.echo("warning: event log missing; reconciliation skipped",
-                           err=True)
-                sys.exit(EXIT_INPUT)
             data = _read_object(event_log)
             if list(data) != ["event_log"] or not isinstance(data["event_log"], list):
                 raise MalformedFile(f'{event_log.name}: not {{"event_log": [...]}}')

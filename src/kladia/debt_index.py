@@ -47,24 +47,6 @@ class BaselineRef:
         object.__setattr__(self, name, value)
 
 
-class Band:
-    LOW = "LowDebt"
-    MODERATE = "ModerateDebt"
-    HIGH = "HighDebt"
-
-
-@dataclass(frozen=True)
-class RegimeBand:
-    """Informational thresholds on g; no policy function consumes the band."""
-
-    low_max: int = fp.from_str("0.05")
-    high_min: int = fp.from_str("0.7")
-
-    def __post_init__(self):
-        if not (0 <= self.low_max < self.high_min < fp.ONE):
-            raise ValueError("need 0 <= low_max < high_min < 1")
-
-
 def normalize(bdi: int, baseline: BaselineRef) -> tuple[int, int]:
     """Ratio to baseline and the nonnegative excess over 1."""
     x_norm = fp.div(bdi, baseline.bdi_ref)
@@ -84,16 +66,6 @@ def policy_factor(x_excess: int, lam: int) -> int:
     g = fp.div(x_excess, denom)
     # rounding can nudge the quotient to exactly 1 for huge x; keep g < 1
     return min(g, fp.ONE - 1)
-
-
-def classify_band(g: int, bands: RegimeBand = RegimeBand()) -> str:
-    if not (0 <= g < fp.ONE):
-        raise ValueError("g must be in [0, 1)")
-    if g <= bands.low_max:
-        return Band.LOW
-    if g >= bands.high_min:
-        return Band.HIGH
-    return Band.MODERATE
 
 
 def weighted_bdi(

@@ -591,8 +591,8 @@ def spend_reserve(
 ) -> tuple[LedgerState, bool]:
     """Operational spend from the company reserve, gated 6-of-7.
 
-    The 1%-per-month guideline is advisory: exceeding it succeeds but the
-    transition carries a GuidelineExceeded flag for the report.
+    The 1%-per-month guideline is advisory: exceeding it succeeds, and the
+    returned bool and the logged event's `guideline_exceeded` input say so.
     """
     new, inputs = _transition(state, "spend_reserve", {"amount": amount}, approvals)
     return new, inputs["guideline_exceeded"]

@@ -3,10 +3,11 @@
 Reports serialize through the canonical form and commit to a SHA-256
 content hash. Verification checks that hash, re-derives the index chain
 from the report's own raw inputs and, given the event log, walks the
-report's slice of it again as `build_report` did. The walk reads the
-logged events and does not replay them, so an edit to an event that logs
-no action (a `begin_cycle` g, say) passes it; replaying the slice is open
-item 2 of ROADMAP.md.
+report's slice of it again as `build_report` did. The re-derivation is
+`recomputes`, which `simulator.run` also calls on each year's report
+before committing it. The walk reads the logged events and does not
+replay them, so an edit to an event that logs no action (a `begin_cycle`
+g, say) passes it; replaying the slice is open item 2 of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def commit(report_bytes: bytes, reference_link: str = "", ledger_anchor: int = 0
     )
 
 
-def _recomputes(report: dict, baseline: BaselineRef) -> bool:
+def recomputes(report: dict, baseline: BaselineRef) -> bool:
     """Whether the report's lambda and bdi_ref are the baseline's and, unless
     it carries g forward, its index fields are what its raw inputs give;
     never raises."""
@@ -256,7 +257,7 @@ def verify(
     if missing:
         discrepancies.append("SchemaIncomplete")
 
-    if baseline is not None and not _recomputes(report, baseline):
+    if baseline is not None and not recomputes(report, baseline):
         discrepancies.append("RecomputeMismatch")
 
     if event_log is not None:

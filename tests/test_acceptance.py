@@ -325,11 +325,27 @@ def _executed_cycle(vintage, baseline):
     return record, state.event_log[event_start:]
 
 
-def test_criterion_08_report_integrity(vintage, baseline):
-    # every simulated cycle must round-trip build -> commit -> verify;
-    # run() raises internally on any verification failure
+def test_criterion_08_report_integrity(monkeypatch, vintage, baseline):
+    # every simulated cycle must round-trip build -> commit -> verify; each
+    # year's report is verified against the events it was built from (an
+    # anchor of 0 cuts the slice at their end), the lapsed year included
+    built = []
+    build_report = sim.reporting.build_report
+
+    def capture(record, ledger_events, governance_log, run_baseline, *args):
+        report = build_report(record, ledger_events, governance_log,
+                              run_baseline, *args)
+        built.append((report, ledger_events, run_baseline))
+        return report
+
+    monkeypatch.setattr(sim.reporting, "build_report", capture)
     trace = sim.run(sim.Scenario(seed=8, years=3, dispute_years=(2,)))
-    assert len(trace.report_commitments) == 3
+    assert len(trace.report_commitments) == len(built) == 3
+    for report, events, run_baseline in built:
+        report_bytes = reporting.serialize(report)
+        assert reporting.verify(report_bytes, reporting.commit(report_bytes),
+                                run_baseline, events) == (True, [])
+    monkeypatch.undo()
 
     record, events = _executed_cycle(vintage, baseline)
     report = reporting.build_report(record, events, [], baseline)

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from conftest import LEDGER_WITH_DERIVED_SECTIONS
 from kladia import ledger as lg
 from kladia import reporting
+from kladia.canonical import canonical_bytes
 from kladia.cli import main
 from kladia.weo_ingest import ALL_BLOCS, DEBT_SERIES, GDP_SERIES
 
@@ -81,6 +82,7 @@ def test_index_fifty_percent_excess(runner, tmp_path):
     ])
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
+    assert result.output.encode() == canonical_bytes(payload) + b"\n"
     assert payload["bdi"] == "150.000000000"
     assert payload["g"] == "0.333333333"
     assert sum(int(w.replace(".", "")) for w in payload["weights"].values()) \
@@ -310,7 +312,8 @@ def test_verify_missing_event_log_exit_2(runner, tmp_path, monkeypatch):
         "--baseline-file", str(base),
     ])
     assert result.exit_code == 2
-    assert result.output == "warning: event log missing; reconciliation skipped\n"
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: FileNotFoundError")
 
 
 def test_second_cycle_records_the_g_in_force_as_prior(runner, tmp_path):

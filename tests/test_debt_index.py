@@ -8,10 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kladia import debt_index
 from kladia import fixedpoint as fp
 from kladia.debt_index import (
-    Band,
     BaselineRef,
-    RegimeBand,
-    classify_band,
     index_kernel,
     normalize,
     policy_factor,
@@ -266,15 +263,3 @@ def test_policy_factor_purity(vintage, observations, baseline):
     index_kernel(*kc7_columns(make_observations(
         vintage, debt={b: "300" for b in ALL_BLOCS})), baseline)
     assert index_kernel(*kc7_columns(observations), baseline) == first
-
-
-def test_classify_band():
-    bands = RegimeBand(fp.from_str("0.05"), fp.from_str("0.7"))
-    assert classify_band(0, bands) == Band.LOW
-    assert classify_band(fp.from_str("0.5"), bands) == Band.MODERATE
-    assert classify_band(fp.from_str("0.9"), bands) == Band.HIGH
-
-
-def test_band_threshold_validation():
-    with pytest.raises(ValueError):
-        RegimeBand(fp.from_str("0.8"), fp.from_str("0.7"))

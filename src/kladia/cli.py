@@ -2,8 +2,10 @@
 
 One verb per lifecycle stage: index, cycle, simulate, report, verify,
 govern, state. Exit codes: 0 success, 1 verification/policy failure,
-2 input error. The state directory is taken from --state-dir or the
-KLADIA_STATE_DIR environment variable.
+2 input error. Every verb's errors meet at one boundary, `_Kld.invoke`,
+which prints one `error: <Type>: <message>` line and picks the exit code
+from the error's class alone. The state directory is taken from
+--state-dir or the KLADIA_STATE_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import simulator as sim
 from .canonical import canonical_bytes
 from .clock import VirtualClock
 from .debt_index import BaselineRef, index_kernel
-from .errors import KladiaError, MalformedFile, NonPositiveLambda
+from .errors import InputError, KladiaError, MalformedFile, NoPriorValue
 from .policy import PolicyParams
 from .weo_ingest import (
     ALL_BLOCS,
@@ -41,6 +43,9 @@ from .weo_ingest import (
 EXIT_OK = 0
 EXIT_POLICY = 1
 EXIT_INPUT = 2
+
+# what exits 2; any other KladiaError exits 1, and anything else is a bug
+_INPUT_ERRORS = (InputError, ValueError, LookupError, TypeError, OSError)
 
 
 def _as_object(value, where: str) -> dict:
@@ -66,7 +71,18 @@ def _load_baseline(path: Path) -> BaselineRef:
     )
 
 
-@click.group()
+class _Kld(click.Group):
+    """Every verb's one error boundary: the error's class picks the exit."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (KladiaError, *_INPUT_ERRORS) as exc:
+            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(EXIT_INPUT if isinstance(exc, _INPUT_ERRORS) else EXIT_POLICY)
+
+
+@click.group(cls=_Kld)
 def main():
     """KLD debt-indexed policy engine."""
 
@@ -84,35 +100,31 @@ def main():
 def cmd_index(snapshot_file, baseline_file, vintage, publication_date,
               last_confirmed, fmt):
     """Compute weights, BDI, X and g from a snapshot file."""
-    try:
-        raw = snapshot_file.read_bytes()
-        parsed = parse_weo_snapshot(raw, vintage, date.fromisoformat(publication_date))
-        observations = parsed.observations
-        if parsed.missing():
-            if last_confirmed is None:
-                raise KladiaError(
-                    f"missing blocs {[b.value for b in parsed.missing()]} "
-                    "and no --last-confirmed file"
-                )
-            prior_data = {code: _as_object(v, f"{last_confirmed.name}: {code}")
-                          for code, v in _read_object(last_confirmed).items()}
-            prior = [
-                BlocObservation(
-                    Bloc(code),
-                    fp.from_str(v["debt_ratio"]),
-                    fp.from_str(v["nominal_gdp"]),
-                    parsed.vintage,
-                    ObservationStatus.OBSERVED,
-                )
-                for code, v in prior_data.items()
-            ]
-            observations = apply_missing_data_rule(observations, prior)
-        baseline = _load_baseline(baseline_file)
-        weights, bdi, x_norm, x_excess, g = index_kernel(
-            *kc7_columns(observations), baseline)
-    except (KladiaError, ValueError, KeyError, OSError) as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    raw = snapshot_file.read_bytes()
+    parsed = parse_weo_snapshot(raw, vintage, date.fromisoformat(publication_date))
+    observations = parsed.observations
+    if parsed.missing():
+        if last_confirmed is None:
+            raise NoPriorValue(
+                f"missing blocs {[b.value for b in parsed.missing()]} "
+                "and no --last-confirmed file"
+            )
+        prior_data = {code: _as_object(v, f"{last_confirmed.name}: {code}")
+                      for code, v in _read_object(last_confirmed).items()}
+        prior = [
+            BlocObservation(
+                Bloc(code),
+                fp.from_str(v["debt_ratio"]),
+                fp.from_str(v["nominal_gdp"]),
+                parsed.vintage,
+                ObservationStatus.OBSERVED,
+            )
+            for code, v in prior_data.items()
+        ]
+        observations = apply_missing_data_rule(observations, prior)
+    baseline = _load_baseline(baseline_file)
+    weights, bdi, x_norm, x_excess, g = index_kernel(
+        *kc7_columns(observations), baseline)
 
     payload = {
         "dataset_hash": parsed.vintage.dataset_hash,
@@ -143,40 +155,30 @@ def cmd_index(snapshot_file, baseline_file, vintage, publication_date,
               required=True)
 @click.option("--year", type=int, required=True)
 @click.option("--approvals", default="", help="comma-separated executor signers")
-@click.option("--start", default="2026-01-01T00:00:00",
-              help="virtual clock start (UTC)")
-def cmd_cycle(state_dir, submissions_dir, baseline_file, year, approvals, start):
+def cmd_cycle(state_dir, submissions_dir, baseline_file, year, approvals):
     """Run one annual cycle: intake -> median -> window -> execute."""
+    state_dir.mkdir(parents=True, exist_ok=True)
+    lock = state_dir / ".lock"
     try:
-        state_dir.mkdir(parents=True, exist_ok=True)
-        lock = state_dir / ".lock"
-        try:
-            # O_EXCL: checking and creating the lock is one atomic step
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-        except FileExistsError:
-            raise KladiaError(f"state dir is locked: {lock}") from None
-        try:
-            with os.fdopen(fd, "w") as held:
-                held.write(str(os.getpid()))
-            _run_cycle(state_dir, submissions_dir, baseline_file, year,
-                       approvals, start)
-        finally:
-            lock.unlink()
-    except (MalformedFile, NonPositiveLambda, ValueError, KeyError, OSError) as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except KladiaError as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(EXIT_POLICY)
+        # O_EXCL: checking and creating the lock is one atomic step
+        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    except FileExistsError:
+        raise KladiaError(f"state dir is locked: {lock}") from None
+    try:
+        with os.fdopen(fd, "w") as held:
+            held.write(str(os.getpid()))
+        _run_cycle(state_dir, submissions_dir, baseline_file, year, approvals)
+    finally:
+        lock.unlink()
 
 
 def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
-               year: int, approvals: str, start: str) -> None:
+               year: int, approvals: str) -> None:
     cycle_file = state_dir / f"cycle-{year}.json"
     if cycle_file.exists():
         raise KladiaError(f"year {year} is already settled: {cycle_file}")
     baseline = _load_baseline(baseline_file)
-    clock = VirtualClock(datetime.fromisoformat(start).replace(tzinfo=timezone.utc))
+    clock = VirtualClock(datetime(2026, 1, 1, tzinfo=timezone.utc))
 
     ledger_file = state_dir / "ledger.json"
     if ledger_file.exists():
@@ -241,13 +243,9 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
 @click.option("--out", type=click.Path(path_type=Path))
 def cmd_simulate(seed, years, dispute_years, out):
     """Run a deterministic scenario and print/emit the trace."""
-    try:
-        scenario = sim.Scenario(seed=seed, years=years,
-                                dispute_years=tuple(dispute_years))
-        trace = sim.run(scenario)
-    except KladiaError as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    scenario = sim.Scenario(seed=seed, years=years,
+                            dispute_years=tuple(dispute_years))
+    trace = sim.run(scenario)
     table = trace.to_table()
     if out:
         out.write_text(table)
@@ -264,44 +262,34 @@ def cmd_simulate(seed, years, dispute_years, out):
 def cmd_report(state_dir, year):
     """Print a committed cycle report."""
     path = state_dir / f"report-{year}.kldr"
-    if not path.exists():
-        click.echo(f"error: no report for year {year}", err=True)
-        sys.exit(EXIT_INPUT)
     click.echo(path.read_text())
 
 
 @main.command("verify")
 @click.argument("report_file", type=click.Path(exists=True, path_type=Path))
 @click.argument("commit_file", type=click.Path(exists=True, path_type=Path))
-@click.option("--event-log", type=click.Path(path_type=Path),
+@click.option("--event-log", type=click.Path(path_type=Path), required=True,
               help="ledger state JSON for supply reconciliation")
-@click.option("--baseline-file", type=click.Path(exists=True, path_type=Path))
+@click.option("--baseline-file", type=click.Path(exists=True, path_type=Path),
+              required=True)
 def cmd_verify(report_file, commit_file, event_log, baseline_file):
     """Verify a report against its commitment (exit 0 iff clean).
 
     The recomputation uses the baseline's lambda.
     """
-    try:
-        commit_data = _read_object(commit_file)
-        commitment = reporting.ReportCommitment(
-            commit_data["content_hash"],
-            commit_data.get("reference_link", ""),
-            commit_data.get("ledger_anchor", 0),
-        )
-        baseline = _load_baseline(baseline_file) if baseline_file else None
-        events = None
-        if event_log is not None:
-            data = _read_object(event_log)
-            if list(data) != ["event_log"] or not isinstance(data["event_log"], list):
-                raise MalformedFile(f'{event_log.name}: not {{"event_log": [...]}}')
-            events = data["event_log"]
-    except (KladiaError, ValueError, KeyError, TypeError, OSError) as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    commit_data = _read_object(commit_file)
+    commitment = reporting.ReportCommitment(
+        commit_data["content_hash"],
+        commit_data.get("reference_link", ""),
+        commit_data.get("ledger_anchor", 0),
+    )
+    baseline = _load_baseline(baseline_file)
+    data = _read_object(event_log)
+    if list(data) != ["event_log"] or not isinstance(data["event_log"], list):
+        raise MalformedFile(f'{event_log.name}: not {{"event_log": [...]}}')
 
     ok, problems = reporting.verify(
-        report_file.read_bytes(), commitment, baseline, event_log=events,
-    )
+        report_file.read_bytes(), commitment, baseline, data["event_log"])
     if ok:
         click.echo("verified: clean")
         sys.exit(EXIT_OK)
@@ -314,14 +302,10 @@ def cmd_verify(report_file, commit_file, event_log, baseline_file):
               help='JSON object of parameter -> decimal string')
 def cmd_govern(changes):
     """Check a parameter-change set against immutables and bounds."""
-    try:
-        change_map = {
-            k: fp.from_str(v)
-            for k, v in _as_object(json.loads(changes), "--changes").items()
-        }
-    except (MalformedFile, ValueError) as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    change_map = {
+        k: fp.from_str(v)
+        for k, v in _as_object(json.loads(changes), "--changes").items()
+    }
     registry = gov.GovernanceRegistry()
     snapshot = gov.VotingPowerView({"checker": 10 ** 12}, 0)
     try:
@@ -342,14 +326,7 @@ def cmd_govern(changes):
 def cmd_state(state_dir):
     """Print the current ledger snapshot and its commitment hash."""
     ledger_file = state_dir / "ledger.json"
-    if not ledger_file.exists():
-        click.echo("error: no ledger state", err=True)
-        sys.exit(EXIT_INPUT)
-    try:
-        state = ledger_mod.from_json_dict(json.loads(ledger_file.read_text()))
-    except (KladiaError, ValueError, KeyError, OSError) as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    state = ledger_mod.from_json_dict(json.loads(ledger_file.read_text()))
     click.echo(json.dumps(state.snapshot(), sort_keys=True, indent=2))
     click.echo(f"state_hash\t{state.state_hash()}")
 

@@ -1,7 +1,10 @@
 """Exception hierarchy for the policy engine.
 
-Every error raised by the engine derives from KladiaError so callers
-(CLI, simulator) can map failures to exit codes uniformly.
+Every error raised by the engine derives from KladiaError. An error's
+class alone decides how `kld` exits: an InputError (malformed or
+out-of-range input) exits 2, like a ValueError, LookupError, TypeError
+or OSError; any other KladiaError is a policy or verification failure
+and exits 1.
 """
 
 
@@ -9,31 +12,35 @@ class KladiaError(Exception):
     """Base class for all engine errors."""
 
 
+class InputError(KladiaError):
+    """The input itself is malformed or out of range."""
+
+
 # --- ingestion ---------------------------------------------------------------
 
-class MalformedFile(KladiaError):
+class MalformedFile(InputError):
     pass
 
 
-class DuplicateBloc(KladiaError):
+class DuplicateBloc(InputError):
     pass
 
 
-class NegativeValue(KladiaError):
+class NegativeValue(InputError):
     pass
 
 
-class NoPriorValue(KladiaError):
+class NoPriorValue(InputError):
     pass
 
 
 # --- index -------------------------------------------------------------------
 
-class IncompleteBlocSet(KladiaError):
+class IncompleteBlocSet(InputError):
     pass
 
 
-class BlocSetMismatch(KladiaError):
+class BlocSetMismatch(InputError):
     pass
 
 
@@ -41,7 +48,7 @@ class BaselineFrozen(KladiaError):
     """Attempted mutation of the genesis baseline."""
 
 
-class NonPositiveLambda(KladiaError):
+class NonPositiveLambda(InputError):
     pass
 
 
@@ -155,5 +162,5 @@ class IncompleteCycle(KladiaError):
 
 # --- simulator / cli ---------------------------------------------------------
 
-class ScenarioInvalid(KladiaError):
+class ScenarioInvalid(InputError):
     pass

@@ -2,10 +2,10 @@
 
 Reports serialize through the canonical form and commit to a SHA-256
 content hash. Verification checks that hash, re-derives the index chain
-from the report's own raw inputs and, given the event log, walks the
-report's slice of it again as `build_report` did. The re-derivation is
-`recomputes`, which `simulator.run` also calls on each year's report
-before committing it. The walk reads the logged events and does not
+from the report's own raw inputs under the baseline, and walks the
+report's slice of the event log again as `build_report` did. The
+re-derivation is `recomputes`, which `simulator.run` also calls on each
+year's report before committing it. The walk reads the logged events and does not
 replay them, so an edit to an event that logs no action (a `begin_cycle`
 g, say) passes it; replaying the slice is open item 2 of ROADMAP.md.
 """
@@ -228,17 +228,17 @@ def recomputes(report: dict, baseline: BaselineRef) -> bool:
 def verify(
     report_bytes: bytes,
     commitment: ReportCommitment,
-    baseline: Optional[BaselineRef] = None,
-    event_log: Optional[Sequence[dict]] = None,
+    baseline: BaselineRef,
+    event_log: Sequence[dict],
 ) -> tuple[bool, list[str]]:
     """Three-way check: hash match, internal recomputation, reconciliation.
 
-    The recomputation runs when a baseline is given, under the baseline's
-    lambda; a report whose lambda or bdi_ref is not the baseline's fails it
-    too. The reconciliation runs when the whole event log is given: the
-    report's slice of it (`_report_slice`) must walk to the report's
-    executed actions, action hashes and signer set exactly; a log without
-    that slice, or with a malformed entry, gives MalformedEventLog.
+    The recomputation runs under the baseline's lambda; a report whose
+    lambda or bdi_ref is not the baseline's fails it too. For the
+    reconciliation, the report's slice of the whole event log
+    (`_report_slice`) must walk to the report's executed actions, action
+    hashes and signer set exactly; a log without that slice, or with a
+    malformed entry, gives MalformedEventLog.
     Returns (ok, discrepancy codes); never raises on bad input.
     """
     discrepancies: list[str] = []
@@ -257,16 +257,15 @@ def verify(
     if missing:
         discrepancies.append("SchemaIncomplete")
 
-    if baseline is not None and not recomputes(report, baseline):
+    if not recomputes(report, baseline):
         discrepancies.append("RecomputeMismatch")
 
-    if event_log is not None:
-        try:
-            executed = _executed(_report_slice(event_log, commitment.ledger_anchor))
-        except (TypeError, KeyError, ValueError, AttributeError):
-            return False, discrepancies + ["MalformedEventLog"]
-        if executed != tuple(map(report.get, (
-                "executed_actions", "action_hashes", "signer_set"))):
-            discrepancies.append("SupplyReconciliationGap")
+    try:
+        executed = _executed(_report_slice(event_log, commitment.ledger_anchor))
+    except (TypeError, KeyError, ValueError, AttributeError):
+        return False, discrepancies + ["MalformedEventLog"]
+    if executed != tuple(map(report.get, (
+            "executed_actions", "action_hashes", "signer_set"))):
+        discrepancies.append("SupplyReconciliationGap")
 
     return not discrepancies, discrepancies

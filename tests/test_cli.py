@@ -135,6 +135,8 @@ def test_index_missing_bloc_without_prior_exit_2(runner, tmp_path):
         "--vintage", "2026-October", "--publication-date", "2026-10-14",
     ])
     assert result.exit_code == 2
+    assert result.output == (
+        "error: NoPriorValue: missing blocs ['KR'] and no --last-confirmed file\n")
 
 
 # --- cycle / verify ----------------------------------------------------------
@@ -291,10 +293,25 @@ def test_verify_tampered_report_exit_1(runner, tmp_path):
     report_file.write_bytes(data)
     result = runner.invoke(main, [
         "verify", str(report_file), str(state_dir / "report-2026.commit"),
+        "--event-log", str(state_dir / "ledger.json"),
         "--baseline-file", str(base),
     ])
     assert result.exit_code == 1
     assert "HashMismatch" in result.output or "RecomputeMismatch" in result.output
+
+
+@pytest.mark.parametrize("option", ["--event-log", "--baseline-file"])
+def test_verify_requires_both_inputs_exit_2(runner, tmp_path, option):
+    result, state_dir, base = run_cycle(runner, tmp_path)
+    assert result.exit_code == 0
+    args = ["verify", str(state_dir / "report-2026.kldr"),
+            str(state_dir / "report-2026.commit"),
+            "--event-log", str(state_dir / "ledger.json"),
+            "--baseline-file", str(base)]
+    i = args.index(option)
+    result = runner.invoke(main, args[:i] + args[i + 2:])
+    assert result.exit_code == 2
+    assert f"Missing option '{option}'" in result.output
 
 
 def test_verify_missing_event_log_exit_2(runner, tmp_path, monkeypatch):
@@ -350,6 +367,31 @@ def test_cycle_reads_each_submission_once(runner, tmp_path, monkeypatch):
     result, _, _ = run_cycle(runner, tmp_path)
     assert result.exit_code == 0, result.output
     assert [reads[f"{op}.json"] for op in ("op-1", "op-2", "op-3")] == [1, 1, 1]
+
+
+def test_report_prints_the_committed_bytes(runner, tmp_path):
+    result, state_dir, _ = run_cycle(runner, tmp_path)
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["report", "--state-dir", str(state_dir),
+                                  "--year", "2026"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (state_dir / "report-2026.kldr").read_bytes() + b"\n"
+
+
+def test_cycle_with_too_few_approvals_exit_1(runner, tmp_path):
+    state_dir = tmp_path / "state"
+    result = runner.invoke(main, _verb_args("cycle", tmp_path, _baseline(tmp_path))
+                           + ["--approvals", "exec-1,exec-2,exec-3,exec-4"])
+    assert result.exit_code == 1
+    assert result.output.startswith("error: InsufficientApprovals: ")
+    assert list(state_dir.iterdir()) == []
+
+
+def test_cycle_with_other_approvals_prints_the_same_line(runner, tmp_path):
+    result = runner.invoke(main, _verb_args("cycle", tmp_path, _baseline(tmp_path))
+                           + ["--approvals", ",".join(f"exec-{i}" for i in range(4, 9))])
+    assert result.exit_code == 0, result.output
+    assert result.output == CYCLE_OUTPUT
 
 
 def test_cycle_refuses_settled_year(runner, tmp_path):
@@ -642,14 +684,90 @@ def _verb_args(verb, tmp_path, base):
     report.write_text("{}")
     commit = tmp_path / "report.commit"
     commit.write_text(json.dumps({"content_hash": "0" * 64}))
+    event_log = tmp_path / "events.json"
+    event_log.write_text(json.dumps({"event_log": []}))
     return {
         "index": ["index", str(snap), "--baseline-file", str(base),
                   "--vintage", "2026-October", "--publication-date", "2026-10-14"],
         "cycle": ["cycle", "--state-dir", str(tmp_path / "state"),
                   "--submissions-dir", str(subs), "--baseline-file", str(base),
                   "--year", "2026"],
-        "verify": ["verify", str(report), str(commit), "--baseline-file", str(base)],
+        "verify": ["verify", str(report), str(commit), "--event-log", str(event_log),
+                   "--baseline-file", str(base)],
+        "report": ["report", "--state-dir", str(tmp_path), "--year", "2026"],
+        "simulate": ["simulate", "--years", "1", "--out", str(tmp_path / "trace.csv")],
+        "state": ["state", "--state-dir", str(tmp_path)],
     }[verb]
+
+
+def _baseline(tmp_path):
+    base = tmp_path / "baseline.json"
+    write_baseline(base)
+    return base
+
+
+def _edit_json(path, **fields):
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **fields)))
+
+
+# malformed input, whichever verb reads it, gives one
+# `error: <Type>: <message>` line and no traceback
+@pytest.mark.parametrize("verb, path, fields, error", [
+    ("index", "baseline.json", {"publication_date": 5}, "TypeError"),
+    ("index", "baseline.json", {"vintage_id": 7}, "TypeError"),
+    ("cycle", "baseline.json", {"publication_date": 5}, "TypeError"),
+    ("cycle", "baseline.json", {"vintage_id": 7}, "TypeError"),
+    ("cycle", "subs/op-2.json", {"vintage_id": 5}, "TypeError"),
+    ("verify", "report.kldr", None, "IsADirectoryError"),
+    ("report", "report-2026.kldr", None, "IsADirectoryError"),
+    ("simulate", "trace.csv", None, "IsADirectoryError"),
+    ("report", None, None, "FileNotFoundError"),
+    ("state", None, None, "FileNotFoundError"),
+], ids=["index-publication-date", "index-vintage-id", "cycle-publication-date",
+        "cycle-vintage-id", "cycle-submission-vintage-id", "verify-directory",
+        "report-directory", "simulate-out-directory", "report-missing-year",
+        "state-without-ledger"])
+def test_bad_input_is_one_error_line_exit_2(runner, tmp_path, verb, path, fields,
+                                            error):
+    args = _verb_args(verb, tmp_path, _baseline(tmp_path))
+    if fields is not None:
+        _edit_json(tmp_path / path, **fields)
+    elif path is not None:  # a directory where the verb reads or writes a file
+        (tmp_path / path).unlink(missing_ok=True)
+        (tmp_path / path).mkdir()
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")
+
+
+NEGATIVE_US = {b.value: "-150" if b.value == "US" else "150" for b in ALL_BLOCS}
+WITHOUT_KR = {b.value: "150" for b in ALL_BLOCS if b.value != "KR"}
+
+
+# the same fault exits the same way from every verb
+@pytest.mark.parametrize("verb, fields, line, code", [
+    ("index", None, "error: NegativeValue: US: debt_ratio < 0", 2),
+    ("cycle", {"debt_ratios": NEGATIVE_US}, "error: NegativeValue: US: debt_ratio < 0", 2),
+    ("cycle", {"debt_ratios": WITHOUT_KR}, "error: KeyError: <Bloc.KR: 'KR'>", 2),
+    ("cycle", {"g": "0.222222222"}, "error: InconsistentPayload: recomputed (bdi="
+     "150.000000000, x=1.500000000, g=0.333333333) != submitted", 1),
+], ids=["index-negative", "cycle-negative", "cycle-missing-bloc",
+        "cycle-inconsistent"])
+def test_exit_code_follows_the_error_class(runner, tmp_path, verb, fields, line, code):
+    args = _verb_args(verb, tmp_path, _baseline(tmp_path))
+    if fields is None:
+        lines = (tmp_path / "snap.csv").read_text().splitlines()
+        (tmp_path / "snap.csv").write_text("\n".join(
+            ln.replace(f"US,{DEBT_SERIES},150,", f"US,{DEBT_SERIES},-150,")
+            for ln in lines) + "\n")
+    else:
+        _edit_json(tmp_path / "subs" / "op-2.json", **fields)
+    result = runner.invoke(main, args)
+    assert result.exit_code == code
+    assert result.output == line + "\n"
+    assert not (tmp_path / "state" / "ledger.json").exists()
 
 
 @pytest.mark.parametrize("verb", ["index", "cycle", "verify"])

@@ -174,9 +174,6 @@ def cmd_cycle(state_dir, submissions_dir, baseline_file, year, approvals):
 
 def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
                year: int, approvals: str) -> None:
-    cycle_file = state_dir / f"cycle-{year}.json"
-    if cycle_file.exists():
-        raise KladiaError(f"year {year} is already settled: {cycle_file}")
     baseline = _load_baseline(baseline_file)
     clock = VirtualClock(datetime(2026, 1, 1, tzinfo=timezone.utc))
 
@@ -221,16 +218,10 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
     report_bytes = reporting.serialize(report)
     commitment = reporting.commit(report_bytes, ledger_anchor=state.n_events)
 
-    ledger_file.write_text(json.dumps(ledger_mod.to_json_dict(state)))
-    cycle_file.write_text(
-        json.dumps(record.canonical(), sort_keys=True)
-    )
+    # ledger.json, whose journal alone records a settled year, goes last
     (state_dir / f"report-{year}.kldr").write_bytes(report_bytes)
-    (state_dir / f"report-{year}.commit").write_text(
-        json.dumps({"content_hash": commitment.content_hash,
-                    "reference_link": commitment.reference_link,
-                    "ledger_anchor": commitment.ledger_anchor})
-    )
+    (state_dir / f"report-{year}.commit").write_text(json.dumps(vars(commitment)))
+    ledger_file.write_text(json.dumps(ledger_mod.to_json_dict(state)))
     click.echo(f"cycle {year}: {record.window.status.value}, "
                f"g={fp.to_str(record.confirmed_g)}, "
                f"state_hash={state.state_hash()}")

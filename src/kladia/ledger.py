@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from hashlib import sha256
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import fixedpoint as fp
 from .errors import (
@@ -65,9 +65,9 @@ class BucketKind(Enum):
     __hash__ = object.__hash__
 
 
-# `snapshot()` as canonical JSON bytes: keys and bucket names sorted, ints as
-# %d, `g_used` as `null` or an int. tests/test_ledger.py pins it against
-# canonical.content_hash(state.snapshot()).
+# the canonical JSON that `state_hash()` hashes and `snapshot()` parses: keys
+# and bucket names sorted, ints as %d, `g_used` as `null` or an int.
+# tests/test_ledger.py pins it against canonical.content_hash(state.snapshot()).
 _BUCKETS_BY_NAME = tuple(sorted(BucketKind, key=lambda k: k.value))
 _bucket_balances = itemgetter(*_BUCKETS_BY_NAME)
 _SNAPSHOT_TEMPLATE = (
@@ -206,33 +206,18 @@ class LedgerState:
 
     def snapshot(self) -> dict:
         """Canonical, hashable view (event log excluded to avoid recursion)."""
-        return {
-            "s_max": S_MAX,
-            "circulating": self.circulating,
-            # ordered by bucket name; `_value_` is the plain attribute behind
-            # the Python-level `Enum.value` property
-            "buckets": dict(sorted(
-                [(k._value_, v) for k, v in self.buckets.items()])),
-            "burned_cumulative": self.burned_cumulative,
-            "vesting": {
-                "total": self.vesting.total,
-                "released_months": self.vesting.released_months,
-                "released_total": self.vesting.released_total,
-            },
-            "month_index": self.month_index,
-            "burn_dust": self.burn_dust,
-            "issuance_used_year": self.issuance_used_year,
-            "releases_this_month": self.releases_this_month,
-            "reserve_spend_this_month": self.reserve_spend_this_month,
-            "g_used": self.annual_factors.g_used if self.annual_factors else None,
-        }
+        return json.loads(self._snapshot_bytes())
 
     def state_hash(self) -> str:
-        """SHA-256 of the canonical JSON of `snapshot()`, rendered directly."""
+        """SHA-256 of the canonical JSON of `snapshot()`."""
+        return sha256(self._snapshot_bytes()).hexdigest()
+
+    def _snapshot_bytes(self) -> bytes:
+        """`snapshot()` as canonical JSON, rendered directly from the template."""
         factors = self.annual_factors
         g_used = None if factors is None else factors.g_used
         vesting = self.vesting
-        return sha256(_SNAPSHOT_TEMPLATE % (
+        return _SNAPSHOT_TEMPLATE % (
             *_bucket_balances(self.buckets),
             self.burn_dust,
             self.burned_cumulative,
@@ -246,7 +231,7 @@ class LedgerState:
             vesting.released_months,
             vesting.released_total,
             vesting.total,
-        )).hexdigest()
+        )
 
     def check_conservation(self) -> None:
         balances = self.buckets.values()
@@ -349,6 +334,14 @@ def _vesting_due(state: LedgerState) -> bool:
             and state.vesting.released_months < VEST_MONTHS)
 
 
+def last_cycle(events: Sequence[dict], end: int) -> Optional[int]:
+    """Where the last `begin_cycle` or `carry_cycle` of `events[:end]` is, or None."""
+    for pos in range(end - 1, -1, -1):
+        if events[pos]["op"] in ("begin_cycle", "carry_cycle"):
+            return pos
+    return None
+
+
 def _check(state: Optional[LedgerState], op: str, inputs: dict,
            approvals: Iterable[str] = ()) -> tuple[dict, tuple[str, ...]]:
     """Validate `op` on `state` and return the event's full inputs and its
@@ -369,6 +362,15 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
                                      f"expected {S_MAX}")
         return {"allocations_kld": {k.value: v for k, v in alloc.items()}}, ()
 
+    if op in ("begin_cycle", "carry_cycle"):
+        # a year is settled once: its cycle must follow the last logged one
+        year = _field(inputs, "year")
+        last = last_cycle(state.journal, state.n_events)
+        if last is not None and year <= state.journal[last]["inputs"]["year"]:
+            raise KladiaError(f"year {year} is already settled, or a later one is")
+        if op == "carry_cycle":
+            return {"year": year}, ()
+
     if op == "begin_cycle":
         # the monthly escrow cap anchor is one twelfth of the 5% annual
         # escrow budget; the annual gross issuance anchor is that budget plus
@@ -384,12 +386,9 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
             state.buckets[BucketKind.ECOSYSTEM_ESCROW], ESCROW_ANNUAL_BUDGET_FRACTION)
         staking_annual = 12 * fp.scale_amount_down(
             state.buckets[BucketKind.STAKING_RESERVE], params.effective_r_base())
-        return {"g": g, "e_base": escrow_budget // 12,
+        return {"year": year, "g": g, "e_base": escrow_budget // 12,
                 "i_base": escrow_budget + staking_annual,
                 "coefficients": list(coefficients.values())}, ()
-
-    if op == "carry_cycle":
-        return {}, ()
 
     if op == "release_escrow":
         requested = _field(inputs, "requested")
@@ -548,31 +547,32 @@ def mint(state: LedgerState, amount: int) -> LedgerState:
     raise NoMintAfterGenesis("minting is permanently disabled after genesis")
 
 
-def genesis(allocations_kld: Optional[dict[BucketKind, int]] = None) -> LedgerState:
+def genesis() -> LedgerState:
     """Create the one and only supply at genesis; circulating starts at zero."""
-    alloc = allocations_kld or GENESIS_ALLOCATIONS_KLD
-    return _transition(None, "genesis",
-                       {"allocations_kld": {k.value: v for k, v in alloc.items()}})[0]
+    return _transition(None, "genesis", {"allocations_kld": {
+        k.value: v for k, v in GENESIS_ALLOCATIONS_KLD.items()}})[0]
 
 
-def begin_cycle(state: LedgerState, params: PolicyParams, g: int) -> LedgerState:
-    """Open a new annual cycle: derive per-cycle budget anchors and factors.
+def begin_cycle(state: LedgerState, params: PolicyParams, g: int,
+                year: int) -> LedgerState:
+    """Open `year`'s annual cycle: derive per-cycle budget anchors and factors.
 
-    The event logs `g`, the anchors `e_base` and `i_base`, and every other
-    coefficient the factors were derived from, as one list in `PolicyParams`
-    field order.
+    The event logs the year, which must follow the last cycle's, `g`, the
+    anchors `e_base` and `i_base`, and every other coefficient the factors
+    were derived from, as one list in `PolicyParams` field order.
     """
     return _transition(state, "begin_cycle", {
-        "g": g, "coefficients": [getattr(params, k) for k in _COEFFICIENTS]})[0]
+        "year": year, "g": g,
+        "coefficients": [getattr(params, k) for k in _COEFFICIENTS]})[0]
 
 
-def carry_cycle(state: LedgerState) -> LedgerState:
-    """Open a new annual cycle under the factors already in force.
+def carry_cycle(state: LedgerState, year: int) -> LedgerState:
+    """Open `year`'s annual cycle under the factors already in force.
 
     Used when a cycle lapses to its last confirmed g: the year's issuance
     count and this month's releases start again from zero.
     """
-    return _transition(state, "carry_cycle", {})[0]
+    return _transition(state, "carry_cycle", {"year": year})[0]
 
 
 def release_escrow(

@@ -337,11 +337,11 @@ def execute(
         raise NotExecutable("policy execution is halted by governance")
     EXECUTOR_POLICY.check(approvals, "executor")
     assert record.median_payload is not None
-    record.confirmed_g = record.median_payload.g
+    g = record.confirmed_g = record.median_payload.g
     record.carried_forward = False
     record.window.status = WindowStatus.EXECUTED
     record.executed_at = now
-    return record, begin_cycle(ledger_state, params, record.confirmed_g)
+    return record, begin_cycle(ledger_state, params, g, record.cycle_year)
 
 
 def settle_cycle(
@@ -382,8 +382,8 @@ def settle_cycle(
     if record.window.status is not WindowStatus.LAPSED:
         return execute(record, ledger_state, params, approvals, clock.now())
     if factors is None:
-        return record, begin_cycle(ledger_state, params, record.confirmed_g)
-    return record, carry_cycle(ledger_state)
+        return record, begin_cycle(ledger_state, params, record.confirmed_g, year)
+    return record, carry_cycle(ledger_state, year)
 
 
 def emergency_halt(record: CycleRecord, quorum_met: bool) -> CycleRecord:

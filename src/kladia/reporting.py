@@ -2,12 +2,12 @@
 
 Reports serialize through the canonical form and commit to a SHA-256
 content hash. Verification checks that hash, re-derives the index chain
-from the report's own raw inputs under the baseline, and walks the
-report's slice of the event log again as `build_report` did. The
-re-derivation is `recomputes`, which `simulator.run` also calls on each
-year's report before committing it. The walk reads the logged events and does not
-replay them, so an edit to an event that logs no action (a `begin_cycle`
-g, say) passes it; replaying the slice is open item 2 of ROADMAP.md.
+from the report's own raw inputs under the baseline (`recomputes`, which
+`simulator.run` also calls on each year's report before committing it),
+and compares the report with its slice of the event log: the cycle
+event's year and g, and the actions `build_report` walked. Nothing is
+replayed, so an edit to another event that logs no action passes it;
+replaying the slice is open item 2 of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from . import fixedpoint as fp
 from .canonical import canonical_bytes, sha256_hex
 from .debt_index import BaselineRef, index_kernel, weighted_bdi
 from .errors import IncompleteCycle
+from .ledger import last_cycle
 from .oracle_protocol import CycleRecord, WindowStatus
 from .weo_ingest import ALL_BLOCS, Bloc
 
@@ -100,10 +101,10 @@ def _report_slice(event_log: Sequence[dict], anchor: int) -> Sequence[dict]:
     if type(anchor) is not int or not 0 <= anchor <= len(event_log):
         raise ValueError(f"ledger anchor {anchor!r} is outside the event log")
     end = anchor or len(event_log)
-    for start in range(end - 1, -1, -1):
-        if event_log[start]["op"] in ("begin_cycle", "carry_cycle"):
-            return event_log[start:end]
-    raise ValueError(f"no cycle event before ledger anchor {end}")
+    start = last_cycle(event_log, end)
+    if start is None:
+        raise ValueError(f"no cycle event before ledger anchor {end}")
+    return event_log[start:end]
 
 
 def build_report(
@@ -234,11 +235,11 @@ def verify(
     """Three-way check: hash match, internal recomputation, reconciliation.
 
     The recomputation runs under the baseline's lambda; a report whose
-    lambda or bdi_ref is not the baseline's fails it too. For the
-    reconciliation, the report's slice of the whole event log
-    (`_report_slice`) must walk to the report's executed actions, action
-    hashes and signer set exactly; a log without that slice, or with a
-    malformed entry, gives MalformedEventLog.
+    lambda or bdi_ref is not the baseline's fails it too. The report's slice
+    of the whole event log (`_report_slice`) must walk to its executed
+    actions, action hashes and signer set exactly, and its first event must
+    log its `cycle_year` and, if a `begin_cycle`, its `g` (CycleMismatch); a
+    log without that slice, or with a malformed entry, is MalformedEventLog.
     Returns (ok, discrepancy codes); never raises on bad input.
     """
     discrepancies: list[str] = []
@@ -261,11 +262,19 @@ def verify(
         discrepancies.append("RecomputeMismatch")
 
     try:
-        executed = _executed(_report_slice(event_log, commitment.ledger_anchor))
+        events = _report_slice(event_log, commitment.ledger_anchor)
+        executed = _executed(events)
+        cycle = events[0]["inputs"]
+        g = cycle["g"] if events[0]["op"] == "begin_cycle" else None
+        if type(cycle["year"]) is not int or type(g) not in (int, type(None)):
+            raise TypeError("the cycle event's year or g is not an int")
     except (TypeError, KeyError, ValueError, AttributeError):
         return False, discrepancies + ["MalformedEventLog"]
     if executed != tuple(map(report.get, (
             "executed_actions", "action_hashes", "signer_set"))):
         discrepancies.append("SupplyReconciliationGap")
+    if cycle["year"] != report.get("cycle_year") or (
+            g is not None and fp.to_str(g) != report.get("g")):
+        discrepancies.append("CycleMismatch")
 
     return not discrepancies, discrepancies

@@ -72,8 +72,8 @@ def test_criterion_02_vesting_reproduction():
     state = lg.genesis()
     params = PolicyParams()
     vested = []
-    for _ in range(4):
-        state = lg.begin_cycle(state, params, 0)
+    for year in range(2026, 2030):
+        state = lg.begin_cycle(state, params, 0, year)
         for _ in range(12):
             state, summary = lg.advance_month(state, 0)
             vested.append(summary["vested"])
@@ -182,7 +182,7 @@ def test_criterion_05_conservation_600_months():
         else:
             g = rnd.randrange(0, fp.ONE)
         last_g = g
-        state = lg.begin_cycle(state, params, g)
+        state = lg.begin_cycle(state, params, g, 2026 + year)
 
         for _ in range(12):
             cap = state.annual_factors.escrow_cap

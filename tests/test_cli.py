@@ -156,24 +156,49 @@ def run_cycle(runner, tmp_path, tag="a"):
     return result, state_dir, base
 
 
-def test_cycle_produces_artifacts(runner, tmp_path):
+def cycle_again(runner, tmp_path, state_dir, base, year):
+    """`kld cycle --year <year>` on `run_cycle`'s state dir and submissions."""
+    return runner.invoke(main, [
+        "cycle", "--state-dir", str(state_dir), "--submissions-dir",
+        str(tmp_path / "subs-a"), "--baseline-file", str(base), "--year", str(year),
+    ])
+
+
+def verify_year(runner, state_dir, base, year):
+    return runner.invoke(main, [
+        "verify", str(state_dir / f"report-{year}.kldr"),
+        str(state_dir / f"report-{year}.commit"),
+        "--event-log", str(state_dir / "ledger.json"), "--baseline-file", str(base),
+    ])
+
+
+def cycle_years(state_dir):
+    """The year of each cycle event in the state dir's journal."""
+    log = json.loads((state_dir / "ledger.json").read_text())["event_log"]
+    return [e["inputs"]["year"] for e in log if e["op"] in ("begin_cycle", "carry_cycle")]
+
+
+def test_cycle_produces_artifacts(runner, tmp_path, monkeypatch):
+    written = []
+    for method in ("write_text", "write_bytes"):
+        def recording(self, data, _write=getattr(Path, method)):
+            written.append(self.name)
+            return _write(self, data)
+        monkeypatch.setattr(Path, method, recording)
     result, state_dir, _ = run_cycle(runner, tmp_path)
     assert result.exit_code == 0, result.output
-    assert "g=0.333333333" in result.output
-    assert (state_dir / "ledger.json").exists()
-    assert (state_dir / "cycle-2026.json").exists()
-    assert (state_dir / "report-2026.kldr").exists()
-    assert (state_dir / "report-2026.commit").exists()
-    cycle = json.loads((state_dir / "cycle-2026.json").read_text())
-    assert cycle["status"] == "Executed"
+    assert result.output.startswith("cycle 2026: Executed, g=0.333333333, ")
+    # the journal is the one record of the settled year, and is written last
+    assert written[-3:] == ["report-2026.kldr", "report-2026.commit", "ledger.json"]
+    assert sorted(f.name for f in state_dir.iterdir()) == [
+        "ledger.json", "report-2026.commit", "report-2026.kldr"]
+    assert cycle_years(state_dir) == [2026]
 
 
 # sha256 of each file `kld cycle --year 2026` leaves in a fresh state dir
 CYCLE_FILES = {
-    "cycle-2026.json":
-        "ca62d844ee9e472f2bd7f3c0c19fc88af309d38da5766fcb137fb2a904ee26b8",
     "ledger.json":
-        "15536d73cd0ea570638cf4fa6244a4aab3ad81bb429abe169df3582fec5fc76b",
+        "2c620aa4548572c4a6c7aecaba71d10e77fed67f91c3813ef3bb5378e14fc892",
     "report-2026.commit":
         "ba92e94158bf98ee46d7fc67972a274fef4e7a0e4afb5cedc6047f7f347cc403",
     "report-2026.kldr":
@@ -333,25 +358,16 @@ def test_verify_missing_event_log_exit_2(runner, tmp_path, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("error: FileNotFoundError")
 
 
-def test_second_cycle_records_the_g_in_force_as_prior(runner, tmp_path):
+def test_second_cycle_is_journaled_and_verifies(runner, tmp_path):
+    # the prior confirmed g a cycle records is pinned in
+    # tests/test_oracle_protocol.py::test_settle_cycle_executes_a_clean_window
     result, state_dir, base = run_cycle(runner, tmp_path)
     assert result.exit_code == 0, result.output
-    result = runner.invoke(main, [
-        "cycle", "--state-dir", str(state_dir), "--submissions-dir",
-        str(tmp_path / "subs-a"), "--baseline-file", str(base), "--year", "2027",
-    ])
+    result = cycle_again(runner, tmp_path, state_dir, base, 2027)
     assert result.exit_code == 0, result.output
-    cycles = [json.loads((state_dir / f"cycle-{y}.json").read_text())
-              for y in (2026, 2027)]
-    assert cycles[0]["prior_confirmed_g"] == "0.000000000"
-    assert cycles[1]["prior_confirmed_g"] == cycles[0]["confirmed_g"] == "0.333333333"
+    assert cycle_years(state_dir) == [2026, 2027]
     for year in (2026, 2027):
-        result = runner.invoke(main, [
-            "verify", str(state_dir / f"report-{year}.kldr"),
-            str(state_dir / f"report-{year}.commit"),
-            "--event-log", str(state_dir / "ledger.json"),
-            "--baseline-file", str(base),
-        ])
+        result = verify_year(runner, state_dir, base, year)
         assert result.exit_code == 0, result.output
 
 
@@ -395,18 +411,45 @@ def test_cycle_with_other_approvals_prints_the_same_line(runner, tmp_path):
 
 
 def test_cycle_refuses_settled_year(runner, tmp_path):
+    # the journal alone says the year is settled: its report files are gone
     result, state_dir, base = run_cycle(runner, tmp_path)
     assert result.exit_code == 0, result.output
     ledger_before = (state_dir / "ledger.json").read_bytes()
-    result = runner.invoke(main, [
-        "cycle", "--state-dir", str(state_dir), "--submissions-dir",
-        str(tmp_path / "subs-a"), "--baseline-file", str(base),
-        "--year", "2026",
-    ])
+    for report_file in state_dir.glob("report-2026.*"):
+        report_file.unlink()
+    result = cycle_again(runner, tmp_path, state_dir, base, 2026)
     assert result.exit_code == 1
-    assert "already settled" in result.output
+    assert result.output == (
+        "error: KladiaError: year 2026 is already settled, or a later one is\n")
     assert (state_dir / "ledger.json").read_bytes() == ledger_before
-    assert not (state_dir / ".lock").exists()
+    assert sorted(f.name for f in state_dir.iterdir()) == ["ledger.json"]
+
+
+@pytest.mark.parametrize("failing", [
+    "report-2026.kldr", "report-2026.commit", "ledger.json",
+])
+def test_cycle_rerun_after_a_failed_write_settles_the_year_once(
+        runner, tmp_path, monkeypatch, failing):
+    for method in ("write_text", "write_bytes"):
+        def failing_write(self, data, _write=getattr(Path, method)):
+            if self.name == failing:
+                raise OSError(f"injected failure writing {failing}")
+            return _write(self, data)
+        monkeypatch.setattr(Path, method, failing_write)
+    result, state_dir, base = run_cycle(runner, tmp_path)
+    assert result.exit_code == 2
+    assert result.output == (
+        f"error: OSError: injected failure writing {failing}\n")
+    assert not (state_dir / "ledger.json").exists()
+    monkeypatch.undo()
+    result = cycle_again(runner, tmp_path, state_dir, base, 2026)
+    assert result.exit_code == 0, result.output
+    assert result.output == CYCLE_OUTPUT
+    log = json.loads((state_dir / "ledger.json").read_text())["event_log"]
+    assert [e["op"] for e in log] == ["genesis", "begin_cycle"]
+    assert cycle_years(state_dir) == [2026]
+    result = verify_year(runner, state_dir, base, 2026)
+    assert result.exit_code == 0, result.output
 
 
 def cycle_on_locked_dir(runner, tmp_path):
@@ -475,7 +518,7 @@ def test_state_rejects_tampered_ledger_exit_2(runner, tmp_path):
         assert result.exit_code == 2
         assert result.output == \
             "error: MalformedFile: ledger: not what its event log replays to\n"
-    assert not (state_dir / "cycle-2027.json").exists()
+    assert not (state_dir / "report-2027.kldr").exists()
     result = runner.invoke(main, [
         "verify", str(state_dir / "report-2026.kldr"),
         str(state_dir / "report-2026.commit"),
@@ -546,7 +589,7 @@ def test_unreplayable_ledger_exit_2(runner, tmp_path, tamper):
         assert result.exit_code == 2
         errors = [ln for ln in result.output.splitlines() if ln.startswith("error:")]
         assert len(errors) == 1 and errors[0].startswith("error: MalformedFile: event ")
-    assert not (state_dir / "cycle-2027.json").exists()
+    assert not (state_dir / "report-2027.kldr").exists()
 
 
 def test_malformed_ledger_file_fails_cleanly(runner, tmp_path):

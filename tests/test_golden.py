@@ -92,7 +92,7 @@ LEDGER_RUN_STATE_HASH = (
     "5ca1969e921cfc2e5449a5a24bd3bdc591ec95460a8a0f7d29f8516ee7ffee34"
 )
 LEDGER_RUN_JSON_SHA = (
-    "52840c166fd0b6664b472f3c04e7afa3aa1c8336169df7405440bb01d74ea026"
+    "1bef105603e669ec760aa7269224e23293864832dafeb34a092996a16c00d982"
 )
 
 ESCROW_SIGNERS = tuple(f"escrow-{i}" for i in range(1, 9))
@@ -114,7 +114,8 @@ def _ledger_run() -> lg.LedgerState:
     state = lg.genesis()
     params = PolicyParams()
     for year in range(5):
-        state = lg.begin_cycle(state, params, fp.from_str(f"0.{year + 1}"))
+        state = lg.begin_cycle(state, params, fp.from_str(f"0.{year + 1}"),
+                               2026 + year)
         for month in range(12):
             state, _ = lg.release_escrow(
                 state, state.annual_factors.escrow_cap, ESCROW_SIGNERS[:5])
@@ -143,10 +144,10 @@ def test_ledger_run_golden():
 
 def _state_at(month_index: int, params: PolicyParams) -> lg.LedgerState:
     state = lg.genesis()
-    state = lg.begin_cycle(state, params, fp.from_str("0.2"))
+    state = lg.begin_cycle(state, params, fp.from_str("0.2"), 2026)
     for m in range(month_index):
         if m and m % 12 == 0:
-            state = lg.begin_cycle(state, params, fp.from_str("0.2"))
+            state = lg.begin_cycle(state, params, fp.from_str("0.2"), 2026 + m // 12)
         state, _ = lg.advance_month(state, (m + 1) * 3_333_333_333)
     return state
 

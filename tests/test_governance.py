@@ -225,7 +225,7 @@ def test_changes_only_visible_at_next_factor_derivation():
     proposal = run_vote(participation=6, yes_count=6)
     params = PolicyParams()
     state = lg.genesis()
-    state = lg.begin_cycle(state, params, fp.from_str("0.4"))
+    state = lg.begin_cycle(state, params, fp.from_str("0.4"), 2026)
     factors_before = state.annual_factors
 
     updated = gov.execute_proposal(
@@ -234,7 +234,7 @@ def test_changes_only_visible_at_next_factor_derivation():
     # mid-year: ledger factors untouched by the parameter change
     assert state.annual_factors == factors_before
     # next cycle derivation picks the new value up
-    state = lg.begin_cycle(state, updated, fp.from_str("0.4"))
+    state = lg.begin_cycle(state, updated, fp.from_str("0.4"), 2027)
     logged = lg._cycle_params(state.event_log[-1]["inputs"])
     assert logged.alpha_i == fp.from_str("0.02")
     assert state.annual_factors != factors_before

@@ -28,7 +28,7 @@ RESERVE_SIGNERS = tuple(f"reserve-{i}" for i in range(1, 8))
 
 
 def fresh_cycle(g="0.0", params=None):
-    return lg.begin_cycle(lg.genesis(), params or PolicyParams(), fp.from_str(g))
+    return lg.begin_cycle(lg.genesis(), params or PolicyParams(), fp.from_str(g), 2026)
 
 
 def _reloaded(state):
@@ -57,10 +57,11 @@ def test_genesis_allocation_exactness():
 
 
 def test_genesis_allocation_mismatch():
-    bad = dict(lg.GENESIS_ALLOCATIONS_KLD)
-    bad[BucketKind.ECOSYSTEM_ESCROW] -= 100_000_000  # 9.9B total
-    with pytest.raises(AllocationMismatch):
-        lg.genesis(bad)
+    # a stored genesis event is the one way outside allocations arrive
+    data = json.loads(json.dumps(lg.to_json_dict(lg.genesis())))
+    data["event_log"][0]["inputs"]["allocations_kld"]["EcosystemEscrow"] -= 100_000_000
+    with pytest.raises(MalformedFile, match=r"^event 0: AllocationMismatch: "):
+        lg.from_json_dict(data)
 
 
 def test_no_mint_after_genesis():
@@ -333,7 +334,7 @@ def test_carry_cycle_resets_the_year_and_keeps_balances():
     state, released = lg.release_escrow(state, 10**6, ESCROW_SIGNERS[:5])
     assert state.issuance_used_year == state.releases_this_month == released > 0
     before = copy.deepcopy(state)
-    carried = lg.carry_cycle(state)
+    carried = lg.carry_cycle(state, 2027)
     assert state == before
     assert carried.event_log[:-1] == state.event_log
     assert [e["op"] for e in carried.event_log[state.n_events:]] == ["carry_cycle"]
@@ -344,12 +345,48 @@ def test_carry_cycle_resets_the_year_and_keeps_balances():
     assert carried.annual_factors is state.annual_factors
 
 
+# --- cycle years -------------------------------------------------------------
+
+_CYCLE_OPS = {
+    "begin_cycle": lambda s, year: lg.begin_cycle(s, PolicyParams(), 0, year),
+    "carry_cycle": lg.carry_cycle,
+}
+
+
+@pytest.mark.parametrize("year", [2027, 2026])
+@pytest.mark.parametrize("op", sorted(_CYCLE_OPS))
+def test_a_cycle_year_must_follow_the_last(op, year):
+    # cycles for 2026 and 2027 are logged: 2027 repeats the last, 2026 is
+    # before it, and either is refused with the state left as it was
+    state = lg.carry_cycle(fresh_cycle(), 2027)
+    before = copy.deepcopy(state)
+    with pytest.raises(KladiaError, match=(
+            f"^year {year} is already settled, or a later one is$")) as caught:
+        _CYCLE_OPS[op](state, year)
+    assert type(caught.value) is KladiaError
+    assert state == before and len(state.journal) == state.n_events
+    assert _CYCLE_OPS[op](state, 2028).event_log[-1]["inputs"]["year"] == 2028
+
+
+@pytest.mark.parametrize("tamper, error", [
+    (lambda inputs: inputs.update(year=2026), "KladiaError: year 2026 is already settled"),
+    (lambda inputs: inputs.pop("year"), "KeyError: 'year'"),
+], ids=["repeated-year", "no-year"])
+def test_replay_refuses_a_cycle_year_that_does_not_follow(tamper, error):
+    # the second cycle event, a carry_cycle for 2027, edited in the stored log
+    state, _ = lg.advance_month(lg.carry_cycle(fresh_cycle(), 2027), 10 ** 9)
+    data = json.loads(json.dumps(lg.to_json_dict(state)))
+    tamper(data["event_log"][2]["inputs"])
+    with pytest.raises(MalformedFile, match=f"^event 2: {error}"):
+        lg.from_json_dict(data)
+
+
 # --- month transition --------------------------------------------------------
 
 def test_advance_month_noop():
     params = PolicyParams(r_base=0, b_base=0, b_max=0, beta_b=0)
     state = lg.genesis()
-    state = lg.begin_cycle(state, params, 0)
+    state = lg.begin_cycle(state, params, 0, 2026)
     before = state.snapshot()
     state, summary = lg.advance_month(state, 0)
     assert summary == {"vested": 0, "emitted": 0, "burned": 0}
@@ -362,7 +399,7 @@ def test_one_year_accumulation_matches_spreadsheet_oracle():
     params = PolicyParams(r_base=fp.from_str("0.001"),
                           b_base=fp.from_str("0.5"), beta_b=0)
     state = lg.genesis()
-    state = lg.begin_cycle(state, params, 0)
+    state = lg.begin_cycle(state, params, 0, 2026)
     fees = 1_000_000  # constant monthly fee input
 
     # independent accumulation: replay the declared flows month by month
@@ -420,7 +457,8 @@ def test_conservation_over_randomized_months():
     state = lg.genesis()
     g_values = ["0.0", "0.2", "0.5", "0.8"]
     for year in range(5):
-        state = lg.begin_cycle(state, params, fp.from_str(rng.choice(g_values)))
+        state = lg.begin_cycle(state, params, fp.from_str(rng.choice(g_values)),
+                               2026 + year)
         for _ in range(12):
             if rng.random() < 0.5:
                 try:
@@ -700,12 +738,14 @@ def test_round_trip_replays_governed_coefficients():
                {"staking_multiplier": fp.from_str("1.5"), "alpha_e": 0}]
     for year, change in enumerate(changes):
         params = params.with_changes(**change)
-        state = lg.begin_cycle(state, params, fp.from_str(f"0.{year + 2}"))
+        state = lg.begin_cycle(state, params, fp.from_str(f"0.{year + 2}"),
+                               2026 + year)
         event = state.event_log[-1]
         logged = lg._cycle_params(event["inputs"])
         assert {k: getattr(logged, k) for k in change} == change
         if change:
-            default = lg.begin_cycle(state, PolicyParams(), event["inputs"]["g"])
+            default = lg.begin_cycle(state, PolicyParams(), event["inputs"]["g"],
+                                     2027 + year)
             assert default.annual_factors != state.annual_factors
         for month in range(12):
             state, _ = lg.release_escrow(
@@ -780,7 +820,9 @@ def test_state_hash_template_matches_generic_encoder(state):
 
 
 _STEPS = {
-    "begin_cycle": lambda s, n: lg.begin_cycle(s, PolicyParams(), n % fp.ONE),
+    # a state's event count is after every year its cycles have logged
+    "begin_cycle": lambda s, n: lg.begin_cycle(s, PolicyParams(), n % fp.ONE,
+                                               s.n_events),
     "release_escrow": lambda s, n: lg.release_escrow(s, n, ESCROW_SIGNERS[:5])[0],
     "spend_reserve": lambda s, n: lg.spend_reserve(s, n, RESERVE_SIGNERS[:6])[0],
     "mark_distributed": lambda s, n: lg.mark_distributed(

@@ -406,10 +406,10 @@ DISPUTE = (op.Flag("op-1", "data-mismatch", "values off vs source"),
            op.Flag("op-2", "data-mismatch", "confirmed mismatch"))
 
 
-def settle(vintage, baseline, state, flags, clock):
+def settle(vintage, baseline, state, flags, clock, year=2026):
     subs = [submission(o, vintage, baseline, scale)
             for o, scale in zip(OPERATORS, ("1.5", "1.52", "1.48"))]
-    return op.settle_cycle(2026, subs, OPERATORS, state, PolicyParams(),
+    return op.settle_cycle(year, subs, OPERATORS, state, PolicyParams(),
                            baseline, clock, EXECUTORS[:5], flags)
 
 
@@ -421,6 +421,13 @@ def test_settle_cycle_executes_a_clean_window(vintage, baseline):
     assert record.confirmed_g == record.median_payload.g
     assert record.prior_confirmed_g == 0 != record.confirmed_g
     assert state.annual_factors.g_used == record.confirmed_g
+    assert state.event_log[-1]["inputs"]["year"] == 2026
+    # with factors in force, the prior confirmed g is the ledger's g
+    state = lg.begin_cycle(state, PolicyParams(), PRIOR_G, 2027)
+    record, state = settle(vintage, baseline, state, (), clock, 2028)
+    assert record.window.status is op.WindowStatus.EXECUTED
+    assert record.prior_confirmed_g == PRIOR_G != record.confirmed_g
+    assert state.event_log[-1]["inputs"]["year"] == 2028
 
 
 @pytest.mark.parametrize("factors_in_force", [False, True])
@@ -429,7 +436,7 @@ def test_settle_cycle_dispute_lapses_to_prior_g(vintage, baseline, factors_in_fo
     # derived at, or 0 before the first cycle
     state, prior_g = lg.genesis(), 0
     if factors_in_force:
-        state, prior_g = lg.begin_cycle(state, PolicyParams(), PRIOR_G), PRIOR_G
+        state, prior_g = lg.begin_cycle(state, PolicyParams(), PRIOR_G, 2025), PRIOR_G
     clock = VirtualClock(T0)
     record, new = settle(vintage, baseline, state, DISPUTE, clock)
     assert clock.now() == T0 + timedelta(days=15)
@@ -437,6 +444,7 @@ def test_settle_cycle_dispute_lapses_to_prior_g(vintage, baseline, factors_in_fo
     assert record.prior_confirmed_g == record.confirmed_g == prior_g
     assert record.carried_forward
     events = new.event_log[state.n_events:]
+    assert events[0]["inputs"]["year"] == 2026
     if factors_in_force:
         assert [e["op"] for e in events] == ["carry_cycle"]
         assert new.annual_factors is state.annual_factors

@@ -20,8 +20,8 @@ EXECUTORS = tuple(f"exec-{i}" for i in range(1, 9))
 ESCROW_SIGNERS = tuple(f"escrow-{i}" for i in range(1, 9))
 
 
-def executed_cycle(vintage, baseline, with_actions=True):
-    record = op.CycleRecord(cycle_year=2026, prior_confirmed_g=0)
+def executed_cycle(vintage, baseline, with_actions=True, state=None, year=2026):
+    record = op.CycleRecord(cycle_year=year, prior_confirmed_g=0)
     for operator in OPERATORS:
         payload = op.build_payload(make_observations(vintage), baseline, vintage)
         record = op.submit(
@@ -31,7 +31,7 @@ def executed_cycle(vintage, baseline, with_actions=True):
     op.aggregate_median(record, baseline)
     op.open_window(record, T0)
     record = op.resolve(record, T0 + timedelta(hours=73), None, baseline)
-    state = lg.genesis()
+    state = lg.genesis() if state is None else state
     event_start = len(state.event_log)
     record, state = op.execute(
         record, state, PolicyParams(), EXECUTORS[:5], T0 + timedelta(hours=74),
@@ -287,19 +287,51 @@ def test_verify_detects_an_edit_that_keeps_net_issuance(vintage, baseline):
 def test_verify_cuts_each_report_slice_from_the_whole_log(vintage, baseline):
     # two years with flows in both; each report is checked against the whole
     # log, cut at its own anchor back to its own begin_cycle
-    record, state, _ = executed_cycle(vintage, baseline)
+    first, state, _ = executed_cycle(vintage, baseline)
     year_end = state.n_events
-    state = lg.begin_cycle(state, PolicyParams(), record.confirmed_g)
-    state, _ = lg.release_escrow(state, 10**9, ESCROW_SIGNERS[:5])
-    state, _ = lg.advance_month(state, 10**8)
+    second, state, _ = executed_cycle(vintage, baseline, state=state, year=2027)
     log = state.event_log
-    for start, anchor in ((1, year_end), (year_end, len(log))):
+    for record, start, anchor in ((first, 1, year_end), (second, year_end, len(log))):
         report = reporting.build_report(record, log[start:anchor], [], baseline)
         assert report["executed_actions"]
         data = reporting.serialize(report)
         ok, problems = reporting.verify(
             data, reporting.commit(data, ledger_anchor=anchor), baseline, log)
         assert ok, problems
+
+
+def _raised_g(cycle):
+    cycle["inputs"]["g"] += 10 ** 8
+
+
+def _string_year(cycle):
+    cycle["inputs"]["year"] = str(cycle["inputs"]["year"])
+
+
+@pytest.mark.parametrize("tamper, code", [
+    (_raised_g, "CycleMismatch"),
+    (None, "CycleMismatch"),             # the begin_cycle deleted
+    (_string_year, "MalformedEventLog"),
+])
+def test_verify_ties_a_report_to_its_cycle_event(vintage, baseline, tamper, code):
+    # three years without actions, and 2027's report checked against the
+    # whole log: a deleted begin_cycle puts 2028's in its place, so the
+    # report's actions (none) still match its slice
+    state, records = None, []
+    for year in (2026, 2027, 2028):
+        record, state, _ = executed_cycle(vintage, baseline, False, state, year)
+        records.append(record)
+    log = json.loads(json.dumps(state.event_log))
+    assert [e["op"] for e in log[1:]] == ["begin_cycle"] * 3
+    data = reporting.serialize(
+        reporting.build_report(records[1], log[2:3], [], baseline))
+    commitment = reporting.commit(data, ledger_anchor=3)
+    assert reporting.verify(data, commitment, baseline, log) == (True, [])
+    if tamper is None:
+        del log[2]
+    else:
+        tamper(log[2])
+    assert reporting.verify(data, commitment, baseline, log) == (False, [code])
 
 
 def test_verify_rejects_non_object_report(baseline):

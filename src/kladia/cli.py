@@ -27,7 +27,8 @@ from . import simulator as sim
 from .canonical import canonical_bytes
 from .clock import VirtualClock
 from .debt_index import BaselineRef, index_kernel
-from .errors import InputError, KladiaError, MalformedFile, NoPriorValue
+from .errors import (IncompleteBlocSet, InputError, KladiaError, MalformedFile,
+                     NoPriorValue)
 from .policy import PolicyParams
 from .weo_ingest import (
     ALL_BLOCS,
@@ -56,6 +57,18 @@ def _as_object(value, where: str) -> dict:
 
 def _read_object(path: Path) -> dict:
     return _as_object(json.loads(path.read_text()), path.name)
+
+
+_KC7_CODES = {b.value for b in ALL_BLOCS}
+
+
+def _bloc_values(data: dict, key: str, where: str) -> dict[Bloc, int]:
+    """`data[key]`: an object of a decimal for exactly each KC7 bloc code."""
+    values = _as_object(data[key], f"{where}: {key}")
+    if values.keys() != _KC7_CODES:
+        raise IncompleteBlocSet(
+            f"{where}: {key}: need exactly the KC7 set, got {list(values)}")
+    return {Bloc(k): fp.from_str(v) for k, v in values.items()}
 
 
 def _load_baseline(path: Path) -> BaselineRef:
@@ -185,13 +198,12 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
 
     submissions = []
     for sub_file in sorted(submissions_dir.glob("*.json")):
-        data = _read_object(sub_file)
-        debt_ratios, nominal_gdps = (
-            _as_object(data[key], f"{sub_file.name}: {key}")
-            for key in ("debt_ratios", "nominal_gdps"))
+        data, where = _read_object(sub_file), sub_file.name
+        if not isinstance(data["operator_id"], str):
+            raise MalformedFile(f"{where}: operator_id: not a string")
         payload = oracle.SubmissionPayload(
-            debt_ratios={Bloc(k): fp.from_str(v) for k, v in debt_ratios.items()},
-            nominal_gdps={Bloc(k): fp.from_str(v) for k, v in nominal_gdps.items()},
+            debt_ratios=_bloc_values(data, "debt_ratios", where),
+            nominal_gdps=_bloc_values(data, "nominal_gdps", where),
             bdi=fp.from_str(data["bdi"]),
             x_norm=fp.from_str(data["x_norm"]),
             g=fp.from_str(data["g"]),

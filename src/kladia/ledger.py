@@ -9,9 +9,10 @@ release, staking emission and fee burn in their fixed order, and its apply
 moves them and rolls the month. A stored ledger is its event log alone, and
 is loaded by replaying that log from genesis through the same check and
 apply, so it is valid exactly when it is what its own log replays to. The
-supply cap, the signer policies and the vesting schedule are constants of
-the mechanism, not state. There is no mint operation and no inverse of burn
-anywhere on the public surface.
+state keeps only what that log does not fix: the supply cap, the genesis
+table, the signer policies and the vesting schedule are constants of the
+mechanism, and the team tokens vested so far follow from the month. There
+is no mint operation and no inverse of burn anywhere on the public surface.
 """
 
 from __future__ import annotations
@@ -89,6 +90,19 @@ GENESIS_ALLOCATIONS_KLD: dict[BucketKind, int] = {
     BucketKind.LIQUIDITY_PARTNERSHIPS: 150_000_000,
     BucketKind.LEGAL_TREASURY: 50_000_000,
 }
+# the published table as a genesis event logs it; `_check` accepts no other
+_GENESIS_KLD = {k.value: v for k, v in GENESIS_ALLOCATIONS_KLD.items()}
+VEST_TOTAL = GENESIS_ALLOCATIONS_KLD[BucketKind.TEAM_VESTING] * UNIT
+
+
+def _team_vesting(months: int) -> tuple[int, int]:
+    """The team releases made, and the tokens they released, once `months`
+    months are complete: none through the cliff, then floor(VEST_TOTAL/36)
+    a release, the 36th sweeping in the remainder."""
+    releases = min(max(0, months - CLIFF_MONTHS), VEST_MONTHS)
+    if releases == VEST_MONTHS:
+        return releases, VEST_TOTAL
+    return releases, releases * (VEST_TOTAL // VEST_MONTHS)
 
 
 @dataclass(frozen=True)
@@ -127,30 +141,15 @@ POLICIES: dict[BucketKind, ApprovalPolicy] = {
 
 
 @dataclass
-class VestingSchedule:
-    total: int = GENESIS_ALLOCATIONS_KLD[BucketKind.TEAM_VESTING] * UNIT
-    released_months: int = 0
-    released_total: int = 0
-
-    def monthly_amount(self, release_number: int) -> int:
-        """Releases 1..35 are floor(T/36); release 36 sweeps the remainder."""
-        base = self.total // VEST_MONTHS
-        if release_number < VEST_MONTHS:
-            return base
-        return self.total - base * (VEST_MONTHS - 1)
-
-
-@dataclass
 class LedgerState:
     circulating: int
     buckets: dict[BucketKind, int]
     burned_cumulative: int
-    vesting: VestingSchedule
     month_index: int                       # completed months since genesis
     annual_factors: Optional[PolicyFactors]
     releases_this_month: int
     reserve_spend_this_month: int
-    relockable: dict[BucketKind, int] = field(default_factory=dict)
+    relockable: int = 0                    # this month's undistributed escrow release
     burn_dust: int = 0                     # 1/SCALE base-unit remainders
     issuance_used_year: int = 0
     # append-only event list shared with clones; this state's history is
@@ -182,22 +181,19 @@ class LedgerState:
     def clone(self) -> "LedgerState":
         """A copy that a transition may change in place.
 
-        Only `buckets`, `relockable` and `vesting`, the containers a
-        transition mutates, are copied. Every other field is an int or an
-        immutable value, or is shared: the append-only journal, which `_log`
-        forks rather than append past another branch's events.
+        Only `buckets`, the one container a transition mutates, is copied.
+        Every other field is an int or an immutable value, or is shared: the
+        append-only journal, which `_log` forks rather than append past
+        another branch's events.
 
         The arguments are positional, in field order, because keywords cost
         more. A copy of `__dict__` is cheaper to make, but every later
         attribute read on it is slower, and a transition reads many.
         """
-        vesting = self.vesting
         return LedgerState(
             self.circulating, self.buckets.copy(), self.burned_cumulative,
-            VestingSchedule(vesting.total, vesting.released_months,
-                            vesting.released_total),
             self.month_index, self.annual_factors, self.releases_this_month,
-            self.reserve_spend_this_month, self.relockable.copy(),
+            self.reserve_spend_this_month, self.relockable,
             self.burn_dust, self.issuance_used_year, self.journal, self.n_events,
         )
 
@@ -213,10 +209,10 @@ class LedgerState:
         return sha256(self._snapshot_bytes()).hexdigest()
 
     def _snapshot_bytes(self) -> bytes:
-        """`snapshot()` as canonical JSON, rendered directly from the template."""
+        """`snapshot()` as canonical JSON, rendered directly from the template;
+        its vesting section follows from the month."""
         factors = self.annual_factors
         g_used = None if factors is None else factors.g_used
-        vesting = self.vesting
         return _SNAPSHOT_TEMPLATE % (
             *_bucket_balances(self.buckets),
             self.burn_dust,
@@ -228,9 +224,8 @@ class LedgerState:
             self.releases_this_month,
             self.reserve_spend_this_month,
             S_MAX,
-            vesting.released_months,
-            vesting.released_total,
-            vesting.total,
+            *_team_vesting(self.month_index),
+            VEST_TOTAL,
         )
 
     def check_conservation(self) -> None:
@@ -327,13 +322,6 @@ def _field(inputs: dict, name: str, kind: type = int):
     return value
 
 
-def _vesting_due(state: LedgerState) -> bool:
-    """Whether the month being processed owes a vesting release: the month
-    is month_index + 1, months 1-12 are the cliff, releases run months 13-48."""
-    return (state.month_index >= CLIFF_MONTHS
-            and state.vesting.released_months < VEST_MONTHS)
-
-
 def last_cycle(events: Sequence[dict], end: int) -> Optional[int]:
     """Where the last `begin_cycle` or `carry_cycle` of `events[:end]` is, or None."""
     for pos in range(end - 1, -1, -1):
@@ -353,14 +341,10 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
     """
     if op == "genesis":
         kld = inputs["allocations_kld"]
-        alloc = {BucketKind(k): _field(kld, k) for k in kld}
-        if len(alloc) != len(BucketKind):
-            raise AllocationMismatch("allocations must cover every bucket exactly once")
-        total = sum(alloc.values()) * UNIT
-        if total != S_MAX:
-            raise AllocationMismatch(f"allocations sum to {total} base units, "
-                                     f"expected {S_MAX}")
-        return {"allocations_kld": {k.value: v for k, v in alloc.items()}}, ()
+        alloc = {k: _field(kld, k) for k in kld}
+        if alloc != _GENESIS_KLD:
+            raise AllocationMismatch("allocations are not the published genesis table")
+        return {"allocations_kld": alloc}, ()
 
     if op in ("begin_cycle", "carry_cycle"):
         # a year is settled once: its cycle must follow the last logged one
@@ -421,9 +405,11 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
         return {"amount": amount, "guideline_exceeded":
                 state.reserve_spend_this_month + amount > guideline_cap}, valid
 
+    # only escrow releases can be taken back: every other bucket has none
     if op == "mark_distributed":
         bucket, amount = BucketKind(inputs["bucket"]), _field(inputs, "amount")
-        if amount < 0 or amount > state.relockable.get(bucket, 0):
+        relockable = state.relockable if bucket is BucketKind.ECOSYSTEM_ESCROW else 0
+        if amount < 0 or amount > relockable:
             raise ValueError("distributed amount exceeds relockable balance")
         return {"bucket": bucket.value, "amount": amount}, ()
 
@@ -431,12 +417,11 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
         bucket, amount = BucketKind(inputs["bucket"]), _field(inputs, "amount")
         if amount <= 0:
             raise ValueError("relock amount must be positive")
-        relockable = state.relockable.get(bucket, 0)
-        if bucket is not BucketKind.ECOSYSTEM_ESCROW and not relockable:
+        if bucket is not BucketKind.ECOSYSTEM_ESCROW:
             raise CrossBucketRelock(f"no released tokens originate from {bucket.value}")
-        if amount > relockable:
+        if amount > state.relockable:
             raise RelockExceedsRelease(f"relock {amount} exceeds undistributed "
-                                       f"release {relockable}")
+                                       f"release {state.relockable}")
         return {"bucket": bucket.value, "amount": amount,
                 "justification": _field(inputs, "justification", str)}, ()
 
@@ -450,9 +435,8 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
         factors = state.annual_factors
         if factors is None:
             raise ZeroCap("no active cycle factors; call begin_cycle first")
-        vesting = state.vesting
-        vested = (vesting.monthly_amount(vesting.released_months + 1)
-                  if _vesting_due(state) else 0)
+        vested = (_team_vesting(state.month_index + 1)[1]
+                  - _team_vesting(state.month_index)[1])
         emitted = min(
             fp.scale_amount_down(state.buckets[BucketKind.STAKING_RESERVE],
                                  factors.staking_rate),
@@ -469,13 +453,11 @@ def _apply(state: Optional[LedgerState], op: str, inputs: dict) -> LedgerState:
     makes the state. Pure bookkeeping: no hash, no log, and no check but
     PolicyParams' own on a begin_cycle's anchors, before any change."""
     if op == "genesis":
-        balances = {BucketKind(k): v * UNIT
-                    for k, v in inputs["allocations_kld"].items()}
         return LedgerState(
-            circulating=0, buckets=balances, burned_cumulative=0,
-            vesting=VestingSchedule(total=balances[BucketKind.TEAM_VESTING]),
-            month_index=0, annual_factors=None, releases_this_month=0,
-            reserve_spend_this_month=0, relockable=dict.fromkeys(BucketKind, 0),
+            circulating=0, buckets={BucketKind(k): v * UNIT for k, v in
+                                    inputs["allocations_kld"].items()},
+            burned_cumulative=0, month_index=0, annual_factors=None,
+            releases_this_month=0, reserve_spend_this_month=0,
         )
     buckets = state.buckets
     if op == "begin_cycle":
@@ -490,26 +472,23 @@ def _apply(state: Optional[LedgerState], op: str, inputs: dict) -> LedgerState:
         state.circulating += released
         state.releases_this_month += released
         state.issuance_used_year += released
-        state.relockable[BucketKind.ECOSYSTEM_ESCROW] += released
+        state.relockable += released
     elif op == "spend_reserve":
         amount = inputs["amount"]
         buckets[BucketKind.COMPANY_RESERVE] -= amount
         state.circulating += amount
         state.reserve_spend_this_month += amount
     elif op == "mark_distributed":
-        state.relockable[BucketKind(inputs["bucket"])] -= inputs["amount"]
+        state.relockable -= inputs["amount"]
     elif op == "relock":
-        bucket, amount = BucketKind(inputs["bucket"]), inputs["amount"]
-        buckets[bucket] += amount
+        amount = inputs["amount"]
+        buckets[BucketKind.ECOSYSTEM_ESCROW] += amount
         state.circulating -= amount
-        state.relockable[bucket] -= amount
+        state.relockable -= amount
     elif op == "advance_month":
         # the month's flows, then the month roll (counter, monthly resets and
         # the burn dust, which the fee pool after vesting and emission gives)
         vested, emitted, burned = inputs["vested"], inputs["emitted"], inputs["burned"]
-        if _vesting_due(state):
-            state.vesting.released_months += 1
-            state.vesting.released_total += vested
         buckets[BucketKind.TEAM_VESTING] -= vested
         buckets[BucketKind.STAKING_RESERVE] -= emitted
         state.issuance_used_year += emitted
@@ -520,7 +499,7 @@ def _apply(state: Optional[LedgerState], op: str, inputs: dict) -> LedgerState:
         state.month_index += 1
         state.releases_this_month = 0
         state.reserve_spend_this_month = 0
-        state.relockable = dict.fromkeys(state.relockable, 0)
+        state.relockable = 0
     return state
 
 
@@ -549,8 +528,7 @@ def mint(state: LedgerState, amount: int) -> LedgerState:
 
 def genesis() -> LedgerState:
     """Create the one and only supply at genesis; circulating starts at zero."""
-    return _transition(None, "genesis", {"allocations_kld": {
-        k.value: v for k, v in GENESIS_ALLOCATIONS_KLD.items()}})[0]
+    return _transition(None, "genesis", {"allocations_kld": _GENESIS_KLD})[0]
 
 
 def begin_cycle(state: LedgerState, params: PolicyParams, g: int,

@@ -150,7 +150,6 @@ class CycleRecord:
     confirmed_g: Optional[int] = None
     carried_forward: bool = False
     halted: bool = False
-    executed_at: Optional[datetime] = None
 
     def canonical(self) -> dict:
         return {
@@ -325,7 +324,6 @@ def execute(
     ledger_state: LedgerState,
     params: PolicyParams,
     approvals: Iterable[str],
-    now: datetime,
 ) -> tuple[CycleRecord, LedgerState]:
     """Confirm the median g and refresh the ledger's annual factors.
 
@@ -340,7 +338,6 @@ def execute(
     g = record.confirmed_g = record.median_payload.g
     record.carried_forward = False
     record.window.status = WindowStatus.EXECUTED
-    record.executed_at = now
     return record, begin_cycle(ledger_state, params, g, record.cycle_year)
 
 
@@ -380,7 +377,7 @@ def settle_cycle(
         clock.advance_hours(73)
     record = resolve(record, clock.now(), None, baseline)
     if record.window.status is not WindowStatus.LAPSED:
-        return execute(record, ledger_state, params, approvals, clock.now())
+        return execute(record, ledger_state, params, approvals)
     if factors is None:
         return record, begin_cycle(ledger_state, params, record.confirmed_g, year)
     return record, carry_cycle(ledger_state, year)

@@ -46,9 +46,10 @@ _BLOC_BY_CODE = {b.value: b for b in ALL_BLOCS}
 _CANONICAL_SERIES = (DEBT_SERIES, GDP_SERIES)
 
 _VINTAGE_RE = re.compile(
-    r"^(?P<year>\d{4})-(?P<month>January|February|March|April|May|June|July|"
-    r"August|September|October|November|December)$"
+    r"(?P<year>\d{4})-(?P<month>January|February|March|April|May|June|July|"
+    r"August|September|October|November|December)"
 )
+_SHA256_HEX_RE = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,12 @@ class WeoVintage:
     dataset_hash: str         # sha256 of the raw snapshot bytes, lowercase hex
 
     def __post_init__(self):
-        if not _VINTAGE_RE.match(self.vintage_id):
+        if not (isinstance(self.vintage_id, str)
+                and _VINTAGE_RE.fullmatch(self.vintage_id)):
             raise MalformedFile(f"bad vintage id: {self.vintage_id!r}")
+        if not (isinstance(self.dataset_hash, str)
+                and _SHA256_HEX_RE.fullmatch(self.dataset_hash)):
+            raise MalformedFile(f"bad dataset hash: {self.dataset_hash!r}")
 
 
 class ObservationStatus(Enum):

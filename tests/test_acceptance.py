@@ -241,8 +241,7 @@ def test_criterion_06_challenge_window_gating(vintage, baseline):
         record = op.resolve(record, pre, None, baseline)
         assert record.window.status is op.WindowStatus.OPEN
         with pytest.raises(NotExecutable):
-            op.execute(record, shared_ledger, PolicyParams(),
-                       EXECUTORS[:5], pre)
+            op.execute(record, shared_ledger, PolicyParams(), EXECUTORS[:5])
         early_attempts += 1
 
         if rnd.random() < 0.5:
@@ -318,8 +317,7 @@ def _executed_cycle(vintage, baseline):
     record = op.resolve(record, T0 + timedelta(hours=73), None, baseline)
     state = lg.genesis()
     event_start = len(state.event_log)
-    record, state = op.execute(record, state, PolicyParams(),
-                               EXECUTORS[:5], T0 + timedelta(hours=74))
+    record, state = op.execute(record, state, PolicyParams(), EXECUTORS[:5])
     state, _ = lg.release_escrow(state, 10**9, ESCROW_SIGNERS)
     state, _ = lg.advance_month(state, 10**8)
     return record, state.event_log[event_start:]

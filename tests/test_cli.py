@@ -757,10 +757,10 @@ def _edit_json(path, **fields):
 # `error: <Type>: <message>` line and no traceback
 @pytest.mark.parametrize("verb, path, fields, error", [
     ("index", "baseline.json", {"publication_date": 5}, "TypeError"),
-    ("index", "baseline.json", {"vintage_id": 7}, "TypeError"),
+    ("index", "baseline.json", {"vintage_id": 7}, "MalformedFile"),
     ("cycle", "baseline.json", {"publication_date": 5}, "TypeError"),
-    ("cycle", "baseline.json", {"vintage_id": 7}, "TypeError"),
-    ("cycle", "subs/op-2.json", {"vintage_id": 5}, "TypeError"),
+    ("cycle", "baseline.json", {"vintage_id": 7}, "MalformedFile"),
+    ("cycle", "subs/op-2.json", {"vintage_id": 5}, "MalformedFile"),
     ("verify", "report.kldr", None, "IsADirectoryError"),
     ("report", "report-2026.kldr", None, "IsADirectoryError"),
     ("simulate", "trace.csv", None, "IsADirectoryError"),
@@ -793,7 +793,9 @@ WITHOUT_KR = {b.value: "150" for b in ALL_BLOCS if b.value != "KR"}
 @pytest.mark.parametrize("verb, fields, line, code", [
     ("index", None, "error: NegativeValue: US: debt_ratio < 0", 2),
     ("cycle", {"debt_ratios": NEGATIVE_US}, "error: NegativeValue: US: debt_ratio < 0", 2),
-    ("cycle", {"debt_ratios": WITHOUT_KR}, "error: KeyError: <Bloc.KR: 'KR'>", 2),
+    ("cycle", {"debt_ratios": WITHOUT_KR}, "error: IncompleteBlocSet: op-2.json: "
+     "debt_ratios: need exactly the KC7 set, got ['US', 'EA20', 'JP', 'UK', 'CA', "
+     "'AU']", 2),
     ("cycle", {"g": "0.222222222"}, "error: InconsistentPayload: recomputed (bdi="
      "150.000000000, x=1.500000000, g=0.333333333) != submitted", 1),
 ], ids=["index-negative", "cycle-negative", "cycle-missing-bloc",
@@ -810,6 +812,30 @@ def test_exit_code_follows_the_error_class(runner, tmp_path, verb, fields, line,
     result = runner.invoke(main, args)
     assert result.exit_code == code
     assert result.output == line + "\n"
+    assert not (tmp_path / "state" / "ledger.json").exists()
+
+
+# a submission field of the wrong type or bloc set is refused before any
+# cycle runs, by the file and field it is in, or by the vintage it makes
+@pytest.mark.parametrize("fields, line", [
+    ({"operator_id": 5}, "MalformedFile: op-2.json: operator_id: not a string"),
+    ({"vintage_id": "2026-October\n"},
+     "MalformedFile: bad vintage id: '2026-October\\n'"),
+    ({"dataset_hash": 5}, "MalformedFile: bad dataset hash: 5"),
+    ({"dataset_hash": HASH.upper()},
+     f"MalformedFile: bad dataset hash: '{HASH.upper()}'"),
+    ({"dataset_hash": HASH[:-1]}, f"MalformedFile: bad dataset hash: '{HASH[:-1]}'"),
+    ({"nominal_gdps": dict({b.value: "2000" for b in ALL_BLOCS}, XX="2000")},
+     "IncompleteBlocSet: op-2.json: nominal_gdps: need exactly the KC7 set, got "
+     "['US', 'EA20', 'JP', 'UK', 'CA', 'AU', 'KR', 'XX']"),
+], ids=["operator-id", "vintage-id-newline", "dataset-hash", "dataset-hash-upper-case",
+        "dataset-hash-short", "nominal-gdps-unknown-bloc"])
+def test_bad_submission_field_exit_2(runner, tmp_path, fields, line):
+    args = _verb_args("cycle", tmp_path, _baseline(tmp_path))
+    _edit_json(tmp_path / "subs" / "op-2.json", **fields)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output == f"error: {line}\n"
     assert not (tmp_path / "state" / "ledger.json").exists()
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import LEDGER_WITH_DERIVED_SECTIONS
 from kladia import fixedpoint as fp
+from kladia import governance as gov
 from kladia import ledger as lg
 from kladia.canonical import content_hash
 from kladia.errors import (
@@ -64,6 +65,20 @@ def test_genesis_allocation_mismatch():
         lg.from_json_dict(data)
 
 
+def test_genesis_must_be_the_published_table():
+    # two buckets swapped keep the sum and cover every bucket once; logged
+    # with the state hash they give, only the check can refuse them
+    swapped = dict(lg.to_json_dict(lg.genesis())["event_log"][0]["inputs"]
+                   ["allocations_kld"], TeamVesting=500_000_000,
+                   CommunityAirdrop=2_500_000_000)
+    with pytest.raises(AllocationMismatch):
+        lg._check(None, "genesis", {"allocations_kld": swapped})
+    events = [{"op": "genesis", "inputs": {"allocations_kld": swapped},
+               "approvals": []}]
+    with pytest.raises(MalformedFile, match=r"^event 0: AllocationMismatch: "):
+        lg.from_json_dict(_rehashed(events))
+
+
 def test_no_mint_after_genesis():
     state = lg.genesis()
     with pytest.raises(NoMintAfterGenesis):
@@ -83,6 +98,11 @@ def test_public_surface_has_no_unburn_or_mint_path():
 
 # --- vesting -----------------------------------------------------------------
 
+def vesting(state):
+    """The state's vesting section, as its state hash covers it."""
+    return state.snapshot()["vesting"]
+
+
 def month_13_state():
     state = fresh_cycle()
     new = state.clone()
@@ -94,8 +114,9 @@ def test_vest_month_13_amount():
     state, summary = lg.advance_month(month_13_state(), 0)
     # floor(2.5e15 / 36) base units = 69,444,444.444444 KLD
     assert summary["vested"] == 69_444_444_444_444
-    assert state.vesting.released_months == 1
-    assert state.vesting.released_total == summary["vested"]
+    assert vesting(state) == {"released_months": 1,
+                              "released_total": summary["vested"],
+                              "total": lg.VEST_TOTAL}
     assert state.circulating == summary["vested"] + summary["emitted"]
 
 
@@ -106,17 +127,17 @@ def test_vest_cliff_active():
     state.month_index = 11  # month 12 in progress
     state, summary = lg.advance_month(state, 0)
     assert summary["vested"] == 0
-    assert state.vesting.released_months == 0
+    assert vesting(state)["released_months"] == 0
     state, summary = lg.advance_month(state, 0)
     assert summary["vested"] > 0
-    assert state.vesting.released_months == 1
+    assert vesting(state)["released_months"] == 1
 
 
 def test_vest_total_exact_telescoping():
-    # independent oracle: accumulate the 36 scheduled amounts directly
-    schedule = lg.VestingSchedule()
-    amounts = [schedule.monthly_amount(n) for n in range(1, 37)]
-    assert sum(amounts) == 2_500_000_000 * lg.UNIT
+    # independent oracle: 35 releases of floor(T/36), then the remainder
+    total = 2_500_000_000 * lg.UNIT
+    amounts = [total // 36] * 35 + [total - 35 * (total // 36)]
+    assert sum(amounts) == total == lg.VEST_TOTAL
     assert all(a == amounts[0] for a in amounts[:-1])
     assert amounts[-1] >= amounts[0]
 
@@ -126,13 +147,13 @@ def test_vest_total_exact_telescoping():
         state, summary = lg.advance_month(state, 0)
         vested.append(summary["vested"])
     assert vested == amounts
-    assert state.vesting.released_total == 2_500_000_000 * lg.UNIT
+    assert vesting(state)["released_total"] == 2_500_000_000 * lg.UNIT
     assert state.buckets[BucketKind.TEAM_VESTING] == 0
     # months 49 on vest nothing
     for _ in range(3):
         state, summary = lg.advance_month(state, 0)
         assert summary["vested"] == 0
-    assert state.vesting.released_months == 36
+    assert vesting(state)["released_months"] == 36
 
 
 def test_no_vesting_during_cliff_via_advance_month():
@@ -140,7 +161,8 @@ def test_no_vesting_during_cliff_via_advance_month():
     for _ in range(12):
         state, summary = lg.advance_month(state, 0)
         assert summary["vested"] == 0
-    assert state.vesting.released_total == 0
+    assert vesting(state)["released_total"] == 0
+    assert state.buckets[BucketKind.TEAM_VESTING] == lg.VEST_TOTAL
 
 
 # --- escrow release ----------------------------------------------------------
@@ -325,6 +347,18 @@ def test_relock_exceeds_release():
     state, _ = lg.release_escrow(state, 100, ESCROW_SIGNERS[:5])
     with pytest.raises(RelockExceedsRelease):
         lg.relock(state, 150, BucketKind.ECOSYSTEM_ESCROW, "too much")
+
+
+def test_mark_distributed_of_another_bucket_has_nothing_to_distribute():
+    state = fresh_cycle()
+    state, _ = lg.release_escrow(state, 100, ESCROW_SIGNERS[:5])
+    with pytest.raises(ValueError, match="exceeds relockable balance"):
+        lg.mark_distributed(state, BucketKind.COMPANY_RESERVE, 1)
+    after = lg.mark_distributed(state, BucketKind.COMPANY_RESERVE, 0)
+    assert after.event_log[:-1] == state.event_log
+    assert after.event_log[-1]["inputs"] == {"bucket": "CompanyReserve", "amount": 0}
+    assert after.state_hash() == state.state_hash()
+    assert after.relockable == state.relockable == 100
 
 
 # --- lapsed cycle ------------------------------------------------------------
@@ -800,14 +834,11 @@ def ledger_states(draw):
         circulating=draw(_AMOUNT),
         buckets={k: draw(_AMOUNT) for k in kinds},
         burned_cumulative=draw(_AMOUNT),
-        vesting=lg.VestingSchedule(
-            total=draw(_AMOUNT), released_months=draw(_AMOUNT),
-            released_total=draw(_AMOUNT),
-        ),
         month_index=draw(_AMOUNT),
         annual_factors=factors,
         releases_this_month=draw(_AMOUNT),
         reserve_spend_this_month=draw(_AMOUNT),
+        relockable=draw(_AMOUNT),
         burn_dust=draw(st.integers(-2**64, 2**64)),
         issuance_used_year=draw(_AMOUNT),
     )
@@ -887,16 +918,100 @@ def test_reserve_month_start_balance_matches_a_stored_one(steps):
         kept.append((state, stored))
 
 
+def _months(state, n):
+    """`state` after `n` fee-free months."""
+    for _ in range(n):
+        state, _ = lg.advance_month(state, 0)
+    return state
+
+
+_VESTING_STEPS = dict(_STEPS, year=lambda s, n: _months(s, 12))
+
+
+def _stored_vesting(months, released, start, end):
+    """A vesting schedule stored the way it used to be, carried from month
+    index `start` to `end`: past the 12-month cliff each month counts one
+    release and adds floor(T/36), until the 36th adds the remainder instead."""
+    total = 2_500_000_000 * lg.UNIT
+    for month in range(start, end):
+        if month >= 12 and months < 36:
+            months += 1
+            released += total // 36 if months < 36 else total - 35 * (total // 36)
+    return months, released
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 60), st.lists(
+    st.tuples(st.sampled_from(sorted(_VESTING_STEPS)), st.integers(0, 10**14),
+              st.integers(0, 3)),
+    max_size=40,
+))
+def test_vesting_matches_a_stored_schedule(start, steps):
+    # from `start` months into the first cycle, each step starts from the
+    # newest state or one up to three before it, so states branch
+    state = _months(fresh_cycle(), start)
+    kept = [(state, *_stored_vesting(0, 0, 0, start))]
+    for name, amount, back in steps:
+        source, months, released = kept[max(0, len(kept) - 1 - back)]
+        try:
+            state = _VESTING_STEPS[name](source, amount)
+        except (KladiaError, ValueError):
+            continue
+        months, released = _stored_vesting(months, released, source.month_index,
+                                           state.month_index)
+        assert state.snapshot()["vesting"] == {
+            "released_months": months, "released_total": released,
+            "total": 2_500_000_000 * lg.UNIT}
+        assert state.buckets[BucketKind.TEAM_VESTING] == lg.VEST_TOTAL - released
+        kept.append((state, months, released))
+
+
+@st.composite
+def governed_params(draw):
+    """Every governed coefficient within its bound, b_max at least b_base."""
+    values = {name: draw(st.integers(lo, hi))
+              for name, (lo, hi) in gov.DEFAULT_BOUNDS.items()}
+    values["b_max"] = max(values["b_max"], PolicyParams().b_base)
+    return PolicyParams(**values)
+
+
+def _circulating_by_month(params, g, fees):
+    """Circulating supply after each month of len(fees) // 12 years at `g`,
+    each month releasing escrow at its cap before it advances."""
+    state, circulating = lg.genesis(), []
+    for month, fee in enumerate(fees):
+        if month % 12 == 0:
+            state = lg.begin_cycle(state, params, g, 2026 + month // 12)
+        try:
+            state, _ = lg.release_escrow(state, state.annual_factors.escrow_cap,
+                                         ESCROW_SIGNERS[:5])
+        except ZeroCap:
+            pass
+        state, _ = lg.advance_month(state, fee)
+        circulating.append(state.circulating)
+    return circulating
+
+
+@settings(max_examples=60, deadline=None)
+@given(governed_params(), st.integers(0, fp.ONE - 2),
+       st.one_of(st.just(1), st.integers(1, fp.ONE)),
+       st.lists(st.integers(0, 10**14), min_size=48, max_size=48))
+def test_circulating_supply_falls_as_g_rises(params, g1, gap, fees):
+    # the paper's headline claim, over four years of the levers meeting the
+    # month order, the cap, the budget, the burn dust and the floors; it is
+    # not claimed for the tokens burned, which a smaller fee pool can lower
+    g2 = min(g1 + gap, fp.ONE - 1)
+    lower = _circulating_by_month(params, g1, fees)
+    higher = _circulating_by_month(params, g2, fees)
+    assert all(h <= lo for h, lo in zip(higher, lower))
+
+
 @settings(max_examples=200)
 @given(ledger_states())
 def test_clone_is_an_equal_copy_of_the_mutable_parts(state):
     copy = state.clone()
     assert copy == state and copy.state_hash() == state.state_hash()
     assert vars(copy).keys() == vars(state).keys()
-    for name in ("buckets", "relockable", "vesting"):
-        assert getattr(copy, name) is not getattr(state, name)
+    assert copy.buckets is not state.buckets
     copy.buckets[BucketKind.TEAM_VESTING] += 1
-    copy.relockable[BucketKind.ECOSYSTEM_ESCROW] = 1 + state.relockable.get(
-        BucketKind.ECOSYSTEM_ESCROW, 0)
-    copy.vesting.released_months += 1
     assert copy != state and state == state.clone()

@@ -376,7 +376,7 @@ def test_execute_happy_path(vintage, baseline):
     record = expired_record(vintage, baseline)
     state = lg.genesis()
     record, state = op.execute(
-        record, state, PolicyParams(), EXECUTORS[:5], T0 + timedelta(hours=74),
+        record, state, PolicyParams(), EXECUTORS[:5],
     )
     assert record.window.status is op.WindowStatus.EXECUTED
     assert record.confirmed_g == record.median_payload.g
@@ -389,13 +389,13 @@ def test_execute_wrong_status(vintage, baseline):
     op.flag(record, "op-1", "x", "a")
     op.flag(record, "op-2", "x", "b")
     with pytest.raises(NotExecutable):
-        op.execute(record, lg.genesis(), PolicyParams(), EXECUTORS[:5], T0)
+        op.execute(record, lg.genesis(), PolicyParams(), EXECUTORS[:5])
 
 
 def test_execute_insufficient_approvals(vintage, baseline):
     record = expired_record(vintage, baseline)
     with pytest.raises(InsufficientApprovals):
-        op.execute(record, lg.genesis(), PolicyParams(), EXECUTORS[:4], T0)
+        op.execute(record, lg.genesis(), PolicyParams(), EXECUTORS[:4])
     assert record.confirmed_g is None
 
 
@@ -460,10 +460,10 @@ def test_halt_blocks_execution_but_not_g(vintage, baseline):
     record = expired_record(vintage, baseline)
     record = op.emergency_halt(record, True)
     with pytest.raises(NotExecutable):
-        op.execute(record, lg.genesis(), PolicyParams(), EXECUTORS[:5], T0)
+        op.execute(record, lg.genesis(), PolicyParams(), EXECUTORS[:5])
     record = op.restore(record, True)
     record, state = op.execute(record, lg.genesis(), PolicyParams(),
-                               EXECUTORS[:5], T0)
+                               EXECUTORS[:5])
     assert record.window.status is op.WindowStatus.EXECUTED
 
 

@@ -34,7 +34,7 @@ def executed_cycle(vintage, baseline, with_actions=True, state=None, year=2026):
     state = lg.genesis() if state is None else state
     event_start = len(state.event_log)
     record, state = op.execute(
-        record, state, PolicyParams(), EXECUTORS[:5], T0 + timedelta(hours=74),
+        record, state, PolicyParams(), EXECUTORS[:5],
     )
     if with_actions:
         state, _ = lg.release_escrow(state, 10**9, ESCROW_SIGNERS[:5])

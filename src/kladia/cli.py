@@ -62,13 +62,14 @@ def _read_object(path: Path) -> dict:
 _KC7_CODES = {b.value for b in ALL_BLOCS}
 
 
-def _bloc_values(data: dict, key: str, where: str) -> dict[Bloc, int]:
-    """`data[key]`: an object of a decimal for exactly each KC7 bloc code."""
+def _bloc_values(data: dict, key: str, where: str) -> tuple[int, ...]:
+    """`data[key]`, an object of a decimal for exactly each KC7 bloc code, as
+    the values in ALL_BLOCS order."""
     values = _as_object(data[key], f"{where}: {key}")
     if values.keys() != _KC7_CODES:
         raise IncompleteBlocSet(
             f"{where}: {key}: need exactly the KC7 set, got {list(values)}")
-    return {Bloc(k): fp.from_str(v) for k, v in values.items()}
+    return tuple(fp.from_str(values[b.value]) for b in ALL_BLOCS)
 
 
 def _load_baseline(path: Path) -> BaselineRef:
@@ -201,14 +202,20 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
         data, where = _read_object(sub_file), sub_file.name
         if not isinstance(data["operator_id"], str):
             raise MalformedFile(f"{where}: operator_id: not a string")
+        try:
+            vintage = WeoVintage(data["vintage_id"],
+                                 baseline.genesis_vintage.publication_date,
+                                 data["dataset_hash"])
+        except MalformedFile as exc:
+            raise MalformedFile(f"{where}: {exc}") from None
         payload = oracle.SubmissionPayload(
             debt_ratios=_bloc_values(data, "debt_ratios", where),
             nominal_gdps=_bloc_values(data, "nominal_gdps", where),
             bdi=fp.from_str(data["bdi"]),
             x_norm=fp.from_str(data["x_norm"]),
             g=fp.from_str(data["g"]),
-            vintage_id=data["vintage_id"],
-            dataset_hash=data["dataset_hash"],
+            vintage_id=vintage.vintage_id,
+            dataset_hash=vintage.dataset_hash,
         )
         submissions.append(
             oracle.OracleSubmission.sign(data["operator_id"], payload, clock.now()))
@@ -309,17 +316,12 @@ def cmd_govern(changes):
         k: fp.from_str(v)
         for k, v in _as_object(json.loads(changes), "--changes").items()
     }
-    registry = gov.GovernanceRegistry()
-    snapshot = gov.VotingPowerView({"checker": 10 ** 12}, 0)
     try:
-        proposal = gov.propose(
-            registry, "checker", 10 ** 12, change_map, snapshot,
-            datetime.now(timezone.utc),
-        )
+        gov.check_changes(change_map)
     except KladiaError as exc:
         click.echo(f"rejected: {type(exc).__name__}: {exc}")
         sys.exit(EXIT_POLICY)
-    click.echo(f"acceptable: {proposal.id} would enter voting")
+    click.echo("acceptable: would enter voting")
     sys.exit(EXIT_OK)
 
 

@@ -10,7 +10,7 @@ effect at the next annual factor derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from enum import Enum
 from typing import Mapping, Optional
@@ -122,22 +122,9 @@ class GovernanceRegistry:
         return live
 
 
-def propose(
-    registry: GovernanceRegistry,
-    proposer: str,
-    proposer_stake: int,
-    changes: Mapping[str, int],
-    snapshot: VotingPowerView,
-    now: datetime,
-) -> Proposal:
-    """Create a proposal after the immutability, bounds, and stake checks."""
-    min_stake = fp.scale_amount_down(
-        snapshot.eligible_supply, MIN_PROPOSER_STAKE_FRACTION
-    )
-    if proposer_stake < min_stake:
-        raise InsufficientStake(
-            f"stake {proposer_stake} below minimum {min_stake}"
-        )
+def check_changes(changes: Mapping[str, int]) -> None:
+    """Refuse an empty change set, a constitutional or unknown parameter,
+    and a value outside its published bounds."""
     if not changes:
         raise OutOfBounds("empty change set")
     for name, value in changes.items():
@@ -150,6 +137,25 @@ def propose(
             raise OutOfBounds(
                 f"{name}={fp.to_str(value)} outside [{fp.to_str(lo)}, {fp.to_str(hi)}]"
             )
+
+
+def propose(
+    registry: GovernanceRegistry,
+    proposer: str,
+    proposer_stake: int,
+    changes: Mapping[str, int],
+    snapshot: VotingPowerView,
+    now: datetime,
+) -> Proposal:
+    """Create a proposal after the stake check and `check_changes`."""
+    min_stake = fp.scale_amount_down(
+        snapshot.eligible_supply, MIN_PROPOSER_STAKE_FRACTION
+    )
+    if proposer_stake < min_stake:
+        raise InsufficientStake(
+            f"stake {proposer_stake} below minimum {min_stake}"
+        )
+    check_changes(changes)
     conflict = set(changes) & registry.live_parameters()
     if conflict:
         raise ProposalConflict(f"live proposal already touches {sorted(conflict)}")
@@ -224,4 +230,4 @@ def execute_proposal(
             f"{proposal.id}: timelock ends {proposal.timelock_ends.isoformat()}"
         )
     proposal.status = ProposalStatus.EXECUTED
-    return params.with_changes(**proposal.changes)
+    return replace(params, **proposal.changes)

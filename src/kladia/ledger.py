@@ -291,16 +291,9 @@ def from_json_dict(data: dict) -> LedgerState:
 
 # --- transitions: check, then apply ------------------------------------------
 
-# A begin_cycle event logs its other coefficients as one list in this order
+# A begin_cycle event logs every PolicyParams field as one list in this order
 # beside g, e_base and i_base: `kld verify` parses all of `ledger.json`.
-_COEFFICIENTS = tuple(f.name for f in fields(PolicyParams)
-                      if f.name not in ("e_base", "i_base"))
-
-
-def _cycle_params(inputs: dict) -> PolicyParams:
-    """The parameters a begin_cycle event logs: its anchors and coefficients."""
-    return PolicyParams(e_base=inputs["e_base"], i_base=inputs["i_base"],
-                        **dict(zip(_COEFFICIENTS, inputs["coefficients"])))
+_COEFFICIENTS = tuple(f.name for f in fields(PolicyParams))
 
 
 def _fee_burn(state: LedgerState, fee_pool: int) -> tuple[int, int]:
@@ -358,8 +351,7 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
     if op == "begin_cycle":
         # the monthly escrow cap anchor is one twelfth of the 5% annual
         # escrow budget; the annual gross issuance anchor is that budget plus
-        # twelve months of baseline staking emissions; PolicyParams checks
-        # them (e_min <= e_base) when `_apply` builds the cycle's params
+        # twelve months of baseline staking emissions
         g = _field(inputs, "g")
         if not 0 <= g < fp.ONE:
             raise ValueError("g must be in [0, 1)")
@@ -370,7 +362,10 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
             state.buckets[BucketKind.ECOSYSTEM_ESCROW], ESCROW_ANNUAL_BUDGET_FRACTION)
         staking_annual = 12 * fp.scale_amount_down(
             state.buckets[BucketKind.STAKING_RESERVE], params.effective_r_base())
-        return {"year": year, "g": g, "e_base": escrow_budget // 12,
+        e_base = escrow_budget // 12
+        if e_base and params.e_min > e_base:
+            raise ValueError("need e_min <= e_base")
+        return {"year": year, "g": g, "e_base": e_base,
                 "i_base": escrow_budget + staking_annual,
                 "coefficients": list(coefficients.values())}, ()
 
@@ -450,8 +445,8 @@ def _check(state: Optional[LedgerState], op: str, inputs: dict,
 
 def _apply(state: Optional[LedgerState], op: str, inputs: dict) -> LedgerState:
     """Apply a checked event to `state` in place and return it; genesis
-    makes the state. Pure bookkeeping: no hash, no log, and no check but
-    PolicyParams' own on a begin_cycle's anchors, before any change."""
+    makes the state. Pure bookkeeping: no hash, no log and no check, so it
+    cannot raise."""
     if op == "genesis":
         return LedgerState(
             circulating=0, buckets={BucketKind(k): v * UNIT for k, v in
@@ -462,7 +457,8 @@ def _apply(state: Optional[LedgerState], op: str, inputs: dict) -> LedgerState:
     buckets = state.buckets
     if op == "begin_cycle":
         state.annual_factors = derive_cycle_factors(
-            _cycle_params(inputs), inputs["g"], state.locked_total())
+            PolicyParams(*inputs["coefficients"]), inputs["g"], inputs["e_base"],
+            inputs["i_base"], state.locked_total())
         state.issuance_used_year = state.releases_this_month = 0
     elif op == "carry_cycle":
         state.issuance_used_year = state.releases_this_month = 0
@@ -536,8 +532,8 @@ def begin_cycle(state: LedgerState, params: PolicyParams, g: int,
     """Open `year`'s annual cycle: derive per-cycle budget anchors and factors.
 
     The event logs the year, which must follow the last cycle's, `g`, the
-    anchors `e_base` and `i_base`, and every other coefficient the factors
-    were derived from, as one list in `PolicyParams` field order.
+    anchors `e_base` and `i_base` derived from the escrow and staking
+    balances, and every `PolicyParams` field as one list in field order.
     """
     return _transition(state, "begin_cycle", {
         "year": year, "g": g,

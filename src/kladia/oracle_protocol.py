@@ -31,7 +31,7 @@ from .errors import (
 )
 from .ledger import ApprovalPolicy, LedgerState, begin_cycle, carry_cycle
 from .policy import PolicyParams
-from .weo_ingest import ALL_BLOCS, Bloc, BlocObservation, WeoVintage, kc7_columns
+from .weo_ingest import ALL_BLOCS, WeoVintage
 
 CHALLENGE_WINDOW = timedelta(hours=72)
 CORRECTION_DEADLINE = timedelta(days=14)
@@ -52,15 +52,17 @@ class WindowStatus(Enum):
 
 @dataclass(frozen=True)
 class SubmissionPayload:
-    """Per-bloc inputs plus the derived index values one operator publishes.
+    """One KC7 input set plus the derived index values one operator publishes.
 
-    A payload is signed as built and never changed, so its canonical view
-    and that view's canonical bytes are each rendered once and cached; every
-    operator that signs the same payload hashes the same bytes.
+    The debt ratios and GDPs are scaled values in ALL_BLOCS order. A payload
+    is signed as built and never changed, so its canonical view, which lists
+    them by bloc code, and that view's canonical bytes are each rendered once
+    and cached; every operator that signs the same payload hashes the same
+    bytes.
     """
 
-    debt_ratios: dict[Bloc, int]
-    nominal_gdps: dict[Bloc, int]
+    debt_ratios: tuple[int, ...]
+    nominal_gdps: tuple[int, ...]
     bdi: int
     x_norm: int
     g: int
@@ -91,10 +93,12 @@ class SubmissionPayload:
         return canonical_bytes(self._canonical)
 
 
-def _by_bloc_code(values: dict[Bloc, int]) -> dict[str, str]:
-    # ordered by bloc code; `_value_` is the plain attribute behind the
-    # Python-level `Enum.value` property
-    return dict(sorted([(b._value_, fp.to_str(v)) for b, v in values.items()]))
+# each bloc code with its position in ALL_BLOCS, ordered by code
+_BY_CODE = sorted((b.value, i) for i, b in enumerate(ALL_BLOCS))
+
+
+def _by_bloc_code(values: tuple[int, ...]) -> dict[str, str]:
+    return {code: fp.to_str(values[i]) for code, i in _BY_CODE}
 
 
 @dataclass(frozen=True)
@@ -170,32 +174,24 @@ class CycleRecord:
 
 
 def build_payload(
-    observations: list[BlocObservation],
+    debt_ratios: tuple[int, ...],
+    nominal_gdps: tuple[int, ...],
     baseline: BaselineRef,
     vintage: WeoVintage,
 ) -> SubmissionPayload:
-    """Derive a fully consistent payload from raw bloc inputs."""
-    debt_ratios, nominal_gdps = kc7_columns(observations)
+    """Derive a fully consistent payload from one KC7 input set, in
+    ALL_BLOCS order."""
     _, bdi, x_norm, _, g = index_kernel(debt_ratios, nominal_gdps, baseline)
-    return SubmissionPayload(
-        debt_ratios=dict(zip(ALL_BLOCS, debt_ratios)),
-        nominal_gdps=dict(zip(ALL_BLOCS, nominal_gdps)),
-        bdi=bdi,
-        x_norm=x_norm,
-        g=g,
-        vintage_id=vintage.vintage_id,
-        dataset_hash=vintage.dataset_hash,
-    )
+    return SubmissionPayload(debt_ratios, nominal_gdps, bdi, x_norm, g,
+                             vintage.vintage_id, vintage.dataset_hash)
 
 
 def _recompute_check(payload: SubmissionPayload, baseline: BaselineRef) -> None:
     # constructing the vintage validates the payload's vintage id
     WeoVintage(payload.vintage_id, baseline.genesis_vintage.publication_date,
                payload.dataset_hash)
-    _, bdi, x_norm, _, g = index_kernel(
-        tuple(payload.debt_ratios[b] for b in ALL_BLOCS),
-        tuple(payload.nominal_gdps[b] for b in ALL_BLOCS),
-        baseline)
+    _, bdi, x_norm, _, g = index_kernel(payload.debt_ratios, payload.nominal_gdps,
+                                        baseline)
     if (bdi, x_norm, g) != (payload.bdi, payload.x_norm, payload.g):
         raise InconsistentPayload(
             f"recomputed (bdi={fp.to_str(bdi)}, x={fp.to_str(x_norm)}, "

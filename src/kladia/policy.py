@@ -8,18 +8,19 @@ the token boundary; fractions are half-even at 9 digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import fixedpoint as fp
 
 
 @dataclass(frozen=True)
 class PolicyParams:
-    """Governable coefficients plus per-cycle budget anchors.
+    """The governable coefficients a cycle's factors are derived from.
 
-    Fractions are scaled decimals; e_base/e_min are token base units per
-    month, i_base token base units per year, r_base a per-month fraction
-    of the staking reserve.
+    Fractions are scaled decimals; e_min is token base units per month and
+    r_base a per-month fraction of the staking reserve. The budget anchors
+    are not parameters: each cycle derives them from the escrow and staking
+    balances and passes them to the levers.
     """
 
     alpha_i: int = fp.from_str("0.5")
@@ -28,9 +29,7 @@ class PolicyParams:
     gamma: int = fp.from_str("0.5")
     b_base: int = fp.from_str("0.25")
     b_max: int = fp.from_str("0.9")
-    e_base: int = 0
     e_min: int = 0
-    i_base: int = 0
     r_base: int = fp.from_str("0.001")
     staking_multiplier: int = fp.ONE  # opaque governable multiplier on r_base
 
@@ -43,16 +42,11 @@ class PolicyParams:
             raise ValueError("beta_b and gamma must be nonnegative")
         if not (0 <= self.b_base <= self.b_max <= fp.ONE):
             raise ValueError("need 0 <= b_base <= b_max <= 1")
-        if not (0 <= self.e_min <= self.e_base or self.e_base == 0):
-            raise ValueError("need e_min <= e_base")
-        if self.i_base < 0 or self.r_base < 0:
+        if self.e_min < 0 or self.r_base < 0:
             raise ValueError("budgets and rates must be nonnegative")
 
     def effective_r_base(self) -> int:
         return fp.mul(self.r_base, self.staking_multiplier)
-
-    def with_changes(self, **kwargs) -> "PolicyParams":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -77,8 +71,10 @@ def _shrunk(amount: int, alpha: int, g: int) -> int:
     return amount * (fp.SCALE * fp.SCALE - alpha * g) // (fp.SCALE * fp.SCALE)
 
 
-def issuance_budget(params: PolicyParams, g: int, locked_unburned: int) -> int:
-    """Annual gross release budget, shrinking linearly in g.
+def issuance_budget(params: PolicyParams, g: int, i_base: int,
+                    locked_unburned: int) -> int:
+    """Annual gross release budget: the anchor i_base (token base units a
+    year), shrinking linearly in g.
 
     Capped by the locked, unburned balance: releases can never exceed what
     is actually locked.
@@ -86,7 +82,7 @@ def issuance_budget(params: PolicyParams, g: int, locked_unburned: int) -> int:
     if locked_unburned < 0:
         raise ValueError("locked_unburned must be nonnegative")
     _check_g(g)
-    return min(_shrunk(params.i_base, params.alpha_i, g), locked_unburned)
+    return min(_shrunk(i_base, params.alpha_i, g), locked_unburned)
 
 
 def burn_fraction(params: PolicyParams, g: int) -> int:
@@ -95,10 +91,11 @@ def burn_fraction(params: PolicyParams, g: int) -> int:
     return min(params.b_max, params.b_base + fp.mul(params.beta_b, g))
 
 
-def escrow_cap(params: PolicyParams, g: int) -> int:
-    """max(e_min, e_base * (1 - alpha_e * g)); never below the floor."""
+def escrow_cap(params: PolicyParams, g: int, e_base: int) -> int:
+    """max(e_min, e_base * (1 - alpha_e * g)), e_base the monthly anchor in
+    token base units; never below the floor."""
     _check_g(g)
-    return max(params.e_min, _shrunk(params.e_base, params.alpha_e, g))
+    return max(params.e_min, _shrunk(e_base, params.alpha_e, g))
 
 
 def staking_rate(params: PolicyParams, g: int) -> int:
@@ -111,13 +108,14 @@ def staking_rate(params: PolicyParams, g: int) -> int:
 
 
 def derive_cycle_factors(
-    params: PolicyParams, g: int, locked_unburned: int
+    params: PolicyParams, g: int, e_base: int, i_base: int, locked_unburned: int
 ) -> PolicyFactors:
-    """Bundle the four levers for one annual cycle at a constant g."""
+    """Bundle the four levers for one annual cycle at a constant g and the
+    cycle's budget anchors."""
     return PolicyFactors(
         burn_fraction=burn_fraction(params, g),
-        escrow_cap=escrow_cap(params, g),
+        escrow_cap=escrow_cap(params, g, e_base),
         staking_rate=staking_rate(params, g),
-        issuance_budget=issuance_budget(params, g, locked_unburned),
+        issuance_budget=issuance_budget(params, g, i_base, locked_unburned),
         g_used=g,
     )

@@ -126,16 +126,10 @@ def build_report(
     executed_actions, action_hashes, signer_set = _executed(ledger_events)
 
     if median is not None:
-        weights = weighted_bdi(
-            tuple(median.debt_ratios[b] for b in ALL_BLOCS),
-            tuple(median.nominal_gdps[b] for b in ALL_BLOCS),
-        )[0]
+        weights = weighted_bdi(median.debt_ratios, median.nominal_gdps)[0]
         raw_inputs = {
-            b._value_: {
-                "debt_ratio": fp.to_str(median.debt_ratios[b]),
-                "nominal_gdp": fp.to_str(median.nominal_gdps[b]),
-            }
-            for b in ALL_BLOCS
+            b._value_: {"debt_ratio": fp.to_str(debt), "nominal_gdp": fp.to_str(gdp)}
+            for b, debt, gdp in zip(ALL_BLOCS, median.debt_ratios, median.nominal_gdps)
         }
         index_fields = {
             "bdi": fp.to_str(median.bdi),

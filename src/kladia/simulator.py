@@ -9,7 +9,7 @@ scenarios replay to byte-identical traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
 from typing import Optional
 
@@ -22,13 +22,7 @@ from .debt_index import BaselineRef, weighted_bdi
 from .errors import ScenarioInvalid, ZeroCap
 from .ledger import POLICIES, BucketKind, advance_month, genesis, release_escrow
 from .policy import PolicyParams
-from .weo_ingest import (
-    ALL_BLOCS,
-    Bloc,
-    BlocObservation,
-    ObservationStatus,
-    WeoVintage,
-)
+from .weo_ingest import WeoVintage
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,15 +53,10 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
-# Anchor macro levels for synthetic trajectories, as decimal strings.
-_BASE_DEBT = {
-    Bloc.US: "120", Bloc.EA20: "90", Bloc.JP: "250", Bloc.UK: "100",
-    Bloc.CA: "105", Bloc.AU: "45", Bloc.KR: "55",
-}
-_BASE_GDP = {
-    Bloc.US: "27000", Bloc.EA20: "15000", Bloc.JP: "4200", Bloc.UK: "3300",
-    Bloc.CA: "2100", Bloc.AU: "1700", Bloc.KR: "1800",
-}
+# Anchor macro levels for synthetic trajectories, as decimal strings in
+# ALL_BLOCS order: US, EA20, JP, UK, CA, AU, KR.
+_BASE_DEBT = ("120", "90", "250", "100", "105", "45", "55")
+_BASE_GDP = ("27000", "15000", "4200", "3300", "2100", "1700", "1800")
 _BASIS_POINT = fp.from_str("0.0001")
 _LEVEL_FLOOR = fp.from_str("1")
 _OUTLIER_SKEW = fp.from_str("1.1")
@@ -121,30 +110,24 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def _gen_observations(
+def _drifted(rng: SplitMix64, level: int, drift_bp: tuple[int, int]) -> int:
+    """`level` moved by a drawn number of basis points, floored at 1."""
+    return max(fp.scale_amount_down(
+        level, fp.ONE + _BASIS_POINT * rng.randint(*drift_bp)), _LEVEL_FLOOR)
+
+
+def _drift(
     rng: SplitMix64,
-    prior: dict[Bloc, tuple[int, int]],
-    drift_debt: tuple[int, int],
-    drift_gdp: tuple[int, int],
-    vintage: WeoVintage,
-) -> tuple[list[BlocObservation], dict[Bloc, tuple[int, int]]]:
-    obs = []
-    levels = {}
-    for bloc in ALL_BLOCS:
-        debt, gdp = prior[bloc]
-        debt = fp.scale_amount_down(
-            debt, fp.ONE + _BASIS_POINT * rng.randint(*drift_debt)
-        )
-        gdp = fp.scale_amount_down(
-            gdp, fp.ONE + _BASIS_POINT * rng.randint(*drift_gdp)
-        )
-        debt = max(debt, _LEVEL_FLOOR)
-        gdp = max(gdp, _LEVEL_FLOOR)
-        levels[bloc] = (debt, gdp)
-        obs.append(
-            BlocObservation(bloc, debt, gdp, vintage, ObservationStatus.OBSERVED)
-        )
-    return obs, levels
+    debt_ratios: tuple[int, ...],
+    nominal_gdps: tuple[int, ...],
+    scenario: Scenario,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A year's debt ratios and GDPs from the last, in ALL_BLOCS order; each
+    bloc draws its debt move, then its GDP move."""
+    levels = [(_drifted(rng, debt, scenario.debt_drift_bp),
+               _drifted(rng, gdp, scenario.gdp_drift_bp))
+              for debt, gdp in zip(debt_ratios, nominal_gdps)]
+    return tuple(zip(*levels))
 
 
 def run(scenario: Scenario) -> Trace:
@@ -156,11 +139,8 @@ def run(scenario: Scenario) -> Trace:
     genesis_vintage = WeoVintage(
         "2025-October", date(2025, 10, 15), sha256_hex(genesis_raw)
     )
-    levels = {
-        b: (fp.from_str(_BASE_DEBT[b]), fp.from_str(_BASE_GDP[b]))
-        for b in ALL_BLOCS
-    }
-    debt_ratios, nominal_gdps = zip(*(levels[b] for b in ALL_BLOCS))
+    debt_ratios = tuple(map(fp.from_str, _BASE_DEBT))
+    nominal_gdps = tuple(map(fp.from_str, _BASE_GDP))
     baseline = BaselineRef(bdi_ref=weighted_bdi(debt_ratios, nominal_gdps)[1],
                            genesis_vintage=genesis_vintage, lam=fp.ONE)
 
@@ -182,9 +162,7 @@ def run(scenario: Scenario) -> Trace:
             date(2025 + year, 10, 15),
             sha256_hex(f"synthetic-{scenario.seed}-{year}".encode()),
         )
-        true_obs, levels = _gen_observations(
-            rng, levels, scenario.debt_drift_bp, scenario.gdp_drift_bp, vintage
-        )
+        debt_ratios, nominal_gdps = _drift(rng, debt_ratios, nominal_gdps, scenario)
 
         # operators with one behavior publish the same inputs, hence the same
         # payload; each still signs its own submission and passes the re-check
@@ -196,19 +174,13 @@ def run(scenario: Scenario) -> Trace:
                 continue
             payload = payloads.get(behavior)
             if payload is None:
-                obs = true_obs
+                debt = debt_ratios
                 if behavior == "outlier":
                     # internally consistent but skewed inputs; the median absorbs it
-                    obs = [
-                        BlocObservation(
-                            o.bloc,
-                            fp.scale_amount_down(o.debt_ratio, _OUTLIER_SKEW),
-                            o.nominal_gdp, o.source_vintage, o.status,
-                        )
-                        for o in true_obs
-                    ]
+                    debt = tuple(fp.scale_amount_down(d, _OUTLIER_SKEW)
+                                 for d in debt_ratios)
                 payload = payloads[behavior] = oracle.build_payload(
-                    obs, baseline, vintage)
+                    debt, nominal_gdps, baseline, vintage)
             submissions.append(oracle.OracleSubmission.sign(op, payload, clock.now()))
 
         flags = ()
@@ -226,9 +198,8 @@ def run(scenario: Scenario) -> Trace:
             governance_log.append(
                 {"year": year, "changes": dict(event["changes"]), "status": "scripted"}
             )
-            params = params.with_changes(
-                **{k: fp.from_str(v) for k, v in event["changes"].items()}
-            )
+            params = replace(
+                params, **{k: fp.from_str(v) for k, v in event["changes"].items()})
 
         g_str = fp.to_str(record.confirmed_g)
         for month in range(12):

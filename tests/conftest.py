@@ -52,6 +52,15 @@ def make_observations(vintage, debt=None, gdp=None):
     ]
 
 
+def make_columns(debt=None, gdp=None):
+    """The same levels as one KC7 input set: (debt_ratios, nominal_gdps) in
+    ALL_BLOCS order."""
+    debt = debt or DEBT_LEVELS
+    gdp = gdp or GDP_LEVELS
+    return (tuple(fp.from_str(debt[b]) for b in ALL_BLOCS),
+            tuple(fp.from_str(gdp[b]) for b in ALL_BLOCS))
+
+
 @pytest.fixture
 def baseline(vintage, observations):
     bdi_ref = weighted_bdi(*kc7_columns(observations))[1]

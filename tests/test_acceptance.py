@@ -9,6 +9,7 @@ telescoping sums — never from the code under test.
 
 import random
 import time as time_mod
+from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from kladia.policy import (
 )
 from kladia.weo_ingest import SnapshotRule, WeoVintage, resolve_snapshot_date
 
-from conftest import make_observations
+from conftest import make_columns
 
 T0 = datetime(2026, 1, 1, tzinfo=timezone.utc)
 LAM = fp.ONE
@@ -130,33 +131,36 @@ def test_criterion_03_policy_factor_values():
 # --- 4. anti-cyclicality -----------------------------------------------------
 
 def _random_params(rnd):
+    """(params, e_base, i_base): random coefficients and cycle anchors."""
     b_max = rnd.randrange(0, fp.ONE + 1)
     e_min = rnd.randrange(0, 10**9)
-    return PolicyParams(
+    coefficients = dict(
         alpha_i=rnd.randrange(0, fp.ONE + 1),
         beta_b=rnd.randrange(0, 3 * fp.SCALE + 1),
         alpha_e=rnd.randrange(0, fp.ONE + 1),
         gamma=rnd.randrange(0, 3 * fp.SCALE + 1),
         b_base=rnd.randrange(0, b_max + 1),
         b_max=b_max,
-        e_base=e_min + rnd.randrange(0, 10**12),
-        e_min=e_min,
-        i_base=rnd.randrange(0, 10**14),
-        r_base=rnd.randrange(0, fp.SCALE // 10),
     )
+    e_base = e_min + rnd.randrange(0, 10**12)
+    i_base = rnd.randrange(0, 10**14)
+    params = PolicyParams(**coefficients, e_min=e_min,
+                          r_base=rnd.randrange(0, fp.SCALE // 10))
+    return params, e_base, i_base
 
 
 def test_criterion_04_anti_cyclicality():
     rnd = random.Random(4)
     locked = 10**15
     for _ in range(1_000):
-        p = _random_params(rnd)
+        p, e_base, i_base = _random_params(rnd)
         ga = rnd.randrange(0, fp.ONE - 1)
         gb = rnd.randrange(0, fp.ONE - 1)
         g1, g2 = min(ga, gb), max(ga, gb) + 1  # strict g1 < g2
-        assert issuance_budget(p, g1, locked) >= issuance_budget(p, g2, locked)
+        assert (issuance_budget(p, g1, i_base, locked)
+                >= issuance_budget(p, g2, i_base, locked))
         assert burn_fraction(p, g1) <= burn_fraction(p, g2) <= p.b_max
-        assert escrow_cap(p, g1) >= escrow_cap(p, g2) >= p.e_min
+        assert escrow_cap(p, g1, e_base) >= escrow_cap(p, g2, e_base) >= p.e_min
         assert staking_rate(p, g1) >= staking_rate(p, g2) >= 0
     _report(4, "1000 random (params, g1<g2) draws, zero violations")
 
@@ -175,8 +179,8 @@ def test_criterion_05_conservation_600_months():
     for year in range(50):
         if year % 9 == 4:
             # governance event: retune issuance sensitivity within bounds
-            params = params.with_changes(
-                alpha_i=rnd.randrange(0, fp.from_str("0.05") + 1))
+            params = replace(
+                params, alpha_i=rnd.randrange(0, fp.from_str("0.05") + 1))
         if year % 11 == 7 and year > 0:
             g = last_g  # disputed cycle lapses: carry last confirmed g
         else:
@@ -219,7 +223,7 @@ def test_criterion_05_conservation_600_months():
 # --- 6. challenge-window gating ----------------------------------------------
 
 def test_criterion_06_challenge_window_gating(vintage, baseline):
-    payload = op.build_payload(make_observations(vintage), baseline, vintage)
+    payload = op.build_payload(*make_columns(), baseline, vintage)
     operators = ("op-1", "op-2", "op-3")
     shared_ledger = lg.genesis()
     rnd = random.Random(6)
@@ -268,13 +272,9 @@ def test_criterion_06_challenge_window_gating(vintage, baseline):
 # --- 7. median aggregation ---------------------------------------------------
 
 def _scaled_payload(vintage, baseline, factor):
-    obs = make_observations(vintage)
-    scaled = [
-        type(o)(o.bloc, fp.mul(o.debt_ratio, factor), o.nominal_gdp,
-                o.source_vintage, o.status)
-        for o in obs
-    ]
-    return op.build_payload(scaled, baseline, vintage)
+    debt_ratios, nominal_gdps = make_columns()
+    scaled = tuple(fp.mul(d, factor) for d in debt_ratios)
+    return op.build_payload(scaled, nominal_gdps, baseline, vintage)
 
 
 def test_criterion_07_median_aggregation(vintage, baseline):
@@ -306,7 +306,7 @@ def test_criterion_07_median_aggregation(vintage, baseline):
 def _executed_cycle(vintage, baseline):
     record = op.CycleRecord(cycle_year=2026, prior_confirmed_g=0)
     operators = ("op-1", "op-2", "op-3")
-    payload = op.build_payload(make_observations(vintage), baseline, vintage)
+    payload = op.build_payload(*make_columns(), baseline, vintage)
     for operator in operators:
         record = op.submit(
             record, op.OracleSubmission.sign(operator, payload, T0),

@@ -1,17 +1,21 @@
 import hashlib
 import json
 from collections import Counter
+from datetime import date
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import LEDGER_WITH_DERIVED_SECTIONS
+from conftest import LEDGER_WITH_DERIVED_SECTIONS, make_columns
+from kladia import fixedpoint as fp
 from kladia import ledger as lg
+from kladia import oracle_protocol as op
 from kladia import reporting
 from kladia.canonical import canonical_bytes
 from kladia.cli import main
-from kladia.weo_ingest import ALL_BLOCS, DEBT_SERIES, GDP_SERIES
+from kladia.debt_index import BaselineRef
+from kladia.weo_ingest import ALL_BLOCS, DEBT_SERIES, GDP_SERIES, WeoVintage
 
 HASH = "ab" * 32
 
@@ -217,6 +221,39 @@ def test_cycle_artifacts_golden(runner, tmp_path):
     files = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
              for f in state_dir.iterdir()}
     assert files == CYCLE_FILES
+
+
+def test_cycle_reads_bloc_codes_in_any_order(runner, tmp_path):
+    # a payload with a distinct level per bloc, its codes listed sorted in one
+    # submissions dir and reversed in another: both cycles write the same bytes
+    base = tmp_path / "baseline.json"
+    write_baseline(base)
+    baseline = BaselineRef(fp.from_str("100"),
+                           WeoVintage("2025-October", date(2025, 10, 15), HASH), fp.ONE)
+    payload = op.build_payload(*make_columns(), baseline,
+                               WeoVintage("2026-October", date(2026, 10, 15), HASH))
+    written = {}
+    for order in ("sorted", "reversed"):
+        view = payload.canonical()
+        if order == "reversed":
+            for key in ("debt_ratios", "nominal_gdps"):
+                view[key] = dict(reversed(view[key].items()))
+        subs, state_dir = tmp_path / f"subs-{order}", tmp_path / f"state-{order}"
+        subs.mkdir()
+        for operator in ("op-1", "op-2", "op-3"):
+            (subs / f"{operator}.json").write_text(
+                json.dumps({"operator_id": operator, **view}))
+        result = runner.invoke(main, [
+            "cycle", "--state-dir", str(state_dir), "--submissions-dir", str(subs),
+            "--baseline-file", str(base), "--year", "2026"])
+        assert result.exit_code == 0, result.output
+        written[order] = {f.name: f.read_bytes() for f in state_dir.iterdir()}
+    assert written["sorted"] == written["reversed"]
+    assert sorted(written["sorted"]) == [
+        "ledger.json", "report-2026.commit", "report-2026.kldr"]
+    raw_inputs = json.loads(written["reversed"]["report-2026.kldr"])["raw_inputs"]
+    assert raw_inputs["JP"] == {"debt_ratio": "250.000000000",
+                                "nominal_gdp": "4200.000000000"}
 
 
 def test_cycle_replay_is_bit_identical(runner, tmp_path):
@@ -816,15 +853,16 @@ def test_exit_code_follows_the_error_class(runner, tmp_path, verb, fields, line,
 
 
 # a submission field of the wrong type or bloc set is refused before any
-# cycle runs, by the file and field it is in, or by the vintage it makes
+# cycle runs, by the file it is in
 @pytest.mark.parametrize("fields, line", [
     ({"operator_id": 5}, "MalformedFile: op-2.json: operator_id: not a string"),
     ({"vintage_id": "2026-October\n"},
-     "MalformedFile: bad vintage id: '2026-October\\n'"),
-    ({"dataset_hash": 5}, "MalformedFile: bad dataset hash: 5"),
+     "MalformedFile: op-2.json: bad vintage id: '2026-October\\n'"),
+    ({"dataset_hash": 5}, "MalformedFile: op-2.json: bad dataset hash: 5"),
     ({"dataset_hash": HASH.upper()},
-     f"MalformedFile: bad dataset hash: '{HASH.upper()}'"),
-    ({"dataset_hash": HASH[:-1]}, f"MalformedFile: bad dataset hash: '{HASH[:-1]}'"),
+     f"MalformedFile: op-2.json: bad dataset hash: '{HASH.upper()}'"),
+    ({"dataset_hash": HASH[:-1]},
+     f"MalformedFile: op-2.json: bad dataset hash: '{HASH[:-1]}'"),
     ({"nominal_gdps": dict({b.value: "2000" for b in ALL_BLOCS}, XX="2000")},
      "IncompleteBlocSet: op-2.json: nominal_gdps: need exactly the KC7 set, got "
      "['US', 'EA20', 'JP', 'UK', 'CA', 'AU', 'KR', 'XX']"),
@@ -920,6 +958,16 @@ def test_govern_rejects_constitutional_parameter(runner):
 def test_govern_rejects_out_of_bounds(runner):
     result = runner.invoke(main, ["govern", "--changes", '{"alpha_i": "0.06"}'])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("changes, line, code", [
+    ("{}", "rejected: OutOfBounds: empty change set", 1),
+    ('{"alpha_i": "0.03"}', "acceptable: would enter voting", 0),
+], ids=["empty", "in-bounds"])
+def test_govern_prints_one_verdict_line(runner, changes, line, code):
+    result = runner.invoke(main, ["govern", "--changes", changes])
+    assert result.exit_code == code
+    assert result.output == line + "\n"
 
 
 def test_govern_bad_json_exit_2(runner):

@@ -235,6 +235,6 @@ def test_changes_only_visible_at_next_factor_derivation():
     assert state.annual_factors == factors_before
     # next cycle derivation picks the new value up
     state = lg.begin_cycle(state, updated, fp.from_str("0.4"), 2027)
-    logged = lg._cycle_params(state.event_log[-1]["inputs"])
+    logged = PolicyParams(*state.event_log[-1]["inputs"]["coefficients"])
     assert logged.alpha_i == fp.from_str("0.02")
     assert state.annual_factors != factors_before

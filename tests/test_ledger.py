@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -415,6 +416,26 @@ def test_replay_refuses_a_cycle_year_that_does_not_follow(tamper, error):
         lg.from_json_dict(data)
 
 
+def test_begin_cycle_refuses_e_min_above_the_derived_e_base():
+    # the check refuses the floor before anything is applied, live and on replay
+    e_base = fresh_cycle().event_log[-1]["inputs"]["e_base"]
+    state = lg.genesis()
+    before = copy.deepcopy(state)
+    request = {"year": 2026, "g": 0, "coefficients": [
+        getattr(PolicyParams(e_min=e_base + 1), k) for k in lg._COEFFICIENTS]}
+    with pytest.raises(ValueError, match="^need e_min <= e_base$"):
+        lg._check(state, "begin_cycle", request)
+    with pytest.raises(ValueError, match="^need e_min <= e_base$"):
+        lg.begin_cycle(state, PolicyParams(e_min=e_base + 1), 0, 2026)
+    assert state == before and len(state.journal) == state.n_events
+
+    data = lg.to_json_dict(lg.begin_cycle(state, PolicyParams(e_min=e_base), 0, 2026))
+    data = json.loads(json.dumps(data))
+    data["event_log"][1]["inputs"]["coefficients"][lg._COEFFICIENTS.index("e_min")] += 1
+    with pytest.raises(MalformedFile, match="^event 1: ValueError: need e_min <= e_base$"):
+        lg.from_json_dict(data)
+
+
 # --- month transition --------------------------------------------------------
 
 def test_advance_month_noop():
@@ -771,11 +792,11 @@ def test_round_trip_replays_governed_coefficients():
                {"r_base": fp.from_str("0.002")},
                {"staking_multiplier": fp.from_str("1.5"), "alpha_e": 0}]
     for year, change in enumerate(changes):
-        params = params.with_changes(**change)
+        params = replace(params, **change)
         state = lg.begin_cycle(state, params, fp.from_str(f"0.{year + 2}"),
                                2026 + year)
         event = state.event_log[-1]
-        logged = lg._cycle_params(event["inputs"])
+        logged = PolicyParams(*event["inputs"]["coefficients"])
         assert {k: getattr(logged, k) for k in change} == change
         if change:
             default = lg.begin_cycle(state, PolicyParams(), event["inputs"]["g"],

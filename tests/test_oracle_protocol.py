@@ -27,7 +27,7 @@ from kladia.errors import (
 from kladia.policy import PolicyParams
 from kladia.weo_ingest import ALL_BLOCS, Bloc
 
-from conftest import make_observations
+from conftest import make_columns
 
 OPERATORS = ("op-1", "op-2", "op-3", "op-4", "op-5")
 EXECUTORS = tuple(f"exec-{i}" for i in range(1, 9))
@@ -35,19 +35,11 @@ T0 = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
 
 def payload_for(vintage, baseline, debt_scale="1.0"):
-    obs = make_observations(vintage)
+    debt_ratios, nominal_gdps = make_columns()
     if debt_scale != "1.0":
-        from kladia.weo_ingest import BlocObservation
-
-        obs = [
-            BlocObservation(
-                o.bloc,
-                fp.scale_amount_down(o.debt_ratio, fp.from_str(debt_scale)),
-                o.nominal_gdp, o.source_vintage, o.status,
-            )
-            for o in obs
-        ]
-    return op.build_payload(obs, baseline, vintage)
+        debt_ratios = tuple(fp.scale_amount_down(d, fp.from_str(debt_scale))
+                            for d in debt_ratios)
+    return op.build_payload(debt_ratios, nominal_gdps, baseline, vintage)
 
 
 def submission(operator, vintage, baseline, debt_scale="1.0", ts=T0):
@@ -103,7 +95,9 @@ def test_submit_recheck_is_not_hidden_by_the_memo(vintage, baseline):
 def test_submit_rechecks_vintage_id_and_ranges(vintage, baseline):
     good = payload_for(vintage, baseline)
     bad_vintage = replace(good, vintage_id="2026-Smarch")
-    negative = replace(good, debt_ratios={**good.debt_ratios, Bloc.JP: -1})
+    debt_ratios = list(good.debt_ratios)
+    debt_ratios[ALL_BLOCS.index(Bloc.JP)] = -1
+    negative = replace(good, debt_ratios=tuple(debt_ratios))
     with pytest.raises(MalformedFile):
         op.submit(fresh_record(), op.OracleSubmission.sign("op-1", bad_vintage, T0),
                   OPERATORS, baseline)
@@ -137,8 +131,8 @@ def test_canonical_view_is_not_shared(vintage, baseline):
 # sign does not re-check, so any payload will do; this one has text that
 # JSON escapes in its dataset hash too
 _SIGNED_PAYLOAD = op.SubmissionPayload(
-    debt_ratios={b: (i + 1) * fp.ONE for i, b in enumerate(ALL_BLOCS)},
-    nominal_gdps={b: (i + 7) * fp.SCALE // 3 for i, b in enumerate(ALL_BLOCS)},
+    debt_ratios=tuple((i + 1) * fp.ONE for i in range(len(ALL_BLOCS))),
+    nominal_gdps=tuple((i + 7) * fp.SCALE // 3 for i in range(len(ALL_BLOCS))),
     bdi=fp.from_str("150.5"), x_norm=fp.from_str("1.25"), g=1,
     vintage_id="2025-October", dataset_hash='\u00e9"\\\x01',
 )

@@ -12,7 +12,7 @@ from kladia import reporting
 from kladia.errors import IncompleteCycle
 from kladia.policy import PolicyParams
 
-from conftest import make_observations
+from conftest import make_columns
 
 T0 = datetime(2026, 1, 1, tzinfo=timezone.utc)
 OPERATORS = ("op-1", "op-2", "op-3")
@@ -23,7 +23,7 @@ ESCROW_SIGNERS = tuple(f"escrow-{i}" for i in range(1, 9))
 def executed_cycle(vintage, baseline, with_actions=True, state=None, year=2026):
     record = op.CycleRecord(cycle_year=year, prior_confirmed_g=0)
     for operator in OPERATORS:
-        payload = op.build_payload(make_observations(vintage), baseline, vintage)
+        payload = op.build_payload(*make_columns(), baseline, vintage)
         record = op.submit(
             record, op.OracleSubmission.sign(operator, payload, T0),
             OPERATORS, baseline,
@@ -44,7 +44,7 @@ def executed_cycle(vintage, baseline, with_actions=True, state=None, year=2026):
 
 def lapsed_cycle(vintage, baseline):
     record = op.CycleRecord(cycle_year=2026, prior_confirmed_g=fp.from_str("0.1"))
-    payload = op.build_payload(make_observations(vintage), baseline, vintage)
+    payload = op.build_payload(*make_columns(), baseline, vintage)
     record = op.submit(record, op.OracleSubmission.sign("op-1", payload, T0),
                        OPERATORS, baseline)
     record = op.submit(record, op.OracleSubmission.sign("op-2", payload, T0),
@@ -76,7 +76,7 @@ def test_build_report_lapsed(vintage, baseline):
 
 def test_build_report_incomplete_cycle(vintage, baseline):
     record = op.CycleRecord(cycle_year=2026, prior_confirmed_g=0)
-    payload = op.build_payload(make_observations(vintage), baseline, vintage)
+    payload = op.build_payload(*make_columns(), baseline, vintage)
     record = op.submit(record, op.OracleSubmission.sign("op-1", payload, T0),
                        OPERATORS, baseline)
     op.aggregate_median(record, baseline)

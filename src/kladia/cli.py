@@ -33,11 +33,9 @@ from .policy import PolicyParams
 from .weo_ingest import (
     ALL_BLOCS,
     Bloc,
-    BlocObservation,
-    ObservationStatus,
     WeoVintage,
     apply_missing_data_rule,
-    kc7_columns,
+    check_ranges,
     parse_weo_snapshot,
 )
 
@@ -116,7 +114,7 @@ def cmd_index(snapshot_file, baseline_file, vintage, publication_date,
     """Compute weights, BDI, X and g from a snapshot file."""
     raw = snapshot_file.read_bytes()
     parsed = parse_weo_snapshot(raw, vintage, date.fromisoformat(publication_date))
-    observations = parsed.observations
+    prior = {}
     if parsed.missing():
         if last_confirmed is None:
             raise NoPriorValue(
@@ -125,20 +123,16 @@ def cmd_index(snapshot_file, baseline_file, vintage, publication_date,
             )
         prior_data = {code: _as_object(v, f"{last_confirmed.name}: {code}")
                       for code, v in _read_object(last_confirmed).items()}
-        prior = [
-            BlocObservation(
-                Bloc(code),
-                fp.from_str(v["debt_ratio"]),
-                fp.from_str(v["nominal_gdp"]),
-                parsed.vintage,
-                ObservationStatus.OBSERVED,
-            )
-            for code, v in prior_data.items()
-        ]
-        observations = apply_missing_data_rule(observations, prior)
+        # every entry is checked, whether or not a missing bloc uses it
+        for code, v in prior_data.items():
+            bloc = Bloc(code)
+            levels = fp.from_str(v["debt_ratio"]), fp.from_str(v["nominal_gdp"])
+            check_ranges(bloc, *levels)
+            prior[bloc] = levels
+    debt_ratios, nominal_gdps = apply_missing_data_rule(parsed, prior)
     baseline = _load_baseline(baseline_file)
     weights, bdi, x_norm, x_excess, g = index_kernel(
-        *kc7_columns(observations), baseline)
+        debt_ratios, nominal_gdps, baseline)
 
     payload = {
         "dataset_hash": parsed.vintage.dataset_hash,
@@ -279,7 +273,8 @@ def cmd_report(state_dir, year):
 @click.argument("report_file", type=click.Path(exists=True, path_type=Path))
 @click.argument("commit_file", type=click.Path(exists=True, path_type=Path))
 @click.option("--event-log", type=click.Path(path_type=Path), required=True,
-              help="ledger state JSON for supply reconciliation")
+              help="ledger.json; the report is checked against its slice "
+              "of the event log")
 @click.option("--baseline-file", type=click.Path(exists=True, path_type=Path),
               required=True)
 def cmd_verify(report_file, commit_file, event_log, baseline_file):

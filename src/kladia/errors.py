@@ -108,10 +108,6 @@ class WindowClosed(KladiaError):
     pass
 
 
-class QuorumNotMet(KladiaError):
-    pass
-
-
 class NotExecutable(KladiaError):
     pass
 

@@ -3,8 +3,9 @@
 Operator submissions are checked for internal consistency, aggregated by
 lower-median, published into a fixed 72-hour challenge window, and only
 an undisputed, expired window may be executed by the 5-of-8 policy
-executor. Disputes without a timely correction lapse to the last
-confirmed g. Nothing on this surface accepts an externally chosen g.
+executor. Two operators flagging one issue dispute the window, and a
+disputed window lapses to the last confirmed g after 14 days; nothing
+reopens it. Nothing on this surface accepts an externally chosen g.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     InconsistentPayload,
     NoSubmissions,
     NotExecutable,
-    QuorumNotMet,
     SubmissionsClosed,
     UnknownOperator,
     WindowClosed,
@@ -45,7 +45,6 @@ class WindowStatus(Enum):
     OPEN = "Open"
     EXPIRED_CLEAN = "ExpiredClean"
     DISPUTED = "Disputed"
-    PAUSED = "PausedAwaitingCorrection"
     EXECUTED = "Executed"
     LAPSED = "LapsedToLastConfirmed"
 
@@ -141,7 +140,6 @@ class ChallengeWindow:
     opened_at: Optional[datetime] = None
     flags: list[Flag] = field(default_factory=list)
     status: WindowStatus = WindowStatus.PENDING
-    paused_at: Optional[datetime] = None
 
 
 @dataclass
@@ -153,7 +151,6 @@ class CycleRecord:
     window: ChallengeWindow = field(default_factory=ChallengeWindow)
     confirmed_g: Optional[int] = None
     carried_forward: bool = False
-    halted: bool = False
 
     def canonical(self) -> dict:
         return {
@@ -254,7 +251,7 @@ def open_window(record: CycleRecord, now: datetime) -> CycleRecord:
 def flag(record: CycleRecord, operator_id: str, issue_code: str, comment: str
          ) -> CycleRecord:
     """Record a discrepancy flag; two distinct operators on one issue code
-    (or a quorum pause) constitute a valid dispute."""
+    constitute a valid dispute."""
     if record.window.status is not WindowStatus.OPEN:
         raise WindowClosed(f"window is {record.window.status.value}")
     record.window.flags.append(Flag(operator_id, issue_code, comment))
@@ -266,52 +263,22 @@ def flag(record: CycleRecord, operator_id: str, issue_code: str, comment: str
     return record
 
 
-def pause_by_governance(record: CycleRecord, quorum_met: bool, now: datetime
-                        ) -> CycleRecord:
-    """A quorum-passed pause motion moves the window to awaiting correction."""
-    if record.window.status not in (WindowStatus.OPEN, WindowStatus.DISPUTED):
-        raise WindowClosed(f"window is {record.window.status.value}")
-    if not quorum_met:
-        raise QuorumNotMet("pause motion did not meet quorum")
-    record.window.status = WindowStatus.PAUSED
-    record.window.paused_at = now
-    return record
+def resolve(record: CycleRecord, now: datetime) -> CycleRecord:
+    """Move the window on by the time alone.
 
-
-def resolve(
-    record: CycleRecord,
-    now: datetime,
-    corrected_payload: Optional[SubmissionPayload],
-    baseline: BaselineRef,
-) -> CycleRecord:
-    """Total resolution function over the window's live states.
-
-    Clean expiry becomes executable; a timely correction reopens a fresh
-    window on the corrected value; a missed 14-day deadline lapses to the
-    last confirmed g.
+    An open window expires clean, and so becomes executable, once 72 hours
+    have passed; a disputed one lapses to the last confirmed g once more
+    than 14 days have. Any other state, or an earlier time, is left as it is.
     """
-    status = record.window.status
-    if status is WindowStatus.OPEN:
-        assert record.window.opened_at is not None
-        if now >= record.window.opened_at + CHALLENGE_WINDOW:
-            record.window.status = WindowStatus.EXPIRED_CLEAN
-        return record
-    if status in (WindowStatus.DISPUTED, WindowStatus.PAUSED):
-        anchor = record.window.paused_at or record.window.opened_at
-        assert anchor is not None
-        if corrected_payload is not None:
-            if now <= anchor + CORRECTION_DEADLINE:
-                _recompute_check(corrected_payload, baseline)
-                record.median_payload = corrected_payload
-                record.window = ChallengeWindow(
-                    opened_at=now, status=WindowStatus.OPEN
-                )
-                return record
-        if now > anchor + CORRECTION_DEADLINE:
-            record.window.status = WindowStatus.LAPSED
-            record.confirmed_g = record.prior_confirmed_g
-            record.carried_forward = True
-        return record
+    window = record.window
+    if (window.status is WindowStatus.OPEN
+            and now >= window.opened_at + CHALLENGE_WINDOW):
+        window.status = WindowStatus.EXPIRED_CLEAN
+    elif (window.status is WindowStatus.DISPUTED
+            and now > window.opened_at + CORRECTION_DEADLINE):
+        window.status = WindowStatus.LAPSED
+        record.confirmed_g = record.prior_confirmed_g
+        record.carried_forward = True
     return record
 
 
@@ -327,8 +294,6 @@ def execute(
     """
     if record.window.status is not WindowStatus.EXPIRED_CLEAN:
         raise NotExecutable(f"window is {record.window.status.value}")
-    if record.halted:
-        raise NotExecutable("policy execution is halted by governance")
     EXECUTOR_POLICY.check(approvals, "executor")
     assert record.median_payload is not None
     g = record.confirmed_g = record.median_payload.g
@@ -353,9 +318,9 @@ def settle_cycle(
     The prior confirmed g is the ledger's, the g its factors in force were
     derived at, or 0 before the first cycle. Intake, lower median and
     window; then the window's flags. An undisputed window is resolved after
-    73 hours and executed; a disputed one gets no correction and lapses
-    after 15 days to the prior confirmed g: a first cycle begins at that g,
-    a later one keeps the factors in force.
+    73 hours and executed; a disputed one is resolved after 15 days and
+    lapses to the prior confirmed g: a first cycle begins at that g, a
+    later one keeps the factors in force.
     """
     factors = ledger_state.annual_factors
     record = CycleRecord(cycle_year=year,
@@ -371,25 +336,10 @@ def settle_cycle(
         clock.advance_days(15)
     else:
         clock.advance_hours(73)
-    record = resolve(record, clock.now(), None, baseline)
+    record = resolve(record, clock.now())
     if record.window.status is not WindowStatus.LAPSED:
         return execute(record, ledger_state, params, approvals)
     if factors is None:
         return record, begin_cycle(ledger_state, params, record.confirmed_g, year)
     return record, carry_cycle(ledger_state, year)
 
-
-def emergency_halt(record: CycleRecord, quorum_met: bool) -> CycleRecord:
-    """Disable execution without touching any confirmed value."""
-    if not quorum_met:
-        raise QuorumNotMet("halt vote did not meet quorum")
-    record.halted = True
-    return record
-
-
-def restore(record: CycleRecord, quorum_met: bool) -> CycleRecord:
-    """Lift an emergency halt; normal operation resumes under the same g."""
-    if not quorum_met:
-        raise QuorumNotMet("restore vote did not meet quorum")
-    record.halted = False
-    return record

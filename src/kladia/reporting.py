@@ -22,7 +22,7 @@ from .debt_index import BaselineRef, index_kernel, weighted_bdi
 from .errors import IncompleteCycle
 from .ledger import last_cycle
 from .oracle_protocol import CycleRecord, WindowStatus
-from .weo_ingest import ALL_BLOCS, Bloc
+from .weo_ingest import ALL_BLOCS
 
 REQUIRED_FIELDS = (
     "cycle_year",
@@ -112,7 +112,6 @@ def build_report(
     ledger_events: Sequence[dict],
     governance_log: Sequence[dict],
     baseline: BaselineRef,
-    carried_forward_blocs: Sequence[Bloc] = (),
     fallback_note: Optional[str] = None,
 ) -> dict:
     """Assemble the annual Policy Report for a settled cycle."""
@@ -164,7 +163,7 @@ def build_report(
         "vintage_id": index_fields["vintage_id"],
         "dataset_hash": index_fields["dataset_hash"],
         "fallback_note": fallback_note,
-        "carried_forward_blocs": sorted(b.value for b in carried_forward_blocs),
+        "carried_forward_blocs": [],
         "carried_forward": cycle_record.carried_forward,
         "low_submission_count": len(cycle_record.submissions) < 3,
         "lambda": fp.to_str(baseline.lam),

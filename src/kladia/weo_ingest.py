@@ -14,12 +14,11 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Mapping, Optional
 
 from . import fixedpoint as fp
 from .canonical import sha256_hex
-from .errors import (DuplicateBloc, IncompleteBlocSet, MalformedFile,
-                     NegativeValue, NoPriorValue)
+from .errors import DuplicateBloc, MalformedFile, NegativeValue, NoPriorValue
 
 DEBT_SERIES = "GGXWDG_NGDP"   # general government gross debt, % of GDP
 GDP_SERIES = "NGDPD"          # nominal GDP, USD
@@ -67,23 +66,6 @@ class WeoVintage:
             raise MalformedFile(f"bad dataset hash: {self.dataset_hash!r}")
 
 
-class ObservationStatus(Enum):
-    OBSERVED = "Observed"
-    CARRIED_FORWARD = "CarriedForward"
-
-
-@dataclass(frozen=True)
-class BlocObservation:
-    bloc: Bloc
-    debt_ratio: int    # scaled decimal, percent of GDP
-    nominal_gdp: int   # scaled decimal, USD
-    source_vintage: WeoVintage
-    status: ObservationStatus
-
-    def __post_init__(self):
-        check_ranges(self.bloc, self.debt_ratio, self.nominal_gdp)
-
-
 def check_ranges(bloc: Bloc, debt_ratio: int, nominal_gdp: int) -> None:
     """Reject a negative debt ratio or a non-positive GDP for one bloc."""
     if debt_ratio < 0:
@@ -92,37 +74,17 @@ def check_ranges(bloc: Bloc, debt_ratio: int, nominal_gdp: int) -> None:
         raise NegativeValue(f"{bloc.value}: nominal_gdp <= 0")
 
 
-def kc7_columns(
-    observations: Sequence[BlocObservation],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Debt ratios and GDPs as tuples in ALL_BLOCS order.
-
-    Raises IncompleteBlocSet unless the observations cover the KC7 set
-    exactly once, in any order.
-    """
-    ordered = sorted(observations, key=lambda o: ALL_BLOCS.index(o.bloc))
-    if tuple(o.bloc for o in ordered) != ALL_BLOCS:
-        raise IncompleteBlocSet(
-            f"need exactly the KC7 set, got {[o.bloc.value for o in observations]}"
-        )
-    return (tuple(o.debt_ratio for o in ordered),
-            tuple(o.nominal_gdp for o in ordered))
-
-
-@dataclass(frozen=True)
-class MissingSeries:
-    """Placeholder for a bloc absent from the snapshot file."""
-
-    bloc: Bloc
-
-
 @dataclass(frozen=True)
 class ParsedSnapshot:
-    observations: list[BlocObservation | MissingSeries]
+    """A snapshot's vintage and its KC7 levels, scaled, in ALL_BLOCS order;
+    a bloc the file lacks is None in both tuples."""
+
     vintage: WeoVintage
+    debt_ratios: tuple[Optional[int], ...]
+    nominal_gdps: tuple[Optional[int], ...]
 
     def missing(self) -> list[Bloc]:
-        return [o.bloc for o in self.observations if isinstance(o, MissingSeries)]
+        return [b for b, debt in zip(ALL_BLOCS, self.debt_ratios) if debt is None]
 
 
 class SnapshotRule(Enum):
@@ -141,10 +103,11 @@ class SnapshotDecision:
 def parse_weo_snapshot(
     raw: bytes, vintage_id: str, publication_date: date
 ) -> ParsedSnapshot:
-    """Parse a frozen snapshot extract into one observation per KC7 bloc.
+    """Parse a frozen snapshot extract into its vintage and the two KC7
+    series, each range-checked.
 
-    Blocs missing from the file come back as MissingSeries markers for the
-    caller to resolve via apply_missing_data_rule.
+    A bloc missing from the file is None in both tuples, for the caller to
+    fill via apply_missing_data_rule.
     """
     dataset_hash = sha256_hex(raw)
     vintage = WeoVintage(vintage_id, publication_date, dataset_hash)
@@ -186,54 +149,39 @@ def parse_weo_snapshot(
         except ValueError as exc:
             raise MalformedFile(f"line {lineno}: bad value {value!r}") from exc
 
-    observations: list[BlocObservation | MissingSeries] = []
+    debt_ratios, nominal_gdps = [], []
     for bloc in ALL_BLOCS:
         debt = seen.get((bloc, DEBT_SERIES))
         gdp = seen.get((bloc, GDP_SERIES))
-        if debt is None and gdp is None:
-            observations.append(MissingSeries(bloc))
-            continue
-        if debt is None or gdp is None:
+        if (debt is None) != (gdp is None):
             raise MalformedFile(
                 f"{bloc.value}: incomplete series pair (need both "
                 f"{DEBT_SERIES} and {GDP_SERIES})"
             )
-        observations.append(
-            BlocObservation(bloc, debt, gdp, vintage, ObservationStatus.OBSERVED)
-        )
-    return ParsedSnapshot(observations, vintage)
+        if debt is not None:
+            check_ranges(bloc, debt, gdp)
+        debt_ratios.append(debt)
+        nominal_gdps.append(gdp)
+    return ParsedSnapshot(vintage, tuple(debt_ratios), tuple(nominal_gdps))
 
 
 def apply_missing_data_rule(
-    current: Sequence[BlocObservation | MissingSeries],
-    last_confirmed: Sequence[BlocObservation],
-) -> list[BlocObservation]:
-    """Replace MissingSeries markers with the last confirmed value per bloc.
-
-    Substituted entries carry status CarriedForward; callers disclose them
-    in the cycle report.
-    """
-    prior = {o.bloc: o for o in last_confirmed}
-    resolved: list[BlocObservation] = []
-    for obs in current:
-        if isinstance(obs, MissingSeries):
-            fallback = prior.get(obs.bloc)
-            if fallback is None:
+    parsed: ParsedSnapshot,
+    last_confirmed: Mapping[Bloc, tuple[int, int]],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The snapshot's debt ratios and GDPs, in ALL_BLOCS order, with each
+    missing bloc's levels taken from its last confirmed
+    `(debt_ratio, nominal_gdp)`; raises NoPriorValue for a missing bloc
+    without one."""
+    levels = []
+    for bloc, debt, gdp in zip(ALL_BLOCS, parsed.debt_ratios, parsed.nominal_gdps):
+        if debt is None:
+            if bloc not in last_confirmed:
                 raise NoPriorValue(
-                    f"{obs.bloc.value} missing and no confirmed prior value"
-                )
-            resolved.append(
-                BlocObservation(
-                    fallback.bloc,
-                    fallback.debt_ratio,
-                    fallback.nominal_gdp,
-                    fallback.source_vintage,
-                    ObservationStatus.CARRIED_FORWARD,
-                )
-            )
-        else:
-            resolved.append(obs)
-    return resolved
+                    f"{bloc.value} missing and no confirmed prior value")
+            debt, gdp = last_confirmed[bloc]
+        levels.append((debt, gdp))
+    return tuple(zip(*levels))
 
 
 def _is_business_day(day: date, holidays: frozenset[date]) -> bool:

@@ -5,14 +5,7 @@ import pytest
 
 from kladia import fixedpoint as fp
 from kladia.debt_index import BaselineRef, weighted_bdi
-from kladia.weo_ingest import (
-    ALL_BLOCS,
-    Bloc,
-    BlocObservation,
-    ObservationStatus,
-    WeoVintage,
-    kc7_columns,
-)
+from kladia.weo_ingest import ALL_BLOCS, Bloc, WeoVintage
 
 DEBT_LEVELS = {
     Bloc.US: "120", Bloc.EA20: "90", Bloc.JP: "250", Bloc.UK: "100",
@@ -35,26 +28,9 @@ def vintage():
     return WeoVintage("2025-October", date(2025, 10, 15), "ab" * 32)
 
 
-@pytest.fixture
-def observations(vintage):
-    return make_observations(vintage)
-
-
-def make_observations(vintage, debt=None, gdp=None):
-    debt = debt or DEBT_LEVELS
-    gdp = gdp or GDP_LEVELS
-    return [
-        BlocObservation(
-            b, fp.from_str(debt[b]), fp.from_str(gdp[b]), vintage,
-            ObservationStatus.OBSERVED,
-        )
-        for b in ALL_BLOCS
-    ]
-
-
 def make_columns(debt=None, gdp=None):
-    """The same levels as one KC7 input set: (debt_ratios, nominal_gdps) in
-    ALL_BLOCS order."""
+    """The fixture levels, or `debt` and `gdp` by bloc, as one KC7 input set:
+    (debt_ratios, nominal_gdps) in ALL_BLOCS order."""
     debt = debt or DEBT_LEVELS
     gdp = gdp or GDP_LEVELS
     return (tuple(fp.from_str(debt[b]) for b in ALL_BLOCS),
@@ -62,6 +38,6 @@ def make_columns(debt=None, gdp=None):
 
 
 @pytest.fixture
-def baseline(vintage, observations):
-    bdi_ref = weighted_bdi(*kc7_columns(observations))[1]
+def baseline(vintage):
+    bdi_ref = weighted_bdi(*make_columns())[1]
     return BaselineRef(bdi_ref=bdi_ref, genesis_vintage=vintage, lam=fp.ONE)

@@ -242,7 +242,7 @@ def test_criterion_06_challenge_window_gating(vintage, baseline):
 
         # any execution attempt strictly before the 72-hour mark must fail
         pre = T0 + timedelta(minutes=rnd.randrange(0, 72 * 60))
-        record = op.resolve(record, pre, None, baseline)
+        record = op.resolve(record, pre)
         assert record.window.status is op.WindowStatus.OPEN
         with pytest.raises(NotExecutable):
             op.execute(record, shared_ledger, PolicyParams(), EXECUTORS[:5])
@@ -253,14 +253,14 @@ def test_criterion_06_challenge_window_gating(vintage, baseline):
             op.flag(record, "op-1", "data-mismatch", "a")
             op.flag(record, "op-2", "data-mismatch", "b")
             late = T0 + timedelta(days=15, hours=rnd.randrange(0, 200))
-            record = op.resolve(record, late, None, baseline)
+            record = op.resolve(record, late)
             assert record.window.status is op.WindowStatus.LAPSED
             assert record.confirmed_g == prior
             assert record.carried_forward is True
             lapses += 1
         else:
             post = T0 + timedelta(hours=72, minutes=rnd.randrange(0, 10_000))
-            record = op.resolve(record, post, None, baseline)
+            record = op.resolve(record, post)
             assert record.window.status is op.WindowStatus.EXPIRED_CLEAN
             clean += 1
 
@@ -314,7 +314,7 @@ def _executed_cycle(vintage, baseline):
         )
     op.aggregate_median(record, baseline)
     op.open_window(record, T0)
-    record = op.resolve(record, T0 + timedelta(hours=73), None, baseline)
+    record = op.resolve(record, T0 + timedelta(hours=73))
     state = lg.genesis()
     event_start = len(state.event_log)
     record, state = op.execute(record, state, PolicyParams(), EXECUTORS[:5])

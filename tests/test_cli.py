@@ -753,6 +753,60 @@ def test_index_last_confirmed_entry_not_an_object_exit_2(runner, tmp_path):
     assert result.output == "error: MalformedFile: prior.json: KR: not a JSON object\n"
 
 
+def index_without_kr(runner, tmp_path, prior):
+    """`kld index --fmt canonical` on the write_snapshot levels with KR
+    dropped, with `prior` as the --last-confirmed file."""
+    snap = tmp_path / "snap.csv"
+    write_snapshot(snap, "2026-October")
+    lines = snap.read_text().splitlines()
+    snap.write_text("\n".join(lines[:-2]) + "\n")  # drop KR
+    base = tmp_path / "baseline.json"
+    write_baseline(base)
+    prior_file = tmp_path / "prior.json"
+    prior_file.write_text(json.dumps(prior))
+    return runner.invoke(main, [
+        "index", str(snap), "--baseline-file", str(base),
+        "--vintage", "2026-October", "--publication-date", "2026-10-14",
+        "--last-confirmed", str(prior_file), "--fmt", "canonical",
+    ])
+
+
+def test_index_last_confirmed_fills_the_missing_bloc(runner, tmp_path):
+    full_snap = tmp_path / "full.csv"
+    write_snapshot(full_snap, "2026-October")
+    base = tmp_path / "baseline.json"
+    write_baseline(base)
+    full = runner.invoke(main, [
+        "index", str(full_snap), "--baseline-file", str(base),
+        "--vintage", "2026-October", "--publication-date", "2026-10-14",
+        "--fmt", "canonical",
+    ])
+    assert full.exit_code == 0, full.output
+    carried = index_without_kr(runner, tmp_path, {
+        "KR": {"debt_ratio": "150", "nominal_gdp": "2000"}})
+    assert carried.exit_code == 0, carried.output
+    full_payload, carried_payload = (json.loads(full.output),
+                                     json.loads(carried.output))
+    # the snapshot file differs, so its hash does; every index field agrees
+    assert full_payload.pop("dataset_hash") != carried_payload.pop("dataset_hash")
+    assert carried_payload == full_payload
+
+
+@pytest.mark.parametrize("prior, message", [
+    # an entry for a bloc the snapshot has is unused, and still checked
+    ({"KR": {"debt_ratio": "150", "nominal_gdp": "2000"},
+      "US": {"debt_ratio": "-1", "nominal_gdp": "2000"}},
+     "NegativeValue: US: debt_ratio < 0"),
+    ({"KR": {"debt_ratio": "150", "nominal_gdp": "2000"},
+      "XX": {"debt_ratio": "150", "nominal_gdp": "2000"}},
+     "ValueError: 'XX' is not a valid Bloc"),
+], ids=["negative-unused-entry", "unknown-code"])
+def test_index_last_confirmed_bad_entry_exit_2(runner, tmp_path, prior, message):
+    result = index_without_kr(runner, tmp_path, prior)
+    assert result.exit_code == 2
+    assert result.output == f"error: {message}\n"
+
+
 def _verb_args(verb, tmp_path, base):
     snap = tmp_path / "snap.csv"
     write_snapshot(snap, "2026-October")

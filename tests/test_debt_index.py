@@ -21,56 +21,56 @@ from kladia.errors import (
     NegativeValue,
     NonPositiveLambda,
 )
-from kladia.weo_ingest import ALL_BLOCS, Bloc, WeoVintage, kc7_columns
+from kladia.weo_ingest import ALL_BLOCS, Bloc, WeoVintage
 
-from conftest import make_observations
+from conftest import make_columns
 
 
-def fraction_weights(observations):
+def fraction_weights(columns):
     """Independent oracle: exact rational GDP shares, rounded half-even,
     residual on the largest bloc."""
-    total = sum(o.nominal_gdp for o in observations)
+    gdps = dict(zip(ALL_BLOCS, columns[1]))
+    total = sum(gdps.values())
     raw = {}
-    for o in observations:
-        exact = Fraction(o.nominal_gdp * fp.SCALE, total)
+    for bloc, gdp in gdps.items():
+        exact = Fraction(gdp * fp.SCALE, total)
         floor = exact.numerator // exact.denominator
         frac = exact - floor
         if frac > Fraction(1, 2) or (frac == Fraction(1, 2) and floor % 2 == 1):
             floor += 1
-        raw[o.bloc] = floor
+        raw[bloc] = floor
     residual = fp.SCALE - sum(raw.values())
-    largest = max(observations, key=lambda o: (o.nominal_gdp, -ALL_BLOCS.index(o.bloc)))
-    raw[largest.bloc] += residual
+    largest = max(ALL_BLOCS, key=lambda b: (gdps[b], -ALL_BLOCS.index(b)))
+    raw[largest] += residual
     return raw
 
 
-def kernel_weights(observations, baseline):
+def kernel_weights(columns, baseline):
     """Weights by bloc, through the index kernel."""
-    return dict(zip(ALL_BLOCS, index_kernel(*kc7_columns(observations), baseline)[0]))
+    return dict(zip(ALL_BLOCS, index_kernel(*columns, baseline)[0]))
 
 
-def test_weights_match_rational_oracle(vintage, baseline):
-    obs = make_observations(vintage)
-    assert kernel_weights(obs, baseline) == fraction_weights(obs)
+def test_weights_match_rational_oracle(baseline):
+    columns = make_columns()
+    assert kernel_weights(columns, baseline) == fraction_weights(columns)
 
 
-def test_weights_dominant_pair_ratio(vintage, baseline):
+def test_weights_dominant_pair_ratio(baseline):
     # two large blocs at GDP 20 and 10 dominate; their weights approach 2/3, 1/3
     gdp = {b: "0.000001" for b in ALL_BLOCS}
     gdp[Bloc.US] = "20"
     gdp[Bloc.EA20] = "10"
-    obs = make_observations(vintage, gdp=gdp)
-    weights = kernel_weights(obs, baseline)
-    assert weights == fraction_weights(obs)
+    columns = make_columns(gdp=gdp)
+    weights = kernel_weights(columns, baseline)
+    assert weights == fraction_weights(columns)
     assert abs(weights[Bloc.US] - fp.div_half_even(2 * fp.SCALE, 3)) <= 1000
     assert abs(weights[Bloc.EA20] - fp.div_half_even(fp.SCALE, 3)) <= 1000
     assert sum(weights.values()) == fp.ONE
 
 
-def test_weights_equal_gdp_residual_on_first_code(vintage, baseline):
+def test_weights_equal_gdp_residual_on_first_code(baseline):
     gdp = {b: "1000" for b in ALL_BLOCS}
-    obs = make_observations(vintage, gdp=gdp)
-    weights = kernel_weights(obs, baseline)
+    weights = kernel_weights(make_columns(gdp=gdp), baseline)
     seventh = fp.div_half_even(fp.SCALE, 7)
     assert sum(weights.values()) == fp.ONE
     for b in ALL_BLOCS:
@@ -79,29 +79,27 @@ def test_weights_equal_gdp_residual_on_first_code(vintage, baseline):
     assert off in ([], [Bloc.US])  # tie broken on first bloc in code order
 
 
-def test_weights_incomplete_set(vintage, observations, baseline):
-    with pytest.raises(IncompleteBlocSet):
-        index_kernel(*kc7_columns(observations[:-1]), baseline)
-    with pytest.raises(IncompleteBlocSet):
-        index_kernel(*kc7_columns(observations + observations[:1]), baseline)
-    debt, gdp = kc7_columns(observations)
+def test_weights_incomplete_set(baseline):
+    debt, gdp = make_columns()
     with pytest.raises(IncompleteBlocSet):
         index_kernel(debt[:-1], gdp[:-1], baseline)
+    with pytest.raises(IncompleteBlocSet):
+        index_kernel(debt + debt[:1], gdp + gdp[:1], baseline)
 
 
-def test_weights_sum_exactly_one_randomized(vintage, baseline):
+def test_weights_sum_exactly_one_randomized(baseline):
     import random
 
     rng = random.Random(42)
     for _ in range(50):
         gdp = {b: str(rng.randint(1, 10**8)) for b in ALL_BLOCS}
-        obs = make_observations(vintage, gdp=gdp)
-        weights = kernel_weights(obs, baseline)
+        columns = make_columns(gdp=gdp)
+        weights = kernel_weights(columns, baseline)
         assert sum(weights.values()) == fp.ONE
-        assert weights == fraction_weights(obs)
+        assert weights == fraction_weights(columns)
 
 
-def test_bdi_weighted_sum_oracle(vintage, baseline):
+def test_bdi_weighted_sum_oracle(baseline):
     # GDPs 20 and 10 on two blocs and 10^-9 elsewhere give weights
     # 0.666666667, 0.333333333 and 0; hand oracle via Decimal:
     # 0.666666667*120 + 0.333333333*240 = 159.99999996
@@ -109,8 +107,7 @@ def test_bdi_weighted_sum_oracle(vintage, baseline):
     gdp.update({Bloc.US: "20", Bloc.EA20: "10"})
     debt = {b: "999" for b in ALL_BLOCS}
     debt.update({Bloc.US: "120", Bloc.EA20: "240"})
-    weights, bdi = index_kernel(
-        *kc7_columns(make_observations(vintage, debt=debt, gdp=gdp)), baseline)[:2]
+    weights, bdi = index_kernel(*make_columns(debt=debt, gdp=gdp), baseline)[:2]
     assert weights[ALL_BLOCS.index(Bloc.US)] == fp.from_str("0.666666667")
     assert weights[ALL_BLOCS.index(Bloc.EA20)] == fp.from_str("0.333333333")
     expected = Decimal("0.666666667") * 120 + Decimal("0.333333333") * 240
@@ -119,21 +116,21 @@ def test_bdi_weighted_sum_oracle(vintage, baseline):
     assert abs(bdi - fp.from_str("160")) <= 100
 
 
-def test_bdi_constant_ratios(vintage, baseline):
-    obs = make_observations(vintage, debt={b: "100" for b in ALL_BLOCS})
-    assert index_kernel(*kc7_columns(obs), baseline)[1] == fp.from_str("100")
+def test_bdi_constant_ratios(baseline):
+    columns = make_columns(debt={b: "100" for b in ALL_BLOCS})
+    assert index_kernel(*columns, baseline)[1] == fp.from_str("100")
 
 
-def test_bdi_bloc_set_mismatch(observations, baseline):
-    debt, gdp = kc7_columns(observations)
+def test_bdi_bloc_set_mismatch(baseline):
+    debt, gdp = make_columns()
     with pytest.raises(BlocSetMismatch):
         index_kernel(debt[:-1], gdp, baseline)
 
 
-def test_weighted_bdi_memo_keeps_no_failure(observations):
+def test_weighted_bdi_memo_keeps_no_failure():
     # a rejected input set raises on every call, and a remembered result is
     # what the uncached half computes, whatever sequence type it came in
-    debt, gdp = kc7_columns(observations)
+    debt, gdp = make_columns()
     for _ in range(2):
         with pytest.raises(NegativeValue):
             weighted_bdi((-1,) + debt[1:], gdp)
@@ -256,10 +253,10 @@ def test_policy_factor_monotone_and_bounded(x1, x2, lam):
     assert g_lo <= g_hi
 
 
-def test_policy_factor_purity(vintage, observations, baseline):
+def test_policy_factor_purity(baseline):
     # level-based: same inputs give the same g regardless of any history
-    first = index_kernel(*kc7_columns(observations), baseline)
+    columns = make_columns()
+    first = index_kernel(*columns, baseline)
     # unrelated computation in between
-    index_kernel(*kc7_columns(make_observations(
-        vintage, debt={b: "300" for b in ALL_BLOCS})), baseline)
-    assert index_kernel(*kc7_columns(observations), baseline) == first
+    index_kernel(*make_columns(debt={b: "300" for b in ALL_BLOCS}), baseline)
+    assert index_kernel(*columns, baseline) == first

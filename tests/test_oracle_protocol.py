@@ -19,7 +19,6 @@ from kladia.errors import (
     NegativeValue,
     NoSubmissions,
     NotExecutable,
-    QuorumNotMet,
     SubmissionsClosed,
     UnknownOperator,
     WindowClosed,
@@ -294,44 +293,41 @@ def test_same_operator_twice_does_not_dispute(vintage, baseline):
 
 def test_flag_after_close_rejected(vintage, baseline):
     record = open_record(vintage, baseline)
-    record = op.resolve(record, T0 + timedelta(hours=73), None, baseline)
+    record = op.resolve(record, T0 + timedelta(hours=73))
     with pytest.raises(WindowClosed):
         op.flag(record, "op-1", "late", "too late")
-
-
-def test_pause_by_governance(vintage, baseline):
-    record = open_record(vintage, baseline)
-    record = op.pause_by_governance(record, True, T0 + timedelta(hours=5))
-    assert record.window.status is op.WindowStatus.PAUSED
-
-
-def test_pause_quorum_not_met(vintage, baseline):
-    record = open_record(vintage, baseline)
-    with pytest.raises(QuorumNotMet):
-        op.pause_by_governance(record, False, T0 + timedelta(hours=5))
-    assert record.window.status is op.WindowStatus.OPEN
-
-
-def test_pause_after_expiry_rejected(vintage, baseline):
-    record = open_record(vintage, baseline)
-    record = op.resolve(record, T0 + timedelta(hours=73), None, baseline)
-    with pytest.raises(WindowClosed):
-        op.pause_by_governance(record, True, T0 + timedelta(hours=80))
 
 
 # --- resolution --------------------------------------------------------------
 
 def test_clean_expiry_just_after_72h(vintage, baseline):
     record = open_record(vintage, baseline)
-    record = op.resolve(record, T0 + timedelta(hours=72, seconds=1), None,
-                        baseline)
+    record = op.resolve(record, T0 + timedelta(hours=72, seconds=1))
     assert record.window.status is op.WindowStatus.EXPIRED_CLEAN
 
 
 def test_no_expiry_before_72h(vintage, baseline):
     record = open_record(vintage, baseline)
-    record = op.resolve(record, T0 + timedelta(hours=71), None, baseline)
+    record = op.resolve(record, T0 + timedelta(hours=71))
     assert record.window.status is op.WindowStatus.OPEN
+
+
+def test_dispute_lapses_only_after_14_days(vintage, baseline):
+    # clean expiry is at >= 72 h; the lapse is strictly after 14 days
+    prior = fp.from_str("0.25")
+    record = submit_scales(op.CycleRecord(2026, prior), ["1.5", "1.52"],
+                           vintage, baseline)
+    op.aggregate_median(record, baseline)
+    op.open_window(record, T0)
+    op.flag(record, "op-1", "x", "a")
+    op.flag(record, "op-2", "x", "b")
+    record = op.resolve(record, T0 + timedelta(days=14))
+    assert record.window.status is op.WindowStatus.DISPUTED
+    assert record.confirmed_g is None and not record.carried_forward
+    record = op.resolve(record, T0 + timedelta(days=14, seconds=1))
+    assert record.window.status is op.WindowStatus.LAPSED
+    assert record.carried_forward
+    assert record.confirmed_g == prior
 
 
 def test_dispute_without_correction_lapses(vintage, baseline):
@@ -342,28 +338,17 @@ def test_dispute_without_correction_lapses(vintage, baseline):
     op.open_window(record, T0)
     op.flag(record, "op-1", "x", "a")
     op.flag(record, "op-2", "x", "b")
-    record = op.resolve(record, T0 + timedelta(days=15), None, baseline)
+    record = op.resolve(record, T0 + timedelta(days=15))
     assert record.window.status is op.WindowStatus.LAPSED
     assert record.carried_forward
     assert record.confirmed_g == prior
-
-
-def test_dispute_with_timely_correction_reopens(vintage, baseline):
-    record = open_record(vintage, baseline)
-    op.flag(record, "op-1", "x", "a")
-    op.flag(record, "op-2", "x", "b")
-    corrected = payload_for(vintage, baseline, "1.45")
-    record = op.resolve(record, T0 + timedelta(days=10), corrected, baseline)
-    assert record.window.status is op.WindowStatus.OPEN
-    assert record.window.opened_at == T0 + timedelta(days=10)
-    assert record.median_payload.bdi == corrected.bdi
 
 
 # --- execution ---------------------------------------------------------------
 
 def expired_record(vintage, baseline):
     record = open_record(vintage, baseline)
-    return op.resolve(record, T0 + timedelta(hours=73), None, baseline)
+    return op.resolve(record, T0 + timedelta(hours=73))
 
 
 def test_execute_happy_path(vintage, baseline):
@@ -448,25 +433,6 @@ def test_settle_cycle_dispute_lapses_to_prior_g(vintage, baseline, factors_in_fo
     assert new.annual_factors.g_used == prior_g
 
 
-# --- emergency halt ----------------------------------------------------------
-
-def test_halt_blocks_execution_but_not_g(vintage, baseline):
-    record = expired_record(vintage, baseline)
-    record = op.emergency_halt(record, True)
-    with pytest.raises(NotExecutable):
-        op.execute(record, lg.genesis(), PolicyParams(), EXECUTORS[:5])
-    record = op.restore(record, True)
-    record, state = op.execute(record, lg.genesis(), PolicyParams(),
-                               EXECUTORS[:5])
-    assert record.window.status is op.WindowStatus.EXECUTED
-
-
-def test_halt_requires_quorum(vintage, baseline):
-    record = expired_record(vintage, baseline)
-    with pytest.raises(QuorumNotMet):
-        op.emergency_halt(record, False)
-
-
 def test_api_surface_cannot_write_g():
     # no public operation of the protocol accepts an externally chosen g
     import inspect
@@ -490,7 +456,7 @@ def test_time_gate_randomized_schedules(vintage, baseline):
         executed_early = False
         for _ in range(rng.randint(1, 8)):
             clock.advance_hours(rng.randint(1, 30))
-            record = op.resolve(record, clock.now(), None, baseline)
+            record = op.resolve(record, clock.now())
             if record.window.status is op.WindowStatus.EXPIRED_CLEAN:
                 elapsed = clock.now() - T0
                 if elapsed < timedelta(hours=72):

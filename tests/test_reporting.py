@@ -30,7 +30,7 @@ def executed_cycle(vintage, baseline, with_actions=True, state=None, year=2026):
         )
     op.aggregate_median(record, baseline)
     op.open_window(record, T0)
-    record = op.resolve(record, T0 + timedelta(hours=73), None, baseline)
+    record = op.resolve(record, T0 + timedelta(hours=73))
     state = lg.genesis() if state is None else state
     event_start = len(state.event_log)
     record, state = op.execute(
@@ -53,7 +53,7 @@ def lapsed_cycle(vintage, baseline):
     op.open_window(record, T0)
     op.flag(record, "op-1", "x", "a")
     op.flag(record, "op-2", "x", "b")
-    return op.resolve(record, T0 + timedelta(days=15), None, baseline)
+    return op.resolve(record, T0 + timedelta(days=15))
 
 
 def test_build_report_executed(vintage, baseline):
@@ -83,15 +83,6 @@ def test_build_report_incomplete_cycle(vintage, baseline):
     op.open_window(record, T0)
     with pytest.raises(IncompleteCycle):
         reporting.build_report(record, [], [], baseline)
-
-
-def test_carried_forward_blocs_disclosed(vintage, baseline):
-    from kladia.weo_ingest import Bloc
-
-    record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, [], baseline,
-                                    carried_forward_blocs=[Bloc.KR])
-    assert report["carried_forward_blocs"] == ["KR"]
 
 
 def test_action_amounts_by_op():

@@ -14,9 +14,6 @@ from kladia.errors import DuplicateBloc, MalformedFile, NegativeValue, NoPriorVa
 from kladia.weo_ingest import (
     ALL_BLOCS,
     Bloc,
-    BlocObservation,
-    MissingSeries,
-    ObservationStatus,
     SnapshotRule,
     WeoVintage,
     apply_missing_data_rule,
@@ -44,9 +41,9 @@ def snapshot_bytes(skip=(), extra_rows=()):
 def test_full_coverage_happy_path():
     raw = snapshot_bytes()
     parsed = parse_weo_snapshot(raw, "2024-October", PUB)
-    assert len(parsed.observations) == 7
-    assert all(isinstance(o, BlocObservation) for o in parsed.observations)
-    assert all(o.status is ObservationStatus.OBSERVED for o in parsed.observations)
+    assert parsed.debt_ratios == tuple(fp.from_str(DEBT_LEVELS[b]) for b in ALL_BLOCS)
+    assert parsed.nominal_gdps == tuple(fp.from_str(GDP_LEVELS[b]) for b in ALL_BLOCS)
+    assert parsed.missing() == []
     # independent oracle: hashlib over the same bytes
     assert parsed.vintage.dataset_hash == hashlib.sha256(raw).hexdigest()
 
@@ -54,8 +51,8 @@ def test_full_coverage_happy_path():
 def test_missing_kr_yields_marker():
     parsed = parse_weo_snapshot(snapshot_bytes(skip=(Bloc.KR,)), "2024-October", PUB)
     assert parsed.missing() == [Bloc.KR]
-    observed = [o for o in parsed.observations if isinstance(o, BlocObservation)]
-    assert len(observed) == 6
+    assert parsed.debt_ratios[-1] is None and parsed.nominal_gdps[-1] is None
+    assert None not in parsed.debt_ratios[:-1] + parsed.nominal_gdps[:-1]
 
 
 def test_duplicate_us_row_rejected():
@@ -88,34 +85,28 @@ def test_determinism_same_bytes_same_output():
     a = parse_weo_snapshot(raw, "2024-October", PUB)
     b = parse_weo_snapshot(raw, "2024-October", PUB)
     assert a.vintage.dataset_hash == b.vintage.dataset_hash
-    assert a.observations == b.observations
+    assert a == b
 
 
-def test_carry_forward_substitution(vintage):
+def test_carry_forward_substitution():
     parsed = parse_weo_snapshot(snapshot_bytes(skip=(Bloc.KR,)), "2024-October", PUB)
-    prior = [
-        BlocObservation(Bloc.KR, fp.from_str("55.0"), fp.from_str("1800"),
-                        vintage, ObservationStatus.OBSERVED)
-    ]
-    resolved = apply_missing_data_rule(parsed.observations, prior)
-    assert len(resolved) == 7
-    kr = next(o for o in resolved if o.bloc is Bloc.KR)
-    assert kr.status is ObservationStatus.CARRIED_FORWARD
-    assert kr.debt_ratio == fp.from_str("55.0")
-    assert kr.nominal_gdp == fp.from_str("1800")
-    assert not any(isinstance(o, MissingSeries) for o in resolved)
+    prior = {Bloc.KR: (fp.from_str("55.0"), fp.from_str("1800")),
+             Bloc.US: (fp.from_str("1"), fp.from_str("1"))}  # US is observed
+    debt_ratios, nominal_gdps = apply_missing_data_rule(parsed, prior)
+    assert debt_ratios == parsed.debt_ratios[:-1] + (fp.from_str("55.0"),)
+    assert nominal_gdps == parsed.nominal_gdps[:-1] + (fp.from_str("1800"),)
 
 
 def test_carry_forward_identity_when_nothing_missing():
     parsed = parse_weo_snapshot(snapshot_bytes(), "2024-October", PUB)
-    resolved = apply_missing_data_rule(parsed.observations, [])
-    assert resolved == parsed.observations
+    resolved = apply_missing_data_rule(parsed, {})
+    assert resolved == (parsed.debt_ratios, parsed.nominal_gdps)
 
 
 def test_no_prior_value_is_error():
     parsed = parse_weo_snapshot(snapshot_bytes(skip=(Bloc.KR,)), "2024-October", PUB)
-    with pytest.raises(NoPriorValue):
-        apply_missing_data_rule(parsed.observations, [])
+    with pytest.raises(NoPriorValue, match="^KR missing and no confirmed prior value$"):
+        apply_missing_data_rule(parsed, {Bloc.US: (fp.ONE, fp.ONE)})
 
 
 def test_snapshot_date_october_plus_ten():
@@ -160,9 +151,8 @@ def test_vintage_id_validation():
 
 def values(raw):
     """(bloc, debt, gdp) per KC7 bloc, None for a bloc the file lacks."""
-    return [(o.bloc, None, None) if isinstance(o, MissingSeries)
-            else (o.bloc, o.debt_ratio, o.nominal_gdp)
-            for o in parse_weo_snapshot(raw, "2024-October", PUB).observations]
+    parsed = parse_weo_snapshot(raw, "2024-October", PUB)
+    return list(zip(ALL_BLOCS, parsed.debt_ratios, parsed.nominal_gdps))
 
 
 def malformed_message(extra_rows):

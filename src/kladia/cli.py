@@ -115,12 +115,7 @@ def cmd_index(snapshot_file, baseline_file, vintage, publication_date,
     raw = snapshot_file.read_bytes()
     parsed = parse_weo_snapshot(raw, vintage, date.fromisoformat(publication_date))
     prior = {}
-    if parsed.missing():
-        if last_confirmed is None:
-            raise NoPriorValue(
-                f"missing blocs {[b.value for b in parsed.missing()]} "
-                "and no --last-confirmed file"
-            )
+    if last_confirmed is not None:
         prior_data = {code: _as_object(v, f"{last_confirmed.name}: {code}")
                       for code, v in _read_object(last_confirmed).items()}
         # every entry is checked, whether or not a missing bloc uses it
@@ -129,6 +124,11 @@ def cmd_index(snapshot_file, baseline_file, vintage, publication_date,
             levels = fp.from_str(v["debt_ratio"]), fp.from_str(v["nominal_gdp"])
             check_ranges(bloc, *levels)
             prior[bloc] = levels
+    elif parsed.missing():
+        raise NoPriorValue(
+            f"missing blocs {[b.value for b in parsed.missing()]} "
+            "and no --last-confirmed file"
+        )
     debt_ratios, nominal_gdps = apply_missing_data_rule(parsed, prior)
     baseline = _load_baseline(baseline_file)
     weights, bdi, x_norm, x_excess, g = index_kernel(
@@ -218,16 +218,14 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
         tuple(a.strip() for a in approvals.split(",") if a.strip())
         or oracle.EXECUTOR_POLICY.signer_set[:oracle.EXECUTOR_POLICY.threshold]
     )
-    event_start = state.n_events
     # the governed parameters are not persisted yet
     record, state = oracle.settle_cycle(
         year, submissions, [s.operator_id for s in submissions], state,
         PolicyParams(), baseline, clock, approval_list,
     )
 
-    report = reporting.build_report(
-        record, state.journal[event_start:state.n_events], [], baseline
-    )
+    report = reporting.build_report(record, state.journal, state.n_events, [],
+                                    baseline)
     report_bytes = reporting.serialize(report)
     commitment = reporting.commit(report_bytes, ledger_anchor=state.n_events)
 

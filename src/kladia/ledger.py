@@ -315,10 +315,11 @@ def _field(inputs: dict, name: str, kind: type = int):
     return value
 
 
-def last_cycle(events: Sequence[dict], end: int) -> Optional[int]:
-    """Where the last `begin_cycle` or `carry_cycle` of `events[:end]` is, or None."""
+def last_cycle(events: Sequence[dict], end: int,
+               ops: tuple[str, ...] = ("begin_cycle", "carry_cycle")) -> Optional[int]:
+    """Where the last event of `events[:end]` with an op in `ops` is, or None."""
     for pos in range(end - 1, -1, -1):
-        if events[pos]["op"] in ("begin_cycle", "carry_cycle"):
+        if events[pos]["op"] in ops:
             return pos
     return None
 

@@ -10,7 +10,7 @@ reopens it. Nothing on this surface accepts an externally chosen g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
 from functools import cached_property
@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from . import fixedpoint as fp
 from .canonical import canonical_bytes, sha256_hex
 from .clock import VirtualClock
-from .debt_index import BaselineRef, index_kernel, normalize, policy_factor
+from .debt_index import BaselineRef, index_kernel
 from .errors import (
     DuplicateSubmission,
     InconsistentPayload,
@@ -149,8 +149,20 @@ class CycleRecord:
     submissions: list[OracleSubmission] = field(default_factory=list)
     median_payload: Optional[SubmissionPayload] = None
     window: ChallengeWindow = field(default_factory=ChallengeWindow)
-    confirmed_g: Optional[int] = None
-    carried_forward: bool = False
+
+    @property
+    def confirmed_g(self) -> Optional[int]:
+        """The median's g once executed, the prior confirmed g once lapsed,
+        else None."""
+        status = self.window.status
+        if status is WindowStatus.EXECUTED:
+            return self.median_payload.g
+        return self.prior_confirmed_g if status is WindowStatus.LAPSED else None
+
+    @property
+    def carried_forward(self) -> bool:
+        """Whether the cycle lapsed, carrying the prior confirmed g forward."""
+        return self.window.status is WindowStatus.LAPSED
 
     def canonical(self) -> dict:
         return {
@@ -214,27 +226,18 @@ def submit(
     return record
 
 
-def aggregate_median(record: CycleRecord, baseline: BaselineRef
-                     ) -> SubmissionPayload:
-    """Lower-median of submitted BDIs; X and g recomputed from that BDI.
+def aggregate_median(record: CycleRecord) -> SubmissionPayload:
+    """Lower-median of submitted BDIs: the chosen payload as it was submitted.
 
     Only submitted values can become canonical: for an even count the
     lower of the two middle values is taken, never a synthetic average.
-    A submitted payload passed the re-check, so X and g recomputed from its
-    BDI are its own and the chosen payload itself, already rendered, is
-    the median.
+    `submit` has already re-checked the payload's X and g against its BDI.
     """
     if not record.submissions:
         raise NoSubmissions("no submissions to aggregate")
     ranked = sorted(record.submissions, key=lambda s: (s.payload.bdi, s.signature))
-    idx = (len(ranked) - 1) // 2  # lower median
-    median = ranked[idx].payload
-    x_norm, x_excess = normalize(median.bdi, baseline)
-    g = policy_factor(x_excess, baseline.lam)
-    if (x_norm, g) != (median.x_norm, median.g):
-        median = replace(median, x_norm=x_norm, g=g)
-    record.median_payload = median
-    return median
+    record.median_payload = ranked[(len(ranked) - 1) // 2].payload  # lower median
+    return record.median_payload
 
 
 def open_window(record: CycleRecord, now: datetime) -> CycleRecord:
@@ -277,8 +280,6 @@ def resolve(record: CycleRecord, now: datetime) -> CycleRecord:
     elif (window.status is WindowStatus.DISPUTED
             and now > window.opened_at + CORRECTION_DEADLINE):
         window.status = WindowStatus.LAPSED
-        record.confirmed_g = record.prior_confirmed_g
-        record.carried_forward = True
     return record
 
 
@@ -295,11 +296,9 @@ def execute(
     if record.window.status is not WindowStatus.EXPIRED_CLEAN:
         raise NotExecutable(f"window is {record.window.status.value}")
     EXECUTOR_POLICY.check(approvals, "executor")
-    assert record.median_payload is not None
-    g = record.confirmed_g = record.median_payload.g
-    record.carried_forward = False
     record.window.status = WindowStatus.EXECUTED
-    return record, begin_cycle(ledger_state, params, g, record.cycle_year)
+    return record, begin_cycle(ledger_state, params, record.confirmed_g,
+                               record.cycle_year)
 
 
 def settle_cycle(
@@ -328,7 +327,7 @@ def settle_cycle(
     registry = tuple(operator_registry)
     for submission in submissions:
         record = submit(record, submission, registry, baseline)
-    aggregate_median(record, baseline)
+    aggregate_median(record)
     open_window(record, clock.now())
     for f in flags:
         flag(record, f.operator_id, f.issue_code, f.comment)

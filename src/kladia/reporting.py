@@ -1,20 +1,24 @@
 """Policy Report assembly, hash commitment, and verification.
 
-Reports serialize through the canonical form and commit to a SHA-256
-content hash. Verification checks that hash, re-derives the index chain
-from the report's own raw inputs under the baseline (`recomputes`, which
-`simulator.run` also calls on each year's report before committing it),
-and compares the report with its slice of the event log: the cycle
-event's year and g, and the actions `build_report` walked. Nothing is
-replayed, so an edit to another event that logs no action passes it;
-replaying the slice is open item 2 of ROADMAP.md.
+A settled cycle's report has one shape: `build_report` renders it from the
+cycle record, whose median is always set, and from the slice of the event
+log that the commitment's anchor cuts (`_report_slice`). Reports serialize
+through the canonical form and commit to a SHA-256 content hash.
+Verification checks that hash, re-derives bdi, x_norm and the weights, and
+g unless the report carries g forward, from the report's own raw inputs
+under the baseline (`recomputes`, which `simulator.run` also calls on each
+year's report before committing it), and compares the report with the same
+slice of the event log: the cycle event's year, the g in force, and the
+actions `build_report` walked. Nothing is replayed, so an edit to another
+event that logs no action passes it; replaying the slice is open item 2 of
+ROADMAP.md.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from . import fixedpoint as fp
 from .canonical import canonical_bytes, sha256_hex
@@ -94,75 +98,57 @@ def _executed(events: Sequence[dict]) -> tuple[list[dict], list[str], list[str]]
     return executed_actions, action_hashes, sorted(signers)
 
 
-def _report_slice(event_log: Sequence[dict], anchor: int) -> Sequence[dict]:
-    """The events a report covers: from the last `begin_cycle` or
-    `carry_cycle` before `anchor` up to it; an anchor of 0 is the log's end.
-    Raises ValueError when the log has no such slice."""
+def _report_slice(event_log: Sequence[dict], anchor: int) -> tuple[int, int]:
+    """Where the events a report covers start and end in `event_log`: from
+    the last `begin_cycle` or `carry_cycle` before `anchor` up to it; an
+    anchor of 0 is the log's end. Raises ValueError when the log has no such
+    slice."""
     if type(anchor) is not int or not 0 <= anchor <= len(event_log):
         raise ValueError(f"ledger anchor {anchor!r} is outside the event log")
     end = anchor or len(event_log)
     start = last_cycle(event_log, end)
     if start is None:
         raise ValueError(f"no cycle event before ledger anchor {end}")
-    return event_log[start:end]
+    return start, end
 
 
 def build_report(
     cycle_record: CycleRecord,
-    ledger_events: Sequence[dict],
+    event_log: Sequence[dict],
+    anchor: int,
     governance_log: Sequence[dict],
     baseline: BaselineRef,
-    fallback_note: Optional[str] = None,
 ) -> dict:
-    """Assemble the annual Policy Report for a settled cycle."""
+    """Assemble the annual Policy Report for a settled cycle, whose events
+    are the slice of `event_log` that `verify` cuts at the commitment's
+    `anchor` (`_report_slice`)."""
     status = cycle_record.window.status
     if status not in (WindowStatus.EXECUTED, WindowStatus.LAPSED):
         raise IncompleteCycle(f"cycle is {status.value}")
     median = cycle_record.median_payload
-    if status is WindowStatus.EXECUTED and median is None:
-        raise IncompleteCycle("executed cycle lacks a median payload")
-
-    executed_actions, action_hashes, signer_set = _executed(ledger_events)
-
-    if median is not None:
-        weights = weighted_bdi(median.debt_ratios, median.nominal_gdps)[0]
-        raw_inputs = {
-            b._value_: {"debt_ratio": fp.to_str(debt), "nominal_gdp": fp.to_str(gdp)}
-            for b, debt, gdp in zip(ALL_BLOCS, median.debt_ratios, median.nominal_gdps)
-        }
-        index_fields = {
-            "bdi": fp.to_str(median.bdi),
-            "x_norm": fp.to_str(median.x_norm),
-            "g": fp.to_str(median.g),
-            "weights": {b._value_: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)},
-            "vintage_id": median.vintage_id,
-            "dataset_hash": median.dataset_hash,
-        }
-    else:
-        raw_inputs = {}
-        index_fields = {
-            "bdi": None, "x_norm": None, "g": None, "weights": {},
-            "vintage_id": None, "dataset_hash": None,
-        }
-
-    confirmed = cycle_record.confirmed_g
+    start, end = _report_slice(event_log, anchor)
+    executed_actions, action_hashes, signer_set = _executed(event_log[start:end])
+    weights = weighted_bdi(median.debt_ratios, median.nominal_gdps)[0]
     return {
         "cycle_year": cycle_record.cycle_year,
-        "x_norm": index_fields["x_norm"],
-        "g": fp.to_str(confirmed) if confirmed is not None else None,
+        "x_norm": fp.to_str(median.x_norm),
+        "g": fp.to_str(cycle_record.confirmed_g),
         "oracle_submissions": [s.canonical() for s in cycle_record.submissions],
-        "median": median.canonical() if median else None,
+        "median": median.canonical(),
         "governance_outcomes": list(governance_log),
         "executed_actions": executed_actions,
         "signer_set": signer_set,
         "action_hashes": action_hashes,
-        "raw_inputs": raw_inputs,
-        "bdi": index_fields["bdi"],
+        "raw_inputs": {
+            b._value_: {"debt_ratio": fp.to_str(debt), "nominal_gdp": fp.to_str(gdp)}
+            for b, debt, gdp in zip(ALL_BLOCS, median.debt_ratios, median.nominal_gdps)
+        },
+        "bdi": fp.to_str(median.bdi),
         "bdi_ref": fp.to_str(baseline.bdi_ref),
-        "weights": index_fields["weights"],
-        "vintage_id": index_fields["vintage_id"],
-        "dataset_hash": index_fields["dataset_hash"],
-        "fallback_note": fallback_note,
+        "weights": {b._value_: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)},
+        "vintage_id": median.vintage_id,
+        "dataset_hash": median.dataset_hash,
+        "fallback_note": None,
         "carried_forward_blocs": [],
         "carried_forward": cycle_record.carried_forward,
         "low_submission_count": len(cycle_record.submissions) < 3,
@@ -182,27 +168,23 @@ def serialize(report: dict) -> bytes:
     return canonical_bytes(report)
 
 
-def commit(report_bytes: bytes, reference_link: str = "", ledger_anchor: int = 0
-           ) -> ReportCommitment:
+def commit(report_bytes: bytes, ledger_anchor: int = 0) -> ReportCommitment:
     """Hash-commit serialized report bytes."""
     return ReportCommitment(
         content_hash=sha256_hex(report_bytes),
-        reference_link=reference_link,
+        reference_link="",
         ledger_anchor=ledger_anchor,
     )
 
 
 def recomputes(report: dict, baseline: BaselineRef) -> bool:
-    """Whether the report's lambda and bdi_ref are the baseline's and, unless
-    it carries g forward, its index fields are what its raw inputs give;
-    never raises."""
+    """Whether the report's lambda and bdi_ref are the baseline's, and its
+    bdi, x_norm and weights, and its g unless it carries g forward, are what
+    its raw inputs give; never raises."""
     try:
         if (fp.from_str(report["lambda"]) != baseline.lam
                 or report["bdi_ref"] != fp.to_str(baseline.bdi_ref)):
             return False
-        if (not report.get("raw_inputs") or report.get("bdi") is None
-                or report.get("carried_forward", False)):
-            return True
         raw = [report["raw_inputs"][b._value_] for b in ALL_BLOCS]
         weights, bdi, x_norm, _, g = index_kernel(
             tuple(fp.from_str(r["debt_ratio"]) for r in raw),
@@ -211,7 +193,7 @@ def recomputes(report: dict, baseline: BaselineRef) -> bool:
         return (
             fp.to_str(bdi) == report["bdi"]
             and fp.to_str(x_norm) == report["x_norm"]
-            and fp.to_str(g) == report["g"]
+            and (report["carried_forward"] is True or fp.to_str(g) == report["g"])
             and report["weights"] == {
                 b._value_: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)}
         )
@@ -230,9 +212,11 @@ def verify(
     The recomputation runs under the baseline's lambda; a report whose
     lambda or bdi_ref is not the baseline's fails it too. The report's slice
     of the whole event log (`_report_slice`) must walk to its executed
-    actions, action hashes and signer set exactly, and its first event must
-    log its `cycle_year` and, if a `begin_cycle`, its `g` (CycleMismatch); a
-    log without that slice, or with a malformed entry, is MalformedEventLog.
+    actions, action hashes and signer set exactly, its first event must log
+    its `cycle_year`, and the report's `g` must be the g in force: that of
+    the slice's own `begin_cycle`, or for a `carry_cycle` slice that of the
+    last `begin_cycle` before it (CycleMismatch). A log without that slice
+    or that g, or with a malformed entry, is MalformedEventLog.
     Returns (ok, discrepancy codes); never raises on bad input.
     """
     discrepancies: list[str] = []
@@ -255,19 +239,21 @@ def verify(
         discrepancies.append("RecomputeMismatch")
 
     try:
-        events = _report_slice(event_log, commitment.ledger_anchor)
-        executed = _executed(events)
-        cycle = events[0]["inputs"]
-        g = cycle["g"] if events[0]["op"] == "begin_cycle" else None
-        if type(cycle["year"]) is not int or type(g) not in (int, type(None)):
-            raise TypeError("the cycle event's year or g is not an int")
+        start, end = _report_slice(event_log, commitment.ledger_anchor)
+        executed = _executed(event_log[start:end])
+        in_force = last_cycle(event_log, start + 1, ("begin_cycle",))
+        if in_force is None:
+            raise ValueError(f"no begin_cycle at or before event {start}")
+        year = event_log[start]["inputs"]["year"]
+        g = event_log[in_force]["inputs"]["g"]
+        if type(year) is not int or type(g) is not int:
+            raise TypeError("the cycle event's year or the g in force is not an int")
     except (TypeError, KeyError, ValueError, AttributeError):
         return False, discrepancies + ["MalformedEventLog"]
     if executed != tuple(map(report.get, (
             "executed_actions", "action_hashes", "signer_set"))):
         discrepancies.append("SupplyReconciliationGap")
-    if cycle["year"] != report.get("cycle_year") or (
-            g is not None and fp.to_str(g) != report.get("g")):
+    if year != report.get("cycle_year") or fp.to_str(g) != report.get("g"):
         discrepancies.append("CycleMismatch")
 
     return not discrepancies, discrepancies

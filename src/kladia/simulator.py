@@ -188,7 +188,6 @@ def run(scenario: Scenario) -> Trace:
             first, second = (s.operator_id for s in submissions[:2])
             flags = (oracle.Flag(first, "data-mismatch", "values off vs source"),
                      oracle.Flag(second, "data-mismatch", "confirmed mismatch"))
-        event_start = state.n_events
         record, state = oracle.settle_cycle(
             year, submissions, scenario.operators, state, params,
             baseline, clock, approvals, flags,
@@ -205,7 +204,7 @@ def run(scenario: Scenario) -> Trace:
         for month in range(12):
             fees = rng.randint(*scenario.fee_range_kld) * 10 ** 6
             released = 0
-            cap = state.annual_factors.escrow_cap if state.annual_factors else 0
+            cap = state.annual_factors.escrow_cap
             if cap > 0:
                 try:
                     state, released = release_escrow(state, cap, escrow_signers[:5])
@@ -229,8 +228,8 @@ def run(scenario: Scenario) -> Trace:
             clock.advance_days(30)
 
         trace.cycles.append(record.canonical())
-        events = state.journal[event_start:state.n_events]
-        report = reporting.build_report(record, events, governance_log, baseline)
+        report = reporting.build_report(record, state.journal, state.n_events,
+                                        governance_log, baseline)
         if not reporting.recomputes(report, baseline):
             raise AssertionError(
                 f"cycle {year} report failed verification: ['RecomputeMismatch']")

@@ -237,7 +237,7 @@ def test_criterion_06_challenge_window_gating(vintage, baseline):
                 record, op.OracleSubmission.sign(operator, payload, T0),
                 operators, baseline,
             )
-        op.aggregate_median(record, baseline)
+        op.aggregate_median(record)
         op.open_window(record, T0)
 
         # any execution attempt strictly before the 72-hour mark must fail
@@ -295,7 +295,7 @@ def test_criterion_07_median_aggregation(vintage, baseline):
                     record, op.OracleSubmission.sign(operator, payload, T0),
                     operators, baseline,
                 )
-            median = op.aggregate_median(record, baseline)
+            median = op.aggregate_median(record)
             assert median.bdi == expected_bdi  # order never matters
     _report(7, "500 shuffles permutation-invariant; even-count lower median "
                "matches sort oracle")
@@ -312,7 +312,7 @@ def _executed_cycle(vintage, baseline):
             record, op.OracleSubmission.sign(operator, payload, T0),
             operators, baseline,
         )
-    op.aggregate_median(record, baseline)
+    op.aggregate_median(record)
     op.open_window(record, T0)
     record = op.resolve(record, T0 + timedelta(hours=73))
     state = lg.genesis()
@@ -325,15 +325,15 @@ def _executed_cycle(vintage, baseline):
 
 def test_criterion_08_report_integrity(monkeypatch, vintage, baseline):
     # every simulated cycle must round-trip build -> commit -> verify; each
-    # year's report is verified against the events it was built from (an
-    # anchor of 0 cuts the slice at their end), the lapsed year included
+    # year's report is verified against the log up to the anchor it was
+    # built at (an anchor of 0 is that log's end), the lapsed year included
     built = []
     build_report = sim.reporting.build_report
 
-    def capture(record, ledger_events, governance_log, run_baseline, *args):
-        report = build_report(record, ledger_events, governance_log,
-                              run_baseline, *args)
-        built.append((report, ledger_events, run_baseline))
+    def capture(record, event_log, anchor, governance_log, run_baseline):
+        report = build_report(record, event_log, anchor, governance_log,
+                              run_baseline)
+        built.append((report, event_log[:anchor], run_baseline))
         return report
 
     monkeypatch.setattr(sim.reporting, "build_report", capture)
@@ -346,7 +346,7 @@ def test_criterion_08_report_integrity(monkeypatch, vintage, baseline):
     monkeypatch.undo()
 
     record, events = _executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, [], baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
     commitment = reporting.commit(reporting.serialize(report))
     ok, problems = reporting.verify(
         reporting.serialize(report), commitment, baseline, events)

@@ -309,15 +309,12 @@ def test_verify_uses_the_baseline_lambda(runner, tmp_path):
     assert "verified: clean" in result.output
 
 
-def _verify_recommitted_edit(runner, tmp_path, field, old, new):
+def _verify_recommitted_edit(runner, tmp_path, edits):
     # the edited report is re-committed, so only the recomputation can fail
     result, state_dir, base = run_cycle(runner, tmp_path)
     assert result.exit_code == 0, result.output
     report_file = state_dir / "report-2026.kldr"
-    report = json.loads(report_file.read_bytes())
-    assert report[field] == old
-    data = report_file.read_bytes().replace(
-        f'"{field}":"{old}"'.encode(), f'"{field}":"{new}"'.encode())
+    data = canonical_bytes({**json.loads(report_file.read_bytes()), **edits})
     assert data != report_file.read_bytes()
     report_file.write_bytes(data)
     commit_file = state_dir / "report-2026.commit"
@@ -332,8 +329,7 @@ def _verify_recommitted_edit(runner, tmp_path, field, old, new):
 
 
 def test_verify_flags_an_edited_report_lambda(runner, tmp_path):
-    result = _verify_recommitted_edit(runner, tmp_path, "lambda",
-                                      "1.000000000", "2.000000000")
+    result = _verify_recommitted_edit(runner, tmp_path, {"lambda": "2.000000000"})
     assert result.exit_code == 1
     assert result.output == "verification failed: RecomputeMismatch\n"
 
@@ -341,8 +337,15 @@ def test_verify_flags_an_edited_report_lambda(runner, tmp_path):
 def test_verify_flags_an_edited_report_bdi_ref(runner, tmp_path):
     # bdi, x_norm and g still recompute (under the baseline's bdi_ref), so
     # only the bdi_ref check itself can fail
-    result = _verify_recommitted_edit(runner, tmp_path, "bdi_ref",
-                                      "100.000000000", "90.000000000")
+    result = _verify_recommitted_edit(runner, tmp_path,
+                                      {"bdi_ref": "90.000000000"})
+    assert result.exit_code == 1
+    assert result.output == "verification failed: RecomputeMismatch\n"
+
+
+def test_verify_flags_a_report_stripped_of_its_index_fields(runner, tmp_path):
+    result = _verify_recommitted_edit(runner, tmp_path, {
+        "bdi": None, "x_norm": None, "raw_inputs": {}, "weights": {}})
     assert result.exit_code == 1
     assert result.output == "verification failed: RecomputeMismatch\n"
 
@@ -699,21 +702,12 @@ def test_cycle_bool_value_exit_2(runner, tmp_path, key):
 
 
 def test_index_last_confirmed_not_an_object_exit_2(runner, tmp_path):
-    snap = tmp_path / "snap.csv"
-    write_snapshot(snap, "2026-October")
-    lines = snap.read_text().splitlines()
-    snap.write_text("\n".join(lines[:-2]) + "\n")  # drop KR
-    base = tmp_path / "baseline.json"
-    write_baseline(base)
-    prior = tmp_path / "prior.json"
-    prior.write_text("[]")
-    result = runner.invoke(main, [
-        "index", str(snap), "--baseline-file", str(base),
-        "--vintage", "2026-October", "--publication-date", "2026-10-14",
-        "--last-confirmed", str(prior),
-    ])
-    assert result.exit_code == 2
-    assert result.output == "error: MalformedFile: prior.json: not a JSON object\n"
+    # the file is read whenever it is given, whether or not a bloc is missing
+    for drop_kr in (True, False):
+        result = index_with_prior(runner, tmp_path, [], drop_kr)
+        assert result.exit_code == 2
+        assert result.output == \
+            "error: MalformedFile: prior.json: not a JSON object\n"
 
 
 def test_cycle_debt_ratios_not_an_object_exit_2(runner, tmp_path):
@@ -736,30 +730,22 @@ def test_cycle_debt_ratios_not_an_object_exit_2(runner, tmp_path):
 
 
 def test_index_last_confirmed_entry_not_an_object_exit_2(runner, tmp_path):
-    snap = tmp_path / "snap.csv"
-    write_snapshot(snap, "2026-October")
-    lines = snap.read_text().splitlines()
-    snap.write_text("\n".join(lines[:-2]) + "\n")  # drop KR
-    base = tmp_path / "baseline.json"
-    write_baseline(base)
-    prior = tmp_path / "prior.json"
-    prior.write_text(json.dumps({"KR": "x"}))
-    result = runner.invoke(main, [
-        "index", str(snap), "--baseline-file", str(base),
-        "--vintage", "2026-October", "--publication-date", "2026-10-14",
-        "--last-confirmed", str(prior),
-    ])
-    assert result.exit_code == 2
-    assert result.output == "error: MalformedFile: prior.json: KR: not a JSON object\n"
+    for drop_kr in (True, False):
+        result = index_with_prior(runner, tmp_path, {"KR": "x"}, drop_kr)
+        assert result.exit_code == 2
+        assert result.output == \
+            "error: MalformedFile: prior.json: KR: not a JSON object\n"
 
 
-def index_without_kr(runner, tmp_path, prior):
-    """`kld index --fmt canonical` on the write_snapshot levels with KR
-    dropped, with `prior` as the --last-confirmed file."""
+def index_with_prior(runner, tmp_path, prior, drop_kr=True):
+    """`kld index --fmt canonical` on the write_snapshot levels, with KR
+    dropped unless `drop_kr` is false, and `prior` as the --last-confirmed
+    file."""
     snap = tmp_path / "snap.csv"
     write_snapshot(snap, "2026-October")
-    lines = snap.read_text().splitlines()
-    snap.write_text("\n".join(lines[:-2]) + "\n")  # drop KR
+    if drop_kr:
+        lines = snap.read_text().splitlines()
+        snap.write_text("\n".join(lines[:-2]) + "\n")
     base = tmp_path / "baseline.json"
     write_baseline(base)
     prior_file = tmp_path / "prior.json"
@@ -782,7 +768,7 @@ def test_index_last_confirmed_fills_the_missing_bloc(runner, tmp_path):
         "--fmt", "canonical",
     ])
     assert full.exit_code == 0, full.output
-    carried = index_without_kr(runner, tmp_path, {
+    carried = index_with_prior(runner, tmp_path, {
         "KR": {"debt_ratio": "150", "nominal_gdp": "2000"}})
     assert carried.exit_code == 0, carried.output
     full_payload, carried_payload = (json.loads(full.output),
@@ -802,9 +788,10 @@ def test_index_last_confirmed_fills_the_missing_bloc(runner, tmp_path):
      "ValueError: 'XX' is not a valid Bloc"),
 ], ids=["negative-unused-entry", "unknown-code"])
 def test_index_last_confirmed_bad_entry_exit_2(runner, tmp_path, prior, message):
-    result = index_without_kr(runner, tmp_path, prior)
-    assert result.exit_code == 2
-    assert result.output == f"error: {message}\n"
+    for drop_kr in (True, False):
+        result = index_with_prior(runner, tmp_path, prior, drop_kr)
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
 
 
 def _verb_args(verb, tmp_path, base):

@@ -109,7 +109,7 @@ def test_canonical_view_is_not_shared(vintage, baseline):
     payload = payload_for(vintage, baseline)
     sub = op.OracleSubmission.sign("op-1", payload, T0)
     record = op.submit(fresh_record(), sub, OPERATORS, baseline)
-    op.aggregate_median(record, baseline)
+    op.aggregate_median(record)
     before = payload.canonical()
     record_before = record.canonical()
 
@@ -176,7 +176,7 @@ def test_submissions_close_at_window_open(vintage, baseline):
     record = fresh_record()
     record = op.submit(record, submission("op-1", vintage, baseline),
                        OPERATORS, baseline)
-    op.aggregate_median(record, baseline)
+    op.aggregate_median(record)
     op.open_window(record, T0)
     with pytest.raises(SubmissionsClosed):
         op.submit(record, submission("op-2", vintage, baseline),
@@ -195,7 +195,7 @@ def submit_scales(record, scales, vintage, baseline):
 def test_median_odd_count(vintage, baseline):
     record = submit_scales(fresh_record(), ["1.6", "1.61", "1.59"],
                            vintage, baseline)
-    median = op.aggregate_median(record, baseline)
+    median = op.aggregate_median(record)
     # sort oracle: middle of the three submitted BDIs
     expected = sorted(s.payload.bdi for s in record.submissions)[1]
     assert median.bdi == expected
@@ -203,25 +203,25 @@ def test_median_odd_count(vintage, baseline):
 
 def test_median_even_count_takes_lower(vintage, baseline):
     record = submit_scales(fresh_record(), ["1.59", "1.61"], vintage, baseline)
-    median = op.aggregate_median(record, baseline)
+    median = op.aggregate_median(record)
     assert median.bdi == min(s.payload.bdi for s in record.submissions)
 
 
 def test_median_single_submission(vintage, baseline):
     record = submit_scales(fresh_record(), ["1.3"], vintage, baseline)
-    median = op.aggregate_median(record, baseline)
+    median = op.aggregate_median(record)
     assert median.bdi == record.submissions[0].payload.bdi
 
 
 def test_median_no_submissions(baseline):
     with pytest.raises(NoSubmissions):
-        op.aggregate_median(fresh_record(), baseline)
+        op.aggregate_median(fresh_record())
 
 
 def test_median_permutation_invariance(vintage, baseline):
     scales = ["1.2", "1.5", "1.31", "1.44", "1.07"]
     base_record = submit_scales(fresh_record(), scales, vintage, baseline)
-    reference = op.aggregate_median(base_record, baseline)
+    reference = op.aggregate_median(base_record)
     rng = random.Random(3)
     for _ in range(50):
         record = fresh_record()
@@ -230,12 +230,12 @@ def test_median_permutation_invariance(vintage, baseline):
         for operator, scale in order:
             record = op.submit(record, submission(operator, vintage, baseline, scale),
                                OPERATORS, baseline)
-        assert op.aggregate_median(record, baseline).bdi == reference.bdi
+        assert op.aggregate_median(record).bdi == reference.bdi
 
 
-def test_median_g_recomputed_from_baseline(vintage, baseline):
+def test_median_is_the_submitted_payload(vintage, baseline):
     record = submit_scales(fresh_record(), ["1.5"], vintage, baseline)
-    median = op.aggregate_median(record, baseline)
+    median = op.aggregate_median(record)
     x_excess = max(0, fp.div(median.bdi, baseline.bdi_ref) - fp.ONE)
     from kladia.debt_index import policy_factor
 
@@ -244,21 +244,11 @@ def test_median_g_recomputed_from_baseline(vintage, baseline):
     assert median is record.submissions[0].payload
 
 
-def test_median_recomputes_a_payload_that_skipped_the_recheck(vintage, baseline):
-    good = payload_for(vintage, baseline, "1.5")
-    skewed = replace(good, x_norm=good.x_norm + 7, g=good.g + 7)
-    record = fresh_record()
-    record.submissions.append(op.OracleSubmission.sign("op-1", skewed, T0))
-    median = op.aggregate_median(record, baseline)
-    assert (median.bdi, median.x_norm, median.g) == (good.bdi, good.x_norm, good.g)
-    assert median.canonical() == good.canonical()
-
-
 # --- flags and disputes ------------------------------------------------------
 
 def open_record(vintage, baseline, scales=("1.5", "1.52", "1.48")):
     record = submit_scales(fresh_record(), list(scales), vintage, baseline)
-    op.aggregate_median(record, baseline)
+    op.aggregate_median(record)
     op.open_window(record, T0)
     return record
 
@@ -317,7 +307,7 @@ def test_dispute_lapses_only_after_14_days(vintage, baseline):
     prior = fp.from_str("0.25")
     record = submit_scales(op.CycleRecord(2026, prior), ["1.5", "1.52"],
                            vintage, baseline)
-    op.aggregate_median(record, baseline)
+    op.aggregate_median(record)
     op.open_window(record, T0)
     op.flag(record, "op-1", "x", "a")
     op.flag(record, "op-2", "x", "b")
@@ -334,7 +324,7 @@ def test_dispute_without_correction_lapses(vintage, baseline):
     prior = fp.from_str("0.25")
     record = submit_scales(op.CycleRecord(2026, prior), ["1.5", "1.52"],
                            vintage, baseline)
-    op.aggregate_median(record, baseline)
+    op.aggregate_median(record)
     op.open_window(record, T0)
     op.flag(record, "op-1", "x", "a")
     op.flag(record, "op-2", "x", "b")

@@ -28,7 +28,7 @@ def executed_cycle(vintage, baseline, with_actions=True, state=None, year=2026):
             record, op.OracleSubmission.sign(operator, payload, T0),
             OPERATORS, baseline,
         )
-    op.aggregate_median(record, baseline)
+    op.aggregate_median(record)
     op.open_window(record, T0)
     record = op.resolve(record, T0 + timedelta(hours=73))
     state = lg.genesis() if state is None else state
@@ -42,23 +42,31 @@ def executed_cycle(vintage, baseline, with_actions=True, state=None, year=2026):
     return record, state, state.event_log[event_start:]
 
 
+PRIOR_G = fp.from_str("0.1")
+
+
 def lapsed_cycle(vintage, baseline):
-    record = op.CycleRecord(cycle_year=2026, prior_confirmed_g=fp.from_str("0.1"))
+    """A 2026 cycle lapsed to the prior g 0.1, and a log whose 2025
+    begin_cycle put that g in force and whose last event carries it into
+    2026."""
+    state = lg.begin_cycle(lg.genesis(), PolicyParams(), PRIOR_G, 2025)
+    state = lg.carry_cycle(state, 2026)
+    record = op.CycleRecord(cycle_year=2026, prior_confirmed_g=PRIOR_G)
     payload = op.build_payload(*make_columns(), baseline, vintage)
     record = op.submit(record, op.OracleSubmission.sign("op-1", payload, T0),
                        OPERATORS, baseline)
     record = op.submit(record, op.OracleSubmission.sign("op-2", payload, T0),
                        OPERATORS, baseline)
-    op.aggregate_median(record, baseline)
+    op.aggregate_median(record)
     op.open_window(record, T0)
     op.flag(record, "op-1", "x", "a")
     op.flag(record, "op-2", "x", "b")
-    return op.resolve(record, T0 + timedelta(days=15))
+    return op.resolve(record, T0 + timedelta(days=15)), state.event_log
 
 
 def test_build_report_executed(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, [], baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
     assert reporting.check_schema(report) == []
     assert report["g"] is not None
     assert report["bdi_ref"] == fp.to_str(baseline.bdi_ref)
@@ -67,11 +75,13 @@ def test_build_report_executed(vintage, baseline):
 
 
 def test_build_report_lapsed(vintage, baseline):
-    record = lapsed_cycle(vintage, baseline)
-    report = reporting.build_report(record, [], [], baseline)
+    record, log = lapsed_cycle(vintage, baseline)
+    report = reporting.build_report(record, log, 0, [], baseline)
     assert report["carried_forward"] is True
     assert report["executed_actions"] == []
-    assert report["g"] == fp.to_str(fp.from_str("0.1"))
+    assert report["g"] == fp.to_str(PRIOR_G)
+    data = reporting.serialize(report)
+    assert reporting.verify(data, reporting.commit(data), baseline, log) == (True, [])
 
 
 def test_build_report_incomplete_cycle(vintage, baseline):
@@ -79,10 +89,10 @@ def test_build_report_incomplete_cycle(vintage, baseline):
     payload = op.build_payload(*make_columns(), baseline, vintage)
     record = op.submit(record, op.OracleSubmission.sign("op-1", payload, T0),
                        OPERATORS, baseline)
-    op.aggregate_median(record, baseline)
+    op.aggregate_median(record)
     op.open_window(record, T0)
     with pytest.raises(IncompleteCycle):
-        reporting.build_report(record, [], [], baseline)
+        reporting.build_report(record, [], 0, [], baseline)
 
 
 def test_action_amounts_by_op():
@@ -108,7 +118,7 @@ def test_action_amounts_by_op():
 
 def test_month_actions_share_their_event(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, [], baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
     month = len(events) - 1
     assert events[month]["op"] == "advance_month"
     actions = [(a["op"], a["event_position"]) for a in report["executed_actions"]]
@@ -120,7 +130,7 @@ def test_month_actions_share_their_event(vintage, baseline):
 
 def test_commit_deterministic(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, [], baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
     c1 = reporting.commit(reporting.serialize(report))
     c2 = reporting.commit(reporting.serialize(report))
     assert c1.content_hash == c2.content_hash
@@ -131,7 +141,7 @@ def test_commit_deterministic(vintage, baseline):
 
 def test_commit_avalanche(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, [], baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
     commitment = reporting.commit(reporting.serialize(report))
     data = bytearray(reporting.serialize(report))
     data[10] ^= 0x01
@@ -140,7 +150,7 @@ def test_commit_avalanche(vintage, baseline):
 
 def test_verify_round_trip(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, [], baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
     commitment = reporting.commit(reporting.serialize(report))
     ok, problems = reporting.verify(
         reporting.serialize(report), commitment, baseline, events
@@ -150,7 +160,7 @@ def test_verify_round_trip(vintage, baseline):
 
 def test_verify_detects_edited_g(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, [], baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
     commitment = reporting.commit(reporting.serialize(report))
     tampered = dict(report)
     tampered["g"] = fp.to_str(fp.from_str("0.123"))
@@ -163,7 +173,7 @@ def test_verify_detects_edited_g(vintage, baseline):
 
 def test_verify_detects_omitted_burn(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, [], baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
     stripped = dict(report)
     stripped["executed_actions"] = [
         a for a in report["executed_actions"] if a["op"] != "burn"
@@ -182,7 +192,7 @@ def test_verify_nets_relock_against_issuance(vintage, baseline):
     state, _ = lg.release_escrow(state, 10**9, ESCROW_SIGNERS[:5])
     state = lg.relock(state, 10**8, lg.BucketKind.ECOSYSTEM_ESCROW, "unused grants")
     events = events + state.event_log[-2:]
-    report = reporting.build_report(record, events, [], baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
     assert any(a["op"] == "relock" for a in report["executed_actions"])
     data = reporting.serialize(report)
     ok, problems = reporting.verify(data, reporting.commit(data), baseline, events)
@@ -200,12 +210,50 @@ def test_verify_nets_relock_against_issuance(vintage, baseline):
 
 def test_verify_detects_altered_weight(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, [], baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
     bloc = sorted(report["weights"])[0]
     altered = {**report, "weights": {**report["weights"], bloc: "0.000000001"}}
     data = reporting.serialize(altered)
     ok, problems = reporting.verify(data, reporting.commit(data), baseline, events)
     assert problems == ["RecomputeMismatch"]
+
+
+def _verify_recommitted(report, baseline, log, **edits):
+    """verify() of `report` with `edits`, re-committed so that its hash
+    matches."""
+    data = reporting.serialize({**report, **edits})
+    return reporting.verify(data, reporting.commit(data), baseline, log)
+
+
+def test_verify_recomputes_a_report_stripped_of_its_index_fields(vintage, baseline):
+    record, state, events = executed_cycle(vintage, baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
+    assert _verify_recommitted(
+        report, baseline, events, bdi=None, x_norm=None, raw_inputs={},
+        weights={}) == (False, ["RecomputeMismatch"])
+
+
+@pytest.mark.parametrize("field, value, code", [
+    ("bdi", "1.000000000", "RecomputeMismatch"),
+    ("g", "0.200000000", "CycleMismatch"),
+], ids=["edited-bdi", "edited-g"])
+def test_verify_checks_a_lapsed_report(vintage, baseline, field, value, code):
+    # the report carries g forward from a carry_cycle slice: its index fields
+    # still recompute, and its g is the g the last begin_cycle put in force
+    record, log = lapsed_cycle(vintage, baseline)
+    report = reporting.build_report(record, log, 0, [], baseline)
+    assert report[field] != value
+    assert _verify_recommitted(report, baseline, log, **{field: value}) \
+        == (False, [code])
+
+
+def test_verify_needs_a_g_in_force_before_a_carry_cycle(vintage, baseline):
+    record, log = lapsed_cycle(vintage, baseline)
+    data = reporting.serialize(reporting.build_report(record, log, 0, [], baseline))
+    assert [e["op"] for e in log] == ["genesis", "begin_cycle", "carry_cycle"]
+    del log[1]
+    assert reporting.verify(data, reporting.commit(data), baseline, log) \
+        == (False, ["MalformedEventLog"])
 
 
 def _drop_op(events, i):
@@ -240,7 +288,7 @@ def _list_entry(events, i):
                                     _string_amount, _float_amount, _list_entry])
 def test_verify_reports_malformed_event_log(vintage, baseline, tamper):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, [], baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
     data = reporting.serialize(report)
     for op_name in ("advance_month", "release_escrow"):
         tampered = json.loads(json.dumps(events))
@@ -252,7 +300,7 @@ def test_verify_reports_malformed_event_log(vintage, baseline, tamper):
 
 def test_verify_rejects_a_log_without_the_report_slice(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    data = reporting.serialize(reporting.build_report(record, events, [], baseline))
+    data = reporting.serialize(reporting.build_report(record, events, 0, [], baseline))
     cases = [
         (events, reporting.commit(data, ledger_anchor=len(events) + 1)),  # past the end
         (events[1:], reporting.commit(data)),    # no cycle event before the anchor
@@ -265,7 +313,7 @@ def test_verify_rejects_a_log_without_the_report_slice(vintage, baseline):
 def test_verify_detects_an_edit_that_keeps_net_issuance(vintage, baseline):
     # one more unit emitted and one more burned: issued - burned is unchanged
     record, state, events = executed_cycle(vintage, baseline)
-    data = reporting.serialize(reporting.build_report(record, events, [], baseline))
+    data = reporting.serialize(reporting.build_report(record, events, 0, [], baseline))
     edited = json.loads(json.dumps(events))
     month = edited[-1]["inputs"]
     assert edited[-1]["op"] == "advance_month" and month["burned"] > 0
@@ -283,7 +331,7 @@ def test_verify_cuts_each_report_slice_from_the_whole_log(vintage, baseline):
     second, state, _ = executed_cycle(vintage, baseline, state=state, year=2027)
     log = state.event_log
     for record, start, anchor in ((first, 1, year_end), (second, year_end, len(log))):
-        report = reporting.build_report(record, log[start:anchor], [], baseline)
+        report = reporting.build_report(record, log, anchor, [], baseline)
         assert report["executed_actions"]
         data = reporting.serialize(report)
         ok, problems = reporting.verify(
@@ -315,7 +363,7 @@ def test_verify_ties_a_report_to_its_cycle_event(vintage, baseline, tamper, code
     log = json.loads(json.dumps(state.event_log))
     assert [e["op"] for e in log[1:]] == ["begin_cycle"] * 3
     data = reporting.serialize(
-        reporting.build_report(records[1], log[2:3], [], baseline))
+        reporting.build_report(records[1], log, 3, [], baseline))
     commitment = reporting.commit(data, ledger_anchor=3)
     assert reporting.verify(data, commitment, baseline, log) == (True, [])
     if tamper is None:
@@ -333,7 +381,7 @@ def test_verify_rejects_non_object_report(baseline):
 
 def test_single_field_tamper_always_detected(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, [], baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
     commitment = reporting.commit(reporting.serialize(report))
     rng = random.Random(5)
     serialized = reporting.serialize(report)

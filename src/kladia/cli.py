@@ -27,8 +27,7 @@ from . import simulator as sim
 from .canonical import canonical_bytes
 from .clock import VirtualClock
 from .debt_index import BaselineRef, index_kernel
-from .errors import (IncompleteBlocSet, InputError, KladiaError, MalformedFile,
-                     NoPriorValue)
+from .errors import InputError, KladiaError, MalformedFile, NoPriorValue
 from .policy import PolicyParams
 from .weo_ingest import (
     ALL_BLOCS,
@@ -55,19 +54,6 @@ def _as_object(value, where: str) -> dict:
 
 def _read_object(path: Path) -> dict:
     return _as_object(json.loads(path.read_text()), path.name)
-
-
-_KC7_CODES = {b.value for b in ALL_BLOCS}
-
-
-def _bloc_values(data: dict, key: str, where: str) -> tuple[int, ...]:
-    """`data[key]`, an object of a decimal for exactly each KC7 bloc code, as
-    the values in ALL_BLOCS order."""
-    values = _as_object(data[key], f"{where}: {key}")
-    if values.keys() != _KC7_CODES:
-        raise IncompleteBlocSet(
-            f"{where}: {key}: need exactly the KC7 set, got {list(values)}")
-    return tuple(fp.from_str(values[b.value]) for b in ALL_BLOCS)
 
 
 def _load_baseline(path: Path) -> BaselineRef:
@@ -196,23 +182,8 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
         data, where = _read_object(sub_file), sub_file.name
         if not isinstance(data["operator_id"], str):
             raise MalformedFile(f"{where}: operator_id: not a string")
-        try:
-            vintage = WeoVintage(data["vintage_id"],
-                                 baseline.genesis_vintage.publication_date,
-                                 data["dataset_hash"])
-        except MalformedFile as exc:
-            raise MalformedFile(f"{where}: {exc}") from None
-        payload = oracle.SubmissionPayload(
-            debt_ratios=_bloc_values(data, "debt_ratios", where),
-            nominal_gdps=_bloc_values(data, "nominal_gdps", where),
-            bdi=fp.from_str(data["bdi"]),
-            x_norm=fp.from_str(data["x_norm"]),
-            g=fp.from_str(data["g"]),
-            vintage_id=vintage.vintage_id,
-            dataset_hash=vintage.dataset_hash,
-        )
-        submissions.append(
-            oracle.OracleSubmission.sign(data["operator_id"], payload, clock.now()))
+        submissions.append(oracle.OracleSubmission.sign(
+            data["operator_id"], oracle.read_payload(data, where), clock.now()))
 
     approval_list = (
         tuple(a.strip() for a in approvals.split(",") if a.strip())

@@ -58,10 +58,6 @@ class AllocationMismatch(KladiaError):
     pass
 
 
-class NoMintAfterGenesis(KladiaError):
-    pass
-
-
 class InsufficientApprovals(KladiaError):
     pass
 

@@ -32,7 +32,6 @@ from .errors import (
     InsufficientApprovals,
     KladiaError,
     MalformedFile,
-    NoMintAfterGenesis,
     RelockExceedsRelease,
     ZeroCap,
 )
@@ -517,11 +516,6 @@ def _transition(state: Optional[LedgerState], op: str, request: dict,
 
 
 # --- public transitions ------------------------------------------------------
-
-def mint(state: LedgerState, amount: int) -> LedgerState:
-    """Minting is permanently disabled after genesis. Always raises."""
-    raise NoMintAfterGenesis("minting is permanently disabled after genesis")
-
 
 def genesis() -> LedgerState:
     """Create the one and only supply at genesis; circulating starts at zero."""

@@ -22,7 +22,9 @@ from .clock import VirtualClock
 from .debt_index import BaselineRef, index_kernel
 from .errors import (
     DuplicateSubmission,
+    IncompleteBlocSet,
     InconsistentPayload,
+    MalformedFile,
     NoSubmissions,
     NotExecutable,
     SubmissionsClosed,
@@ -31,7 +33,7 @@ from .errors import (
 )
 from .ledger import ApprovalPolicy, LedgerState, begin_cycle, carry_cycle
 from .policy import PolicyParams
-from .weo_ingest import ALL_BLOCS, WeoVintage
+from .weo_ingest import ALL_BLOCS, WeoVintage, check_vintage
 
 CHALLENGE_WINDOW = timedelta(hours=72)
 CORRECTION_DEADLINE = timedelta(days=14)
@@ -93,11 +95,37 @@ class SubmissionPayload:
 
 
 # each bloc code with its position in ALL_BLOCS, ordered by code
-_BY_CODE = sorted((b.value, i) for i, b in enumerate(ALL_BLOCS))
+_BY_CODE = dict(sorted((b.value, i) for i, b in enumerate(ALL_BLOCS)))
 
 
 def _by_bloc_code(values: tuple[int, ...]) -> dict[str, str]:
-    return {code: fp.to_str(values[i]) for code, i in _BY_CODE}
+    return {code: fp.to_str(values[i]) for code, i in _BY_CODE.items()}
+
+
+def _bloc_values(view: dict, key: str, where: str) -> tuple[int, ...]:
+    """`view[key]`, an object of a decimal for exactly each KC7 bloc code, as
+    the values in ALL_BLOCS order."""
+    values = view[key]
+    if not isinstance(values, dict):
+        raise MalformedFile(f"{where}: {key}: not a JSON object")
+    if values.keys() != _BY_CODE.keys():
+        raise IncompleteBlocSet(
+            f"{where}: {key}: need exactly the KC7 set, got {list(values)}")
+    return tuple([fp.from_str(values[b._value_]) for b in ALL_BLOCS])
+
+
+def read_payload(view: dict, where: str) -> SubmissionPayload:
+    """The inverse of `SubmissionPayload.canonical()`, in any decimal spelling
+    `fp.from_str` reads; a bad vintage or bloc set raises naming `where`."""
+    try:
+        check_vintage(view["vintage_id"], view["dataset_hash"])
+    except MalformedFile as exc:
+        raise MalformedFile(f"{where}: {exc}") from None
+    return SubmissionPayload(
+        _bloc_values(view, "debt_ratios", where),
+        _bloc_values(view, "nominal_gdps", where),
+        fp.from_str(view["bdi"]), fp.from_str(view["x_norm"]), fp.from_str(view["g"]),
+        view["vintage_id"], view["dataset_hash"])
 
 
 @dataclass(frozen=True)
@@ -195,17 +223,18 @@ def build_payload(
                              vintage.vintage_id, vintage.dataset_hash)
 
 
-def _recompute_check(payload: SubmissionPayload, baseline: BaselineRef) -> None:
-    # constructing the vintage validates the payload's vintage id
-    WeoVintage(payload.vintage_id, baseline.genesis_vintage.publication_date,
-               payload.dataset_hash)
-    _, bdi, x_norm, _, g = index_kernel(payload.debt_ratios, payload.nominal_gdps,
-                                        baseline)
+def _recompute_check(payload: SubmissionPayload, baseline: BaselineRef
+                     ) -> tuple[int, ...]:
+    """The kernel's weights for the payload's inputs; raises
+    InconsistentPayload unless its bdi, x_norm and g are what they give."""
+    weights, bdi, x_norm, _, g = index_kernel(
+        payload.debt_ratios, payload.nominal_gdps, baseline)
     if (bdi, x_norm, g) != (payload.bdi, payload.x_norm, payload.g):
         raise InconsistentPayload(
             f"recomputed (bdi={fp.to_str(bdi)}, x={fp.to_str(x_norm)}, "
             f"g={fp.to_str(g)}) != submitted"
         )
+    return weights
 
 
 def submit(
@@ -214,13 +243,14 @@ def submit(
     operator_registry: Iterable[str],
     baseline: BaselineRef,
 ) -> CycleRecord:
-    """Accept an operator submission after the internal-consistency recheck."""
+    """Accept an operator submission after its vintage and consistency checks."""
     if record.window.status is not WindowStatus.PENDING:
         raise SubmissionsClosed("submissions close when the challenge window opens")
     if submission.operator_id not in set(operator_registry):
         raise UnknownOperator(submission.operator_id)
     if any(s.operator_id == submission.operator_id for s in record.submissions):
         raise DuplicateSubmission(submission.operator_id)
+    check_vintage(submission.payload.vintage_id, submission.payload.dataset_hash)
     _recompute_check(submission.payload, baseline)
     record.submissions.append(submission)
     return record

@@ -2,16 +2,16 @@
 
 A settled cycle's report has one shape: `build_report` renders it from the
 cycle record, whose median is always set, and from the slice of the event
-log that the commitment's anchor cuts (`_report_slice`). Reports serialize
-through the canonical form and commit to a SHA-256 content hash.
-Verification checks that hash, re-derives bdi, x_norm and the weights, and
-g unless the report carries g forward, from the report's own raw inputs
-under the baseline (`recomputes`, which `simulator.run` also calls on each
-year's report before committing it), and compares the report with the same
+log that the commitment's anchor cuts (`_report_slice`). Its index fields
+repeat the median, the kernel's weights and the baseline (`_index_fields`).
+Reports serialize canonically and commit to a SHA-256 content hash.
+Verification checks that hash, re-checks the report's median as intake
+does and its index fields against it (`recomputes`, which `simulator.run`
+also calls on each year's report), and compares the report with the same
 slice of the event log: the cycle event's year, the g in force, and the
-actions `build_report` walked. Nothing is replayed, so an edit to another
-event that logs no action passes it; replaying the slice is open item 2 of
-ROADMAP.md.
+actions `build_report` walked. Nothing is replayed, and the median is not
+checked against the signed submissions; replaying the slice is open item 2
+of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from typing import Any, Sequence
 
 from . import fixedpoint as fp
 from .canonical import canonical_bytes, sha256_hex
-from .debt_index import BaselineRef, index_kernel, weighted_bdi
+from .debt_index import BaselineRef, weighted_bdi
 from .errors import IncompleteCycle
 from .ledger import last_cycle
-from .oracle_protocol import CycleRecord, WindowStatus
+from .oracle_protocol import CycleRecord, WindowStatus, _recompute_check, read_payload
 from .weo_ingest import ALL_BLOCS
 
 REQUIRED_FIELDS = (
@@ -112,6 +112,25 @@ def _report_slice(event_log: Sequence[dict], anchor: int) -> tuple[int, int]:
     return start, end
 
 
+def _index_fields(median_view: dict, weights: Sequence[int],
+                  baseline: BaselineRef) -> dict:
+    """A report's eight index fields: the median's inputs, bdi, x_norm,
+    vintage id and dataset hash as its canonical view spells them, the
+    kernel's weights and the baseline's bdi_ref and lambda."""
+    debt, gdp = median_view["debt_ratios"], median_view["nominal_gdps"]
+    return {
+        "x_norm": median_view["x_norm"],
+        "raw_inputs": {code: {"debt_ratio": d, "nominal_gdp": gdp[code]}
+                       for code, d in debt.items()},
+        "bdi": median_view["bdi"],
+        "bdi_ref": fp.to_str(baseline.bdi_ref),
+        "weights": {b._value_: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)},
+        "vintage_id": median_view["vintage_id"],
+        "dataset_hash": median_view["dataset_hash"],
+        "lambda": fp.to_str(baseline.lam),
+    }
+
+
 def build_report(
     cycle_record: CycleRecord,
     event_log: Sequence[dict],
@@ -126,33 +145,24 @@ def build_report(
     if status not in (WindowStatus.EXECUTED, WindowStatus.LAPSED):
         raise IncompleteCycle(f"cycle is {status.value}")
     median = cycle_record.median_payload
+    median_view = median.canonical()
     start, end = _report_slice(event_log, anchor)
     executed_actions, action_hashes, signer_set = _executed(event_log[start:end])
     weights = weighted_bdi(median.debt_ratios, median.nominal_gdps)[0]
     return {
         "cycle_year": cycle_record.cycle_year,
-        "x_norm": fp.to_str(median.x_norm),
         "g": fp.to_str(cycle_record.confirmed_g),
         "oracle_submissions": [s.canonical() for s in cycle_record.submissions],
-        "median": median.canonical(),
+        "median": median_view,
         "governance_outcomes": list(governance_log),
         "executed_actions": executed_actions,
         "signer_set": signer_set,
         "action_hashes": action_hashes,
-        "raw_inputs": {
-            b._value_: {"debt_ratio": fp.to_str(debt), "nominal_gdp": fp.to_str(gdp)}
-            for b, debt, gdp in zip(ALL_BLOCS, median.debt_ratios, median.nominal_gdps)
-        },
-        "bdi": fp.to_str(median.bdi),
-        "bdi_ref": fp.to_str(baseline.bdi_ref),
-        "weights": {b._value_: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)},
-        "vintage_id": median.vintage_id,
-        "dataset_hash": median.dataset_hash,
+        **_index_fields(median_view, weights, baseline),
         "fallback_note": None,
         "carried_forward_blocs": [],
         "carried_forward": cycle_record.carried_forward,
         "low_submission_count": len(cycle_record.submissions) < 3,
-        "lambda": fp.to_str(baseline.lam),
     }
 
 
@@ -178,25 +188,18 @@ def commit(report_bytes: bytes, ledger_anchor: int = 0) -> ReportCommitment:
 
 
 def recomputes(report: dict, baseline: BaselineRef) -> bool:
-    """Whether the report's lambda and bdi_ref are the baseline's, and its
-    bdi, x_norm and weights, and its g unless it carries g forward, are what
-    its raw inputs give; never raises."""
+    """Whether the report's median reads as a payload whose inputs give its
+    bdi, x_norm and g, spelled canonically, its index fields are what
+    `_index_fields` makes of it, and its g is the median's unless it carries
+    g forward; never raises."""
     try:
-        if (fp.from_str(report["lambda"]) != baseline.lam
-                or report["bdi_ref"] != fp.to_str(baseline.bdi_ref)):
-            return False
-        raw = [report["raw_inputs"][b._value_] for b in ALL_BLOCS]
-        weights, bdi, x_norm, _, g = index_kernel(
-            tuple(fp.from_str(r["debt_ratio"]) for r in raw),
-            tuple(fp.from_str(r["nominal_gdp"]) for r in raw),
-            baseline)
-        return (
-            fp.to_str(bdi) == report["bdi"]
-            and fp.to_str(x_norm) == report["x_norm"]
-            and (report["carried_forward"] is True or fp.to_str(g) == report["g"])
-            and report["weights"] == {
-                b._value_: fp.to_str(w) for b, w in zip(ALL_BLOCS, weights)}
-        )
+        view = report["median"]
+        payload = read_payload(view, "median")
+        fields = _index_fields(view, _recompute_check(payload, baseline), baseline)
+        return (fields.items() <= report.items()
+                and [view["bdi"], view["x_norm"], view["g"]]
+                == list(map(fp.to_str, (payload.bdi, payload.x_norm, payload.g)))
+                and (report["carried_forward"] is True or report["g"] == view["g"]))
     except Exception:
         return False
 
@@ -209,9 +212,9 @@ def verify(
 ) -> tuple[bool, list[str]]:
     """Three-way check: hash match, internal recomputation, reconciliation.
 
-    The recomputation runs under the baseline's lambda; a report whose
-    lambda or bdi_ref is not the baseline's fails it too. The report's slice
-    of the whole event log (`_report_slice`) must walk to its executed
+    The recomputation (`recomputes`) re-checks the median under the baseline
+    and requires the index fields to repeat it and the baseline. The slice
+    of the whole event log (`_report_slice`) must walk to the report's executed
     actions, action hashes and signer set exactly, its first event must log
     its `cycle_year`, and the report's `g` must be the g in force: that of
     the slice's own `begin_cycle`, or for a `carry_cycle` slice that of the

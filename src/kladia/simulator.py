@@ -200,7 +200,7 @@ def run(scenario: Scenario) -> Trace:
             params = replace(
                 params, **{k: fp.from_str(v) for k, v in event["changes"].items()})
 
-        g_str = fp.to_str(record.confirmed_g)
+        g_str = fp.to_str(state.annual_factors.g_used)  # the g in force
         for month in range(12):
             fees = rng.randint(*scenario.fee_range_kld) * 10 ** 6
             released = 0
@@ -230,9 +230,11 @@ def run(scenario: Scenario) -> Trace:
         trace.cycles.append(record.canonical())
         report = reporting.build_report(record, state.journal, state.n_events,
                                         governance_log, baseline)
-        if not reporting.recomputes(report, baseline):
-            raise AssertionError(
-                f"cycle {year} report failed verification: ['RecomputeMismatch']")
+        problems = [code for code, failed in (
+            ("RecomputeMismatch", not reporting.recomputes(report, baseline)),
+            ("CycleMismatch", report["g"] != g_str)) if failed]
+        if problems:
+            raise AssertionError(f"cycle {year} report failed verification: {problems}")
         commitment = reporting.commit(reporting.serialize(report))
         trace.report_commitments.append(commitment.content_hash)
 

@@ -58,12 +58,15 @@ class WeoVintage:
     dataset_hash: str         # sha256 of the raw snapshot bytes, lowercase hex
 
     def __post_init__(self):
-        if not (isinstance(self.vintage_id, str)
-                and _VINTAGE_RE.fullmatch(self.vintage_id)):
-            raise MalformedFile(f"bad vintage id: {self.vintage_id!r}")
-        if not (isinstance(self.dataset_hash, str)
-                and _SHA256_HEX_RE.fullmatch(self.dataset_hash)):
-            raise MalformedFile(f"bad dataset hash: {self.dataset_hash!r}")
+        check_vintage(self.vintage_id, self.dataset_hash)
+
+
+def check_vintage(vintage_id: str, dataset_hash: str) -> None:
+    """The date-free vintage check: a "<year>-<Month>" id, lowercase SHA-256 hex."""
+    if not (isinstance(vintage_id, str) and _VINTAGE_RE.fullmatch(vintage_id)):
+        raise MalformedFile(f"bad vintage id: {vintage_id!r}")
+    if not (isinstance(dataset_hash, str) and _SHA256_HEX_RE.fullmatch(dataset_hash)):
+        raise MalformedFile(f"bad dataset hash: {dataset_hash!r}")
 
 
 def check_ranges(bloc: Bloc, debt_ratio: int, nominal_gdp: int) -> None:

@@ -334,6 +334,19 @@ def test_verify_flags_an_edited_report_lambda(runner, tmp_path):
     assert result.output == "verification failed: RecomputeMismatch\n"
 
 
+@pytest.mark.parametrize("edits", [
+    {"vintage_id": "2027-October"},
+    {"dataset_hash": "cd" * 32},
+    {"lambda": "1"},
+], ids=["vintage-id", "dataset-hash", "lambda-spelled-1"])
+def test_verify_flags_an_index_field_that_leaves_the_median(runner, tmp_path, edits):
+    # the report's vintage and dataset hash repeat its median's, and its
+    # lambda is the baseline's in canonical form
+    result = _verify_recommitted_edit(runner, tmp_path, edits)
+    assert result.exit_code == 1
+    assert result.output == "verification failed: RecomputeMismatch\n"
+
+
 def test_verify_flags_an_edited_report_bdi_ref(runner, tmp_path):
     # bdi, x_norm and g still recompute (under the baseline's bdi_ref), so
     # only the bdi_ref check itself can fail

@@ -18,7 +18,6 @@ from kladia.errors import (
     InsufficientApprovals,
     KladiaError,
     MalformedFile,
-    NoMintAfterGenesis,
     RelockExceedsRelease,
     ZeroCap,
 )
@@ -80,21 +79,12 @@ def test_genesis_must_be_the_published_table():
         lg.from_json_dict(_rehashed(events))
 
 
-def test_no_mint_after_genesis():
-    state = lg.genesis()
-    with pytest.raises(NoMintAfterGenesis):
-        lg.mint(state, 1)
-
-
 def test_public_surface_has_no_unburn_or_mint_path():
     # every public callable that could create supply must be absent
     public = [name for name in dir(lg) if not name.startswith("_")]
     assert "unburn" not in public
     assert "reissue" not in public
-    # mint exists only as a guard that always raises
-    state = lg.genesis()
-    with pytest.raises(NoMintAfterGenesis):
-        lg.mint(state, 0)
+    assert "mint" not in public
 
 
 # --- vesting -----------------------------------------------------------------

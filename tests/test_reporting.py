@@ -233,6 +233,39 @@ def test_verify_recomputes_a_report_stripped_of_its_index_fields(vintage, baseli
         weights={}) == (False, ["RecomputeMismatch"])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("median.bdi", "1.000000000"),
+    ("median.g", "0.999999999"),
+    ("median.vintage_id", "2027-October"),
+    ("vintage_id", "2027-October"),
+    ("dataset_hash", "cd" * 32),
+    ("lambda", "1"),
+], ids=["median-bdi", "median-g", "median-vintage-id", "vintage-id", "dataset-hash",
+        "lambda-spelled-1"])
+def test_verify_reads_the_index_fields_from_the_median(vintage, baseline, field,
+                                                       value):
+    # the index fields repeat the median, which must recompute, and lambda is
+    # the baseline's in its canonical spelling
+    record, state, events = executed_cycle(vintage, baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
+    key, _, median_key = field.partition(".")
+    edit = {**report["median"], median_key: value} if median_key else value
+    assert report[key] != edit
+    assert _verify_recommitted(report, baseline, events, **{key: edit}) \
+        == (False, ["RecomputeMismatch"])
+
+
+def test_verify_wants_the_median_scalars_spelled_canonically(vintage, baseline):
+    # a bdi re-spelled with a leading zero, in the median and the report
+    # alike, has the same value but not the spelling a payload renders
+    record, state, events = executed_cycle(vintage, baseline)
+    report = reporting.build_report(record, events, 0, [], baseline)
+    bdi = "0" + report["bdi"]
+    assert _verify_recommitted(report, baseline, events, bdi=bdi,
+                               median={**report["median"], "bdi": bdi}) \
+        == (False, ["RecomputeMismatch"])
+
+
 @pytest.mark.parametrize("field, value, code", [
     ("bdi", "1.000000000", "RecomputeMismatch"),
     ("g", "0.200000000", "CycleMismatch"),

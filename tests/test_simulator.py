@@ -113,17 +113,24 @@ def test_table_output_shape():
     assert len(lines) == 13
 
 
-def test_each_report_is_verified_before_it_is_committed(monkeypatch):
-    # the per-year self-check re-derives g from the report's raw inputs: a
-    # report built with another g, then serialized and committed as it
-    # stands, must stop the run
+@pytest.mark.parametrize("dispute_years, match", [
+    ((), "cycle 1 .*RecomputeMismatch"),
+    ((2,), r"cycle 2 .*\['CycleMismatch'\]"),
+], ids=["executed", "carried-forward"])
+def test_each_report_is_verified_before_it_is_committed(monkeypatch, dispute_years,
+                                                        match):
+    # the per-year self-check re-derives the report's g from its median, and
+    # requires it to be the g in force, a carried-forward report's too: a
+    # report built with another g (every report, or only the year that
+    # lapses), then serialized and committed as it stands, must stop the run
     build_report = sim.reporting.build_report
 
     def altered_g(*args, **kwargs):
         report = build_report(*args, **kwargs)
-        report["g"] = "0.999999999"
+        if report["carried_forward"] or not dispute_years:
+            report["g"] = "0.999999999"
         return report
 
     monkeypatch.setattr(sim.reporting, "build_report", altered_g)
-    with pytest.raises(AssertionError, match="cycle 1 .*RecomputeMismatch"):
-        sim.run(sim.Scenario(seed=3, years=2))
+    with pytest.raises(AssertionError, match=match):
+        sim.run(sim.Scenario(seed=3, years=2, dispute_years=dispute_years))

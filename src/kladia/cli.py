@@ -189,10 +189,13 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
         tuple(a.strip() for a in approvals.split(",") if a.strip())
         or oracle.EXECUTOR_POLICY.signer_set[:oracle.EXECUTOR_POLICY.threshold]
     )
-    # the governed parameters are not persisted yet
+    # the parameters in force: the last begin_cycle's, or the defaults
+    last = ledger_mod.last_cycle(state.journal, state.n_events, ("begin_cycle",))
+    params = (PolicyParams() if last is None
+              else PolicyParams(*state.journal[last]["inputs"]["coefficients"]))
     record, state = oracle.settle_cycle(
         year, submissions, [s.operator_id for s in submissions], state,
-        PolicyParams(), baseline, clock, approval_list,
+        params, baseline, clock, approval_list,
     )
 
     report = reporting.build_report(record, state.journal, state.n_events, [],
@@ -252,11 +255,12 @@ def cmd_verify(report_file, commit_file, event_log, baseline_file):
     The recomputation uses the baseline's lambda.
     """
     commit_data = _read_object(commit_file)
-    commitment = reporting.ReportCommitment(
-        commit_data["content_hash"],
-        commit_data.get("reference_link", ""),
-        commit_data.get("ledger_anchor", 0),
-    )
+    try:
+        # exactly the three fields the writer writes; a missing or unknown
+        # one is a TypeError, a bad value a MalformedFile naming its field
+        commitment = reporting.ReportCommitment(**commit_data)
+    except (TypeError, MalformedFile) as exc:
+        raise MalformedFile(f"{commit_file.name}: {exc}") from None
     baseline = _load_baseline(baseline_file)
     data = _read_object(event_log)
     if list(data) != ["event_log"] or not isinstance(data["event_log"], list):

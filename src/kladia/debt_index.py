@@ -13,21 +13,16 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import fixedpoint as fp
-from .errors import (
-    BaselineFrozen,
-    BlocSetMismatch,
-    IncompleteBlocSet,
-    NonPositiveLambda,
-)
+from .errors import BlocSetMismatch, IncompleteBlocSet, NonPositiveLambda
 from .weo_ingest import ALL_BLOCS, WeoVintage, check_ranges
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaselineRef:
     """The genesis baseline: BDI_ref, its vintage and the sensitivity lam.
 
-    All three are fixed at genesis. They are checked when the baseline is
-    made, and every later assignment raises BaselineFrozen.
+    All three are fixed at genesis: they are checked when the baseline is
+    made, and the dataclass is frozen.
     """
 
     bdi_ref: int                 # scaled decimal, > 0
@@ -39,12 +34,6 @@ class BaselineRef:
             raise ValueError("bdi_ref must be positive")
         if self.lam <= 0:
             raise NonPositiveLambda("lambda must be positive")
-
-    def __setattr__(self, name, value):
-        # the generated __init__ assigns lam last; after that, nothing changes
-        if "lam" in vars(self):
-            raise BaselineFrozen(f"baseline is frozen; cannot set {name}")
-        object.__setattr__(self, name, value)
 
 
 def normalize(bdi: int, baseline: BaselineRef) -> tuple[int, int]:

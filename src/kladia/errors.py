@@ -44,10 +44,6 @@ class BlocSetMismatch(InputError):
     pass
 
 
-class BaselineFrozen(KladiaError):
-    """Attempted mutation of the genesis baseline."""
-
-
 class NonPositiveLambda(InputError):
     pass
 

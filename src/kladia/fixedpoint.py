@@ -45,6 +45,10 @@ def from_str(text: str) -> int:
     return int(scaled)
 
 
+# what to_str renders for a non-negative value: no sign, no leading zero
+CANONICAL = re.compile(r"(?:0|[1-9][0-9]*)\.[0-9]{9}")
+
+
 def to_str(value: int) -> str:
     """Render with exactly 9 fractional digits (canonical form)."""
     if value < 0:

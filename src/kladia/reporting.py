@@ -23,10 +23,10 @@ from typing import Any, Sequence
 from . import fixedpoint as fp
 from .canonical import canonical_bytes, sha256_hex
 from .debt_index import BaselineRef, weighted_bdi
-from .errors import IncompleteCycle
+from .errors import IncompleteCycle, MalformedFile
 from .ledger import last_cycle
 from .oracle_protocol import CycleRecord, WindowStatus, _recompute_check, read_payload
-from .weo_ingest import ALL_BLOCS
+from .weo_ingest import _SHA256_HEX_RE, ALL_BLOCS
 
 REQUIRED_FIELDS = (
     "cycle_year",
@@ -54,9 +54,21 @@ REQUIRED_FIELDS = (
 
 @dataclass(frozen=True)
 class ReportCommitment:
+    """A report's SHA-256 and the journal position it was cut at; each field
+    is checked when the commitment is made (MalformedFile names it)."""
+
     content_hash: str
     reference_link: str
-    ledger_anchor: int  # event-log position at commit time
+    ledger_anchor: int  # 1 <= anchor <= len(event_log)
+
+    def __post_init__(self):
+        if not (isinstance(self.content_hash, str)
+                and _SHA256_HEX_RE.fullmatch(self.content_hash)):
+            raise MalformedFile("content_hash: not 64 lowercase hex characters")
+        if type(self.ledger_anchor) is not int or self.ledger_anchor < 1:
+            raise MalformedFile("ledger_anchor: not a positive int")
+        if not isinstance(self.reference_link, str):
+            raise MalformedFile("reference_link: not a string")
 
 
 # each logged op that moves supply: the (action, input) pairs it carries, in
@@ -100,16 +112,15 @@ def _executed(events: Sequence[dict]) -> tuple[list[dict], list[str], list[str]]
 
 def _report_slice(event_log: Sequence[dict], anchor: int) -> tuple[int, int]:
     """Where the events a report covers start and end in `event_log`: from
-    the last `begin_cycle` or `carry_cycle` before `anchor` up to it; an
-    anchor of 0 is the log's end. Raises ValueError when the log has no such
+    the last `begin_cycle` or `carry_cycle` before `anchor`, the position the
+    report was cut at, up to it. Raises ValueError when the log has no such
     slice."""
-    if type(anchor) is not int or not 0 <= anchor <= len(event_log):
+    if not 1 <= anchor <= len(event_log):
         raise ValueError(f"ledger anchor {anchor!r} is outside the event log")
-    end = anchor or len(event_log)
-    start = last_cycle(event_log, end)
+    start = last_cycle(event_log, anchor)
     if start is None:
-        raise ValueError(f"no cycle event before ledger anchor {end}")
-    return start, end
+        raise ValueError(f"no cycle event before ledger anchor {anchor}")
+    return start, anchor
 
 
 def _index_fields(median_view: dict, weights: Sequence[int],
@@ -178,8 +189,8 @@ def serialize(report: dict) -> bytes:
     return canonical_bytes(report)
 
 
-def commit(report_bytes: bytes, ledger_anchor: int = 0) -> ReportCommitment:
-    """Hash-commit serialized report bytes."""
+def commit(report_bytes: bytes, ledger_anchor: int) -> ReportCommitment:
+    """Hash-commit serialized report bytes cut at `ledger_anchor`."""
     return ReportCommitment(
         content_hash=sha256_hex(report_bytes),
         reference_link="",
@@ -189,16 +200,17 @@ def commit(report_bytes: bytes, ledger_anchor: int = 0) -> ReportCommitment:
 
 def recomputes(report: dict, baseline: BaselineRef) -> bool:
     """Whether the report's median reads as a payload whose inputs give its
-    bdi, x_norm and g, spelled canonically, its index fields are what
-    `_index_fields` makes of it, and its g is the median's unless it carries
-    g forward; never raises."""
+    bdi, x_norm and g, its 14 inputs and those three spelled as `fp.to_str`
+    spells them, its index fields are what `_index_fields` makes of it, and
+    its g is the median's unless it carries g forward; never raises."""
     try:
         view = report["median"]
         payload = read_payload(view, "median")
         fields = _index_fields(view, _recompute_check(payload, baseline), baseline)
+        spelled = (*view["debt_ratios"].values(), *view["nominal_gdps"].values(),
+                   view["bdi"], view["x_norm"], view["g"])
         return (fields.items() <= report.items()
-                and [view["bdi"], view["x_norm"], view["g"]]
-                == list(map(fp.to_str, (payload.bdi, payload.x_norm, payload.g)))
+                and all(map(fp.CANONICAL.fullmatch, spelled))
                 and (report["carried_forward"] is True or report["g"] == view["g"]))
     except Exception:
         return False

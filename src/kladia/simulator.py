@@ -235,7 +235,7 @@ def run(scenario: Scenario) -> Trace:
             ("CycleMismatch", report["g"] != g_str)) if failed]
         if problems:
             raise AssertionError(f"cycle {year} report failed verification: {problems}")
-        commitment = reporting.commit(reporting.serialize(report))
+        commitment = reporting.commit(reporting.serialize(report), state.n_events)
         trace.report_commitments.append(commitment.content_hash)
 
     return trace

@@ -326,28 +326,28 @@ def _executed_cycle(vintage, baseline):
 def test_criterion_08_report_integrity(monkeypatch, vintage, baseline):
     # every simulated cycle must round-trip build -> commit -> verify; each
     # year's report is verified against the log up to the anchor it was
-    # built at (an anchor of 0 is that log's end), the lapsed year included
+    # built at, the lapsed year included
     built = []
     build_report = sim.reporting.build_report
 
     def capture(record, event_log, anchor, governance_log, run_baseline):
         report = build_report(record, event_log, anchor, governance_log,
                               run_baseline)
-        built.append((report, event_log[:anchor], run_baseline))
+        built.append((report, event_log[:anchor], anchor, run_baseline))
         return report
 
     monkeypatch.setattr(sim.reporting, "build_report", capture)
     trace = sim.run(sim.Scenario(seed=8, years=3, dispute_years=(2,)))
     assert len(trace.report_commitments) == len(built) == 3
-    for report, events, run_baseline in built:
+    for report, events, anchor, run_baseline in built:
         report_bytes = reporting.serialize(report)
-        assert reporting.verify(report_bytes, reporting.commit(report_bytes),
+        assert reporting.verify(report_bytes, reporting.commit(report_bytes, anchor),
                                 run_baseline, events) == (True, [])
     monkeypatch.undo()
 
     record, events = _executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
-    commitment = reporting.commit(reporting.serialize(report))
+    report = reporting.build_report(record, events, len(events), [], baseline)
+    commitment = reporting.commit(reporting.serialize(report), len(events))
     ok, problems = reporting.verify(
         reporting.serialize(report), commitment, baseline, events)
     assert ok, problems
@@ -379,7 +379,7 @@ def test_criterion_08_report_integrity(monkeypatch, vintage, baseline):
     # omitting any executed event leaves a supply reconciliation gap
     stripped = dict(report)
     stripped["executed_actions"] = report["executed_actions"][:-1]
-    recommit = reporting.commit(reporting.serialize(stripped))
+    recommit = reporting.commit(reporting.serialize(stripped), len(events))
     ok, problems = reporting.verify(
         reporting.serialize(stripped), recommit, baseline, events)
     assert not ok and "SupplyReconciliationGap" in problems

@@ -15,6 +15,7 @@ from kladia import reporting
 from kladia.canonical import canonical_bytes
 from kladia.cli import main
 from kladia.debt_index import BaselineRef
+from kladia.policy import PolicyParams
 from kladia.weo_ingest import ALL_BLOCS, DEBT_SERIES, GDP_SERIES, WeoVintage
 
 HASH = "ab" * 32
@@ -378,6 +379,36 @@ def test_verify_tampered_report_exit_1(runner, tmp_path):
     assert "HashMismatch" in result.output or "RecomputeMismatch" in result.output
 
 
+@pytest.mark.parametrize("edit, name", [
+    ({"ledger_anchor": "2"}, "ledger_anchor"),
+    ({"ledger_anchor": None}, "ledger_anchor"),
+    ({"ledger_anchor": 0}, "ledger_anchor"),
+    ({"ledger_anchor": -1}, "ledger_anchor"),
+    ({"ledger_anchor": True}, "ledger_anchor"),
+    ("ledger_anchor", "ledger_anchor"),
+    ({"content_hash": "0" * 63}, "content_hash"),
+    ({"note": "x"}, "note"),
+], ids=["anchor-string", "anchor-null", "anchor-0", "anchor-negative", "anchor-true",
+        "anchor-missing", "short-hash", "extra-key"])
+def test_verify_reads_the_commit_file_strictly_exit_2(runner, tmp_path, edit, name):
+    # exactly the three fields `kld cycle` writes, each of its own type
+    result, state_dir, base = run_cycle(runner, tmp_path)
+    assert result.exit_code == 0
+    commit_file = state_dir / "report-2026.commit"
+    commit = json.loads(commit_file.read_text())
+    if isinstance(edit, str):
+        del commit[edit]
+    else:
+        commit.update(edit)
+    commit_file.write_text(json.dumps(commit))
+    result = verify_year(runner, state_dir, base, 2026)
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: MalformedFile: report-2026.commit: ")
+    assert name in lines[0]
+
+
 @pytest.mark.parametrize("option", ["--event-log", "--baseline-file"])
 def test_verify_requires_both_inputs_exit_2(runner, tmp_path, option):
     result, state_dir, base = run_cycle(runner, tmp_path)
@@ -422,6 +453,23 @@ def test_second_cycle_is_journaled_and_verifies(runner, tmp_path):
     for year in (2026, 2027):
         result = verify_year(runner, state_dir, base, year)
         assert result.exit_code == 0, result.output
+
+
+def test_cycle_runs_under_the_parameters_in_force(runner, tmp_path):
+    # `run_cycle`'s state dir, its journal replaced by one whose 2026
+    # begin_cycle logged governed coefficients: the 2027 cycle logs the same
+    # ones, not the defaults
+    governed = PolicyParams(alpha_i=fp.from_str("0.04"),
+                            r_base=fp.from_str("0.002"))
+    assert governed != PolicyParams()
+    state = lg.begin_cycle(lg.genesis(), governed, fp.from_str("0.1"), 2026)
+    _, state_dir, base = run_cycle(runner, tmp_path)
+    (state_dir / "ledger.json").write_text(json.dumps(lg.to_json_dict(state)))
+    result = cycle_again(runner, tmp_path, state_dir, base, 2027)
+    assert result.exit_code == 0, result.output
+    log = json.loads((state_dir / "ledger.json").read_text())["event_log"]
+    assert [e["inputs"]["coefficients"] for e in log if e["op"] == "begin_cycle"] \
+        == [list(vars(governed).values())] * 2
 
 
 def test_cycle_reads_each_submission_once(runner, tmp_path, monkeypatch):
@@ -817,7 +865,8 @@ def _verb_args(verb, tmp_path, base):
     report = tmp_path / "report.kldr"
     report.write_text("{}")
     commit = tmp_path / "report.commit"
-    commit.write_text(json.dumps({"content_hash": "0" * 64}))
+    commit.write_text(json.dumps(
+        {"content_hash": "0" * 64, "reference_link": "", "ledger_anchor": 1}))
     event_log = tmp_path / "events.json"
     event_log.write_text(json.dumps({"event_log": []}))
     return {

@@ -9,7 +9,7 @@ from kladia import fixedpoint as fp
 from kladia import ledger as lg
 from kladia import oracle_protocol as op
 from kladia import reporting
-from kladia.errors import IncompleteCycle
+from kladia.errors import IncompleteCycle, MalformedFile
 from kladia.policy import PolicyParams
 
 from conftest import make_columns
@@ -66,7 +66,7 @@ def lapsed_cycle(vintage, baseline):
 
 def test_build_report_executed(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
+    report = reporting.build_report(record, events, len(events), [], baseline)
     assert reporting.check_schema(report) == []
     assert report["g"] is not None
     assert report["bdi_ref"] == fp.to_str(baseline.bdi_ref)
@@ -76,12 +76,13 @@ def test_build_report_executed(vintage, baseline):
 
 def test_build_report_lapsed(vintage, baseline):
     record, log = lapsed_cycle(vintage, baseline)
-    report = reporting.build_report(record, log, 0, [], baseline)
+    report = reporting.build_report(record, log, len(log), [], baseline)
     assert report["carried_forward"] is True
     assert report["executed_actions"] == []
     assert report["g"] == fp.to_str(PRIOR_G)
     data = reporting.serialize(report)
-    assert reporting.verify(data, reporting.commit(data), baseline, log) == (True, [])
+    assert reporting.verify(data, reporting.commit(data, len(log)), baseline, log) \
+        == (True, [])
 
 
 def test_build_report_incomplete_cycle(vintage, baseline):
@@ -92,7 +93,7 @@ def test_build_report_incomplete_cycle(vintage, baseline):
     op.aggregate_median(record)
     op.open_window(record, T0)
     with pytest.raises(IncompleteCycle):
-        reporting.build_report(record, [], 0, [], baseline)
+        reporting.build_report(record, [], 1, [], baseline)
 
 
 def test_action_amounts_by_op():
@@ -118,7 +119,7 @@ def test_action_amounts_by_op():
 
 def test_month_actions_share_their_event(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
+    report = reporting.build_report(record, events, len(events), [], baseline)
     month = len(events) - 1
     assert events[month]["op"] == "advance_month"
     actions = [(a["op"], a["event_position"]) for a in report["executed_actions"]]
@@ -130,9 +131,9 @@ def test_month_actions_share_their_event(vintage, baseline):
 
 def test_commit_deterministic(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
-    c1 = reporting.commit(reporting.serialize(report))
-    c2 = reporting.commit(reporting.serialize(report))
+    report = reporting.build_report(record, events, len(events), [], baseline)
+    c1 = reporting.commit(reporting.serialize(report), len(events))
+    c2 = reporting.commit(reporting.serialize(report), len(events))
     assert c1.content_hash == c2.content_hash
     # independent hashing oracle over the same canonical bytes
     expected = hashlib.sha256(reporting.serialize(report)).hexdigest()
@@ -141,8 +142,8 @@ def test_commit_deterministic(vintage, baseline):
 
 def test_commit_avalanche(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
-    commitment = reporting.commit(reporting.serialize(report))
+    report = reporting.build_report(record, events, len(events), [], baseline)
+    commitment = reporting.commit(reporting.serialize(report), len(events))
     data = bytearray(reporting.serialize(report))
     data[10] ^= 0x01
     assert hashlib.sha256(bytes(data)).hexdigest() != commitment.content_hash
@@ -150,8 +151,8 @@ def test_commit_avalanche(vintage, baseline):
 
 def test_verify_round_trip(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
-    commitment = reporting.commit(reporting.serialize(report))
+    report = reporting.build_report(record, events, len(events), [], baseline)
+    commitment = reporting.commit(reporting.serialize(report), len(events))
     ok, problems = reporting.verify(
         reporting.serialize(report), commitment, baseline, events
     )
@@ -160,8 +161,8 @@ def test_verify_round_trip(vintage, baseline):
 
 def test_verify_detects_edited_g(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
-    commitment = reporting.commit(reporting.serialize(report))
+    report = reporting.build_report(record, events, len(events), [], baseline)
+    commitment = reporting.commit(reporting.serialize(report), len(events))
     tampered = dict(report)
     tampered["g"] = fp.to_str(fp.from_str("0.123"))
     ok, problems = reporting.verify(
@@ -173,13 +174,13 @@ def test_verify_detects_edited_g(vintage, baseline):
 
 def test_verify_detects_omitted_burn(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
+    report = reporting.build_report(record, events, len(events), [], baseline)
     stripped = dict(report)
     stripped["executed_actions"] = [
         a for a in report["executed_actions"] if a["op"] != "burn"
     ]
     assert len(stripped["executed_actions"]) < len(report["executed_actions"])
-    commitment = reporting.commit(reporting.serialize(stripped))
+    commitment = reporting.commit(reporting.serialize(stripped), len(events))
     ok, problems = reporting.verify(
         reporting.serialize(stripped), commitment, baseline, events
     )
@@ -192,10 +193,11 @@ def test_verify_nets_relock_against_issuance(vintage, baseline):
     state, _ = lg.release_escrow(state, 10**9, ESCROW_SIGNERS[:5])
     state = lg.relock(state, 10**8, lg.BucketKind.ECOSYSTEM_ESCROW, "unused grants")
     events = events + state.event_log[-2:]
-    report = reporting.build_report(record, events, 0, [], baseline)
+    report = reporting.build_report(record, events, len(events), [], baseline)
     assert any(a["op"] == "relock" for a in report["executed_actions"])
     data = reporting.serialize(report)
-    ok, problems = reporting.verify(data, reporting.commit(data), baseline, events)
+    ok, problems = reporting.verify(data, reporting.commit(data, len(events)),
+                                    baseline, events)
     assert ok, problems
     # a relock reported as a vesting release is not what the log walks to
     relabeled = dict(report)
@@ -204,17 +206,19 @@ def test_verify_nets_relock_against_issuance(vintage, baseline):
         for a in report["executed_actions"]
     ]
     data = reporting.serialize(relabeled)
-    ok, problems = reporting.verify(data, reporting.commit(data), baseline, events)
+    ok, problems = reporting.verify(data, reporting.commit(data, len(events)),
+                                    baseline, events)
     assert problems == ["SupplyReconciliationGap"]
 
 
 def test_verify_detects_altered_weight(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
+    report = reporting.build_report(record, events, len(events), [], baseline)
     bloc = sorted(report["weights"])[0]
     altered = {**report, "weights": {**report["weights"], bloc: "0.000000001"}}
     data = reporting.serialize(altered)
-    ok, problems = reporting.verify(data, reporting.commit(data), baseline, events)
+    ok, problems = reporting.verify(data, reporting.commit(data, len(events)),
+                                    baseline, events)
     assert problems == ["RecomputeMismatch"]
 
 
@@ -222,12 +226,12 @@ def _verify_recommitted(report, baseline, log, **edits):
     """verify() of `report` with `edits`, re-committed so that its hash
     matches."""
     data = reporting.serialize({**report, **edits})
-    return reporting.verify(data, reporting.commit(data), baseline, log)
+    return reporting.verify(data, reporting.commit(data, len(log)), baseline, log)
 
 
 def test_verify_recomputes_a_report_stripped_of_its_index_fields(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
+    report = reporting.build_report(record, events, len(events), [], baseline)
     assert _verify_recommitted(
         report, baseline, events, bdi=None, x_norm=None, raw_inputs={},
         weights={}) == (False, ["RecomputeMismatch"])
@@ -247,7 +251,7 @@ def test_verify_reads_the_index_fields_from_the_median(vintage, baseline, field,
     # the index fields repeat the median, which must recompute, and lambda is
     # the baseline's in its canonical spelling
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
+    report = reporting.build_report(record, events, len(events), [], baseline)
     key, _, median_key = field.partition(".")
     edit = {**report["median"], median_key: value} if median_key else value
     assert report[key] != edit
@@ -259,11 +263,45 @@ def test_verify_wants_the_median_scalars_spelled_canonically(vintage, baseline):
     # a bdi re-spelled with a leading zero, in the median and the report
     # alike, has the same value but not the spelling a payload renders
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
+    report = reporting.build_report(record, events, len(events), [], baseline)
     bdi = "0" + report["bdi"]
     assert _verify_recommitted(report, baseline, events, bdi=bdi,
                                median={**report["median"], "bdi": bdi}) \
         == (False, ["RecomputeMismatch"])
+
+
+def test_verify_wants_the_median_inputs_spelled_canonically(vintage, baseline):
+    # a KC7 input re-spelled with a leading zero, in the median and in the
+    # raw_inputs that repeat it, reads as the same value
+    record, state, events = executed_cycle(vintage, baseline)
+    report = reporting.build_report(record, events, len(events), [], baseline)
+    assert report["median"]["debt_ratios"]["US"] == "120.000000000"
+    us = "0120.000000000"
+    median = {**report["median"],
+              "debt_ratios": {**report["median"]["debt_ratios"], "US": us}}
+    raw_inputs = {**report["raw_inputs"],
+                  "US": {**report["raw_inputs"]["US"], "debt_ratio": us}}
+    assert _verify_recommitted(report, baseline, events, median=median,
+                               raw_inputs=raw_inputs) \
+        == (False, ["RecomputeMismatch"])
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"content_hash": "0" * 63}, "content_hash"),
+    ({"content_hash": "0" * 63 + "A"}, "content_hash"),
+    ({"content_hash": None}, "content_hash"),
+    ({"ledger_anchor": 0}, "ledger_anchor"),
+    ({"ledger_anchor": -1}, "ledger_anchor"),
+    ({"ledger_anchor": "2"}, "ledger_anchor"),
+    ({"ledger_anchor": True}, "ledger_anchor"),
+    ({"ledger_anchor": None}, "ledger_anchor"),
+    ({"reference_link": None}, "reference_link"),
+])
+def test_a_commitment_checks_its_fields(fields, name):
+    good = {"content_hash": "0" * 64, "reference_link": "", "ledger_anchor": 1}
+    assert reporting.ReportCommitment(**good).ledger_anchor == 1
+    with pytest.raises(MalformedFile, match=f"^{name}: "):
+        reporting.ReportCommitment(**{**good, **fields})
 
 
 @pytest.mark.parametrize("field, value, code", [
@@ -274,7 +312,7 @@ def test_verify_checks_a_lapsed_report(vintage, baseline, field, value, code):
     # the report carries g forward from a carry_cycle slice: its index fields
     # still recompute, and its g is the g the last begin_cycle put in force
     record, log = lapsed_cycle(vintage, baseline)
-    report = reporting.build_report(record, log, 0, [], baseline)
+    report = reporting.build_report(record, log, len(log), [], baseline)
     assert report[field] != value
     assert _verify_recommitted(report, baseline, log, **{field: value}) \
         == (False, [code])
@@ -282,10 +320,11 @@ def test_verify_checks_a_lapsed_report(vintage, baseline, field, value, code):
 
 def test_verify_needs_a_g_in_force_before_a_carry_cycle(vintage, baseline):
     record, log = lapsed_cycle(vintage, baseline)
-    data = reporting.serialize(reporting.build_report(record, log, 0, [], baseline))
+    data = reporting.serialize(
+        reporting.build_report(record, log, len(log), [], baseline))
     assert [e["op"] for e in log] == ["genesis", "begin_cycle", "carry_cycle"]
     del log[1]
-    assert reporting.verify(data, reporting.commit(data), baseline, log) \
+    assert reporting.verify(data, reporting.commit(data, len(log)), baseline, log) \
         == (False, ["MalformedEventLog"])
 
 
@@ -321,22 +360,24 @@ def _list_entry(events, i):
                                     _string_amount, _float_amount, _list_entry])
 def test_verify_reports_malformed_event_log(vintage, baseline, tamper):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
+    report = reporting.build_report(record, events, len(events), [], baseline)
     data = reporting.serialize(report)
     for op_name in ("advance_month", "release_escrow"):
         tampered = json.loads(json.dumps(events))
         tamper(tampered, next(i for i, e in enumerate(events) if e["op"] == op_name))
-        ok, problems = reporting.verify(data, reporting.commit(data), baseline,
-                                        tampered)
+        ok, problems = reporting.verify(
+            data, reporting.commit(data, len(tampered)), baseline, tampered)
         assert (ok, problems) == (False, ["MalformedEventLog"]), op_name
 
 
 def test_verify_rejects_a_log_without_the_report_slice(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    data = reporting.serialize(reporting.build_report(record, events, 0, [], baseline))
+    data = reporting.serialize(
+        reporting.build_report(record, events, len(events), [], baseline))
     cases = [
         (events, reporting.commit(data, ledger_anchor=len(events) + 1)),  # past the end
-        (events[1:], reporting.commit(data)),    # no cycle event before the anchor
+        # no cycle event before the anchor
+        (events[1:], reporting.commit(data, len(events) - 1)),
     ]
     for log, commitment in cases:
         ok, problems = reporting.verify(data, commitment, baseline, log)
@@ -346,13 +387,15 @@ def test_verify_rejects_a_log_without_the_report_slice(vintage, baseline):
 def test_verify_detects_an_edit_that_keeps_net_issuance(vintage, baseline):
     # one more unit emitted and one more burned: issued - burned is unchanged
     record, state, events = executed_cycle(vintage, baseline)
-    data = reporting.serialize(reporting.build_report(record, events, 0, [], baseline))
+    data = reporting.serialize(
+        reporting.build_report(record, events, len(events), [], baseline))
     edited = json.loads(json.dumps(events))
     month = edited[-1]["inputs"]
     assert edited[-1]["op"] == "advance_month" and month["burned"] > 0
     month["emitted"] += 1
     month["burned"] += 1
-    ok, problems = reporting.verify(data, reporting.commit(data), baseline, edited)
+    ok, problems = reporting.verify(data, reporting.commit(data, len(edited)),
+                                    baseline, edited)
     assert (ok, problems) == (False, ["SupplyReconciliationGap"])
 
 
@@ -408,14 +451,14 @@ def test_verify_ties_a_report_to_its_cycle_event(vintage, baseline, tamper, code
 
 def test_verify_rejects_non_object_report(baseline):
     data = b"[]"
-    ok, problems = reporting.verify(data, reporting.commit(data), baseline, [])
+    ok, problems = reporting.verify(data, reporting.commit(data, 1), baseline, [])
     assert (ok, problems) == (False, ["SchemaIncomplete"])
 
 
 def test_single_field_tamper_always_detected(vintage, baseline):
     record, state, events = executed_cycle(vintage, baseline)
-    report = reporting.build_report(record, events, 0, [], baseline)
-    commitment = reporting.commit(reporting.serialize(report))
+    report = reporting.build_report(record, events, len(events), [], baseline)
+    commitment = reporting.commit(reporting.serialize(report), len(events))
     rng = random.Random(5)
     serialized = reporting.serialize(report)
     keys = list(report.keys())

@@ -1,8 +1,13 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kladia import fixedpoint as fp
+from kladia import ledger as lg
+from kladia import reporting
 from kladia import simulator as sim
-from kladia.errors import ScenarioInvalid
+from kladia.errors import MalformedFile, ScenarioInvalid
 from kladia.policy import PolicyParams
 
 
@@ -134,3 +139,147 @@ def test_each_report_is_verified_before_it_is_committed(monkeypatch, dispute_yea
     monkeypatch.setattr(sim.reporting, "build_report", altered_g)
     with pytest.raises(AssertionError, match=match):
         sim.run(sim.Scenario(seed=3, years=2, dispute_years=dispute_years))
+
+
+def _committed(monkeypatch, scenario):
+    """Run `scenario`; return its baseline, its whole journal, and each
+    year's report bytes with the commitment the simulator made of them."""
+    built, committed = [], []
+    build_report, commit = sim.reporting.build_report, sim.reporting.commit
+
+    def capture_build(record, event_log, anchor, governance_log, baseline):
+        built.append((event_log, baseline))
+        return build_report(record, event_log, anchor, governance_log, baseline)
+
+    def capture_commit(report_bytes, ledger_anchor):
+        commitment = commit(report_bytes, ledger_anchor)
+        committed.append((report_bytes, commitment))
+        return commitment
+
+    monkeypatch.setattr(sim.reporting, "build_report", capture_build)
+    monkeypatch.setattr(sim.reporting, "commit", capture_commit)
+    trace = sim.run(scenario)
+    monkeypatch.undo()
+    journal, baseline = built[-1]
+    assert [c.content_hash for _, c in committed] == trace.report_commitments
+    assert committed[-1][1].ledger_anchor == len(journal)
+    return baseline, list(journal), committed
+
+
+def test_each_commitment_names_its_report_slice(monkeypatch):
+    # every year's report verifies against the run's whole journal, cut at
+    # the anchor the simulator committed it with, the lapsed year included
+    baseline, journal, committed = _committed(monkeypatch, sim.Scenario(
+        seed=3, years=5, dispute_years=(2,),
+        oracle_behaviors={"op-2": "outlier", "op-4": "missing"}))
+    assert len(committed) == 5
+    for report_bytes, commitment in committed:
+        assert reporting.verify(report_bytes, commitment, baseline, journal) \
+            == (True, [])
+
+
+def _mutations(log, start, end):
+    """(name, mutated copy of `log`) for each mutation of each event in
+    log[start:end]: each int input, and each int of a list input, raised by
+    1; `op` and `state_hash` changed; one approval dropped; the event
+    deleted, swapped with the next, or duplicated. A name is the op and the
+    field, or the op after the structural edit."""
+    for pos in range(start, end):
+        event = log[pos]
+        op = event["op"]
+
+        def edited(change):
+            copy = json.loads(json.dumps(event))
+            change(copy)
+            return log[:pos] + [copy] + log[pos + 1:]
+
+        for key, value in event["inputs"].items():
+            if type(value) is int:
+                yield f"{op}.{key}", edited(
+                    lambda e, k=key: e["inputs"].update({k: e["inputs"][k] + 1}))
+            elif type(value) is list:
+                for i in range(len(value)):
+                    def raise_item(e, k=key, i=i):
+                        e["inputs"][k][i] += 1
+                    yield f"{op}.{key}", edited(raise_item)
+        for key in ("op", "state_hash"):
+            yield f"{op}.{key}", edited(lambda e, k=key: e.update({k: e[k] + "x"}))
+        if event["approvals"]:
+            yield f"{op}.approvals", edited(lambda e: e["approvals"].pop())
+        yield f"delete {op}", log[:pos] + log[pos + 1:]
+        if pos + 1 < len(log):
+            yield f"swap {op}", log[:pos] + [log[pos + 1], event] + log[pos + 2:]
+        yield f"duplicate {op}", log[:pos + 1] + log[pos:]
+
+
+# the mutations each check lets pass, by name (a name passes when any one of
+# its mutations does). A change that closes a gap removes its name; no name
+# is ever added.
+VERIFY_MISSES = {
+    "advance_month.fees",            # nothing replays the month
+    "begin_cycle.coefficients",      # nor the cycle's derived factors
+    "begin_cycle.e_base",
+    "begin_cycle.i_base",
+    "begin_cycle.state_hash",        # a cycle event carries no action hash
+    "carry_cycle.state_hash",
+    "duplicate advance_month",       # some: a month that moves nothing
+    "release_escrow.approvals",      # signer_set is a union over the slice
+    "release_escrow.requested",      # a request at the cap releases the same
+}
+REPLAY_MISSES = {
+    "begin_cycle.coefficients",      # some: the state hash leaves the
+                                     # annual factors out
+    "begin_cycle.year",              # the last cycle event's year + 1
+    "delete advance_month",          # the log's last event: a shorter ledger
+    "release_escrow.requested",
+}
+
+
+def test_journal_tamper_sweep(monkeypatch):
+    # every event of every report's slice is mutated; each report is checked
+    # with the simulator's own commitment against the whole mutated journal,
+    # and the journal is replayed from genesis
+    baseline, journal, committed = _committed(
+        monkeypatch, sim.Scenario(seed=3, years=3, dispute_years=(2,)))
+    lg.from_json_dict({"event_log": journal})
+    verify_misses, replay_misses, swept = set(), set(), 0
+    for report_bytes, commitment in committed:
+        assert reporting.verify(report_bytes, commitment, baseline, journal) \
+            == (True, [])
+        start, end = reporting._report_slice(journal, commitment.ledger_anchor)
+        for name, log in _mutations(journal, start, end):
+            swept += 1
+            if reporting.verify(report_bytes, commitment, baseline, log)[0]:
+                verify_misses.add(name)
+            try:
+                lg.from_json_dict({"event_log": log})
+            except MalformedFile:
+                continue
+            replay_misses.add(name)
+    assert swept == 653
+    assert verify_misses == VERIFY_MISSES
+    assert replay_misses == REPLAY_MISSES
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       years=st.one_of(st.integers(3, 12), st.integers(30, 50)),
+       shift=st.sampled_from((1, 10, 50, 100, 300)),
+       dispute_years=st.lists(st.integers(1, 50), max_size=2, unique=True),
+       outlier=st.booleans())
+def test_higher_debt_drift_never_lowers_g_nor_raises_supply(
+        seed, years, shift, dispute_years, outlier):
+    # the paper's headline claim through the whole pipeline: shifting both
+    # ends of the debt drift up keeps every random draw and raises every
+    # debt path, so each year's confirmed g is at least as high and
+    # circulating supply at most as high, month by month
+    disputes = {(y - 1) % years + 1 for y in dispute_years}
+    base = dict(seed=seed, years=years, dispute_years=tuple(sorted(disputes)),
+                oracle_behaviors={"op-2": "outlier"} if outlier else {})
+    lowest, highest = sim.Scenario.debt_drift_bp
+    low, high = (sim.run(sim.Scenario(
+        debt_drift_bp=(lowest + d, highest + d), **base)) for d in (0, shift))
+    for lo, hi in zip(low.cycles, high.cycles):
+        assert fp.from_str(hi["confirmed_g"]) >= fp.from_str(lo["confirmed_g"])
+    for lo, hi in zip(low.rows, high.rows):
+        assert hi["circulating"] <= lo["circulating"]

@@ -1,22 +1,23 @@
 """Operator command surface.
 
-One verb per lifecycle stage: index, cycle, simulate, report, verify,
-govern, state. Exit codes: 0 success, 1 verification/policy failure,
-2 input error. Every verb's errors meet at one boundary, `_Kld.invoke`,
-which prints one `error: <Type>: <message>` line and picks the exit code
-from the error's class alone. The state directory is taken from
---state-dir or the KLADIA_STATE_DIR environment variable.
+One verb per lifecycle stage: index, cycle, simulate, verify, govern,
+state. Exit codes: 0 success, 1 verification/policy failure, 2 input
+error, a usage error included. `main` parses the command line, runs the
+verb and exits once with the code the verb returns. It is every verb's
+one error boundary: it prints one `error: <Type>: <message>` line and
+picks the exit code from the error's class alone. The state directory is
+taken from --state-dir or the KLADIA_STATE_DIR environment variable.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
-
-import click
+from typing import NoReturn
 
 from . import fixedpoint as fp
 from . import governance as gov
@@ -69,32 +70,24 @@ def _load_baseline(path: Path) -> BaselineRef:
     )
 
 
-class _Kld(click.Group):
-    """Every verb's one error boundary: the error's class picks the exit."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (KladiaError, *_INPUT_ERRORS) as exc:
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(EXIT_INPUT if isinstance(exc, _INPUT_ERRORS) else EXIT_POLICY)
+def _existing(value: str) -> Path:
+    """A path argument that must exist: a missing one is a usage error,
+    met before the verb has any side effect."""
+    path = Path(value)
+    if not path.exists():
+        raise argparse.ArgumentTypeError(f"{value!r} does not exist")
+    return path
 
 
-@click.group(cls=_Kld)
-def main():
-    """KLD debt-indexed policy engine."""
+def _state_dir(option: Path | None) -> Path:
+    """--state-dir, else KLADIA_STATE_DIR, read on each call."""
+    value = option or os.environ.get("KLADIA_STATE_DIR")
+    if not value:
+        raise InputError("no state directory: give --state-dir or set "
+                         "KLADIA_STATE_DIR")
+    return Path(value)
 
 
-@main.command("index")
-@click.argument("snapshot_file", type=click.Path(exists=True, path_type=Path))
-@click.option("--baseline-file", type=click.Path(exists=True, path_type=Path),
-              required=True)
-@click.option("--vintage", required=True, help="e.g. 2026-October")
-@click.option("--publication-date", required=True, help="ISO date")
-@click.option("--last-confirmed", type=click.Path(exists=True, path_type=Path),
-              help="JSON of last confirmed bloc values for carry-forward")
-@click.option("--fmt", "--format", "fmt", default="table",
-              type=click.Choice(["table", "canonical"]), show_default=True)
 def cmd_index(snapshot_file, baseline_file, vintage, publication_date,
               last_confirmed, fmt):
     """Compute weights, BDI, X and g from a snapshot file."""
@@ -130,27 +123,20 @@ def cmd_index(snapshot_file, baseline_file, vintage, publication_date,
         "g": fp.to_str(g),
     }
     if fmt == "canonical":
-        click.echo(canonical_bytes(payload).decode())
+        print(canonical_bytes(payload).decode())
     else:
         for key, value in payload.items():
             if isinstance(value, dict):
                 for k2, v2 in value.items():
-                    click.echo(f"{key}.{k2}\t{v2}")
+                    print(f"{key}.{k2}\t{v2}")
             else:
-                click.echo(f"{key}\t{value}")
+                print(f"{key}\t{value}")
+    return EXIT_OK
 
 
-@main.command("cycle")
-@click.option("--state-dir", type=click.Path(path_type=Path), required=True,
-              envvar="KLADIA_STATE_DIR")
-@click.option("--submissions-dir", type=click.Path(exists=True, path_type=Path),
-              required=True)
-@click.option("--baseline-file", type=click.Path(exists=True, path_type=Path),
-              required=True)
-@click.option("--year", type=int, required=True)
-@click.option("--approvals", default="", help="comma-separated executor signers")
 def cmd_cycle(state_dir, submissions_dir, baseline_file, year, approvals):
     """Run one annual cycle: intake -> median -> window -> execute."""
+    state_dir = _state_dir(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
     lock = state_dir / ".lock"
     try:
@@ -164,6 +150,7 @@ def cmd_cycle(state_dir, submissions_dir, baseline_file, year, approvals):
         _run_cycle(state_dir, submissions_dir, baseline_file, year, approvals)
     finally:
         lock.unlink()
+    return EXIT_OK
 
 
 def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
@@ -207,16 +194,11 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
     (state_dir / f"report-{year}.kldr").write_bytes(report_bytes)
     (state_dir / f"report-{year}.commit").write_text(json.dumps(vars(commitment)))
     ledger_file.write_text(json.dumps(ledger_mod.to_json_dict(state)))
-    click.echo(f"cycle {year}: {record.window.status.value}, "
-               f"g={fp.to_str(record.confirmed_g)}, "
-               f"state_hash={state.state_hash()}")
+    print(f"cycle {year}: {record.window.status.value}, "
+          f"g={fp.to_str(record.confirmed_g)}, "
+          f"state_hash={state.state_hash()}")
 
 
-@main.command("simulate")
-@click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--years", type=int, default=5, show_default=True)
-@click.option("--dispute-year", "dispute_years", type=int, multiple=True)
-@click.option("--out", type=click.Path(path_type=Path))
 def cmd_simulate(seed, years, dispute_years, out):
     """Run a deterministic scenario and print/emit the trace."""
     scenario = sim.Scenario(seed=seed, years=years,
@@ -225,30 +207,13 @@ def cmd_simulate(seed, years, dispute_years, out):
     table = trace.to_table()
     if out:
         out.write_text(table)
-        click.echo(f"trace written to {out} ({len(trace.rows)} rows, "
-                   f"hash {trace.trace_hash()})")
+        print(f"trace written to {out} ({len(trace.rows)} rows, "
+              f"hash {trace.trace_hash()})")
     else:
-        click.echo(table, nl=False)
+        print(table, end="")
+    return EXIT_OK
 
 
-@main.command("report")
-@click.option("--state-dir", type=click.Path(exists=True, path_type=Path),
-              required=True, envvar="KLADIA_STATE_DIR")
-@click.option("--year", type=int, required=True)
-def cmd_report(state_dir, year):
-    """Print a committed cycle report."""
-    path = state_dir / f"report-{year}.kldr"
-    click.echo(path.read_text())
-
-
-@main.command("verify")
-@click.argument("report_file", type=click.Path(exists=True, path_type=Path))
-@click.argument("commit_file", type=click.Path(exists=True, path_type=Path))
-@click.option("--event-log", type=click.Path(path_type=Path), required=True,
-              help="ledger.json; the report is checked against its slice "
-              "of the event log")
-@click.option("--baseline-file", type=click.Path(exists=True, path_type=Path),
-              required=True)
 def cmd_verify(report_file, commit_file, event_log, baseline_file):
     """Verify a report against its commitment (exit 0 iff clean).
 
@@ -269,15 +234,12 @@ def cmd_verify(report_file, commit_file, event_log, baseline_file):
     ok, problems = reporting.verify(
         report_file.read_bytes(), commitment, baseline, data["event_log"])
     if ok:
-        click.echo("verified: clean")
-        sys.exit(EXIT_OK)
-    click.echo(f"verification failed: {', '.join(problems)}")
-    sys.exit(EXIT_POLICY)
+        print("verified: clean")
+        return EXIT_OK
+    print(f"verification failed: {', '.join(problems)}")
+    return EXIT_POLICY
 
 
-@main.command("govern")
-@click.option("--changes", required=True,
-              help='JSON object of parameter -> decimal string')
 def cmd_govern(changes):
     """Check a parameter-change set against immutables and bounds."""
     change_map = {
@@ -287,21 +249,95 @@ def cmd_govern(changes):
     try:
         gov.check_changes(change_map)
     except KladiaError as exc:
-        click.echo(f"rejected: {type(exc).__name__}: {exc}")
-        sys.exit(EXIT_POLICY)
-    click.echo("acceptable: would enter voting")
-    sys.exit(EXIT_OK)
+        print(f"rejected: {type(exc).__name__}: {exc}")
+        return EXIT_POLICY
+    print("acceptable: would enter voting")
+    return EXIT_OK
 
 
-@main.command("state")
-@click.option("--state-dir", type=click.Path(exists=True, path_type=Path),
-              required=True, envvar="KLADIA_STATE_DIR")
 def cmd_state(state_dir):
     """Print the current ledger snapshot and its commitment hash."""
-    ledger_file = state_dir / "ledger.json"
+    ledger_file = _state_dir(state_dir) / "ledger.json"
     state = ledger_mod.from_json_dict(json.loads(ledger_file.read_text()))
-    click.echo(json.dumps(state.snapshot(), sort_keys=True, indent=2))
-    click.echo(f"state_hash\t{state.state_hash()}")
+    print(json.dumps(state.snapshot(), sort_keys=True, indent=2))
+    print(f"state_hash\t{state.state_hash()}")
+    return EXIT_OK
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="kld", description="KLD debt-indexed policy engine.",
+        allow_abbrev=False)
+    verbs = parser.add_subparsers(metavar="verb", required=True)
+
+    def verb(name, fn):
+        sub = verbs.add_parser(name, help=fn.__doc__.splitlines()[0],
+                               description=fn.__doc__, allow_abbrev=False)
+        sub.set_defaults(fn=fn)
+        return sub
+
+    index = verb("index", cmd_index)
+    index.add_argument("snapshot_file", type=_existing)
+    index.add_argument("--baseline-file", type=_existing, required=True)
+    index.add_argument("--vintage", required=True, help="e.g. 2026-October")
+    index.add_argument("--publication-date", required=True, help="ISO date")
+    index.add_argument("--last-confirmed", type=_existing,
+                       help="JSON of last confirmed bloc values for carry-forward")
+    index.add_argument("--fmt", "--format", dest="fmt", default="table",
+                       choices=("table", "canonical"))
+
+    cycle = verb("cycle", cmd_cycle)
+    cycle.add_argument("--state-dir", type=Path,
+                       help="default: the KLADIA_STATE_DIR environment variable")
+    cycle.add_argument("--submissions-dir", type=_existing, required=True)
+    cycle.add_argument("--baseline-file", type=_existing, required=True)
+    cycle.add_argument("--year", type=int, required=True)
+    cycle.add_argument("--approvals", default="",
+                       help="comma-separated executor signers")
+
+    simulate = verb("simulate", cmd_simulate)
+    simulate.add_argument("--seed", type=int, default=1)
+    simulate.add_argument("--years", type=int, default=5)
+    simulate.add_argument("--dispute-year", dest="dispute_years", type=int,
+                          action="append", default=[])
+    simulate.add_argument("--out", type=Path)
+
+    verify = verb("verify", cmd_verify)
+    verify.add_argument("report_file", type=_existing)
+    verify.add_argument("commit_file", type=_existing)
+    verify.add_argument("--event-log", type=Path, required=True,
+                        help="ledger.json; the report is checked against its "
+                        "slice of the event log")
+    verify.add_argument("--baseline-file", type=_existing, required=True)
+
+    govern = verb("govern", cmd_govern)
+    govern.add_argument("--changes", required=True,
+                        help="JSON object of parameter -> decimal string")
+
+    state = verb("state", cmd_state)
+    state.add_argument("--state-dir", type=_existing,
+                       help="default: the KLADIA_STATE_DIR environment variable")
+    return parser
+
+
+_PARSER = _parser()
+
+
+def main(argv: list[str] | None = None) -> NoReturn:
+    """Run one `kld` command line (sys.argv by default) and exit with its
+    code: the verb's, or the one the class of the error it raised picks."""
+    args = vars(_PARSER.parse_args(argv))
+    verb = args.pop("fn")
+    try:
+        code = verb(**args)
+    except (KladiaError, *_INPUT_ERRORS) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = EXIT_INPUT if isinstance(exc, _INPUT_ERRORS) else EXIT_POLICY
+    sys.exit(code)
+
+
+# bench/harness.py calls `cli.main.main(args=...)`; ROADMAP item 6 deletes this
+main.main = lambda args, prog_name, standalone_mode: main(args)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
 import hashlib
+import io
 import json
-from collections import Counter
+import shutil
+import tempfile
+from collections import Counter, namedtuple
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import date
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import LEDGER_WITH_DERIVED_SECTIONS, make_columns
 from kladia import fixedpoint as fp
@@ -21,9 +25,29 @@ from kladia.weo_ingest import ALL_BLOCS, DEBT_SERIES, GDP_SERIES, WeoVintage
 HASH = "ab" * 32
 
 
+Result = namedtuple("Result", "exit_code output exception")
+
+
+class Runner:
+    """Runs `kld` in this process. `output` holds stdout and stderr in one
+    buffer, as a shell shows them; `exception` is the SystemExit, or an
+    exception that escaped `main`, which a shell would see as a traceback."""
+
+    def invoke(self, main, args):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(out):
+            try:
+                main(args)
+            except SystemExit as exc:
+                return Result(exc.code, out.getvalue(), exc)
+            except Exception as exc:
+                return Result(1, out.getvalue(), exc)
+        return Result(0, out.getvalue(), None)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def write_snapshot(path, vintage_id, debt="150", gdp="2000"):
@@ -420,7 +444,7 @@ def test_verify_requires_both_inputs_exit_2(runner, tmp_path, option):
     i = args.index(option)
     result = runner.invoke(main, args[:i] + args[i + 2:])
     assert result.exit_code == 2
-    assert f"Missing option '{option}'" in result.output
+    assert f"the following arguments are required: {option}" in result.output
 
 
 def test_verify_missing_event_log_exit_2(runner, tmp_path, monkeypatch):
@@ -484,15 +508,6 @@ def test_cycle_reads_each_submission_once(runner, tmp_path, monkeypatch):
     result, _, _ = run_cycle(runner, tmp_path)
     assert result.exit_code == 0, result.output
     assert [reads[f"{op}.json"] for op in ("op-1", "op-2", "op-3")] == [1, 1, 1]
-
-
-def test_report_prints_the_committed_bytes(runner, tmp_path):
-    result, state_dir, _ = run_cycle(runner, tmp_path)
-    assert result.exit_code == 0, result.output
-    result = runner.invoke(main, ["report", "--state-dir", str(state_dir),
-                                  "--year", "2026"])
-    assert result.exit_code == 0, result.output
-    assert result.stdout_bytes == (state_dir / "report-2026.kldr").read_bytes() + b"\n"
 
 
 def test_cycle_with_too_few_approvals_exit_1(runner, tmp_path):
@@ -877,7 +892,6 @@ def _verb_args(verb, tmp_path, base):
                   "--year", "2026"],
         "verify": ["verify", str(report), str(commit), "--event-log", str(event_log),
                    "--baseline-file", str(base)],
-        "report": ["report", "--state-dir", str(tmp_path), "--year", "2026"],
         "simulate": ["simulate", "--years", "1", "--out", str(tmp_path / "trace.csv")],
         "state": ["state", "--state-dir", str(tmp_path)],
     }[verb]
@@ -902,14 +916,11 @@ def _edit_json(path, **fields):
     ("cycle", "baseline.json", {"vintage_id": 7}, "MalformedFile"),
     ("cycle", "subs/op-2.json", {"vintage_id": 5}, "MalformedFile"),
     ("verify", "report.kldr", None, "IsADirectoryError"),
-    ("report", "report-2026.kldr", None, "IsADirectoryError"),
     ("simulate", "trace.csv", None, "IsADirectoryError"),
-    ("report", None, None, "FileNotFoundError"),
     ("state", None, None, "FileNotFoundError"),
 ], ids=["index-publication-date", "index-vintage-id", "cycle-publication-date",
         "cycle-vintage-id", "cycle-submission-vintage-id", "verify-directory",
-        "report-directory", "simulate-out-directory", "report-missing-year",
-        "state-without-ledger"])
+        "simulate-out-directory", "state-without-ledger"])
 def test_bad_input_is_one_error_line_exit_2(runner, tmp_path, verb, path, fields,
                                             error):
     args = _verb_args(verb, tmp_path, _baseline(tmp_path))
@@ -1007,7 +1018,7 @@ def test_lam_option_is_gone_exit_2(runner, tmp_path, verb):
     write_baseline(base)
     result = runner.invoke(main, _verb_args(verb, tmp_path, base) + ["--lam", "1"])
     assert result.exit_code == 2
-    assert "No such option '--lam'" in result.output
+    assert "unrecognized arguments: --lam" in result.output
 
 
 def test_verify_event_log_directory_exit_2(runner, tmp_path):
@@ -1089,3 +1100,201 @@ def test_govern_malformed_changes_exit_2(runner, changes, error):
     result = runner.invoke(main, ["govern", "--changes", changes])
     assert result.exit_code == 2
     assert result.output == f"error: {error}\n"
+
+
+# --- the command line --------------------------------------------------------
+
+def _without_state_dir(args):
+    i = args.index("--state-dir")
+    return args[:i] + args[i + 2:]
+
+
+def test_state_dir_comes_from_the_environment(runner, tmp_path, monkeypatch):
+    env_dir = tmp_path / "from-env"
+    monkeypatch.setenv("KLADIA_STATE_DIR", str(env_dir))
+    args = _verb_args("cycle", tmp_path, _baseline(tmp_path))
+    result = runner.invoke(main, _without_state_dir(args))
+    assert result.exit_code == 0, result.output
+    assert result.output == CYCLE_OUTPUT
+    assert (env_dir / "ledger.json").exists()
+    result = runner.invoke(main, ["state"])
+    assert result.exit_code == 0, result.output
+    assert "state_hash\t" in result.output
+
+
+def test_state_dir_option_wins_over_the_environment(runner, tmp_path, monkeypatch):
+    env_dir = tmp_path / "from-env"
+    monkeypatch.setenv("KLADIA_STATE_DIR", str(env_dir))
+    result = runner.invoke(main, _verb_args("cycle", tmp_path, _baseline(tmp_path)))
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "state" / "ledger.json").exists()
+    result = runner.invoke(main, ["state", "--state-dir", str(tmp_path / "state")])
+    assert result.exit_code == 0, result.output
+    assert not env_dir.exists()
+
+
+@pytest.mark.parametrize("verb", ["cycle", "state"])
+def test_no_state_dir_exit_2(runner, tmp_path, monkeypatch, verb):
+    monkeypatch.delenv("KLADIA_STATE_DIR", raising=False)
+    args = _verb_args(verb, tmp_path, _baseline(tmp_path))
+    result = runner.invoke(main, _without_state_dir(args))
+    assert result.exit_code == 2
+    assert "--state-dir" in result.output
+    assert not (tmp_path / "state").exists()
+
+
+@pytest.mark.parametrize("verb, edit", [
+    ("index", lambda args: []),
+    ("verify", lambda args: ["--event" if a == "--event-log" else a for a in args]),
+    ("index", lambda args: args + ["--fmt", "bogus"]),
+], ids=["bare-kld", "abbreviated-option", "unknown-format"])
+def test_usage_error_exit_2(runner, tmp_path, verb, edit):
+    result = runner.invoke(main, edit(_verb_args(verb, tmp_path, _baseline(tmp_path))))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])
+def test_help_exit_0(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert "usage" in result.output.lower()
+
+
+def test_format_is_fmt(runner, tmp_path):
+    args = _verb_args("index", tmp_path, _baseline(tmp_path))
+    fmt, form = (runner.invoke(main, args + [option, "canonical"])
+                 for option in ("--fmt", "--format"))
+    assert fmt.exit_code == form.exit_code == 0
+    assert form.output == fmt.output
+    assert json.loads(form.output)["g"] == "0.333333333"
+
+
+def test_missing_submissions_dir_exit_2_before_the_state_dir(runner, tmp_path):
+    args = _verb_args("cycle", tmp_path, _baseline(tmp_path))
+    args[args.index("--submissions-dir") + 1] = str(tmp_path / "no-such-dir")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert not (tmp_path / "state").exists()
+
+
+# --- every input file --------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures" / "cli"
+
+
+def _reads(root):
+    """Each verb that reads a CLI input file, as argv over the files in `root`:
+    the fixture inputs beside the state dir they settle for 2026."""
+    state = root / "state"
+    return {
+        "index": ["index", str(root / "snapshot.csv"), "--baseline-file",
+                  str(root / "baseline.json"), "--vintage", "2026-October",
+                  "--publication-date", "2026-10-14"],
+        "cycle": ["cycle", "--state-dir", str(root / "fresh"), "--submissions-dir",
+                  str(root / "submissions"), "--baseline-file",
+                  str(root / "baseline.json"), "--year", "2026"],
+        "next-cycle": ["cycle", "--state-dir", str(state), "--submissions-dir",
+                       str(root / "submissions"), "--baseline-file",
+                       str(root / "baseline.json"), "--year", "2027"],
+        "verify": ["verify", str(state / "report-2026.kldr"),
+                   str(state / "report-2026.commit"), "--event-log",
+                   str(state / "ledger.json"), "--baseline-file",
+                   str(root / "baseline.json")],
+        "state": ["state", "--state-dir", str(state)],
+    }
+
+
+# (input file, a verb that reads it)
+INPUT_READS = [
+    ("snapshot.csv", "index"),
+    ("baseline.json", "index"), ("baseline.json", "cycle"),
+    ("baseline.json", "verify"),
+    ("submissions/op-2.json", "cycle"),
+    ("state/ledger.json", "state"), ("state/ledger.json", "next-cycle"),
+    ("state/ledger.json", "verify"),
+    ("state/report-2026.commit", "verify"),
+]
+
+
+@pytest.fixture(scope="module")
+def settled(tmp_path_factory):
+    root = tmp_path_factory.mktemp("settled")
+    shutil.copytree(FIXTURES, root, dirs_exist_ok=True)
+    result = Runner().invoke(main, _reads(root)["cycle"])
+    assert result.exit_code == 0, result.output
+    (root / "fresh").rename(root / "state")
+    return root
+
+
+def _paths(value, path=()):
+    """The path to every value inside a JSON value."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(raw, name, how, where, value):
+    """`raw` with one fault: at the fraction `where` of its bytes, or of its
+    fields (JSON values, or CSV cells), `how` deletes or retypes a field,
+    oversizes a number, truncates the file or writes non-UTF-8 bytes."""
+    if how == "truncate":
+        return raw[:int(where * len(raw))]
+    if how == "non-utf-8":
+        at = int(where * (len(raw) + 1))
+        return raw[:at] + value + raw[at:]
+    if name.endswith(".csv"):
+        rows = [line.split(",") for line in raw.decode().splitlines()]
+        cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+        r, c = cells[int(where * len(cells))]
+        if how == "delete":
+            del rows[r][c]
+        else:
+            rows[r][c] = str(value)
+        return "".join(",".join(row) + "\n" for row in rows).encode()
+    data = json.loads(raw)
+    paths = list(_paths(data))
+    *path, key = paths[int(where * len(paths))]
+    parent = data
+    for step in path:
+        parent = parent[step]
+    if how == "delete":
+        del parent[key]
+    else:
+        parent[key] = value
+    return json.dumps(data).encode()
+
+
+_WHERE = st.floats(0, 1, exclude_max=True)
+_OTHER_TYPE = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=8) | st.lists(st.integers(), max_size=2)
+               | st.dictionaries(st.text(max_size=4), st.integers(), max_size=2))
+_OVERSIZED = st.integers(19, 4000).flatmap(lambda k: st.sampled_from(
+    [10 ** k, -10 ** k, "9" * k, "9" * k + ".5", f"1e{k}"]))
+_NON_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"])
+MUTATIONS = st.one_of(
+    st.tuples(st.just("delete"), _WHERE, st.none()),
+    st.tuples(st.just("retype"), _WHERE, _OTHER_TYPE),
+    st.tuples(st.just("oversize"), _WHERE, _OVERSIZED),
+    st.tuples(st.just("truncate"), _WHERE, st.none()),
+    st.tuples(st.just("non-utf-8"), _WHERE, _NON_UTF8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(read=st.sampled_from(INPUT_READS), mutation=MUTATIONS)
+@example(read=("snapshot.csv", "index"), mutation=("non-utf-8", 0.5, b"\xff"))
+def test_no_input_file_gives_a_traceback(settled, read, mutation):
+    name, verb = read
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "inputs"
+        shutil.copytree(settled, root)
+        (root / name).write_bytes(_mutate((root / name).read_bytes(), name, *mutation))
+        result = Runner().invoke(main, _reads(root)[verb])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code == 2:
+        assert len(result.output.splitlines()) == 1, result.output
+        assert result.output.startswith("error: "), result.output

@@ -62,6 +62,11 @@ def test_scale_amount_down_floors():
         fp.scale_amount_down(-1, fp.ONE)
 
 
+def test_scale_amount_down_refuses_a_negative_factor():
+    with pytest.raises(ValueError, match="factor"):
+        fp.scale_amount_down(100, -fp.ONE)
+
+
 @given(st.integers(0, 10**16), st.integers(0, fp.SCALE))
 def test_scale_down_plus_remainder_is_exact(amount, factor):
     down = fp.scale_amount_down(amount, factor)

@@ -829,6 +829,19 @@ def test_branches_of_one_parent_keep_their_own_events(order):
     assert _reloaded(parent) == parent
 
 
+def test_only_a_branch_behind_the_journals_end_copies_it():
+    # a state at the journal's end appends in place, so a run of transitions
+    # copies no history; a second branch from the same parent forks a copy
+    parent = fresh_cycle()
+    first, _ = lg.release_escrow(parent, 500, ESCROW_SIGNERS[:5])
+    second, _ = lg.release_escrow(parent, 700, ESCROW_SIGNERS[:5])
+    assert first.journal is parent.journal
+    assert second.journal is not parent.journal
+    assert first.event_log[:-1] == second.event_log[:-1] == parent.event_log
+    assert [e["inputs"]["requested"] for e in (first.event_log[-1],
+                                               second.event_log[-1])] == [500, 700]
+
+
 # --- state hash template -----------------------------------------------------
 
 _AMOUNT = st.integers(0, 2**64)

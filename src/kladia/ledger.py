@@ -1,18 +1,19 @@
 """Exact-integer supply state machine.
 
 All balances are integer base units (1 KLD = 10^6 units). Every transition
-is a check, which raises and mutates nothing and returns the event's full
-inputs, then `_apply` of those inputs to a private copy, which re-checks
-supply conservation and logs the event with its state hash. The prior state
-is never touched. A month is one such event: its check computes the vesting
-release, staking emission and fee burn in their fixed order, and its apply
-moves them and rolls the month. A stored ledger is its event log alone, and
-is loaded by replaying that log from genesis through the same check and
-apply, so it is valid exactly when it is what its own log replays to. The
-state keeps only what that log does not fix: the supply cap, the genesis
-table, the signer policies and the vesting schedule are constants of the
-mechanism, and the team tokens vested so far follow from the month. There
-is no mint operation and no inverse of burn anywhere on the public surface.
+is its op's rule in `_RULES`: a check, which raises and mutates nothing and
+returns the event's full inputs, then an apply of those inputs to a private
+copy, after which supply conservation is re-checked and the event is logged
+with its state hash. The prior state is never touched. A month is one such
+event: its check computes the vesting release, staking emission and fee burn
+in their fixed order, and its apply moves them and rolls the month. A stored
+ledger is its event log alone, and is loaded by `replay` of that log from
+genesis through the same rules, so it is valid exactly when it is what its
+own log replays to. The state keeps only what that log does not fix: the
+supply cap, the genesis table, the signer policies and the vesting schedule
+are constants of the mechanism, and the team tokens vested so far follow
+from the month. There is no mint operation and no inverse of burn anywhere
+on the public surface.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from hashlib import sha256
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import fixedpoint as fp
 from .errors import (
@@ -89,7 +90,7 @@ GENESIS_ALLOCATIONS_KLD: dict[BucketKind, int] = {
     BucketKind.LIQUIDITY_PARTNERSHIPS: 150_000_000,
     BucketKind.LEGAL_TREASURY: 50_000_000,
 }
-# the published table as a genesis event logs it; `_check` accepts no other
+# the published table as a genesis event logs it; its check accepts no other
 _GENESIS_KLD = {k.value: v for k, v in GENESIS_ALLOCATIONS_KLD.items()}
 VEST_TOTAL = GENESIS_ALLOCATIONS_KLD[BucketKind.TEAM_VESTING] * UNIT
 
@@ -260,22 +261,33 @@ def to_json_dict(state: LedgerState) -> dict:
 
 
 def from_json_dict(data: dict) -> LedgerState:
-    """Load a `to_json_dict` dump by replaying its event log from genesis.
+    """Load a `to_json_dict` dump: `replay` its event log, then require the
+    dump to be, byte for byte, the replayed state's. That refuses an extra
+    key, a derived event field spelled another way, and any other layout.
+    Every failure raises MalformedFile.
+    """
+    if type(data) is dict and list(data) == ["event_log"]:
+        state = replay(data["event_log"])
+        if json.dumps(to_json_dict(state)) == json.dumps(data):
+            return state
+    raise MalformedFile("ledger: not what its event log replays to")
+
+
+def replay(events: Iterable[dict]) -> LedgerState:
+    """The state a stored event log replays to from genesis.
 
     Each event runs the check and apply its live call ran, which take only
     ints where the ledger keeps ints, and must log exactly the stored event,
-    state hash included. The dump must then be, byte for byte, the replayed
-    state's: that refuses an extra key, a derived event field spelled
-    another way, and any other layout. Every failure raises MalformedFile.
+    state hash included. Every failure raises MalformedFile naming the event.
     """
     state, where = None, "event_log"
     try:
-        for i, event in enumerate(data["event_log"]):
+        for i, event in enumerate(events):
             where = f"event {i}"
             op = event["op"]
             if (state is None) != (op == "genesis"):
                 raise MalformedFile(f"{where}: genesis must open the log, once")
-            inputs, valid = _check(state, op, event["inputs"], event["approvals"])
+            inputs, valid = _RULES[op].check(state, event["inputs"], event["approvals"])
             state = _step(state, op, inputs, valid)
             if state.journal[-1] != event:
                 raise MalformedFile(f"{where} ({op}): not what its replay logs")
@@ -283,12 +295,12 @@ def from_json_dict(data: dict) -> LedgerState:
         raise
     except (KladiaError, LookupError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedFile(f"{where}: {type(exc).__name__}: {exc}") from None
-    if state is None or json.dumps(to_json_dict(state)) != json.dumps(data):
-        raise MalformedFile("ledger: not what its event log replays to")
+    if state is None:
+        raise MalformedFile("event_log: genesis must open the log, once")
     return state
 
 
-# --- transitions: check, then apply ------------------------------------------
+# --- transitions: one rule per op, its check beside its apply ----------------
 
 # A begin_cycle event logs every PolicyParams field as one list in this order
 # beside g, e_base and i_base: `kld verify` parses all of `ledger.json`.
@@ -323,186 +335,222 @@ def last_cycle(events: Sequence[dict], end: int,
     return None
 
 
-def _check(state: Optional[LedgerState], op: str, inputs: dict,
-           approvals: Iterable[str] = ()) -> tuple[dict, tuple[str, ...]]:
-    """Validate `op` on `state` and return the event's full inputs and its
-    valid approvals; raises, and mutates nothing.
-
-    `inputs` is a live call's request or a logged event's inputs. Only the
-    request fields are read, so a replay recomputes whatever the ledger
-    derives from them.
-    """
-    if op == "genesis":
-        kld = inputs["allocations_kld"]
-        alloc = {k: _field(kld, k) for k in kld}
-        if alloc != _GENESIS_KLD:
-            raise AllocationMismatch("allocations are not the published genesis table")
-        return {"allocations_kld": alloc}, ()
-
-    if op in ("begin_cycle", "carry_cycle"):
-        # a year is settled once: its cycle must follow the last logged one
-        year = _field(inputs, "year")
-        last = last_cycle(state.journal, state.n_events)
-        if last is not None and year <= state.journal[last]["inputs"]["year"]:
-            raise KladiaError(f"year {year} is already settled, or a later one is")
-        if op == "carry_cycle":
-            return {"year": year}, ()
-
-    if op == "begin_cycle":
-        # the monthly escrow cap anchor is one twelfth of the 5% annual
-        # escrow budget; the annual gross issuance anchor is that budget plus
-        # twelve months of baseline staking emissions
-        g = _field(inputs, "g")
-        if not 0 <= g < fp.ONE:
-            raise ValueError("g must be in [0, 1)")
-        coefficients = dict(zip(_COEFFICIENTS, _field(inputs, "coefficients", list),
-                                strict=True))
-        params = PolicyParams(**{k: _field(coefficients, k) for k in coefficients})
-        escrow_budget = fp.scale_amount_down(
-            state.buckets[BucketKind.ECOSYSTEM_ESCROW], ESCROW_ANNUAL_BUDGET_FRACTION)
-        staking_annual = 12 * fp.scale_amount_down(
-            state.buckets[BucketKind.STAKING_RESERVE], params.effective_r_base())
-        e_base = escrow_budget // 12
-        if e_base and params.e_min > e_base:
-            raise ValueError("need e_min <= e_base")
-        return {"year": year, "g": g, "e_base": e_base,
-                "i_base": escrow_budget + staking_annual,
-                "coefficients": list(coefficients.values())}, ()
-
-    if op == "release_escrow":
-        requested = _field(inputs, "requested")
-        if requested < 0:
-            raise ValueError("requested must be nonnegative")
-        factors = state.annual_factors
-        if factors is None:
-            raise ZeroCap("no active cycle factors")
-        valid = POLICIES[BucketKind.ECOSYSTEM_ESCROW].check(approvals, "release_escrow")
-        cap_remaining = max(0, factors.escrow_cap - state.releases_this_month)
-        budget_remaining = max(0, factors.issuance_budget - state.issuance_used_year)
-        balance = state.buckets[BucketKind.ECOSYSTEM_ESCROW]
-        released = min(requested, cap_remaining, budget_remaining, balance)
-        if released <= 0:
-            raise ZeroCap(
-                f"release of 0 (requested {requested}, cap remaining {cap_remaining}, "
-                f"budget remaining {budget_remaining}, balance {balance})"
-            )
-        return {"requested": requested, "released": released}, valid
-
-    if op == "spend_reserve":
-        amount = _field(inputs, "amount")
-        if amount < 0:
-            raise ValueError("amount must be nonnegative")
-        valid = POLICIES[BucketKind.COMPANY_RESERVE].check(approvals, "spend_reserve")
-        if amount > state.buckets[BucketKind.COMPANY_RESERVE]:
-            raise ValueError("spend exceeds reserve balance")
-        guideline_cap = fp.scale_amount_down(
-            state.reserve_month_start_balance, RESERVE_MONTHLY_GUIDELINE)
-        return {"amount": amount, "guideline_exceeded":
-                state.reserve_spend_this_month + amount > guideline_cap}, valid
-
-    # only escrow releases can be taken back: every other bucket has none
-    if op == "mark_distributed":
-        bucket, amount = BucketKind(inputs["bucket"]), _field(inputs, "amount")
-        relockable = state.relockable if bucket is BucketKind.ECOSYSTEM_ESCROW else 0
-        if amount < 0 or amount > relockable:
-            raise ValueError("distributed amount exceeds relockable balance")
-        return {"bucket": bucket.value, "amount": amount}, ()
-
-    if op == "relock":
-        bucket, amount = BucketKind(inputs["bucket"]), _field(inputs, "amount")
-        if amount <= 0:
-            raise ValueError("relock amount must be positive")
-        if bucket is not BucketKind.ECOSYSTEM_ESCROW:
-            raise CrossBucketRelock(f"no released tokens originate from {bucket.value}")
-        if amount > state.relockable:
-            raise RelockExceedsRelease(f"relock {amount} exceeds undistributed "
-                                       f"release {state.relockable}")
-        return {"bucket": bucket.value, "amount": amount,
-                "justification": _field(inputs, "justification", str)}, ()
-
-    if op == "advance_month":
-        # the month's flows in their fixed order: the vesting release if due,
-        # the staking emission at the cycle's rate under the year's budget,
-        # then the fee burn from the supply those two leave circulating
-        fees = _field(inputs, "fees")
-        if fees < 0:
-            raise ValueError("fees must be nonnegative")
-        factors = state.annual_factors
-        if factors is None:
-            raise ZeroCap("no active cycle factors; call begin_cycle first")
-        vested = (_team_vesting(state.month_index + 1)[1]
-                  - _team_vesting(state.month_index)[1])
-        emitted = min(
-            fp.scale_amount_down(state.buckets[BucketKind.STAKING_RESERVE],
-                                 factors.staking_rate),
-            max(0, factors.issuance_budget - state.issuance_used_year))
-        burned = _fee_burn(state, min(fees, state.circulating + vested + emitted))[0]
-        return {"fees": fees, "vested": vested, "emitted": emitted,
-                "burned": burned}, ()
-
-    raise ValueError(f"unknown op {op!r}")
+def _check_genesis(state, inputs, approvals):
+    kld = inputs["allocations_kld"]
+    alloc = {k: _field(kld, k) for k in kld}
+    if alloc != _GENESIS_KLD:
+        raise AllocationMismatch("allocations are not the published genesis table")
+    return {"allocations_kld": alloc}, ()
 
 
-def _apply(state: Optional[LedgerState], op: str, inputs: dict) -> LedgerState:
-    """Apply a checked event to `state` in place and return it; genesis
-    makes the state. Pure bookkeeping: no hash, no log and no check, so it
-    cannot raise."""
-    if op == "genesis":
-        return LedgerState(
-            circulating=0, buckets={BucketKind(k): v * UNIT for k, v in
-                                    inputs["allocations_kld"].items()},
-            burned_cumulative=0, month_index=0, annual_factors=None,
-            releases_this_month=0, reserve_spend_this_month=0,
-        )
-    buckets = state.buckets
-    if op == "begin_cycle":
-        state.annual_factors = derive_cycle_factors(
-            PolicyParams(*inputs["coefficients"]), inputs["g"], inputs["e_base"],
-            inputs["i_base"], state.locked_total())
-        state.issuance_used_year = state.releases_this_month = 0
-    elif op == "carry_cycle":
-        state.issuance_used_year = state.releases_this_month = 0
-    elif op == "release_escrow":
-        released = inputs["released"]
-        buckets[BucketKind.ECOSYSTEM_ESCROW] -= released
-        state.circulating += released
-        state.releases_this_month += released
-        state.issuance_used_year += released
-        state.relockable += released
-    elif op == "spend_reserve":
-        amount = inputs["amount"]
-        buckets[BucketKind.COMPANY_RESERVE] -= amount
-        state.circulating += amount
-        state.reserve_spend_this_month += amount
-    elif op == "mark_distributed":
-        state.relockable -= inputs["amount"]
-    elif op == "relock":
-        amount = inputs["amount"]
-        buckets[BucketKind.ECOSYSTEM_ESCROW] += amount
-        state.circulating -= amount
-        state.relockable -= amount
-    elif op == "advance_month":
-        # the month's flows, then the month roll (counter, monthly resets and
-        # the burn dust, which the fee pool after vesting and emission gives)
-        vested, emitted, burned = inputs["vested"], inputs["emitted"], inputs["burned"]
-        buckets[BucketKind.TEAM_VESTING] -= vested
-        buckets[BucketKind.STAKING_RESERVE] -= emitted
-        state.issuance_used_year += emitted
-        state.circulating += vested + emitted
-        state.burn_dust = _fee_burn(state, min(inputs["fees"], state.circulating))[1]
-        state.circulating -= burned
-        state.burned_cumulative += burned
-        state.month_index += 1
-        state.releases_this_month = 0
-        state.reserve_spend_this_month = 0
-        state.relockable = 0
+def _apply_genesis(state, inputs):
+    return LedgerState(
+        circulating=0, buckets={BucketKind(k): v * UNIT for k, v in
+                                inputs["allocations_kld"].items()},
+        burned_cumulative=0, month_index=0, annual_factors=None,
+        releases_this_month=0, reserve_spend_this_month=0,
+    )
+
+
+def _check_carry_cycle(state, inputs, approvals):
+    # a year is settled once: its cycle must follow the last logged one
+    year = _field(inputs, "year")
+    last = last_cycle(state.journal, state.n_events)
+    if last is not None and year <= state.journal[last]["inputs"]["year"]:
+        raise KladiaError(f"year {year} is already settled, or a later one is")
+    return {"year": year}, ()
+
+
+def _apply_carry_cycle(state, inputs):
+    state.issuance_used_year = state.releases_this_month = 0
     return state
+
+
+def _check_begin_cycle(state, inputs, approvals):
+    # carry_cycle's year rule, then the anchors: the monthly escrow cap anchor
+    # is one twelfth of the 5% annual escrow budget; the annual gross issuance
+    # anchor is that budget plus twelve months of baseline staking emissions
+    year = _check_carry_cycle(state, inputs, approvals)[0]["year"]
+    g = _field(inputs, "g")
+    if not 0 <= g < fp.ONE:
+        raise ValueError("g must be in [0, 1)")
+    coefficients = dict(zip(_COEFFICIENTS, _field(inputs, "coefficients", list),
+                            strict=True))
+    params = PolicyParams(**{k: _field(coefficients, k) for k in coefficients})
+    escrow_budget = fp.scale_amount_down(
+        state.buckets[BucketKind.ECOSYSTEM_ESCROW], ESCROW_ANNUAL_BUDGET_FRACTION)
+    staking_annual = 12 * fp.scale_amount_down(
+        state.buckets[BucketKind.STAKING_RESERVE], params.effective_r_base())
+    e_base = escrow_budget // 12
+    if e_base and params.e_min > e_base:
+        raise ValueError("need e_min <= e_base")
+    return {"year": year, "g": g, "e_base": e_base,
+            "i_base": escrow_budget + staking_annual,
+            "coefficients": list(coefficients.values())}, ()
+
+
+def _apply_begin_cycle(state, inputs):
+    state.annual_factors = derive_cycle_factors(
+        PolicyParams(*inputs["coefficients"]), inputs["g"], inputs["e_base"],
+        inputs["i_base"], state.locked_total())
+    return _apply_carry_cycle(state, inputs)
+
+
+def _check_release_escrow(state, inputs, approvals):
+    requested = _field(inputs, "requested")
+    if requested < 0:
+        raise ValueError("requested must be nonnegative")
+    factors = state.annual_factors
+    if factors is None:
+        raise ZeroCap("no active cycle factors")
+    valid = POLICIES[BucketKind.ECOSYSTEM_ESCROW].check(approvals, "release_escrow")
+    cap_remaining = max(0, factors.escrow_cap - state.releases_this_month)
+    budget_remaining = max(0, factors.issuance_budget - state.issuance_used_year)
+    balance = state.buckets[BucketKind.ECOSYSTEM_ESCROW]
+    released = min(requested, cap_remaining, budget_remaining, balance)
+    if released <= 0:
+        raise ZeroCap(
+            f"release of 0 (requested {requested}, cap remaining {cap_remaining}, "
+            f"budget remaining {budget_remaining}, balance {balance})"
+        )
+    return {"requested": requested, "released": released}, valid
+
+
+def _apply_release_escrow(state, inputs):
+    released = inputs["released"]
+    state.buckets[BucketKind.ECOSYSTEM_ESCROW] -= released
+    state.circulating += released
+    state.releases_this_month += released
+    state.issuance_used_year += released
+    state.relockable += released
+    return state
+
+
+def _check_spend_reserve(state, inputs, approvals):
+    amount = _field(inputs, "amount")
+    if amount < 0:
+        raise ValueError("amount must be nonnegative")
+    valid = POLICIES[BucketKind.COMPANY_RESERVE].check(approvals, "spend_reserve")
+    if amount > state.buckets[BucketKind.COMPANY_RESERVE]:
+        raise ValueError("spend exceeds reserve balance")
+    guideline_cap = fp.scale_amount_down(
+        state.reserve_month_start_balance, RESERVE_MONTHLY_GUIDELINE)
+    return {"amount": amount, "guideline_exceeded":
+            state.reserve_spend_this_month + amount > guideline_cap}, valid
+
+
+def _apply_spend_reserve(state, inputs):
+    amount = inputs["amount"]
+    state.buckets[BucketKind.COMPANY_RESERVE] -= amount
+    state.circulating += amount
+    state.reserve_spend_this_month += amount
+    return state
+
+
+# only escrow releases can be taken back: every other bucket has none
+def _check_mark_distributed(state, inputs, approvals):
+    bucket, amount = BucketKind(inputs["bucket"]), _field(inputs, "amount")
+    relockable = state.relockable if bucket is BucketKind.ECOSYSTEM_ESCROW else 0
+    if amount < 0 or amount > relockable:
+        raise ValueError("distributed amount exceeds relockable balance")
+    return {"bucket": bucket.value, "amount": amount}, ()
+
+
+def _apply_mark_distributed(state, inputs):
+    state.relockable -= inputs["amount"]
+    return state
+
+
+def _check_relock(state, inputs, approvals):
+    bucket, amount = BucketKind(inputs["bucket"]), _field(inputs, "amount")
+    if amount <= 0:
+        raise ValueError("relock amount must be positive")
+    if bucket is not BucketKind.ECOSYSTEM_ESCROW:
+        raise CrossBucketRelock(f"no released tokens originate from {bucket.value}")
+    if amount > state.relockable:
+        raise RelockExceedsRelease(f"relock {amount} exceeds undistributed "
+                                   f"release {state.relockable}")
+    return {"bucket": bucket.value, "amount": amount,
+            "justification": _field(inputs, "justification", str)}, ()
+
+
+def _apply_relock(state, inputs):
+    amount = inputs["amount"]
+    state.buckets[BucketKind.ECOSYSTEM_ESCROW] += amount
+    state.circulating -= amount
+    state.relockable -= amount
+    return state
+
+
+def _check_advance_month(state, inputs, approvals):
+    # the month's flows in their fixed order: the vesting release if due,
+    # the staking emission at the cycle's rate under the year's budget,
+    # then the fee burn from the supply those two leave circulating
+    fees = _field(inputs, "fees")
+    if fees < 0:
+        raise ValueError("fees must be nonnegative")
+    factors = state.annual_factors
+    if factors is None:
+        raise ZeroCap("no active cycle factors; call begin_cycle first")
+    vested = (_team_vesting(state.month_index + 1)[1]
+              - _team_vesting(state.month_index)[1])
+    emitted = min(
+        fp.scale_amount_down(state.buckets[BucketKind.STAKING_RESERVE],
+                             factors.staking_rate),
+        max(0, factors.issuance_budget - state.issuance_used_year))
+    burned = _fee_burn(state, min(fees, state.circulating + vested + emitted))[0]
+    return {"fees": fees, "vested": vested, "emitted": emitted,
+            "burned": burned}, ()
+
+
+def _apply_advance_month(state, inputs):
+    # the month's flows, then the month roll (counter, monthly resets and
+    # the burn dust, which the fee pool after vesting and emission gives)
+    vested, emitted, burned = inputs["vested"], inputs["emitted"], inputs["burned"]
+    state.buckets[BucketKind.TEAM_VESTING] -= vested
+    state.buckets[BucketKind.STAKING_RESERVE] -= emitted
+    state.issuance_used_year += emitted
+    state.circulating += vested + emitted
+    state.burn_dust = _fee_burn(state, min(inputs["fees"], state.circulating))[1]
+    state.circulating -= burned
+    state.burned_cumulative += burned
+    state.month_index += 1
+    state.releases_this_month = 0
+    state.reserve_spend_this_month = 0
+    state.relockable = 0
+    return state
+
+
+# An op's rule is its check and its apply, defined side by side above.
+# `check(state, inputs, approvals)` validates the op on `state` and returns
+# the event's full inputs and its valid approvals; it raises, and mutates
+# nothing. `inputs` is a live call's request or a logged event's inputs. Only
+# the request fields are read, so a replay recomputes whatever the ledger
+# derives from them. `apply(state, inputs)` applies a checked event to `state`
+# in place and returns it; genesis makes the state. It is pure bookkeeping:
+# no hash, no log and no check, so it cannot raise. `_transition` and
+# `replay` dispatch through this table alone; an unknown op is a KeyError.
+class Rule(NamedTuple):
+    check: Callable[..., tuple[dict, tuple[str, ...]]]
+    apply: Callable[..., LedgerState]
+
+
+_RULES: dict[str, Rule] = {
+    "genesis": Rule(_check_genesis, _apply_genesis),
+    "begin_cycle": Rule(_check_begin_cycle, _apply_begin_cycle),
+    "carry_cycle": Rule(_check_carry_cycle, _apply_carry_cycle),
+    "release_escrow": Rule(_check_release_escrow, _apply_release_escrow),
+    "spend_reserve": Rule(_check_spend_reserve, _apply_spend_reserve),
+    "mark_distributed": Rule(_check_mark_distributed, _apply_mark_distributed),
+    "relock": Rule(_check_relock, _apply_relock),
+    "advance_month": Rule(_check_advance_month, _apply_advance_month),
+}
 
 
 def _step(state: Optional[LedgerState], op: str, inputs: dict,
           approvals: tuple[str, ...] = ()) -> LedgerState:
     """Apply a checked event in place, re-check conservation and log it."""
-    state = _apply(state, op, inputs)
+    state = _RULES[op].apply(state, inputs)
     state.check_conservation()
     state._log(op, inputs, approvals)
     return state
@@ -511,7 +559,7 @@ def _step(state: Optional[LedgerState], op: str, inputs: dict,
 def _transition(state: Optional[LedgerState], op: str, request: dict,
                 approvals: Iterable[str] = ()) -> tuple[LedgerState, dict]:
     """Check, then apply on a private copy; returns it and the event's inputs."""
-    inputs, valid = _check(state, op, request, approvals)
+    inputs, valid = _RULES[op].check(state, request, approvals)
     return _step(None if state is None else state.clone(), op, inputs, valid), inputs
 
 

@@ -122,14 +122,16 @@ def parse_weo_snapshot(
 
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
+        rows = list(reader)
+    except csv.Error as exc:  # a bare CR in a cell, or an oversized cell
+        raise MalformedFile(f"line {reader.line_num}: {exc}") from exc
+    if not rows:
         raise MalformedFile("empty snapshot file")
-    if [h.strip() for h in header] != ["bloc", "series", "value", "vintage"]:
-        raise MalformedFile(f"unexpected header: {header}")
+    if [h.strip() for h in rows[0]] != ["bloc", "series", "value", "vintage"]:
+        raise MalformedFile(f"unexpected header: {rows[0]}")
 
     seen: dict[tuple[Bloc, str], int] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 4:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # a blank line

@@ -675,8 +675,8 @@ def _release_over_cap(data, before):
     event = _event_at(data, "release_escrow")
     over = before.annual_factors.escrow_cap + 1
     event["inputs"] = {"requested": over, "released": over}
-    event["state_hash"] = lg._apply(before.clone(), "release_escrow",
-                                    event["inputs"]).state_hash()
+    event["state_hash"] = lg._apply_release_escrow(before.clone(),
+                                                   event["inputs"]).state_hash()
 
 
 def _list_inputs(data, before):
@@ -1286,6 +1286,7 @@ MUTATIONS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(read=st.sampled_from(INPUT_READS), mutation=MUTATIONS)
 @example(read=("snapshot.csv", "index"), mutation=("non-utf-8", 0.5, b"\xff"))
+@example(read=("snapshot.csv", "index"), mutation=("retype", 0.0, "\r"))
 def test_no_input_file_gives_a_traceback(settled, read, mutation):
     name, verb = read
     with tempfile.TemporaryDirectory() as tmp:

@@ -72,7 +72,7 @@ def test_genesis_must_be_the_published_table():
                    ["allocations_kld"], TeamVesting=500_000_000,
                    CommunityAirdrop=2_500_000_000)
     with pytest.raises(AllocationMismatch):
-        lg._check(None, "genesis", {"allocations_kld": swapped})
+        lg._check_genesis(None, {"allocations_kld": swapped}, ())
     events = [{"op": "genesis", "inputs": {"allocations_kld": swapped},
                "approvals": []}]
     with pytest.raises(MalformedFile, match=r"^event 0: AllocationMismatch: "):
@@ -414,7 +414,7 @@ def test_begin_cycle_refuses_e_min_above_the_derived_e_base():
     request = {"year": 2026, "g": 0, "coefficients": [
         getattr(PolicyParams(e_min=e_base + 1), k) for k in lg._COEFFICIENTS]}
     with pytest.raises(ValueError, match="^need e_min <= e_base$"):
-        lg._check(state, "begin_cycle", request)
+        lg._check_begin_cycle(state, request, ())
     with pytest.raises(ValueError, match="^need e_min <= e_base$"):
         lg.begin_cycle(state, PolicyParams(e_min=e_base + 1), 0, 2026)
     assert state == before and len(state.journal) == state.n_events
@@ -476,15 +476,14 @@ def test_one_year_accumulation_matches_spreadsheet_oracle():
 def test_advance_month_atomic_abort_on_injected_violation(monkeypatch):
     state = fresh_cycle()
     before = copy.deepcopy(state)
-    apply = lg._apply
+    rule = lg._RULES["advance_month"]
 
-    def corrupt_month(working, op, inputs):
-        working = apply(working, op, inputs)
-        if op == "advance_month":
-            working.circulating += 12345  # break conservation mid-transition
+    def corrupt_month(working, inputs):
+        working = rule.apply(working, inputs)
+        working.circulating += 12345  # break conservation mid-transition
         return working
 
-    monkeypatch.setattr(lg, "_apply", corrupt_month)
+    monkeypatch.setitem(lg._RULES, "advance_month", rule._replace(apply=corrupt_month))
     with pytest.raises(ConservationViolation):
         lg.advance_month(state, 10 ** 9)
     # nothing was logged, not even past this state's own history
@@ -645,8 +644,8 @@ def _release_over_cap(data):
     over = before.annual_factors.escrow_cap + 1
     event = data["event_log"][_event_index(data, "release_escrow")]
     event["inputs"] = {"requested": over, "released": over}
-    event["state_hash"] = lg._apply(before.clone(), "release_escrow",
-                                    event["inputs"]).state_hash()
+    event["state_hash"] = lg._apply_release_escrow(before.clone(),
+                                                   event["inputs"]).state_hash()
 
 
 def _list_inputs(data):
@@ -659,7 +658,7 @@ def _rehashed(events):
     it gives, so only the replay's checks can tell it from a live run."""
     state = None
     for event in events:
-        state = lg._apply(state, event["op"], event["inputs"])
+        state = lg._RULES[event["op"]].apply(state, event["inputs"])
         event["state_hash"] = state.state_hash()
     return json.loads(json.dumps(dict(lg.to_json_dict(state), event_log=events)))
 
@@ -726,6 +725,17 @@ def test_from_json_dict_rejects_a_derived_section(section):
     with pytest.raises(MalformedFile,
                        match="^ledger: not what its event log replays to$"):
         lg.from_json_dict(data)
+
+
+def test_replay_refuses_an_unknown_op_and_an_empty_log():
+    # an op with no rule in the table fails its lookup, named at its event
+    events = json.loads(json.dumps(lg.to_json_dict(fresh_cycle())))["event_log"]
+    events[1]["op"] = "mint"
+    with pytest.raises(MalformedFile, match=r"^event 1: KeyError: 'mint'$"):
+        lg.replay(events)
+    with pytest.raises(MalformedFile,
+                       match=r"^event_log: genesis must open the log, once$"):
+        lg.replay([])
 
 
 def test_replay_rejects_a_release_over_its_cap_at_its_own_event():

@@ -85,6 +85,15 @@ def test_build_report_lapsed(vintage, baseline):
         == (True, [])
 
 
+def test_serialize_refuses_a_report_missing_a_field(vintage, baseline):
+    record, state, events = executed_cycle(vintage, baseline)
+    report = reporting.build_report(record, events, len(events), [], baseline)
+    del report["lambda"]
+    with pytest.raises(IncompleteCycle,
+                       match=r"^report missing fields: \['lambda'\]$"):
+        reporting.serialize(report)
+
+
 def test_build_report_incomplete_cycle(vintage, baseline):
     record = op.CycleRecord(cycle_year=2026, prior_confirmed_g=0)
     payload = op.build_payload(*make_columns(), baseline, vintage)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +101,22 @@ def test_scenario_validation():
     with pytest.raises(ScenarioInvalid):
         sim.run(sim.Scenario(seed=1, years=2,
                              oracle_behaviors={"nobody": "honest"}))
+    with pytest.raises(ScenarioInvalid, match="^need at least one operator$"):
+        sim.run(sim.Scenario(seed=1, years=2, operators=()))
+    with pytest.raises(ScenarioInvalid, match="^unknown behavior 'asleep'$"):
+        sim.run(sim.Scenario(seed=1, years=2, oracle_behaviors={"op-1": "asleep"}))
+    with pytest.raises(ValueError, match="^hi < lo$"):
+        sim.run(sim.Scenario(seed=1, years=2, fee_range_kld=(2, 1)))
+
+
+def test_a_dispute_year_with_two_submissions_lapses():
+    # one of three operators submits nothing, so the two flags come from the
+    # only two submissions there are
+    trace = sim.run(sim.Scenario(seed=3, years=2, dispute_years=(2,),
+                                 operators=("op-1", "op-2", "op-3"),
+                                 oracle_behaviors={"op-3": "missing"}))
+    assert [c["status"] for c in trace.cycles] == ["Executed",
+                                                   "LapsedToLastConfirmed"]
 
 
 def test_outlier_operator_absorbed_by_median():
@@ -259,6 +276,38 @@ def test_journal_tamper_sweep(monkeypatch):
     assert swept == 653
     assert verify_misses == VERIFY_MISSES
     assert replay_misses == REPLAY_MISSES
+
+
+# the commit-file edits `verify` lets pass, by name. A change that closes a
+# gap removes its name; no name is ever added.
+COMMIT_MISSES = set()
+
+
+def test_commit_file_tamper_sweep(monkeypatch):
+    # each report is checked against the whole journal with a well-formed
+    # edit of the simulator's own commitment: every other anchor into the
+    # journal, each other report's content hash, and the last hex digit of
+    # its own hash changed
+    baseline, journal, committed = _committed(
+        monkeypatch, sim.Scenario(seed=3, years=3, dispute_years=(2,)))
+    hashes = [commitment.content_hash for _, commitment in committed]
+    misses, swept = set(), 0
+    for report_bytes, commitment in committed:
+        own, anchor = commitment.content_hash, commitment.ledger_anchor
+        edits = [("ledger_anchor", replace(commitment, ledger_anchor=other))
+                 for other in range(1, len(journal) + 1) if other != anchor]
+        edits += [("other report's content_hash",
+                   replace(commitment, content_hash=other))
+                  for other in hashes if other != own]
+        digit = format((int(own[-1], 16) + 1) % 16, "x")
+        edits.append(("content_hash last digit",
+                      replace(commitment, content_hash=own[:-1] + digit)))
+        for name, edit in edits:
+            swept += 1
+            if reporting.verify(report_bytes, edit, baseline, journal)[0]:
+                misses.add(name)
+    assert swept == 234
+    assert misses == COMMIT_MISSES
 
 
 @settings(max_examples=25, deadline=None)

@@ -71,6 +71,37 @@ def test_malformed_inputs():
         parse_weo_snapshot(raw, "2024-October", PUB)
 
 
+def test_a_snapshot_that_is_not_utf8_is_malformed():
+    with pytest.raises(MalformedFile, match=r"^snapshot is not valid UTF-8$"):
+        parse_weo_snapshot(snapshot_bytes() + b"\xff", "2024-October", PUB)
+
+
+@pytest.mark.parametrize("cell, error", [
+    ("270\r00", "new-line character seen in unquoted field"),
+    ("9" * 131_073, r"field larger than field limit \(131072\)"),
+], ids=["bare-cr", "oversized"])
+def test_a_cell_csv_cannot_read_is_malformed(cell, error):
+    # the header is line 1 and the fourteen canonical rows are lines 2-15
+    raw = snapshot_bytes(extra_rows=[f"US,LUR,{cell},2024-October"])
+    with pytest.raises(MalformedFile, match=f"^line 16: {error}"):
+        parse_weo_snapshot(raw, "2024-October", PUB)
+
+
+def test_a_bloc_with_one_series_is_malformed():
+    raw = snapshot_bytes(skip=(Bloc.KR,), extra_rows=["KR,GGXWDG_NGDP,55,2024-October"])
+    with pytest.raises(MalformedFile, match=r"^KR: incomplete series pair "):
+        parse_weo_snapshot(raw, "2024-October", PUB)
+
+
+def test_a_gdp_of_zero_is_rejected():
+    raw = snapshot_bytes(skip=(Bloc.KR,), extra_rows=[
+        "KR,GGXWDG_NGDP,55,2024-October",
+        "KR,NGDPD,0,2024-October",
+    ])
+    with pytest.raises(NegativeValue, match=r"^KR: nominal_gdp <= 0$"):
+        parse_weo_snapshot(raw, "2024-October", PUB)
+
+
 def test_negative_values_rejected():
     raw = snapshot_bytes(skip=(Bloc.KR,), extra_rows=[
         "KR,GGXWDG_NGDP,-5,2024-October",

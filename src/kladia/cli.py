@@ -57,13 +57,22 @@ def _read_object(path: Path) -> dict:
     return _as_object(json.loads(path.read_text()), path.name)
 
 
+def _iso_date(text: str) -> date:
+    """`YYYY-MM-DD` alone, on every Python (from 3.11, `date.fromisoformat`
+    also reads `20261014` and `2026-W42-3`); a non-string is a TypeError."""
+    day = date.fromisoformat(text)
+    if day.isoformat() != text:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return day
+
+
 def _load_baseline(path: Path) -> BaselineRef:
     data = _read_object(path)
     return BaselineRef(
         bdi_ref=fp.from_str(data["bdi_ref"]),
         genesis_vintage=WeoVintage(
             data["vintage_id"],
-            date.fromisoformat(data["publication_date"]),
+            _iso_date(data["publication_date"]),
             data["dataset_hash"],
         ),
         lam=fp.from_str(data["lambda"]),
@@ -92,7 +101,7 @@ def cmd_index(snapshot_file, baseline_file, vintage, publication_date,
               last_confirmed, fmt):
     """Compute weights, BDI, X and g from a snapshot file."""
     raw = snapshot_file.read_bytes()
-    parsed = parse_weo_snapshot(raw, vintage, date.fromisoformat(publication_date))
+    parsed = parse_weo_snapshot(raw, vintage, _iso_date(publication_date))
     prior = {}
     if last_confirmed is not None:
         prior_data = {code: _as_object(v, f"{last_confirmed.name}: {code}")
@@ -280,7 +289,7 @@ def _parser() -> argparse.ArgumentParser:
     index.add_argument("snapshot_file", type=_existing)
     index.add_argument("--baseline-file", type=_existing, required=True)
     index.add_argument("--vintage", required=True, help="e.g. 2026-October")
-    index.add_argument("--publication-date", required=True, help="ISO date")
+    index.add_argument("--publication-date", required=True, help="YYYY-MM-DD")
     index.add_argument("--last-confirmed", type=_existing,
                        help="JSON of last confirmed bloc values for carry-forward")
     index.add_argument("--fmt", "--format", dest="fmt", default="table",

@@ -1,48 +1,38 @@
 """Scaled-integer decimal arithmetic.
 
 All policy-path math runs on integers scaled by 10^9 (nine fractional
-digits), with half-even rounding at operation boundaries. No binary
-floating point touches any value that feeds a supply decision, so replay
-is bit-identical across platforms.
+digits), with half-even rounding at operation boundaries. A decimal is
+read in one plain spelling, exactly (`from_str`), so no binary floating
+point and no rounding touches any value that feeds a supply decision, and
+replay is bit-identical across platforms.
 """
 
 from __future__ import annotations
 
 import re
-from decimal import Decimal, DecimalException
 
 DIGITS = 9
 SCALE = 10 ** DIGITS
 
 ONE = SCALE  # 1.000000000 in scaled units
 
-# A plain ASCII decimal that needs no rounding: at most 19 + 9 digits, so
-# Decimal's 28-digit context would hold it exactly too.
+# The one spelling read from outside: ASCII digits, an optional "-", at most
+# 9 places, so nothing is rounded on the way in, and at most 19 integer
+# digits, which bounds the size of any value a file hands to the arithmetic.
 _PLAIN = re.compile(r"-?[0-9]{1,19}(?:\.[0-9]{1,9})?").fullmatch
 
 
 def from_str(text: str) -> int:
-    """Parse a decimal string into a scaled integer (half-even at 9 digits).
+    """Parse a plain decimal string into a scaled integer, exactly.
 
-    Raises ValueError for anything else, a value too long for Decimal's
-    28-digit context, a bool (which Decimal would take as 0 or 1) or
-    another type Decimal does not convert included.
+    Any other spelling (an exponent, a "+", padding, "_", a non-ASCII
+    digit, a 10th place, a special value) raises ValueError, and so does
+    any type but `str`, a JSON number or bool included.
     """
-    if isinstance(text, str) and _PLAIN(text):
-        whole, _, frac = text.partition(".")
-        return int(whole + frac.ljust(DIGITS, "0"))
-    if isinstance(text, bool):
+    if not (isinstance(text, str) and _PLAIN(text)):
         raise ValueError(f"not a decimal: {text!r}")
-    try:
-        d = Decimal(text)
-        if not d.is_finite():
-            raise ValueError(f"not finite: {text!r}")
-        scaled = d.scaleb(DIGITS).quantize(Decimal(1), rounding="ROUND_HALF_EVEN")
-    except DecimalException as exc:
-        raise ValueError(f"not a decimal of at most 28 digits: {text!r}") from exc
-    except TypeError as exc:
-        raise ValueError(f"not a decimal: {text!r}") from exc
-    return int(scaled)
+    whole, _, frac = text.partition(".")
+    return int(whole + frac.ljust(DIGITS, "0"))
 
 
 # what to_str renders for a non-negative value: no sign, no leading zero
@@ -58,8 +48,6 @@ def to_str(value: int) -> str:
 
 def div_half_even(num: int, den: int) -> int:
     """Nearest-integer division with ties to even."""
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
     if den < 0:
         num, den = -num, -den
     q, r = divmod(num, den)  # Python floors, so r >= 0

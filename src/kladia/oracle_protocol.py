@@ -115,8 +115,8 @@ def _bloc_values(view: dict, key: str, where: str) -> tuple[int, ...]:
 
 
 def read_payload(view: dict, where: str) -> SubmissionPayload:
-    """The inverse of `SubmissionPayload.canonical()`, in any decimal spelling
-    `fp.from_str` reads; a bad vintage or bloc set raises naming `where`."""
+    """The inverse of `SubmissionPayload.canonical()`, decimals spelled as
+    `fp.from_str` reads them; a bad vintage or bloc set raises naming `where`."""
     try:
         check_vintage(view["vintage_id"], view["dataset_hash"])
     except MalformedFile as exc:

@@ -1,3 +1,4 @@
+import re
 from datetime import date
 from pathlib import Path
 
@@ -15,6 +16,9 @@ GDP_LEVELS = {
     Bloc.US: "27000", Bloc.EA20: "15000", Bloc.JP: "4200", Bloc.UK: "3300",
     Bloc.CA: "2100", Bloc.AU: "1700", Bloc.KR: "1800",
 }
+
+# the one decimal spelling `fp.from_str` reads, written out independently
+PLAIN = re.compile(r"-?[0-9]{1,19}(\.[0-9]{1,9})?")
 
 # `ledger.json` as `kld cycle --year 2026` wrote it (tests/test_cli.py's
 # `run_cycle` inputs) when it stored seven derived sections beside the event

@@ -912,19 +912,27 @@ def _edit_json(path, **fields):
 @pytest.mark.parametrize("verb, path, fields, error", [
     ("index", "baseline.json", {"publication_date": 5}, "TypeError"),
     ("index", "baseline.json", {"vintage_id": 7}, "MalformedFile"),
+    ("index", "baseline.json", {"publication_date": "20251015"}, "ValueError"),
+    ("index", "argv", {"--publication-date": "20261014"}, "ValueError"),
     ("cycle", "baseline.json", {"publication_date": 5}, "TypeError"),
     ("cycle", "baseline.json", {"vintage_id": 7}, "MalformedFile"),
+    ("cycle", "baseline.json", {"publication_date": "20251015"}, "ValueError"),
     ("cycle", "subs/op-2.json", {"vintage_id": 5}, "MalformedFile"),
     ("verify", "report.kldr", None, "IsADirectoryError"),
     ("simulate", "trace.csv", None, "IsADirectoryError"),
     ("state", None, None, "FileNotFoundError"),
-], ids=["index-publication-date", "index-vintage-id", "cycle-publication-date",
-        "cycle-vintage-id", "cycle-submission-vintage-id", "verify-directory",
-        "simulate-out-directory", "state-without-ledger"])
+], ids=["index-publication-date", "index-vintage-id",
+        "index-basic-format-publication-date", "index-basic-format-option",
+        "cycle-publication-date", "cycle-vintage-id",
+        "cycle-basic-format-publication-date", "cycle-submission-vintage-id",
+        "verify-directory", "simulate-out-directory", "state-without-ledger"])
 def test_bad_input_is_one_error_line_exit_2(runner, tmp_path, verb, path, fields,
                                             error):
     args = _verb_args(verb, tmp_path, _baseline(tmp_path))
-    if fields is not None:
+    if path == "argv":  # an option's value on the command line
+        for option, value in fields.items():
+            args[args.index(option) + 1] = value
+    elif fields is not None:
         _edit_json(tmp_path / path, **fields)
     elif path is not None:  # a directory where the verb reads or writes a file
         (tmp_path / path).unlink(missing_ok=True)

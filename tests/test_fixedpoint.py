@@ -3,6 +3,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import PLAIN
 from kladia import fixedpoint as fp
 
 
@@ -27,10 +28,10 @@ def test_parse_rejects_garbage():
 
 
 def test_half_even_at_ninth_digit():
-    # 0.0000000005 is a tie at the 9th digit: rounds to even (0)
-    assert fp.from_str("0.0000000005") == 0
-    assert fp.from_str("0.0000000015") == 2
-    assert fp.from_str("0.0000000025") == 2
+    # a 10th place is not read at all, so no value is rounded on the way in
+    for text in ("0.0000000005", "0.0000000015", "0.0000000025"):
+        with pytest.raises(ValueError, match="not a decimal"):
+            fp.from_str(text)
 
 
 def test_div_half_even_matches_decimal():
@@ -41,6 +42,10 @@ def test_div_half_even_matches_decimal():
             )
         )
         assert fp.div_half_even(num, den) == expected
+    with pytest.raises(ZeroDivisionError):
+        fp.div_half_even(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        fp.div(1, 0)
 
 
 @given(st.integers(-10**18, 10**18), st.integers(1, 10**18))
@@ -74,10 +79,10 @@ def test_scale_down_plus_remainder_is_exact(amount, factor):
     assert down * fp.SCALE + rem == amount * factor
 
 
-# Strings for from_str: plain ASCII decimals on both sides of the exact
-# path's limits (19 integer and 9 fractional digits), and everything the
-# exact path leaves to Decimal: signs, padding, exponents, underscores,
-# non-ASCII digits, bare dots, special values, more than 9 places.
+# Strings for from_str: plain ASCII decimals on both sides of its limits
+# (19 integer and 9 fractional digits), and the spellings it refuses that
+# Decimal would read: signs, padding, exponents, underscores, non-ASCII
+# digits, bare dots, special values, more than 9 places.
 DECIMAL_TEXT = st.one_of(
     st.from_regex(r"-?[0-9]{1,22}(\.[0-9]{0,12})?", fullmatch=True),
     st.lists(st.sampled_from(
@@ -94,29 +99,25 @@ DECIMAL_TEXT = st.one_of(
 @settings(max_examples=300)
 @given(DECIMAL_TEXT)
 def test_from_str_equals_decimal(text):
-    try:
-        expected = int(Decimal(text).scaleb(fp.DIGITS).quantize(
-            1, ROUND_HALF_EVEN))
-    except (ArithmeticError, ValueError):
-        # not a number, not finite, or too long for Decimal's 28-digit
-        # context (InvalidOperation and Overflow are ArithmeticErrors,
-        # which from_str reports as ValueError)
-        with pytest.raises(ValueError):
-            fp.from_str(text)
+    # the one plain spelling reads as Decimal reads it; every other raises
+    if PLAIN.fullmatch(text):
+        assert fp.from_str(text) == int(
+            Decimal(text).scaleb(fp.DIGITS).quantize(1, ROUND_HALF_EVEN))
     else:
-        assert fp.from_str(text) == expected
+        with pytest.raises(ValueError, match="not a decimal"):
+            fp.from_str(text)
 
 
 def test_from_str_of_a_json_number():
-    # a baseline or submission file may spell a value as a JSON number; a
-    # float goes through Decimal(float) and is rounded at 9 digits, silently
-    assert fp.from_str(100) == 100 * fp.SCALE
-    assert fp.from_str(0.1) == 100_000_000
-    assert fp.from_str(0.1234567891) == 123_456_789
+    # a decimal in a baseline or submission file is a JSON string; a JSON
+    # number is refused rather than read through a binary float
+    for value in (100, 0.1, 0.1234567891):
+        with pytest.raises(ValueError, match="not a decimal"):
+            fp.from_str(value)
 
 
 @pytest.mark.parametrize("value", [True, False])
 def test_from_str_rejects_a_json_bool(value):
-    # bool is an int subclass, and Decimal(True) is 1
+    # bool is an int subclass, but no JSON value other than a string is read
     with pytest.raises(ValueError, match="not a decimal"):
         fp.from_str(value)

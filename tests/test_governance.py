@@ -53,6 +53,19 @@ def test_every_constitutional_parameter_rejected():
             gov.propose(reg, "alice", snap.eligible_supply, {name: 1}, snap, T0)
 
 
+def test_lambda_is_refused_as_constitutional():
+    # lambda is also absent from the bounds table, which raises the same
+    # class with another message
+    with pytest.raises(InvalidImmutable, match="constitutional"):
+        gov.check_changes({"lambda": fp.ONE})
+
+
+def test_bounds_are_inclusive():
+    lo, hi = gov.DEFAULT_BOUNDS["alpha_i"]
+    gov.check_changes({"alpha_i": lo})
+    gov.check_changes({"alpha_i": hi})
+
+
 def test_unknown_parameter_rejected():
     reg = registry()
     snap = snapshot()
@@ -70,6 +83,14 @@ def test_out_of_bounds_rejected():
     with pytest.raises(OutOfBounds):
         gov.propose(reg, "alice", snap.eligible_supply,
                     {"alpha_i": fp.from_str("0.06")}, snap, T0)  # > 0.05 bound
+
+
+def test_a_stake_of_exactly_the_minimum_may_propose():
+    snap = snapshot()
+    minimum = fp.scale_amount_down(snap.eligible_supply,
+                                   gov.MIN_PROPOSER_STAKE_FRACTION)
+    proposal = gov.propose(registry(), "alice", minimum, {"alpha_i": 1}, snap, T0)
+    assert proposal.status is gov.ProposalStatus.VOTING
 
 
 def test_insufficient_stake():
@@ -128,6 +149,12 @@ def test_vote_after_close_rejected():
         gov.vote(proposal, "alice", gov.VoteDirection.YES, T0 + timedelta(days=8))
 
 
+def test_vote_at_the_close_rejected():
+    _, proposal = make_proposal()
+    with pytest.raises(VotingClosed):
+        gov.vote(proposal, "alice", gov.VoteDirection.YES, proposal.voting_ends)
+
+
 # --- finalize ----------------------------------------------------------------
 
 def balances_with_participation(participation_pct, yes_share_pct):
@@ -176,6 +203,14 @@ def test_finalize_twice_rejected():
         gov.finalize(proposal, T0 + timedelta(days=8))
 
 
+def test_votes_of_exactly_the_quorum_meet_it():
+    required = fp.scale_amount_down(SUPPLY, gov.QUORUM_FRACTION)
+    _, proposal = make_proposal(
+        snap=snapshot({"alice": required, "bob": SUPPLY - required}))
+    gov.vote(proposal, "alice", gov.VoteDirection.YES, T0 + timedelta(days=1))
+    assert gov.quorum_met(proposal)
+
+
 def test_quorum_uses_eligible_supply_only():
     # treasury + unvested hold 90% of raw supply but are excluded from the
     # view; 5% of the remaining 10% reaches quorum
@@ -203,6 +238,12 @@ def test_execute_after_timelock():
         proposal, params, proposal.timelock_ends + timedelta(seconds=1)
     )
     assert updated.alpha_i == fp.from_str("0.02")
+    assert proposal.status is gov.ProposalStatus.EXECUTED
+
+
+def test_execute_at_the_end_of_the_timelock():
+    proposal = run_vote(participation=6, yes_count=6)
+    gov.execute_proposal(proposal, PolicyParams(), proposal.timelock_ends)
     assert proposal.status is gov.ProposalStatus.EXECUTED
 
 

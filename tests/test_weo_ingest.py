@@ -22,7 +22,7 @@ from kladia.weo_ingest import (
     resolve_snapshot_date,
 )
 
-from conftest import DEBT_LEVELS, GDP_LEVELS
+from conftest import DEBT_LEVELS, GDP_LEVELS, PLAIN
 
 PUB = date(2024, 10, 22)
 
@@ -278,8 +278,8 @@ PADDING = ("", " ", "\t", "  ", "\xa0", "\u3000")
 
 
 def amount(whole, fraction, places, form):
-    """A decimal of at least 1: plain, with more than nine places (rounded
-    half-even), with leading zeros, or with an exponent."""
+    """A decimal of at least 1: plain, with more than nine places, with
+    leading zeros, or with an exponent."""
     digits = str(fraction).rjust(12, "0")[12 - places:]
     if form == "exponent":
         return f"{whole}{digits}E-{places}"
@@ -289,10 +289,13 @@ def amount(whole, fraction, places, form):
 
 AMOUNT = st.builds(amount, st.integers(1, 10**7), st.integers(0, 10**12 - 1),
                    st.integers(0, 12), st.sampled_from(["plain", "zeros", "exponent"]))
+# only the amounts the parse reads: at most nine places, no exponent
+PLAIN_AMOUNT = st.builds(amount, st.integers(1, 10**7), st.integers(0, 10**12 - 1),
+                         st.integers(0, 9), st.sampled_from(["plain", "zeros"]))
 
 
 @st.composite
-def snapshots(draw):
+def snapshots(draw, amounts=AMOUNT):
     """A shuffled extract with extra series and some blocs left out; rows
     padded, quoted, split by blank lines and ended as the draw decides."""
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -300,8 +303,8 @@ def snapshots(draw):
     for b in ALL_BLOCS:
         if rng.random() < 0.2:
             continue  # the bloc is missing from the file
-        rows.append([b.value, "GGXWDG_NGDP", draw(AMOUNT), "2024-October"])
-        rows.append([b.value, "NGDPD", draw(AMOUNT), "2024-October"])
+        rows.append([b.value, "GGXWDG_NGDP", draw(amounts), "2024-October"])
+        rows.append([b.value, "NGDPD", draw(amounts), "2024-October"])
         for series in rng.sample(EXTRA_SERIES, rng.randint(0, len(EXTRA_SERIES))):
             rows.append([b.value, series, rng.choice(["n/a", "-4.662", "1e3", ""]),
                          rng.choice(["2024-October", "2023-April"])])
@@ -324,11 +327,14 @@ def snapshots(draw):
 
 
 def csv_decimal_oracle(raw):
-    """values(raw), from csv.reader, str.strip and Decimal."""
+    """values(raw), from csv.reader, str.strip and Decimal; None when a
+    canonical-series value is not a plain decimal, which the parse refuses."""
     values = {}
     for row in list(csv.reader(io.StringIO(raw.decode())))[1:]:
         cells = [c.strip() for c in row]
         if len(cells) == 4 and cells[1] in ("GGXWDG_NGDP", "NGDPD"):
+            if not PLAIN.fullmatch(cells[2]):
+                return None
             # round() on a Fraction is half-even
             values[cells[0], cells[1]] = round(Fraction(Decimal(cells[2])) * fp.SCALE)
     return [(b, values.get((b.value, "GGXWDG_NGDP")), values.get((b.value, "NGDPD")))
@@ -338,4 +344,16 @@ def csv_decimal_oracle(raw):
 @settings(max_examples=200)
 @given(snapshots())
 def test_parse_matches_csv_and_decimal(raw):
+    expected = csv_decimal_oracle(raw)
+    if expected is None:
+        with pytest.raises(MalformedFile, match=r"^line \d+: bad value "):
+            values(raw)
+    else:
+        assert values(raw) == expected
+
+
+# most draws above hold a value the parse refuses; these hold none
+@settings(max_examples=200)
+@given(snapshots(PLAIN_AMOUNT))
+def test_parse_of_plain_values_matches_csv_and_decimal(raw):
     assert values(raw) == csv_decimal_oracle(raw)

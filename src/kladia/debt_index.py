@@ -44,11 +44,9 @@ def normalize(bdi: int, baseline: BaselineRef) -> tuple[int, int]:
 
 
 def policy_factor(x_excess: int, lam: int) -> int:
-    """Saturating map x / (1 + lam*x), strictly increasing, in [0, 1)."""
-    if lam <= 0:
-        raise NonPositiveLambda("lambda must be positive")
-    if x_excess < 0:
-        raise ValueError("x_excess must be nonnegative")
+    """Saturating map x / (1 + lam*x), strictly increasing, in [0, 1), on
+    the domain `index_kernel` gives it: a `BaselineRef`'s lam, which is
+    positive, and `normalize`'s x_excess, which is never negative."""
     if x_excess == 0:
         return 0
     denom = fp.ONE + fp.mul(lam, x_excess)

@@ -77,8 +77,3 @@ def scale_amount_down(amount: int, factor: int) -> int:
     if factor < 0:
         raise ValueError("factor must be nonnegative")
     return (amount * factor) // SCALE
-
-
-def scale_amount_remainder(amount: int, factor: int) -> int:
-    """Fractional remainder (in 1/SCALE units) dropped by scale_amount_down."""
-    return (amount * factor) % SCALE

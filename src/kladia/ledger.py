@@ -136,7 +136,6 @@ def _roster(prefix: str, n: int) -> tuple[str, ...]:
 POLICIES: dict[BucketKind, ApprovalPolicy] = {
     BucketKind.ECOSYSTEM_ESCROW: ApprovalPolicy(5, _roster("escrow", 8)),
     BucketKind.COMPANY_RESERVE: ApprovalPolicy(6, _roster("reserve", 7)),
-    BucketKind.TEAM_VESTING: ApprovalPolicy(3, _roster("team", 5)),
 }
 
 
@@ -309,12 +308,11 @@ _COEFFICIENTS = tuple(f.name for f in fields(PolicyParams))
 
 def _fee_burn(state: LedgerState, fee_pool: int) -> tuple[int, int]:
     """The month's burn from `fee_pool` at the cycle's burn fraction, with
-    the carried 1/SCALE dust, and the dust left after it."""
-    fraction = state.annual_factors.burn_fraction
-    dust = state.burn_dust + fp.scale_amount_remainder(fee_pool, fraction)
-    burn = min(fp.scale_amount_down(fee_pool, fraction) + dust // fp.SCALE,
-               fee_pool)
-    return burn, dust % fp.SCALE
+    the carried 1/SCALE dust, and the dust left after it: one `divmod` of
+    the product plus the dust, whole base units and the 1/SCALE rest."""
+    whole, dust = divmod(fee_pool * state.annual_factors.burn_fraction
+                         + state.burn_dust, fp.SCALE)
+    return min(whole, fee_pool), dust
 
 
 def _field(inputs: dict, name: str, kind: type = int):
@@ -487,7 +485,7 @@ def _check_advance_month(state, inputs, approvals):
     # the staking emission at the cycle's rate under the year's budget,
     # then the fee burn from the supply those two leave circulating
     fees = _field(inputs, "fees")
-    if fees < 0:
+    if fees < 0:  # the one sign check on the burn: `_fee_burn` floors any product
         raise ValueError("fees must be nonnegative")
     factors = state.annual_factors
     if factors is None:

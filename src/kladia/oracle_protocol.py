@@ -346,10 +346,11 @@ def settle_cycle(
 
     The prior confirmed g is the ledger's, the g its factors in force were
     derived at, or 0 before the first cycle. Intake, lower median and
-    window; then the window's flags. An undisputed window is resolved after
-    73 hours and executed; a disputed one is resolved after 15 days and
-    lapses to the prior confirmed g: a first cycle begins at that g, a
-    later one keeps the factors in force.
+    window; then the window's flags. An undisputed window is resolved an
+    hour after the challenge window closes and executed; a disputed one is
+    resolved a day after the correction deadline and lapses to the prior
+    confirmed g: a first cycle begins at that g, a later one keeps the
+    factors in force.
     """
     factors = ledger_state.annual_factors
     record = CycleRecord(cycle_year=year,
@@ -361,10 +362,10 @@ def settle_cycle(
     open_window(record, clock.now())
     for f in flags:
         flag(record, f.operator_id, f.issue_code, f.comment)
-    if record.window.status is WindowStatus.DISPUTED:
-        clock.advance_days(15)
-    else:
-        clock.advance_hours(73)
+    wait = (CORRECTION_DEADLINE + timedelta(days=1)
+            if record.window.status is WindowStatus.DISPUTED
+            else CHALLENGE_WINDOW + timedelta(hours=1))
+    clock.advance_hours(wait // timedelta(hours=1))
     record = resolve(record, clock.now())
     if record.window.status is not WindowStatus.LAPSED:
         return execute(record, ledger_state, params, approvals)

@@ -3,7 +3,10 @@
 All four are continuous and linear in g, clamped at their published
 bounds: gross issuance budget, fee-burn fraction, monthly escrow release
 cap, and staking emission rate. Token-unit outputs are floored once, at
-the token boundary; fractions are half-even at 9 digits.
+the token boundary; fractions are half-even at 9 digits. The levers check
+nothing themselves: g is in [0, 1) because the ledger's begin_cycle, the
+one path to `derive_cycle_factors`, refuses any other, and the locked
+balance is nonnegative because conservation keeps every bucket so.
 """
 
 from __future__ import annotations
@@ -60,11 +63,6 @@ class PolicyFactors:
     g_used: int
 
 
-def _check_g(g: int) -> None:
-    if not (0 <= g < fp.ONE):
-        raise ValueError("g must be in [0, 1)")
-
-
 def _shrunk(amount: int, alpha: int, g: int) -> int:
     """floor(amount * (1 - alpha * g)) for a token amount, alpha in [0, 1]
     and g in [0, 1); the factor is never rounded on its own."""
@@ -79,28 +77,22 @@ def issuance_budget(params: PolicyParams, g: int, i_base: int,
     Capped by the locked, unburned balance: releases can never exceed what
     is actually locked.
     """
-    if locked_unburned < 0:
-        raise ValueError("locked_unburned must be nonnegative")
-    _check_g(g)
     return min(_shrunk(i_base, params.alpha_i, g), locked_unburned)
 
 
 def burn_fraction(params: PolicyParams, g: int) -> int:
     """min(b_max, b_base + beta_b * g); nondecreasing in g."""
-    _check_g(g)
     return min(params.b_max, params.b_base + fp.mul(params.beta_b, g))
 
 
 def escrow_cap(params: PolicyParams, g: int, e_base: int) -> int:
     """max(e_min, e_base * (1 - alpha_e * g)), e_base the monthly anchor in
     token base units; never below the floor."""
-    _check_g(g)
     return max(params.e_min, _shrunk(e_base, params.alpha_e, g))
 
 
 def staking_rate(params: PolicyParams, g: int) -> int:
     """max(0, (1 - gamma * g) * r_base); gamma = 0 leaves the rate flat."""
-    _check_g(g)
     factor = fp.ONE - fp.mul(params.gamma, g)
     if factor <= 0:
         return 0

@@ -9,7 +9,7 @@ scenarios replay to byte-identical traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, timezone
 from typing import Optional
 
@@ -60,6 +60,8 @@ _BASE_GDP = ("27000", "15000", "4200", "3300", "2100", "1700", "1800")
 _BASIS_POINT = fp.from_str("0.0001")
 _LEVEL_FLOOR = fp.from_str("1")
 _OUTLIER_SKEW = fp.from_str("1.1")
+# the names a governance script may change, and `replace` takes
+_PARAM_NAMES = frozenset(f.name for f in fields(PolicyParams))
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,12 @@ class Scenario:
                 raise ScenarioInvalid(f"unknown behavior {tag!r}")
         if any(y < 1 or y > self.years for y in self.dispute_years):
             raise ScenarioInvalid("dispute year outside horizon")
+        for event in self.governance_script:
+            if not 1 <= event["year"] <= self.years:
+                raise ScenarioInvalid("governance year outside horizon")
+            unknown = event["changes"].keys() - _PARAM_NAMES
+            if unknown:
+                raise ScenarioInvalid(f"not a policy parameter: {sorted(unknown)}")
 
 
 @dataclass
@@ -148,7 +156,8 @@ def run(scenario: Scenario) -> Trace:
     params = scenario.params or PolicyParams()
     executor = oracle.EXECUTOR_POLICY
     approvals = executor.signer_set[:executor.threshold]
-    escrow_signers = POLICIES[BucketKind.ECOSYSTEM_ESCROW].signer_set
+    escrow = POLICIES[BucketKind.ECOSYSTEM_ESCROW]
+    escrow_approvals = escrow.signer_set[:escrow.threshold]
 
     trace = Trace()
     governance_log: list[dict] = []
@@ -203,13 +212,11 @@ def run(scenario: Scenario) -> Trace:
         g_str = fp.to_str(state.annual_factors.g_used)  # the g in force
         for month in range(12):
             fees = rng.randint(*scenario.fee_range_kld) * 10 ** 6
-            released = 0
-            cap = state.annual_factors.escrow_cap
-            if cap > 0:
-                try:
-                    state, released = release_escrow(state, cap, escrow_signers[:5])
-                except ZeroCap:
-                    released = 0
+            try:
+                state, released = release_escrow(
+                    state, state.annual_factors.escrow_cap, escrow_approvals)
+            except ZeroCap:
+                released = 0
             state, summary = advance_month(state, fees)
             trace.rows.append(
                 {

@@ -233,13 +233,6 @@ def test_policy_factor_values():
     assert g_big < fp.ONE
 
 
-def test_policy_factor_errors():
-    with pytest.raises(NonPositiveLambda):
-        policy_factor(fp.ONE, 0)
-    with pytest.raises(ValueError):
-        policy_factor(-1, fp.ONE)
-
-
 @settings(max_examples=300)
 @given(
     st.integers(0, 10 * fp.SCALE),

@@ -72,13 +72,6 @@ def test_scale_amount_down_refuses_a_negative_factor():
         fp.scale_amount_down(100, -fp.ONE)
 
 
-@given(st.integers(0, 10**16), st.integers(0, fp.SCALE))
-def test_scale_down_plus_remainder_is_exact(amount, factor):
-    down = fp.scale_amount_down(amount, factor)
-    rem = fp.scale_amount_remainder(amount, factor)
-    assert down * fp.SCALE + rem == amount * factor
-
-
 # Strings for from_str: plain ASCII decimals on both sides of its limits
 # (19 integer and 9 fractional digits), and the spellings it refuses that
 # Decimal would read: signs, padding, exponents, underscores, non-ASCII

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -192,6 +193,26 @@ def test_release_escrow_unknown_signers_do_not_count():
         lg.release_escrow(state, 100, approvals)
 
 
+def test_release_escrow_refuses_a_negative_request():
+    with pytest.raises(ValueError, match="^requested must be nonnegative$"):
+        lg.release_escrow(fresh_cycle(), -1, ESCROW_SIGNERS[:5])
+    # a request of 0, as for a zero cap, releases nothing: ZeroCap
+    with pytest.raises(ZeroCap, match=r"^release of 0 \(requested 0, "):
+        lg.release_escrow(fresh_cycle(), 0, ESCROW_SIGNERS[:5])
+
+
+@pytest.mark.parametrize("threshold, signers, error", [
+    (0, ("a", "b"), "need 1 <= threshold <= |signer_set|"),
+    (3, ("a", "b"), "need 1 <= threshold <= |signer_set|"),
+    (1, ("a", "b", "a"), "duplicate signer in set"),
+], ids=["zero-threshold", "threshold-above-signers", "duplicate-signer"])
+def test_approval_policy_refuses_an_unmeetable_or_padded_set(threshold, signers, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        lg.ApprovalPolicy(threshold, signers)
+    # a threshold of 1, and one of every signer, are both allowed
+    assert lg.ApprovalPolicy(1, ("a",)).check(["a"], "act") == ("a",)
+
+
 # --- burn --------------------------------------------------------------------
 
 def burn_cycle(b_base="0.4", b_max="0.9"):
@@ -310,6 +331,19 @@ def test_spend_reserve_threshold():
     assert state.state_hash() == before
 
 
+def test_spend_reserve_refuses_a_negative_amount_and_an_overdraft():
+    state = fresh_cycle()
+    reserve = state.buckets[BucketKind.COMPANY_RESERVE]
+    with pytest.raises(ValueError, match="^amount must be nonnegative$"):
+        lg.spend_reserve(state, -1, RESERVE_SIGNERS[:6])
+    with pytest.raises(ValueError, match="^spend exceeds reserve balance$"):
+        lg.spend_reserve(state, reserve + 1, RESERVE_SIGNERS[:6])
+    emptied, _ = lg.spend_reserve(state, reserve, RESERVE_SIGNERS[:6])
+    assert emptied.buckets[BucketKind.COMPANY_RESERVE] == 0
+    unchanged, _ = lg.spend_reserve(state, 0, RESERVE_SIGNERS[:6])
+    assert unchanged.buckets == state.buckets
+
+
 # --- relock ------------------------------------------------------------------
 
 def test_relock_returns_without_restoring_cap():
@@ -338,6 +372,15 @@ def test_relock_exceeds_release():
     state, _ = lg.release_escrow(state, 100, ESCROW_SIGNERS[:5])
     with pytest.raises(RelockExceedsRelease):
         lg.relock(state, 150, BucketKind.ECOSYSTEM_ESCROW, "too much")
+
+
+@pytest.mark.parametrize("amount", [0, -1])
+def test_relock_amount_must_be_positive(amount):
+    # a negative relock would move escrow into circulation past every gate
+    state = fresh_cycle()
+    state, _ = lg.release_escrow(state, 100, ESCROW_SIGNERS[:5])
+    with pytest.raises(ValueError, match="^relock amount must be positive$"):
+        lg.relock(state, amount, BucketKind.ECOSYSTEM_ESCROW, "nothing")
 
 
 def test_mark_distributed_of_another_bucket_has_nothing_to_distribute():
@@ -426,6 +469,19 @@ def test_begin_cycle_refuses_e_min_above_the_derived_e_base():
         lg.from_json_dict(data)
 
 
+@pytest.mark.parametrize("g", [fp.ONE, -1], ids=["one", "negative"])
+def test_begin_cycle_refuses_g_outside_the_unit_interval(g):
+    # the ledger's check is the one gate on g: the levers take it as given
+    state = lg.genesis()
+    with pytest.raises(ValueError, match=r"^g must be in \[0, 1\)$"):
+        lg.begin_cycle(state, PolicyParams(), g, 2026)
+    data = json.loads(json.dumps(lg.to_json_dict(fresh_cycle())))
+    data["event_log"][1]["inputs"]["g"] = g
+    with pytest.raises(MalformedFile,
+                       match=r"^event 1: ValueError: g must be in \[0, 1\)$"):
+        lg.from_json_dict(data)
+
+
 # --- month transition --------------------------------------------------------
 
 def test_advance_month_noop():
@@ -438,6 +494,13 @@ def test_advance_month_noop():
     after = state.snapshot()
     changed = {k for k in before if before[k] != after[k]}
     assert changed == {"month_index"}
+
+
+def test_advance_month_refuses_negative_fees():
+    # the one sign check on the burn: negative fees would burn a negative
+    # amount, adding to circulation with conservation intact
+    with pytest.raises(ValueError, match="^fees must be nonnegative$"):
+        lg.advance_month(burn_cycle(), -1)
 
 
 def test_one_year_accumulation_matches_spreadsheet_oracle():
@@ -493,6 +556,21 @@ def test_advance_month_atomic_abort_on_injected_violation(monkeypatch):
     after, _ = lg.advance_month(state, 10 ** 9)
     fresh, _ = lg.advance_month(_reloaded(state), 10 ** 9)
     assert after.event_log == fresh.event_log
+
+
+@pytest.mark.parametrize("negative", ["circulating", "bucket"])
+def test_conservation_refuses_a_negative_balance_at_the_right_sum(negative):
+    # one balance at -1 and another 1 higher, so the sum still holds
+    state = lg.genesis().clone()
+    state.check_conservation()
+    if negative == "circulating":
+        state.circulating = -1
+        state.buckets[BucketKind.LEGAL_TREASURY] += 1
+    else:
+        state.circulating += state.buckets[BucketKind.LEGAL_TREASURY] + 1
+        state.buckets[BucketKind.LEGAL_TREASURY] = -1
+    with pytest.raises(ConservationViolation, match="^negative balance$"):
+        state.check_conservation()
 
 
 def test_conservation_over_randomized_months():
@@ -736,6 +814,13 @@ def test_replay_refuses_an_unknown_op_and_an_empty_log():
     with pytest.raises(MalformedFile,
                        match=r"^event_log: genesis must open the log, once$"):
         lg.replay([])
+
+
+def test_replay_refuses_a_second_genesis():
+    events = json.loads(json.dumps(lg.to_json_dict(fresh_cycle())))["event_log"]
+    with pytest.raises(MalformedFile,
+                       match=r"^event 2: genesis must open the log, once$"):
+        lg.replay(events + events[:1])
 
 
 def test_replay_rejects_a_release_over_its_cap_at_its_own_event():

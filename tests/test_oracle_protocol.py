@@ -183,6 +183,17 @@ def test_submissions_close_at_window_open(vintage, baseline):
                   OPERATORS, baseline)
 
 
+def test_window_opens_once_and_only_on_a_median(vintage, baseline):
+    record = submit_scales(fresh_record(), ["1.5"], vintage, baseline)
+    with pytest.raises(NoSubmissions, match="^aggregate before opening the window$"):
+        op.open_window(record, T0)
+    op.aggregate_median(record)
+    op.open_window(record, T0)
+    with pytest.raises(WindowClosed, match="^window already opened$"):
+        op.open_window(record, T0 + timedelta(hours=1))
+    assert record.window.opened_at == T0
+
+
 # --- median ------------------------------------------------------------------
 
 def submit_scales(record, scales, vintage, baseline):
@@ -293,6 +304,12 @@ def test_flag_after_close_rejected(vintage, baseline):
 def test_clean_expiry_just_after_72h(vintage, baseline):
     record = open_record(vintage, baseline)
     record = op.resolve(record, T0 + timedelta(hours=72, seconds=1))
+    assert record.window.status is op.WindowStatus.EXPIRED_CLEAN
+
+
+def test_clean_expiry_at_exactly_72h(vintage, baseline):
+    record = open_record(vintage, baseline)
+    record = op.resolve(record, T0 + op.CHALLENGE_WINDOW)
     assert record.window.status is op.WindowStatus.EXPIRED_CLEAN
 
 

@@ -114,6 +114,8 @@ def test_param_invariants():
         PolicyParams(b_base=fp.from_str("0.9"), b_max=fp.from_str("0.5"))
     with pytest.raises(ValueError):
         PolicyParams(alpha_i=fp.ONE + 1)
+    with pytest.raises(ValueError, match=r"^alpha_e must be in \[0, 1\]$"):
+        PolicyParams(alpha_e=fp.ONE + 1)
     with pytest.raises(ValueError):
         PolicyParams(beta_b=-1)
     with pytest.raises(ValueError):

@@ -105,6 +105,16 @@ def test_build_report_incomplete_cycle(vintage, baseline):
         reporting.build_report(record, [], 1, [], baseline)
 
 
+def test_build_report_cuts_from_the_cycle_event_before_the_anchor(vintage, baseline):
+    record, state, events = executed_cycle(vintage, baseline)
+    assert events[0]["op"] == "begin_cycle"
+    # an anchor of 1 cuts the cycle event alone
+    assert reporting.build_report(record, events, 1, [], baseline)[
+        "executed_actions"] == []
+    with pytest.raises(ValueError, match="^no cycle event before ledger anchor 2$"):
+        reporting.build_report(record, events[1:], 2, [], baseline)
+
+
 def test_action_amounts_by_op():
     # each supply op reads its amounts from its own inputs; a month carries
     # its three flows, leaving out a zero one, and other ops carry none

@@ -107,6 +107,19 @@ def test_scenario_validation():
         sim.run(sim.Scenario(seed=1, years=2, oracle_behaviors={"op-1": "asleep"}))
     with pytest.raises(ValueError, match="^hi < lo$"):
         sim.run(sim.Scenario(seed=1, years=2, fee_range_kld=(2, 1)))
+    with pytest.raises(ScenarioInvalid, match="^governance year outside horizon$"):
+        sim.run(sim.Scenario(seed=1, years=2, governance_script=(
+            {"year": 9, "changes": {"gamma": "0.7"}},)))
+    with pytest.raises(ScenarioInvalid, match=r"^not a policy parameter: \['lambda'\]$"):
+        sim.run(sim.Scenario(seed=1, years=2, governance_script=(
+            {"year": 2, "changes": {"lambda": "2"}},)))
+
+
+def test_scenario_years_run_from_one_to_the_horizon():
+    # a dispute or governance event in the first and in the last year is inside
+    sim.Scenario(seed=1, years=2, dispute_years=(1, 2), governance_script=(
+        {"year": 1, "changes": {"gamma": "0.7"}},
+        {"year": 2, "changes": {"beta_b": "0.6"}})).validate()
 
 
 def test_a_dispute_year_with_two_submissions_lapses():

@@ -149,6 +149,15 @@ def test_snapshot_date_october_plus_ten():
     assert (ts.year, ts.month, ts.day, ts.hour) == (2024, 11, 1, 12)
 
 
+def test_snapshot_date_october_publication_on_december_first():
+    # published by December 1 includes December 1 itself
+    decision = resolve_snapshot_date(date(2024, 12, 1), date(2024, 12, 1),
+                                     "2024-October")
+    assert decision.rule_branch is SnapshotRule.OCTOBER_PLUS_10
+    ts = decision.snapshot_timestamp
+    assert (ts.year, ts.month, ts.day, ts.hour) == (2024, 12, 11, 12)
+
+
 def test_snapshot_date_december_fallback_weekday():
     # Dec 10 2024 is a Tuesday
     decision = resolve_snapshot_date(None, date(2024, 12, 1), "2024-April")

@@ -190,8 +190,7 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
     params = (PolicyParams() if last is None
               else PolicyParams(*state.journal[last]["inputs"]["coefficients"]))
     record, state = oracle.settle_cycle(
-        year, submissions, [s.operator_id for s in submissions], state,
-        params, baseline, clock, approval_list,
+        year, submissions, state, params, baseline, clock, approval_list,
     )
 
     report = reporting.build_report(record, state.journal, state.n_events, [],
@@ -203,7 +202,7 @@ def _run_cycle(state_dir: Path, submissions_dir: Path, baseline_file: Path,
     (state_dir / f"report-{year}.kldr").write_bytes(report_bytes)
     (state_dir / f"report-{year}.commit").write_text(json.dumps(vars(commitment)))
     ledger_file.write_text(json.dumps(ledger_mod.to_json_dict(state)))
-    print(f"cycle {year}: {record.window.status.value}, "
+    print(f"cycle {year}: {record.status.value}, "
           f"g={fp.to_str(record.confirmed_g)}, "
           f"state_hash={state.state_hash()}")
 

@@ -1,11 +1,11 @@
 """Annual policy-update state machine.
 
-Operator submissions are checked for internal consistency, aggregated by
-lower-median, published into a fixed 72-hour challenge window, and only
-an undisputed, expired window may be executed by the 5-of-8 policy
-executor. Two operators flagging one issue dispute the window, and a
-disputed window lapses to the last confirmed g after 14 days; nothing
-reopens it. Nothing on this surface accepts an externally chosen g.
+Submissions from the published operator roster are checked for internal
+consistency, aggregated by lower-median, published into a fixed 72-hour
+challenge window, and only an undisputed, expired window may be executed
+by the 5-of-8 policy executor. Two operators flagging one issue dispute the
+window, and a disputed window lapses to the last confirmed g after 14 days;
+nothing reopens it. Nothing on this surface accepts an externally chosen g.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     UnknownOperator,
     WindowClosed,
 )
-from .ledger import ApprovalPolicy, LedgerState, begin_cycle, carry_cycle
+from .ledger import ApprovalPolicy, LedgerState, _roster, begin_cycle, carry_cycle
 from .policy import PolicyParams
 from .weo_ingest import ALL_BLOCS, WeoVintage, check_vintage
 
@@ -39,7 +39,9 @@ CHALLENGE_WINDOW = timedelta(hours=72)
 CORRECTION_DEADLINE = timedelta(days=14)
 
 # the policy executor: 5 of these 8 signers approve an execution
-EXECUTOR_POLICY = ApprovalPolicy(5, tuple(f"exec-{i}" for i in range(1, 9)))
+EXECUTOR_POLICY = ApprovalPolicy(5, _roster("exec", 8))
+# the published oracle roster: any subset of it may submit in a cycle
+ORACLE_OPERATORS = _roster("op", 8)
 
 
 class WindowStatus(Enum):
@@ -164,33 +166,28 @@ class Flag:
 
 
 @dataclass
-class ChallengeWindow:
-    opened_at: Optional[datetime] = None
-    flags: list[Flag] = field(default_factory=list)
-    status: WindowStatus = WindowStatus.PENDING
-
-
-@dataclass
 class CycleRecord:
     cycle_year: int
     prior_confirmed_g: int
     submissions: list[OracleSubmission] = field(default_factory=list)
     median_payload: Optional[SubmissionPayload] = None
-    window: ChallengeWindow = field(default_factory=ChallengeWindow)
+    # the challenge window
+    opened_at: Optional[datetime] = None
+    flags: list[Flag] = field(default_factory=list)
+    status: WindowStatus = WindowStatus.PENDING
 
     @property
     def confirmed_g(self) -> Optional[int]:
         """The median's g once executed, the prior confirmed g once lapsed,
         else None."""
-        status = self.window.status
-        if status is WindowStatus.EXECUTED:
+        if self.status is WindowStatus.EXECUTED:
             return self.median_payload.g
-        return self.prior_confirmed_g if status is WindowStatus.LAPSED else None
+        return self.prior_confirmed_g if self.status is WindowStatus.LAPSED else None
 
     @property
     def carried_forward(self) -> bool:
         """Whether the cycle lapsed, carrying the prior confirmed g forward."""
-        return self.window.status is WindowStatus.LAPSED
+        return self.status is WindowStatus.LAPSED
 
     def canonical(self) -> dict:
         return {
@@ -198,11 +195,11 @@ class CycleRecord:
             "prior_confirmed_g": fp.to_str(self.prior_confirmed_g),
             "submissions": [s.canonical() for s in self.submissions],
             "median": self.median_payload.canonical() if self.median_payload else None,
-            "status": self.window.status.value,
+            "status": self.status.value,
             "flags": [
                 {"operator": f.operator_id, "issue_code": f.issue_code,
                  "comment": f.comment}
-                for f in self.window.flags
+                for f in self.flags
             ],
             "confirmed_g": fp.to_str(self.confirmed_g)
             if self.confirmed_g is not None else None,
@@ -240,13 +237,12 @@ def _recompute_check(payload: SubmissionPayload, baseline: BaselineRef
 def submit(
     record: CycleRecord,
     submission: OracleSubmission,
-    operator_registry: Iterable[str],
     baseline: BaselineRef,
 ) -> CycleRecord:
-    """Accept an operator submission after its vintage and consistency checks."""
-    if record.window.status is not WindowStatus.PENDING:
+    """Accept a submission from the roster after its vintage and consistency checks."""
+    if record.status is not WindowStatus.PENDING:
         raise SubmissionsClosed("submissions close when the challenge window opens")
-    if submission.operator_id not in set(operator_registry):
+    if submission.operator_id not in ORACLE_OPERATORS:
         raise UnknownOperator(submission.operator_id)
     if any(s.operator_id == submission.operator_id for s in record.submissions):
         raise DuplicateSubmission(submission.operator_id)
@@ -274,10 +270,10 @@ def open_window(record: CycleRecord, now: datetime) -> CycleRecord:
     """Publish the median and start the 72-hour challenge window."""
     if record.median_payload is None:
         raise NoSubmissions("aggregate before opening the window")
-    if record.window.status is not WindowStatus.PENDING:
+    if record.status is not WindowStatus.PENDING:
         raise WindowClosed("window already opened")
-    record.window.opened_at = now
-    record.window.status = WindowStatus.OPEN
+    record.opened_at = now
+    record.status = WindowStatus.OPEN
     return record
 
 
@@ -285,14 +281,14 @@ def flag(record: CycleRecord, operator_id: str, issue_code: str, comment: str
          ) -> CycleRecord:
     """Record a discrepancy flag; two distinct operators on one issue code
     constitute a valid dispute."""
-    if record.window.status is not WindowStatus.OPEN:
-        raise WindowClosed(f"window is {record.window.status.value}")
-    record.window.flags.append(Flag(operator_id, issue_code, comment))
+    if record.status is not WindowStatus.OPEN:
+        raise WindowClosed(f"window is {record.status.value}")
+    record.flags.append(Flag(operator_id, issue_code, comment))
     by_code: dict[str, set[str]] = {}
-    for f in record.window.flags:
+    for f in record.flags:
         by_code.setdefault(f.issue_code, set()).add(f.operator_id)
     if any(len(ops) >= 2 for ops in by_code.values()):
-        record.window.status = WindowStatus.DISPUTED
+        record.status = WindowStatus.DISPUTED
     return record
 
 
@@ -303,13 +299,12 @@ def resolve(record: CycleRecord, now: datetime) -> CycleRecord:
     have passed; a disputed one lapses to the last confirmed g once more
     than 14 days have. Any other state, or an earlier time, is left as it is.
     """
-    window = record.window
-    if (window.status is WindowStatus.OPEN
-            and now >= window.opened_at + CHALLENGE_WINDOW):
-        window.status = WindowStatus.EXPIRED_CLEAN
-    elif (window.status is WindowStatus.DISPUTED
-            and now > window.opened_at + CORRECTION_DEADLINE):
-        window.status = WindowStatus.LAPSED
+    if (record.status is WindowStatus.OPEN
+            and now >= record.opened_at + CHALLENGE_WINDOW):
+        record.status = WindowStatus.EXPIRED_CLEAN
+    elif (record.status is WindowStatus.DISPUTED
+            and now > record.opened_at + CORRECTION_DEADLINE):
+        record.status = WindowStatus.LAPSED
     return record
 
 
@@ -323,10 +318,10 @@ def execute(
 
     Requires a cleanly expired window and 5-of-8 executor approvals.
     """
-    if record.window.status is not WindowStatus.EXPIRED_CLEAN:
-        raise NotExecutable(f"window is {record.window.status.value}")
+    if record.status is not WindowStatus.EXPIRED_CLEAN:
+        raise NotExecutable(f"window is {record.status.value}")
     EXECUTOR_POLICY.check(approvals, "executor")
-    record.window.status = WindowStatus.EXECUTED
+    record.status = WindowStatus.EXECUTED
     return record, begin_cycle(ledger_state, params, record.confirmed_g,
                                record.cycle_year)
 
@@ -334,7 +329,6 @@ def execute(
 def settle_cycle(
     year: int,
     submissions: Iterable[OracleSubmission],
-    operator_registry: Iterable[str],
     ledger_state: LedgerState,
     params: PolicyParams,
     baseline: BaselineRef,
@@ -355,19 +349,18 @@ def settle_cycle(
     factors = ledger_state.annual_factors
     record = CycleRecord(cycle_year=year,
                          prior_confirmed_g=factors.g_used if factors else 0)
-    registry = tuple(operator_registry)
     for submission in submissions:
-        record = submit(record, submission, registry, baseline)
+        record = submit(record, submission, baseline)
     aggregate_median(record)
     open_window(record, clock.now())
     for f in flags:
         flag(record, f.operator_id, f.issue_code, f.comment)
     wait = (CORRECTION_DEADLINE + timedelta(days=1)
-            if record.window.status is WindowStatus.DISPUTED
+            if record.status is WindowStatus.DISPUTED
             else CHALLENGE_WINDOW + timedelta(hours=1))
     clock.advance_hours(wait // timedelta(hours=1))
     record = resolve(record, clock.now())
-    if record.window.status is not WindowStatus.LAPSED:
+    if record.status is not WindowStatus.LAPSED:
         return execute(record, ledger_state, params, approvals)
     if factors is None:
         return record, begin_cycle(ledger_state, params, record.confirmed_g, year)

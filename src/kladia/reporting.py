@@ -152,7 +152,7 @@ def build_report(
     """Assemble the annual Policy Report for a settled cycle, whose events
     are the slice of `event_log` that `verify` cuts at the commitment's
     `anchor` (`_report_slice`)."""
-    status = cycle_record.window.status
+    status = cycle_record.status
     if status not in (WindowStatus.EXECUTED, WindowStatus.LAPSED):
         raise IncompleteCycle(f"cycle is {status.value}")
     median = cycle_record.median_payload
@@ -257,8 +257,6 @@ def verify(
         start, end = _report_slice(event_log, commitment.ledger_anchor)
         executed = _executed(event_log[start:end])
         in_force = last_cycle(event_log, start + 1, ("begin_cycle",))
-        if in_force is None:
-            raise ValueError(f"no begin_cycle at or before event {start}")
         year = event_log[start]["inputs"]["year"]
         g = event_log[in_force]["inputs"]["g"]
         if type(year) is not int or type(g) is not int:

@@ -82,6 +82,9 @@ class Scenario:
             raise ScenarioInvalid("years must be positive")
         if not self.operators:
             raise ScenarioInvalid("need at least one operator")
+        for op in self.operators:
+            if op not in oracle.ORACLE_OPERATORS:
+                raise ScenarioInvalid(f"operator {op} is not on the oracle roster")
         for op, tag in self.oracle_behaviors.items():
             if op not in self.operators:
                 raise ScenarioInvalid(f"behavior for unknown operator {op}")
@@ -198,8 +201,7 @@ def run(scenario: Scenario) -> Trace:
             flags = (oracle.Flag(first, "data-mismatch", "values off vs source"),
                      oracle.Flag(second, "data-mismatch", "confirmed mismatch"))
         record, state = oracle.settle_cycle(
-            year, submissions, scenario.operators, state, params,
-            baseline, clock, approvals, flags,
+            year, submissions, state, params, baseline, clock, approvals, flags,
         )
 
         for event in gov_by_year.get(year, []):

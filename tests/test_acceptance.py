@@ -235,7 +235,7 @@ def test_criterion_06_challenge_window_gating(vintage, baseline):
         for operator in operators:
             record = op.submit(
                 record, op.OracleSubmission.sign(operator, payload, T0),
-                operators, baseline,
+                baseline,
             )
         op.aggregate_median(record)
         op.open_window(record, T0)
@@ -243,7 +243,7 @@ def test_criterion_06_challenge_window_gating(vintage, baseline):
         # any execution attempt strictly before the 72-hour mark must fail
         pre = T0 + timedelta(minutes=rnd.randrange(0, 72 * 60))
         record = op.resolve(record, pre)
-        assert record.window.status is op.WindowStatus.OPEN
+        assert record.status is op.WindowStatus.OPEN
         with pytest.raises(NotExecutable):
             op.execute(record, shared_ledger, PolicyParams(), EXECUTORS[:5])
         early_attempts += 1
@@ -254,14 +254,14 @@ def test_criterion_06_challenge_window_gating(vintage, baseline):
             op.flag(record, "op-2", "data-mismatch", "b")
             late = T0 + timedelta(days=15, hours=rnd.randrange(0, 200))
             record = op.resolve(record, late)
-            assert record.window.status is op.WindowStatus.LAPSED
+            assert record.status is op.WindowStatus.LAPSED
             assert record.confirmed_g == prior
             assert record.carried_forward is True
             lapses += 1
         else:
             post = T0 + timedelta(hours=72, minutes=rnd.randrange(0, 10_000))
             record = op.resolve(record, post)
-            assert record.window.status is op.WindowStatus.EXPIRED_CLEAN
+            assert record.status is op.WindowStatus.EXPIRED_CLEAN
             clean += 1
 
     assert early_attempts == 10_000 and lapses > 0 and clean > 0
@@ -293,7 +293,7 @@ def test_criterion_07_median_aggregation(vintage, baseline):
             for operator, payload in zip(operators, order):
                 record = op.submit(
                     record, op.OracleSubmission.sign(operator, payload, T0),
-                    operators, baseline,
+                    baseline,
                 )
             median = op.aggregate_median(record)
             assert median.bdi == expected_bdi  # order never matters
@@ -310,7 +310,7 @@ def _executed_cycle(vintage, baseline):
     for operator in operators:
         record = op.submit(
             record, op.OracleSubmission.sign(operator, payload, T0),
-            operators, baseline,
+            baseline,
         )
     op.aggregate_median(record)
     op.open_window(record, T0)

@@ -957,8 +957,9 @@ WITHOUT_KR = {b.value: "150" for b in ALL_BLOCS if b.value != "KR"}
      "'AU']", 2),
     ("cycle", {"g": "0.222222222"}, "error: InconsistentPayload: recomputed (bdi="
      "150.000000000, x=1.500000000, g=0.333333333) != submitted", 1),
+    ("cycle", {"operator_id": "mallory"}, "error: UnknownOperator: mallory", 1),
 ], ids=["index-negative", "cycle-negative", "cycle-missing-bloc",
-        "cycle-inconsistent"])
+        "cycle-inconsistent", "cycle-unknown-operator"])
 def test_exit_code_follows_the_error_class(runner, tmp_path, verb, fields, line, code):
     args = _verb_args(verb, tmp_path, _baseline(tmp_path))
     if fields is None:
@@ -972,6 +973,7 @@ def test_exit_code_follows_the_error_class(runner, tmp_path, verb, fields, line,
     assert result.exit_code == code
     assert result.output == line + "\n"
     assert not (tmp_path / "state" / "ledger.json").exists()
+    assert not list((tmp_path / "state").glob("report-*"))
 
 
 # a submission field of the wrong type or bloc set is refused before any

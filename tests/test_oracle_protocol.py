@@ -55,15 +55,17 @@ def fresh_record(prior_g=0):
 
 def test_submit_accepts_consistent_payload(vintage, baseline):
     record = fresh_record()
-    record = op.submit(record, submission("op-1", vintage, baseline),
-                       OPERATORS, baseline)
+    record = op.submit(record, submission("op-1", vintage, baseline), baseline)
     assert len(record.submissions) == 1
 
 
 def test_submit_rejects_unknown_operator(vintage, baseline):
-    with pytest.raises(UnknownOperator):
-        op.submit(fresh_record(), submission("ghost", vintage, baseline),
-                  OPERATORS, baseline)
+    # the published roster is op-1 … op-8: its last member submits, the next not
+    record = op.submit(fresh_record(), submission("op-8", vintage, baseline), baseline)
+    for outsider in ("ghost", "op-9"):
+        with pytest.raises(UnknownOperator, match=f"^{outsider}$"):
+            op.submit(record, submission(outsider, vintage, baseline), baseline)
+    assert [s.operator_id for s in record.submissions] == ["op-8"]
 
 
 def test_submit_rejects_inconsistent_g(vintage, baseline):
@@ -71,7 +73,7 @@ def test_submit_rejects_inconsistent_g(vintage, baseline):
     tampered = replace(good, g=good.g + 1)
     sub = op.OracleSubmission.sign("op-1", tampered, T0)
     with pytest.raises(InconsistentPayload):
-        op.submit(fresh_record(), sub, OPERATORS, baseline)
+        op.submit(fresh_record(), sub, baseline)
 
 
 def test_submit_recheck_is_not_hidden_by_the_memo(vintage, baseline):
@@ -79,14 +81,14 @@ def test_submit_recheck_is_not_hidden_by_the_memo(vintage, baseline):
     # every claimed value is still compared with what the kernel gives
     good = payload_for(vintage, baseline, "1.3")
     record = op.submit(fresh_record(), op.OracleSubmission.sign("op-1", good, T0),
-                       OPERATORS, baseline)
+                       baseline)
     hits = debt_index._weighted_bdi.cache_info().hits
     for operator, tampered in (("op-2", replace(good, g=good.g + 1)),
                                ("op-3", replace(good, bdi=good.bdi - 1)),
                                ("op-4", replace(good, x_norm=good.x_norm + 1))):
         with pytest.raises(InconsistentPayload):
             op.submit(record, op.OracleSubmission.sign(operator, tampered, T0),
-                      OPERATORS, baseline)
+                      baseline)
     assert debt_index._weighted_bdi.cache_info().hits == hits + 3
     assert [s.operator_id for s in record.submissions] == ["op-1"]
 
@@ -99,16 +101,16 @@ def test_submit_rechecks_vintage_id_and_ranges(vintage, baseline):
     negative = replace(good, debt_ratios=tuple(debt_ratios))
     with pytest.raises(MalformedFile):
         op.submit(fresh_record(), op.OracleSubmission.sign("op-1", bad_vintage, T0),
-                  OPERATORS, baseline)
+                  baseline)
     with pytest.raises(NegativeValue):
         op.submit(fresh_record(), op.OracleSubmission.sign("op-1", negative, T0),
-                  OPERATORS, baseline)
+                  baseline)
 
 
 def test_canonical_view_is_not_shared(vintage, baseline):
     payload = payload_for(vintage, baseline)
     sub = op.OracleSubmission.sign("op-1", payload, T0)
-    record = op.submit(fresh_record(), sub, OPERATORS, baseline)
+    record = op.submit(fresh_record(), sub, baseline)
     op.aggregate_median(record)
     before = payload.canonical()
     record_before = record.canonical()
@@ -165,22 +167,18 @@ def test_sign_fails_like_the_canonical_form_on_a_lone_surrogate(operator_id):
 
 def test_submit_rejects_duplicates(vintage, baseline):
     record = fresh_record()
-    record = op.submit(record, submission("op-1", vintage, baseline),
-                       OPERATORS, baseline)
+    record = op.submit(record, submission("op-1", vintage, baseline), baseline)
     with pytest.raises(DuplicateSubmission):
-        op.submit(record, submission("op-1", vintage, baseline),
-                  OPERATORS, baseline)
+        op.submit(record, submission("op-1", vintage, baseline), baseline)
 
 
 def test_submissions_close_at_window_open(vintage, baseline):
     record = fresh_record()
-    record = op.submit(record, submission("op-1", vintage, baseline),
-                       OPERATORS, baseline)
+    record = op.submit(record, submission("op-1", vintage, baseline), baseline)
     op.aggregate_median(record)
     op.open_window(record, T0)
     with pytest.raises(SubmissionsClosed):
-        op.submit(record, submission("op-2", vintage, baseline),
-                  OPERATORS, baseline)
+        op.submit(record, submission("op-2", vintage, baseline), baseline)
 
 
 def test_window_opens_once_and_only_on_a_median(vintage, baseline):
@@ -191,7 +189,7 @@ def test_window_opens_once_and_only_on_a_median(vintage, baseline):
     op.open_window(record, T0)
     with pytest.raises(WindowClosed, match="^window already opened$"):
         op.open_window(record, T0 + timedelta(hours=1))
-    assert record.window.opened_at == T0
+    assert record.opened_at == T0
 
 
 # --- median ------------------------------------------------------------------
@@ -199,7 +197,7 @@ def test_window_opens_once_and_only_on_a_median(vintage, baseline):
 def submit_scales(record, scales, vintage, baseline):
     for operator, scale in zip(OPERATORS, scales):
         record = op.submit(record, submission(operator, vintage, baseline, scale),
-                           OPERATORS, baseline)
+                           baseline)
     return record
 
 
@@ -240,7 +238,7 @@ def test_median_permutation_invariance(vintage, baseline):
         rng.shuffle(order)
         for operator, scale in order:
             record = op.submit(record, submission(operator, vintage, baseline, scale),
-                               OPERATORS, baseline)
+                               baseline)
         assert op.aggregate_median(record).bdi == reference.bdi
 
 
@@ -267,29 +265,29 @@ def open_record(vintage, baseline, scales=("1.5", "1.52", "1.48")):
 def test_single_flag_is_comment_only(vintage, baseline):
     record = open_record(vintage, baseline)
     record = op.flag(record, "op-1", "stale-data", "looks old")
-    assert record.window.status is op.WindowStatus.OPEN
-    assert len(record.window.flags) == 1
+    assert record.status is op.WindowStatus.OPEN
+    assert len(record.flags) == 1
 
 
 def test_two_matching_flags_dispute(vintage, baseline):
     record = open_record(vintage, baseline)
     op.flag(record, "op-1", "stale-data", "looks old")
     record = op.flag(record, "op-2", "stale-data", "same here")
-    assert record.window.status is op.WindowStatus.DISPUTED
+    assert record.status is op.WindowStatus.DISPUTED
 
 
 def test_two_different_issue_codes_stay_open(vintage, baseline):
     record = open_record(vintage, baseline)
     op.flag(record, "op-1", "stale-data", "a")
     record = op.flag(record, "op-2", "bad-gdp", "b")
-    assert record.window.status is op.WindowStatus.OPEN
+    assert record.status is op.WindowStatus.OPEN
 
 
 def test_same_operator_twice_does_not_dispute(vintage, baseline):
     record = open_record(vintage, baseline)
     op.flag(record, "op-1", "stale-data", "a")
     record = op.flag(record, "op-1", "stale-data", "again")
-    assert record.window.status is op.WindowStatus.OPEN
+    assert record.status is op.WindowStatus.OPEN
 
 
 def test_flag_after_close_rejected(vintage, baseline):
@@ -304,19 +302,19 @@ def test_flag_after_close_rejected(vintage, baseline):
 def test_clean_expiry_just_after_72h(vintage, baseline):
     record = open_record(vintage, baseline)
     record = op.resolve(record, T0 + timedelta(hours=72, seconds=1))
-    assert record.window.status is op.WindowStatus.EXPIRED_CLEAN
+    assert record.status is op.WindowStatus.EXPIRED_CLEAN
 
 
 def test_clean_expiry_at_exactly_72h(vintage, baseline):
     record = open_record(vintage, baseline)
     record = op.resolve(record, T0 + op.CHALLENGE_WINDOW)
-    assert record.window.status is op.WindowStatus.EXPIRED_CLEAN
+    assert record.status is op.WindowStatus.EXPIRED_CLEAN
 
 
 def test_no_expiry_before_72h(vintage, baseline):
     record = open_record(vintage, baseline)
     record = op.resolve(record, T0 + timedelta(hours=71))
-    assert record.window.status is op.WindowStatus.OPEN
+    assert record.status is op.WindowStatus.OPEN
 
 
 def test_dispute_lapses_only_after_14_days(vintage, baseline):
@@ -329,10 +327,10 @@ def test_dispute_lapses_only_after_14_days(vintage, baseline):
     op.flag(record, "op-1", "x", "a")
     op.flag(record, "op-2", "x", "b")
     record = op.resolve(record, T0 + timedelta(days=14))
-    assert record.window.status is op.WindowStatus.DISPUTED
+    assert record.status is op.WindowStatus.DISPUTED
     assert record.confirmed_g is None and not record.carried_forward
     record = op.resolve(record, T0 + timedelta(days=14, seconds=1))
-    assert record.window.status is op.WindowStatus.LAPSED
+    assert record.status is op.WindowStatus.LAPSED
     assert record.carried_forward
     assert record.confirmed_g == prior
 
@@ -346,7 +344,7 @@ def test_dispute_without_correction_lapses(vintage, baseline):
     op.flag(record, "op-1", "x", "a")
     op.flag(record, "op-2", "x", "b")
     record = op.resolve(record, T0 + timedelta(days=15))
-    assert record.window.status is op.WindowStatus.LAPSED
+    assert record.status is op.WindowStatus.LAPSED
     assert record.carried_forward
     assert record.confirmed_g == prior
 
@@ -364,7 +362,7 @@ def test_execute_happy_path(vintage, baseline):
     record, state = op.execute(
         record, state, PolicyParams(), EXECUTORS[:5],
     )
-    assert record.window.status is op.WindowStatus.EXECUTED
+    assert record.status is op.WindowStatus.EXECUTED
     assert record.confirmed_g == record.median_payload.g
     assert state.annual_factors is not None
     assert state.annual_factors.g_used == record.confirmed_g
@@ -395,7 +393,7 @@ DISPUTE = (op.Flag("op-1", "data-mismatch", "values off vs source"),
 def settle(vintage, baseline, state, flags, clock, year=2026):
     subs = [submission(o, vintage, baseline, scale)
             for o, scale in zip(OPERATORS, ("1.5", "1.52", "1.48"))]
-    return op.settle_cycle(year, subs, OPERATORS, state, PolicyParams(),
+    return op.settle_cycle(year, subs, state, PolicyParams(),
                            baseline, clock, EXECUTORS[:5], flags)
 
 
@@ -403,7 +401,7 @@ def test_settle_cycle_executes_a_clean_window(vintage, baseline):
     clock = VirtualClock(T0)
     record, state = settle(vintage, baseline, lg.genesis(), DISPUTE[:1], clock)
     assert clock.now() == T0 + timedelta(hours=73)
-    assert record.window.status is op.WindowStatus.EXECUTED
+    assert record.status is op.WindowStatus.EXECUTED
     assert record.confirmed_g == record.median_payload.g
     assert record.prior_confirmed_g == 0 != record.confirmed_g
     assert state.annual_factors.g_used == record.confirmed_g
@@ -411,7 +409,7 @@ def test_settle_cycle_executes_a_clean_window(vintage, baseline):
     # with factors in force, the prior confirmed g is the ledger's g
     state = lg.begin_cycle(state, PolicyParams(), PRIOR_G, 2027)
     record, state = settle(vintage, baseline, state, (), clock, 2028)
-    assert record.window.status is op.WindowStatus.EXECUTED
+    assert record.status is op.WindowStatus.EXECUTED
     assert record.prior_confirmed_g == PRIOR_G != record.confirmed_g
     assert state.event_log[-1]["inputs"]["year"] == 2028
 
@@ -426,7 +424,7 @@ def test_settle_cycle_dispute_lapses_to_prior_g(vintage, baseline, factors_in_fo
     clock = VirtualClock(T0)
     record, new = settle(vintage, baseline, state, DISPUTE, clock)
     assert clock.now() == T0 + timedelta(days=15)
-    assert record.window.status is op.WindowStatus.LAPSED
+    assert record.status is op.WindowStatus.LAPSED
     assert record.prior_confirmed_g == record.confirmed_g == prior_g
     assert record.carried_forward
     events = new.event_log[state.n_events:]
@@ -464,7 +462,7 @@ def test_time_gate_randomized_schedules(vintage, baseline):
         for _ in range(rng.randint(1, 8)):
             clock.advance_hours(rng.randint(1, 30))
             record = op.resolve(record, clock.now())
-            if record.window.status is op.WindowStatus.EXPIRED_CLEAN:
+            if record.status is op.WindowStatus.EXPIRED_CLEAN:
                 elapsed = clock.now() - T0
                 if elapsed < timedelta(hours=72):
                     executed_early = True

@@ -26,7 +26,7 @@ def executed_cycle(vintage, baseline, with_actions=True, state=None, year=2026):
         payload = op.build_payload(*make_columns(), baseline, vintage)
         record = op.submit(
             record, op.OracleSubmission.sign(operator, payload, T0),
-            OPERATORS, baseline,
+            baseline,
         )
     op.aggregate_median(record)
     op.open_window(record, T0)
@@ -53,10 +53,8 @@ def lapsed_cycle(vintage, baseline):
     state = lg.carry_cycle(state, 2026)
     record = op.CycleRecord(cycle_year=2026, prior_confirmed_g=PRIOR_G)
     payload = op.build_payload(*make_columns(), baseline, vintage)
-    record = op.submit(record, op.OracleSubmission.sign("op-1", payload, T0),
-                       OPERATORS, baseline)
-    record = op.submit(record, op.OracleSubmission.sign("op-2", payload, T0),
-                       OPERATORS, baseline)
+    record = op.submit(record, op.OracleSubmission.sign("op-1", payload, T0), baseline)
+    record = op.submit(record, op.OracleSubmission.sign("op-2", payload, T0), baseline)
     op.aggregate_median(record)
     op.open_window(record, T0)
     op.flag(record, "op-1", "x", "a")
@@ -97,8 +95,7 @@ def test_serialize_refuses_a_report_missing_a_field(vintage, baseline):
 def test_build_report_incomplete_cycle(vintage, baseline):
     record = op.CycleRecord(cycle_year=2026, prior_confirmed_g=0)
     payload = op.build_payload(*make_columns(), baseline, vintage)
-    record = op.submit(record, op.OracleSubmission.sign("op-1", payload, T0),
-                       OPERATORS, baseline)
+    record = op.submit(record, op.OracleSubmission.sign("op-1", payload, T0), baseline)
     op.aggregate_median(record)
     op.open_window(record, T0)
     with pytest.raises(IncompleteCycle):

@@ -103,6 +103,9 @@ def test_scenario_validation():
                              oracle_behaviors={"nobody": "honest"}))
     with pytest.raises(ScenarioInvalid, match="^need at least one operator$"):
         sim.run(sim.Scenario(seed=1, years=2, operators=()))
+    with pytest.raises(ScenarioInvalid,
+                       match="^operator op-9 is not on the oracle roster$"):
+        sim.run(sim.Scenario(seed=1, years=1, operators=("op-1", "op-9")))
     with pytest.raises(ScenarioInvalid, match="^unknown behavior 'asleep'$"):
         sim.run(sim.Scenario(seed=1, years=2, oracle_behaviors={"op-1": "asleep"}))
     with pytest.raises(ValueError, match="^hi < lo$"):

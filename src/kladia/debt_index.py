@@ -13,8 +13,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import fixedpoint as fp
-from .errors import BlocSetMismatch, IncompleteBlocSet, NonPositiveLambda
-from .weo_ingest import ALL_BLOCS, WeoVintage, check_ranges
+from .errors import NonPositiveLambda
+from .weo_ingest import WeoVintage
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,15 @@ def weighted_bdi(
 ) -> tuple[tuple[int, ...], int]:
     """The weights -> BDI half of the index chain for one KC7 input set.
 
-    Inputs are scaled values in ALL_BLOCS order. Weights are GDP shares,
-    half-even at 9 digits; the rounding residual goes to the largest-GDP
-    bloc (ties to the first in ALL_BLOCS order) so they sum to exactly 1.
-    Each BDI term is rounded by fp.mul. Returns (weights, bdi), weights in
-    ALL_BLOCS order.
+    Inputs are scaled values in ALL_BLOCS order, debt ratios >= 0 and GDPs
+    > 0 as their readers check them. Weights are GDP shares, half-even at 9
+    digits; the rounding residual goes to the largest-GDP bloc (ties to the
+    first in ALL_BLOCS order) so they sum to exactly 1. Each BDI term is
+    rounded by fp.mul. Returns (weights, bdi), weights in ALL_BLOCS order.
 
     A year's input sets recur (every operator that re-checks the same
     payload, the report and its self-check), so the last few results are
-    kept; a failed check is not kept and raises again.
+    kept.
     """
     return _weighted_bdi(tuple(debt_ratios), tuple(nominal_gdps))
 
@@ -76,14 +76,6 @@ def weighted_bdi(
 @lru_cache(maxsize=8)
 def _weighted_bdi(debt_ratios: tuple[int, ...], nominal_gdps: tuple[int, ...]
                   ) -> tuple[tuple[int, ...], int]:
-    if len(nominal_gdps) != len(ALL_BLOCS):
-        raise IncompleteBlocSet(
-            f"need one GDP per KC7 bloc, got {len(nominal_gdps)}"
-        )
-    if len(debt_ratios) != len(nominal_gdps):
-        raise BlocSetMismatch("debt ratios and GDPs cover different blocs")
-    for bloc, debt_ratio, nominal_gdp in zip(ALL_BLOCS, debt_ratios, nominal_gdps):
-        check_ranges(bloc, debt_ratio, nominal_gdp)
     total_gdp = sum(nominal_gdps)
     weights = [fp.div_half_even(gdp * fp.SCALE, total_gdp) for gdp in nominal_gdps]
     residual = fp.ONE - sum(weights)

@@ -5,6 +5,11 @@ class alone decides how `kld` exits: an InputError (malformed or
 out-of-range input) exits 2, like a ValueError, LookupError, TypeError
 or OSError; any other KladiaError is a policy or verification failure
 and exits 1.
+
+A value is checked once, where it enters: by its reader (a snapshot,
+`--last-confirmed`, `read_payload`), its dataclass (`BaselineRef`,
+`PolicyParams`, `VotingPowerView`), `Scenario.validate` or a ledger op's
+check; the arithmetic behind them checks nothing.
 """
 
 
@@ -37,10 +42,6 @@ class NoPriorValue(InputError):
 # --- index -------------------------------------------------------------------
 
 class IncompleteBlocSet(InputError):
-    pass
-
-
-class BlocSetMismatch(InputError):
     pass
 
 

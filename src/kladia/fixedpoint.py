@@ -47,9 +47,8 @@ def to_str(value: int) -> str:
 
 
 def div_half_even(num: int, den: int) -> int:
-    """Nearest-integer division with ties to even."""
-    if den < 0:
-        num, den = -num, -den
+    """Nearest-integer division with ties to even, for den > 0 (every
+    caller's: SCALE, a baseline's bdi_ref, a GDP total, 1 + lambda*x)."""
     q, r = divmod(num, den)  # Python floors, so r >= 0
     twice = 2 * r
     if twice > den or (twice == den and q % 2 != 0):
@@ -68,12 +67,6 @@ def div(a: int, b: int) -> int:
 
 
 def scale_amount_down(amount: int, factor: int) -> int:
-    """amount (integer units) * factor (scaled), rounded DOWN.
-
-    Token-unit outputs round down so the engine never over-releases.
-    """
-    if amount < 0:
-        raise ValueError("amount must be nonnegative")
-    if factor < 0:
-        raise ValueError("factor must be nonnegative")
+    """amount (integer units) * factor (scaled), rounded DOWN so the engine
+    never over-releases; both are nonnegative where they enter the program."""
     return (amount * factor) // SCALE

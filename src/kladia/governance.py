@@ -80,11 +80,15 @@ class VotingPowerView:
     """Eligible balance per identity at a snapshot position.
 
     Builders must already have zeroed treasury/escrow and unvested team
-    balances; eligible_supply is the quorum denominator.
-    """
+    balances, and a negative one is refused; eligible_supply is the quorum
+    denominator."""
 
     balances: Mapping[str, int]
     snapshot_position: int
+
+    def __post_init__(self):
+        if any(balance < 0 for balance in self.balances.values()):
+            raise ValueError("balances must be nonnegative")
 
     @property
     def eligible_supply(self) -> int:

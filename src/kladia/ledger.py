@@ -309,10 +309,10 @@ _COEFFICIENTS = tuple(f.name for f in fields(PolicyParams))
 def _fee_burn(state: LedgerState, fee_pool: int) -> tuple[int, int]:
     """The month's burn from `fee_pool` at the cycle's burn fraction, with
     the carried 1/SCALE dust, and the dust left after it: one `divmod` of
-    the product plus the dust, whole base units and the 1/SCALE rest."""
-    whole, dust = divmod(fee_pool * state.annual_factors.burn_fraction
-                         + state.burn_dust, fp.SCALE)
-    return min(whole, fee_pool), dust
+    the product plus the dust, whole base units and the 1/SCALE rest, which
+    never exceeds the pool: the fraction is at most 1, the dust below SCALE."""
+    return divmod(fee_pool * state.annual_factors.burn_fraction
+                  + state.burn_dust, fp.SCALE)
 
 
 def _field(inputs: dict, name: str, kind: type = int):

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .ledger import ApprovalPolicy, LedgerState, _roster, begin_cycle, carry_cycle
 from .policy import PolicyParams
-from .weo_ingest import ALL_BLOCS, WeoVintage, check_vintage
+from .weo_ingest import ALL_BLOCS, WeoVintage, check_ranges, check_vintage
 
 CHALLENGE_WINDOW = timedelta(hours=72)
 CORRECTION_DEADLINE = timedelta(days=14)
@@ -118,16 +118,20 @@ def _bloc_values(view: dict, key: str, where: str) -> tuple[int, ...]:
 
 def read_payload(view: dict, where: str) -> SubmissionPayload:
     """The inverse of `SubmissionPayload.canonical()`, decimals spelled as
-    `fp.from_str` reads them; a bad vintage or bloc set raises naming `where`."""
+    `fp.from_str` reads them; a bad vintage or bloc set raises naming `where`,
+    and a bloc out of range (`check_ranges`) NegativeValue."""
     try:
         check_vintage(view["vintage_id"], view["dataset_hash"])
     except MalformedFile as exc:
         raise MalformedFile(f"{where}: {exc}") from None
-    return SubmissionPayload(
+    payload = SubmissionPayload(
         _bloc_values(view, "debt_ratios", where),
         _bloc_values(view, "nominal_gdps", where),
         fp.from_str(view["bdi"]), fp.from_str(view["x_norm"]), fp.from_str(view["g"]),
         view["vintage_id"], view["dataset_hash"])
+    for levels in zip(ALL_BLOCS, payload.debt_ratios, payload.nominal_gdps):
+        check_ranges(*levels)
+    return payload
 
 
 @dataclass(frozen=True)
@@ -279,10 +283,12 @@ def open_window(record: CycleRecord, now: datetime) -> CycleRecord:
 
 def flag(record: CycleRecord, operator_id: str, issue_code: str, comment: str
          ) -> CycleRecord:
-    """Record a discrepancy flag; two distinct operators on one issue code
-    constitute a valid dispute."""
+    """Record a discrepancy flag from an operator on the roster; two
+    distinct operators on one issue code constitute a valid dispute."""
     if record.status is not WindowStatus.OPEN:
         raise WindowClosed(f"window is {record.status.value}")
+    if operator_id not in ORACLE_OPERATORS:
+        raise UnknownOperator(operator_id)
     record.flags.append(Flag(operator_id, issue_code, comment))
     by_code: dict[str, set[str]] = {}
     for f in record.flags:

@@ -45,7 +45,7 @@ class PolicyParams:
             raise ValueError("beta_b and gamma must be nonnegative")
         if not (0 <= self.b_base <= self.b_max <= fp.ONE):
             raise ValueError("need 0 <= b_base <= b_max <= 1")
-        if self.e_min < 0 or self.r_base < 0:
+        if self.e_min < 0 or self.r_base < 0 or self.staking_multiplier < 0:
             raise ValueError("budgets and rates must be nonnegative")
 
     def effective_r_base(self) -> int:

@@ -47,9 +47,7 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] (inclusive); integer-only."""
-        if hi < lo:
-            raise ValueError("hi < lo")
+        """Uniform integer in [lo, hi] (inclusive; lo <= hi); integer-only."""
         return lo + self.next_u64() % (hi - lo + 1)
 
 
@@ -90,6 +88,12 @@ class Scenario:
                 raise ScenarioInvalid(f"behavior for unknown operator {op}")
             if tag not in ("honest", "outlier", "missing"):
                 raise ScenarioInvalid(f"unknown behavior {tag!r}")
+        for name in ("debt_drift_bp", "gdp_drift_bp", "fee_range_kld"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ScenarioInvalid(f"{name}: lo > hi")
+        if min(self.debt_drift_bp[0], self.gdp_drift_bp[0]) < -10_000:
+            raise ScenarioInvalid("a drift below -10000 bp")  # below -100 %
         if any(y < 1 or y > self.years for y in self.dispute_years):
             raise ScenarioInvalid("dispute year outside horizon")
         for event in self.governance_script:

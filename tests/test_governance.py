@@ -211,6 +211,13 @@ def test_votes_of_exactly_the_quorum_meet_it():
     assert gov.quorum_met(proposal)
 
 
+def test_voting_power_view_refuses_a_negative_balance():
+    # the one sign check on a vote snapshot: quorum and stake floors check none
+    gov.VotingPowerView({"alice": 0}, snapshot_position=0)
+    with pytest.raises(ValueError, match="^balances must be nonnegative$"):
+        gov.VotingPowerView({"alice": SUPPLY, "bob": -1}, snapshot_position=0)
+
+
 def test_quorum_uses_eligible_supply_only():
     # treasury + unvested hold 90% of raw supply but are excluded from the
     # view; 5% of the remaining 10% reaches quorum

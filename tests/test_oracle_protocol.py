@@ -13,6 +13,7 @@ from kladia.canonical import content_hash
 from kladia.clock import VirtualClock
 from kladia.errors import (
     DuplicateSubmission,
+    IncompleteBlocSet,
     InconsistentPayload,
     InsufficientApprovals,
     MalformedFile,
@@ -24,7 +25,7 @@ from kladia.errors import (
     WindowClosed,
 )
 from kladia.policy import PolicyParams
-from kladia.weo_ingest import ALL_BLOCS, Bloc
+from kladia.weo_ingest import ALL_BLOCS
 
 from conftest import make_columns
 
@@ -93,18 +94,40 @@ def test_submit_recheck_is_not_hidden_by_the_memo(vintage, baseline):
     assert [s.operator_id for s in record.submissions] == ["op-1"]
 
 
-def test_submit_rechecks_vintage_id_and_ranges(vintage, baseline):
-    good = payload_for(vintage, baseline)
-    bad_vintage = replace(good, vintage_id="2026-Smarch")
-    debt_ratios = list(good.debt_ratios)
-    debt_ratios[ALL_BLOCS.index(Bloc.JP)] = -1
-    negative = replace(good, debt_ratios=tuple(debt_ratios))
+def test_submit_rechecks_the_vintage_id(vintage, baseline):
+    bad_vintage = replace(payload_for(vintage, baseline), vintage_id="2026-Smarch")
     with pytest.raises(MalformedFile):
         op.submit(fresh_record(), op.OracleSubmission.sign("op-1", bad_vintage, T0),
                   baseline)
-    with pytest.raises(NegativeValue):
-        op.submit(fresh_record(), op.OracleSubmission.sign("op-1", negative, T0),
-                  baseline)
+
+
+@pytest.mark.parametrize("key, code, value, message", [
+    ("debt_ratios", "JP", "-0.000000001", "JP: debt_ratio < 0"),
+    ("nominal_gdps", "KR", "0", "KR: nominal_gdp <= 0"),
+    ("nominal_gdps", "US", "-1", "US: nominal_gdp <= 0"),
+], ids=["negative-debt", "zero-gdp", "negative-gdp"])
+def test_read_payload_range_checks_every_bloc(vintage, baseline, key, code,
+                                              value, message):
+    # the one range check of a payload from outside: the kernel checks nothing
+    view = payload_for(vintage, baseline).canonical()
+    assert op.read_payload(view, "op-1.json") == payload_for(vintage, baseline)
+    view[key][code] = value
+    with pytest.raises(NegativeValue, match=f"^{message}$"):
+        op.read_payload(view, "op-1.json")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda values: values.pop("KR"),
+    lambda values: values.update(XX="1"),
+], ids=["six-blocs", "eight-blocs"])
+@pytest.mark.parametrize("key", ["debt_ratios", "nominal_gdps"])
+def test_read_payload_refuses_a_bloc_set_that_is_not_kc7(vintage, baseline,
+                                                          key, edit):
+    view = payload_for(vintage, baseline).canonical()
+    edit(view[key])
+    with pytest.raises(IncompleteBlocSet,
+                       match=f"^op-1.json: {key}: need exactly the KC7 set, got "):
+        op.read_payload(view, "op-1.json")
 
 
 def test_canonical_view_is_not_shared(vintage, baseline):
@@ -288,6 +311,15 @@ def test_same_operator_twice_does_not_dispute(vintage, baseline):
     op.flag(record, "op-1", "stale-data", "a")
     record = op.flag(record, "op-1", "stale-data", "again")
     assert record.status is op.WindowStatus.OPEN
+
+
+def test_flag_from_off_the_roster_rejected(vintage, baseline):
+    # two strangers cannot dispute a window, and a refused flag is not kept
+    record = open_record(vintage, baseline)
+    for outsider in ("mallory", "eve"):
+        with pytest.raises(UnknownOperator, match=f"^{outsider}$"):
+            op.flag(record, outsider, "stale-data", "forged")
+    assert record.status is op.WindowStatus.OPEN and record.flags == []
 
 
 def test_flag_after_close_rejected(vintage, baseline):

@@ -120,6 +120,9 @@ def test_param_invariants():
         PolicyParams(beta_b=-1)
     with pytest.raises(ValueError):
         PolicyParams(e_min=-1)
+    with pytest.raises(ValueError, match="^budgets and rates must be nonnegative$"):
+        PolicyParams(staking_multiplier=-1)
+    PolicyParams(staking_multiplier=0)
 
 
 # (params, e_base, i_base): the coefficients and the cycle's anchors

@@ -9,10 +9,11 @@ from kladia import fixedpoint as fp
 from kladia import ledger as lg
 from kladia import oracle_protocol as op
 from kladia import reporting
-from kladia.errors import IncompleteCycle, MalformedFile
+from kladia.errors import IncompleteCycle, MalformedFile, NegativeValue
 from kladia.policy import PolicyParams
+from kladia.weo_ingest import Bloc
 
-from conftest import make_columns
+from conftest import GDP_LEVELS, make_columns
 
 T0 = datetime(2026, 1, 1, tzinfo=timezone.utc)
 OPERATORS = ("op-1", "op-2", "op-3")
@@ -20,10 +21,11 @@ EXECUTORS = tuple(f"exec-{i}" for i in range(1, 9))
 ESCROW_SIGNERS = tuple(f"escrow-{i}" for i in range(1, 9))
 
 
-def executed_cycle(vintage, baseline, with_actions=True, state=None, year=2026):
+def executed_cycle(vintage, baseline, with_actions=True, state=None, year=2026,
+                   columns=None):
     record = op.CycleRecord(cycle_year=year, prior_confirmed_g=0)
     for operator in OPERATORS:
-        payload = op.build_payload(*make_columns(), baseline, vintage)
+        payload = op.build_payload(*(columns or make_columns()), baseline, vintage)
         record = op.submit(
             record, op.OracleSubmission.sign(operator, payload, T0),
             baseline,
@@ -83,13 +85,28 @@ def test_build_report_lapsed(vintage, baseline):
         == (True, [])
 
 
-def test_serialize_refuses_a_report_missing_a_field(vintage, baseline):
+def test_verify_flags_a_report_missing_a_field(vintage, baseline):
+    # serialize checks nothing; a report from outside is checked by verify
     record, state, events = executed_cycle(vintage, baseline)
     report = reporting.build_report(record, events, len(events), [], baseline)
-    del report["lambda"]
-    with pytest.raises(IncompleteCycle,
-                       match=r"^report missing fields: \['lambda'\]$"):
-        reporting.serialize(report)
+    del report["fallback_note"]
+    data = reporting.serialize(report)
+    assert reporting.verify(data, reporting.commit(data, len(events)), baseline,
+                            events) == (False, ["SchemaIncomplete"])
+
+
+def test_verify_flags_a_median_with_a_zero_gdp(vintage, baseline):
+    # the kernel checks nothing, so a cycle run on a zero GDP settles and its
+    # report repeats the kernel exactly; reading its median is what refuses it
+    columns = make_columns(gdp={**GDP_LEVELS, Bloc.KR: "0"})
+    record, state, events = executed_cycle(vintage, baseline, columns=columns)
+    report = reporting.build_report(record, events, len(events), [], baseline)
+    assert report["raw_inputs"]["KR"]["nominal_gdp"] == "0.000000000"
+    data = reporting.serialize(report)
+    assert reporting.verify(data, reporting.commit(data, len(events)), baseline,
+                            events) == (False, ["RecomputeMismatch"])
+    with pytest.raises(NegativeValue, match=r"^KR: nominal_gdp <= 0$"):
+        op.read_payload(report["median"], "median")
 
 
 def test_build_report_incomplete_cycle(vintage, baseline):

@@ -108,14 +108,30 @@ def test_scenario_validation():
         sim.run(sim.Scenario(seed=1, years=1, operators=("op-1", "op-9")))
     with pytest.raises(ScenarioInvalid, match="^unknown behavior 'asleep'$"):
         sim.run(sim.Scenario(seed=1, years=2, oracle_behaviors={"op-1": "asleep"}))
-    with pytest.raises(ValueError, match="^hi < lo$"):
+    with pytest.raises(ScenarioInvalid, match="^fee_range_kld: lo > hi$"):
         sim.run(sim.Scenario(seed=1, years=2, fee_range_kld=(2, 1)))
+    with pytest.raises(ScenarioInvalid, match="^debt_drift_bp: lo > hi$"):
+        sim.run(sim.Scenario(seed=1, years=2, debt_drift_bp=(600, -200)))
+    with pytest.raises(ScenarioInvalid, match="^a drift below -10000 bp$"):
+        sim.run(sim.Scenario(seed=1, years=2, debt_drift_bp=(-20000, -15000)))
+    with pytest.raises(ScenarioInvalid, match="^a drift below -10000 bp$"):
+        sim.run(sim.Scenario(seed=1, years=2, gdp_drift_bp=(-10001, 500)))
     with pytest.raises(ScenarioInvalid, match="^governance year outside horizon$"):
         sim.run(sim.Scenario(seed=1, years=2, governance_script=(
             {"year": 9, "changes": {"gamma": "0.7"}},)))
     with pytest.raises(ScenarioInvalid, match=r"^not a policy parameter: \['lambda'\]$"):
         sim.run(sim.Scenario(seed=1, years=2, governance_script=(
             {"year": 2, "changes": {"lambda": "2"}},)))
+
+
+def test_a_full_drop_floors_every_level_at_one():
+    # -10,000 bp, the lowest drift validate admits, takes each level to 0,
+    # and the level floor lifts it to 1
+    trace = sim.run(sim.Scenario(seed=1, years=1, debt_drift_bp=(-10000, -10000),
+                                 gdp_drift_bp=(-10000, -10000)))
+    median = trace.cycles[0]["median"]
+    assert set(median["debt_ratios"].values()) == {"1.000000000"}
+    assert set(median["nominal_gdps"].values()) == {"1.000000000"}
 
 
 def test_scenario_years_run_from_one_to_the_horizon():

@@ -63,14 +63,6 @@ class ZeroCap(KladiaError):
     """Release cap is exhausted; a release would move zero tokens."""
 
 
-class CrossBucketRelock(KladiaError):
-    pass
-
-
-class RelockExceedsRelease(KladiaError):
-    pass
-
-
 class ConservationViolation(KladiaError):
     """Supply conservation check failed; the transition is aborted."""
 

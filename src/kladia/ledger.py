@@ -10,10 +10,12 @@ in their fixed order, and its apply moves them and rolls the month. A stored
 ledger is its event log alone, and is loaded by `replay` of that log from
 genesis through the same rules, so it is valid exactly when it is what its
 own log replays to. The state keeps only what that log does not fix: the
-supply cap, the genesis table, the signer policies and the vesting schedule
+supply cap, the genesis table, the escrow multisig and the vesting schedule
 are constants of the mechanism, and the team tokens vested so far follow
-from the month. There is no mint operation and no inverse of burn anywhere
-on the public surface.
+from the month. The five ops are genesis, begin_cycle, carry_cycle,
+release_escrow and advance_month. The genesis table allocates the company
+reserve, but no op spends it, and no op takes a release back. There is no
+mint operation and no inverse of burn anywhere on the public surface.
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ from . import fixedpoint as fp
 from .errors import (
     AllocationMismatch,
     ConservationViolation,
-    CrossBucketRelock,
     InsufficientApprovals,
     KladiaError,
     MalformedFile,
-    RelockExceedsRelease,
     ZeroCap,
 )
 from .policy import PolicyFactors, PolicyParams, derive_cycle_factors
@@ -45,8 +45,6 @@ S_MAX = S_MAX_KLD * UNIT            # 10^16 base units
 
 # Escrow base annual release budget: up to 5% of the escrow balance.
 ESCROW_ANNUAL_BUDGET_FRACTION = fp.from_str("0.05")
-# Company reserve self-imposed monthly spending guideline: 1% of the reserve.
-RESERVE_MONTHLY_GUIDELINE = fp.from_str("0.01")
 # Team vesting: a 12-month cliff, then 36 monthly releases.
 CLIFF_MONTHS = 12
 VEST_MONTHS = 36
@@ -69,6 +67,9 @@ class BucketKind(Enum):
 # the canonical JSON that `state_hash()` hashes and `snapshot()` parses: keys
 # and bucket names sorted, ints as %d, `g_used` as `null` or an int.
 # tests/test_ledger.py pins it against canonical.content_hash(state.snapshot()).
+# The reserve's monthly spend renders as a literal 0, since no op spends the
+# reserve; dropping the key moves every state hash, so it goes with the
+# re-freeze that drops `s_max` and `vesting` (ROADMAP item 2).
 _BUCKETS_BY_NAME = tuple(sorted(BucketKind, key=lambda k: k.value))
 _bucket_balances = itemgetter(*_BUCKETS_BY_NAME)
 _SNAPSHOT_TEMPLATE = (
@@ -76,7 +77,7 @@ _SNAPSHOT_TEMPLATE = (
     + ",".join(f'"{k.value}":%d' for k in _BUCKETS_BY_NAME)
     + '},"burn_dust":%d,"burned_cumulative":%d,"circulating":%d,"g_used":%s,'
     '"issuance_used_year":%d,"month_index":%d,"releases_this_month":%d,'
-    '"reserve_spend_this_month":%d,"s_max":%d,'
+    '"reserve_spend_this_month":0,"s_max":%d,'
     '"vesting":{"released_months":%d,"released_total":%d,"total":%d}}'
 ).encode()
 
@@ -132,11 +133,8 @@ def _roster(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}-{i}" for i in range(1, n + 1))
 
 
-# the multisig each gated bucket spends under: threshold of signer set
-POLICIES: dict[BucketKind, ApprovalPolicy] = {
-    BucketKind.ECOSYSTEM_ESCROW: ApprovalPolicy(5, _roster("escrow", 8)),
-    BucketKind.COMPANY_RESERVE: ApprovalPolicy(6, _roster("reserve", 7)),
-}
+# the escrow multisig: 5 of these 8 signers approve a release
+ESCROW_POLICY = ApprovalPolicy(5, _roster("escrow", 8))
 
 
 @dataclass
@@ -147,8 +145,6 @@ class LedgerState:
     month_index: int                       # completed months since genesis
     annual_factors: Optional[PolicyFactors]
     releases_this_month: int
-    reserve_spend_this_month: int
-    relockable: int = 0                    # this month's undistributed escrow release
     burn_dust: int = 0                     # 1/SCALE base-unit remainders
     issuance_used_year: int = 0
     # append-only event list shared with clones; this state's history is
@@ -160,13 +156,6 @@ class LedgerState:
     def event_log(self) -> list[dict]:
         """This state's own history, as a new list."""
         return self.journal[:self.n_events]
-
-    @property
-    def reserve_month_start_balance(self) -> int:
-        """The company reserve as this month began. Within a month only
-        `spend_reserve` moves that bucket, and a relock into it is refused
-        (it releases nothing), so adding back the month's spend gives it."""
-        return self.buckets[BucketKind.COMPANY_RESERVE] + self.reserve_spend_this_month
 
     def __eq__(self, other):
         # field-wise, with `journal` narrowed to this state's own history
@@ -192,7 +181,6 @@ class LedgerState:
         return LedgerState(
             self.circulating, self.buckets.copy(), self.burned_cumulative,
             self.month_index, self.annual_factors, self.releases_this_month,
-            self.reserve_spend_this_month, self.relockable,
             self.burn_dust, self.issuance_used_year, self.journal, self.n_events,
         )
 
@@ -221,7 +209,6 @@ class LedgerState:
             self.issuance_used_year,
             self.month_index,
             self.releases_this_month,
-            self.reserve_spend_this_month,
             S_MAX,
             *_team_vesting(self.month_index),
             VEST_TOTAL,
@@ -346,7 +333,7 @@ def _apply_genesis(state, inputs):
         circulating=0, buckets={BucketKind(k): v * UNIT for k, v in
                                 inputs["allocations_kld"].items()},
         burned_cumulative=0, month_index=0, annual_factors=None,
-        releases_this_month=0, reserve_spend_this_month=0,
+        releases_this_month=0,
     )
 
 
@@ -401,7 +388,7 @@ def _check_release_escrow(state, inputs, approvals):
     factors = state.annual_factors
     if factors is None:
         raise ZeroCap("no active cycle factors")
-    valid = POLICIES[BucketKind.ECOSYSTEM_ESCROW].check(approvals, "release_escrow")
+    valid = ESCROW_POLICY.check(approvals, "release_escrow")
     cap_remaining = max(0, factors.escrow_cap - state.releases_this_month)
     budget_remaining = max(0, factors.issuance_budget - state.issuance_used_year)
     balance = state.buckets[BucketKind.ECOSYSTEM_ESCROW]
@@ -420,63 +407,6 @@ def _apply_release_escrow(state, inputs):
     state.circulating += released
     state.releases_this_month += released
     state.issuance_used_year += released
-    state.relockable += released
-    return state
-
-
-def _check_spend_reserve(state, inputs, approvals):
-    amount = _field(inputs, "amount")
-    if amount < 0:
-        raise ValueError("amount must be nonnegative")
-    valid = POLICIES[BucketKind.COMPANY_RESERVE].check(approvals, "spend_reserve")
-    if amount > state.buckets[BucketKind.COMPANY_RESERVE]:
-        raise ValueError("spend exceeds reserve balance")
-    guideline_cap = fp.scale_amount_down(
-        state.reserve_month_start_balance, RESERVE_MONTHLY_GUIDELINE)
-    return {"amount": amount, "guideline_exceeded":
-            state.reserve_spend_this_month + amount > guideline_cap}, valid
-
-
-def _apply_spend_reserve(state, inputs):
-    amount = inputs["amount"]
-    state.buckets[BucketKind.COMPANY_RESERVE] -= amount
-    state.circulating += amount
-    state.reserve_spend_this_month += amount
-    return state
-
-
-# only escrow releases can be taken back: every other bucket has none
-def _check_mark_distributed(state, inputs, approvals):
-    bucket, amount = BucketKind(inputs["bucket"]), _field(inputs, "amount")
-    relockable = state.relockable if bucket is BucketKind.ECOSYSTEM_ESCROW else 0
-    if amount < 0 or amount > relockable:
-        raise ValueError("distributed amount exceeds relockable balance")
-    return {"bucket": bucket.value, "amount": amount}, ()
-
-
-def _apply_mark_distributed(state, inputs):
-    state.relockable -= inputs["amount"]
-    return state
-
-
-def _check_relock(state, inputs, approvals):
-    bucket, amount = BucketKind(inputs["bucket"]), _field(inputs, "amount")
-    if amount <= 0:
-        raise ValueError("relock amount must be positive")
-    if bucket is not BucketKind.ECOSYSTEM_ESCROW:
-        raise CrossBucketRelock(f"no released tokens originate from {bucket.value}")
-    if amount > state.relockable:
-        raise RelockExceedsRelease(f"relock {amount} exceeds undistributed "
-                                   f"release {state.relockable}")
-    return {"bucket": bucket.value, "amount": amount,
-            "justification": _field(inputs, "justification", str)}, ()
-
-
-def _apply_relock(state, inputs):
-    amount = inputs["amount"]
-    state.buckets[BucketKind.ECOSYSTEM_ESCROW] += amount
-    state.circulating -= amount
-    state.relockable -= amount
     return state
 
 
@@ -514,8 +444,6 @@ def _apply_advance_month(state, inputs):
     state.burned_cumulative += burned
     state.month_index += 1
     state.releases_this_month = 0
-    state.reserve_spend_this_month = 0
-    state.relockable = 0
     return state
 
 
@@ -538,9 +466,6 @@ _RULES: dict[str, Rule] = {
     "begin_cycle": Rule(_check_begin_cycle, _apply_begin_cycle),
     "carry_cycle": Rule(_check_carry_cycle, _apply_carry_cycle),
     "release_escrow": Rule(_check_release_escrow, _apply_release_escrow),
-    "spend_reserve": Rule(_check_spend_reserve, _apply_spend_reserve),
-    "mark_distributed": Rule(_check_mark_distributed, _apply_mark_distributed),
-    "relock": Rule(_check_relock, _apply_relock),
     "advance_month": Rule(_check_advance_month, _apply_advance_month),
 }
 
@@ -599,37 +524,6 @@ def release_escrow(
         state, "release_escrow", {"requested": requested}, approvals
     )
     return new, inputs["released"]
-
-
-def spend_reserve(
-    state: LedgerState, amount: int, approvals: Iterable[str]
-) -> tuple[LedgerState, bool]:
-    """Operational spend from the company reserve, gated 6-of-7.
-
-    The 1%-per-month guideline is advisory: exceeding it succeeds, and the
-    returned bool and the logged event's `guideline_exceeded` input say so.
-    """
-    new, inputs = _transition(state, "spend_reserve", {"amount": amount}, approvals)
-    return new, inputs["guideline_exceeded"]
-
-
-def mark_distributed(state: LedgerState, bucket: BucketKind, amount: int) -> LedgerState:
-    """Record that released tokens were distributed, removing relock rights."""
-    return _transition(
-        state, "mark_distributed", {"bucket": bucket.value, "amount": amount}
-    )[0]
-
-
-def relock(
-    state: LedgerState, amount: int, bucket: BucketKind, justification: str
-) -> LedgerState:
-    """Return released-but-undistributed tokens to their origin bucket.
-
-    Relocking never increases future release rights: releases_this_month
-    and the annual budget usage are left as charged.
-    """
-    return _transition(state, "relock", {"bucket": bucket.value, "amount": amount,
-                                         "justification": justification})[0]
 
 
 def advance_month(

@@ -94,9 +94,7 @@ def escrow_cap(params: PolicyParams, g: int, e_base: int) -> int:
 def staking_rate(params: PolicyParams, g: int) -> int:
     """max(0, (1 - gamma * g) * r_base); gamma = 0 leaves the rate flat."""
     factor = fp.ONE - fp.mul(params.gamma, g)
-    if factor <= 0:
-        return 0
-    return fp.mul(factor, params.effective_r_base())
+    return max(0, fp.mul(factor, params.effective_r_base()))
 
 
 def derive_cycle_factors(

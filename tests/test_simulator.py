@@ -110,6 +110,9 @@ def test_scenario_validation():
         sim.run(sim.Scenario(seed=1, years=2, oracle_behaviors={"op-1": "asleep"}))
     with pytest.raises(ScenarioInvalid, match="^fee_range_kld: lo > hi$"):
         sim.run(sim.Scenario(seed=1, years=2, fee_range_kld=(2, 1)))
+    for fee_range in ((-5, -1), (-1, 0)):
+        with pytest.raises(ScenarioInvalid, match="^fee_range_kld: a negative fee$"):
+            sim.run(sim.Scenario(seed=1, years=1, fee_range_kld=fee_range))
     with pytest.raises(ScenarioInvalid, match="^debt_drift_bp: lo > hi$"):
         sim.run(sim.Scenario(seed=1, years=2, debt_drift_bp=(600, -200)))
     with pytest.raises(ScenarioInvalid, match="^a drift below -10000 bp$"):
